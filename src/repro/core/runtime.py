@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Optional, Protocol
 
 from ..machine import CoreModel
-from ..perf import toggles as _perf_toggles
 from ..sim import Engine, Event
 from .taskgraph import Task, TaskGraph
 
@@ -79,8 +78,8 @@ class _Plan:
 
     Produced by :meth:`Team._plan_sim` (or instantiated from a cached
     template): per-task start/finish times in dispatch order, finish times
-    in completion order, and the final stats sums — everything the scalar
-    engine would compute task by task, computed up front so the DES carries
+    in completion order, and the final stats sums — everything the per-task
+    path would compute task by task, computed up front so the DES carries
     a *single* completion event for the whole graph.
     """
 
@@ -100,11 +99,11 @@ class _Plan:
         #: dispatch-time genealogy of the last-finishing task as flattened
         #: ``(time, hop)`` pairs: its own dispatch time, then its
         #: dispatcher's, ... up to a root — the simulated times at which the
-        #: scalar engine would assign the seq numbers that break
+        #: per-task path would assign the seq numbers that break
         #: completion-time ties (see _PlanArbiter).  ``hop`` is 0.0 for a
         #: plain dispatch (synchronous in ``run()`` or inside a task-finish
-        #: callback) and 1.0 for a repeat-boundary root, which the scalar
-        #: engine dispatches one event hop later (inside the previous
+        #: callback) and 1.0 for a repeat-boundary root, which the per-task
+        #: path dispatches one event hop later (inside the previous
         #: repeat's done callback) than any same-time plain dispatch.
         self.chain = chain
         self.slot = None            # engine handle of the pending plan event
@@ -134,10 +133,10 @@ class _PlanTemplate:
 
 
 class _PlanArbiter:
-    """Gives same-cohort plan completions the scalar engine's tie order.
+    """Gives same-cohort plan completions the per-task path's tie order.
 
-    Events at equal simulated times fire in seq order, and the scalar
-    engine assigns a completion's seq at the *dispatch* of the finishing
+    Events at equal simulated times fire in seq order, and the per-task
+    path assigns a completion's seq at the *dispatch* of the finishing
     task — inside the finish callback of the task that unblocked it, whose
     own seq was assigned at *its* dispatch, and so on down to the root
     dispatched synchronously in ``run()``.  Two teams finishing at the same
@@ -149,8 +148,8 @@ class _PlanArbiter:
     a deferred flush (running after every submission of the current event
     cohort) sorts them by ``(t_end, *chain)`` plus submission order, and
     arms the completion events in that order — consecutive seqs, so
-    same-time completions fire exactly as the scalar engine would.  Ties
-    *across* cohorts resolve by cohort order, which matches the scalar
+    same-time completions fire exactly as the per-task path would.  Ties
+    *across* cohorts resolve by cohort order, which matches the per-task
     root-dispatch order for plans with identical chains (the only ties
     observed in practice: lockstep ranks running identical graphs).
     """
@@ -235,35 +234,30 @@ class Team:
         self._done: Optional[Event] = None
         self._stats: Optional[GraphStats] = None
         self._hungry_notified = False
-        self._fast = _perf_toggles.TOGGLES.runtime_fast_path
-        # Heap-backed LPT ready queue (toggle captured at construction).
-        # Entries are (-instr, seq, task): popping the heap min yields the
-        # largest-instruction task, earliest arrival first — provably the
-        # same task the linear argmax scan (strict >, FIFO tie-break)
-        # selects, in O(log n) instead of O(n) per dispatch.
-        self._use_heap = (scheduler == "lpt"
-                          and _perf_toggles.TOGGLES.scheduler_heap)
+        # Heap-backed LPT ready queue: entries are (-instr, seq, task), so
+        # popping the heap min yields the largest-instruction task, earliest
+        # arrival first (FIFO tie-break), in O(log n) per dispatch.  The
+        # fifo/lifo policies keep the ``_ready`` deque.
+        self._use_heap = scheduler == "lpt"
         self._heap: list = []
         self._seq = 0
-        # Plan mode (engine_batch): simulate the whole graph execution up
-        # front and schedule one completion event, instead of 2 DES events
-        # per task.  Engages per run() and only when nobody observes
-        # per-task execution (no recorder, no listener — see run()).
-        # Mid-run set_capacity/set_slowdown append a timestamped epoch and
+        # Plan mode: simulate the whole graph execution up front and
+        # schedule one completion event, instead of 2 DES events per task.
+        # Engages per run() and only when nobody observes per-task
+        # execution (no recorder, no listener — see run()).  Mid-run
+        # set_capacity/set_slowdown append a timestamped epoch and
         # re-simulate the plan from the start — the already-executed prefix
         # replays float-identically, so the revised plan agrees with
         # history and the future reflects the change.
-        self._plan_enabled = _perf_toggles.TOGGLES.engine_batch
         self._plan: Optional[_Plan] = None
         self._plan_repeats = 1
         self._plan_cache: dict[int, _PlanTemplate] = {}
         self._slow_epochs: list[tuple[float, float]] = []
         self._cap_epochs: list[tuple[float, int]] = []
-        if self._plan_enabled:
-            arb = getattr(engine, "_plan_arbiter", None)
-            if arb is None:
-                arb = engine._plan_arbiter = _PlanArbiter(engine)
-            self._arbiter: _PlanArbiter = arb
+        arb = getattr(engine, "_plan_arbiter", None)
+        if arb is None:
+            arb = engine._plan_arbiter = _PlanArbiter(engine)
+        self._arbiter: _PlanArbiter = arb
 
     # -- capacity (the DLB surface) -----------------------------------------
     @property
@@ -320,7 +314,7 @@ class Team:
             return False
         if self._plan is not None:
             # derived from the plan arrays; mutex-blocked backlog counts as
-            # appetite (diagnostic only — DLB runs the scalar path)
+            # appetite (diagnostic only — DLB runs the per-task path)
             plan = self._plan
             now = self.engine.now
             started = bisect_right(plan.d_start, now)
@@ -392,13 +386,13 @@ class Team:
         """
         if repeats < 1:
             raise RuntimeError_(f"repeats must be >= 1, got {repeats}")
-        if (repeats > 1 and len(graph) > 0 and self._plan_enabled
+        if (repeats > 1 and len(graph) > 0
                 and self.recorder is None and self.listener is None):
             # One plan covering every repeat, submitted in the same arbiter
             # cohort as a single-run plan.  Per-repeat plans would arm each
             # team's *final* completion in a cohort determined by its
             # repeat count, and same-time completions across different
-            # cohorts order by cohort instead of the scalar dispatch
+            # cohorts order by cohort instead of the per-task dispatch
             # genealogy — the one tie class the arbiter cannot see.
             if self._graph is not None:
                 raise RuntimeError_(
@@ -432,9 +426,9 @@ class Team:
             return stats
         # engagement is re-checked per run: a recorder needs per-task
         # records and a listener (DLB attaches itself after construction)
-        # needs task-boundary callbacks, so those runs take the scalar path
-        if (self._plan_enabled and self.recorder is None
-                and self.listener is None):
+        # needs task-boundary callbacks, so those runs take the per-task
+        # callback path below
+        if self.recorder is None and self.listener is None:
             self._graph = graph
             self._stats = stats
             self._done = Event(self.engine)
@@ -456,7 +450,7 @@ class Team:
         result = yield self._done
         return result
 
-    # -- plan mode (engine_batch) ------------------------------------------
+    # -- plan mode ----------------------------------------------------------
     def _plan_start(self, graph: TaskGraph, stats: GraphStats,
                     repeats: int = 1) -> None:
         """Materialize the whole run (all ``repeats``) as one plan + one
@@ -488,11 +482,11 @@ class Team:
                               graph: TaskGraph, repeats: int = 1) -> _Plan:
         """Rebuild absolute times from a relative single-worker template.
 
-        One float add per task, in the exact expression order of the scalar
+        One float add per task, in the exact expression order of the per-task
         chain (``finish = start + dur``, next start = previous finish), so
         the absolute times are bit-identical to a fresh simulation.
         ``repeats`` chains the schedule back to back; the stats sums fold
-        left, one term per repeat, matching the scalar loop's per-repeat
+        left, one term per repeat, matching the per-task loop's per-repeat
         ``+=`` aggregation bit for bit.
         """
         t = t0
@@ -527,9 +521,9 @@ class Team:
                            slow_epochs: list, cap_epochs: list,
                            repeats: int) -> _Plan:
         """``repeats`` back-to-back :meth:`_plan_sim` runs merged into one
-        plan: each segment starts at the previous segment's end (the scalar
+        plan: each segment starts at the previous segment's end (the per-task
         loop re-enters ``_run_once`` inside the previous completion), the
-        stats sums fold left like the scalar per-repeat aggregation, and
+        stats sums fold left like the per-task per-repeat aggregation, and
         the dispatch-genealogy chain concatenates through the repeat
         boundary — repeat ``j``'s roots are dispatched inside repeat
         ``j-1``'s *done* callback, one event hop after any same-time
@@ -556,7 +550,7 @@ class Team:
 
         Arming goes through the per-engine :class:`_PlanArbiter`, which
         sorts every plan submitted in the current event cohort by the
-        scalar tie-break key before scheduling the completion events.
+        per-task tie-break key before scheduling the completion events.
         """
         self._plan = plan
         if plan.stalled:
@@ -567,7 +561,7 @@ class Team:
         """Schedule the plan's completion (called by the arbiter's flush).
 
         Completions armed by one flush in chain order receive consecutive
-        seq numbers, so same-time completions fire in the scalar tie-break
+        seq numbers, so same-time completions fire in the per-task tie-break
         order (see :class:`_PlanArbiter`).
         """
         if plan is not self._plan:
@@ -597,14 +591,14 @@ class Team:
             self._plan_repeats)
         self._plan = new
         # a replan happens inside the perturbing call itself (set_capacity /
-        # set_slowdown), the same cascade position where the scalar engine
+        # set_slowdown), the same cascade position where the per-task path
         # reacts — arm directly, no cohort sort
         if not new.stalled:
             self._arm_plan(new)
 
     def _plan_complete(self) -> None:
         """Fires at the plan's end time: apply the precomputed stats sums
-        (accumulated in completion order — the scalar summation order) and
+        (accumulated in completion order — the per-task summation order) and
         release the graph, exactly as `_finish_task` does for the last task."""
         stats = self._stats
         plan = self._plan
@@ -630,7 +624,7 @@ class Team:
     def _plan_sim(self, graph: TaskGraph, t0: float,
                   slow_epochs: list, cap_epochs: list) -> _Plan:
         """Simulate one graph execution in plain Python, event-for-event
-        equivalent to the scalar engine's trajectory.
+        equivalent to the per-task path's trajectory.
 
         Replicates `_dispatch`/`_start_task`/`_finish_task` exactly: the
         scheduling policy (LPT heap with FIFO tie-break / fifo / lifo),
@@ -638,7 +632,7 @@ class Team:
         completion, cached task durations, and the float expression order
         of start/finish arithmetic.  Time-varying capacity and slowdown
         arrive as ``(time, value)`` epochs; an epoch at time T applies
-        before any completion at T, matching the scalar seq order (the
+        before any completion at T, matching the per-task seq order (the
         perturbing timeout was scheduled before the task started).
         """
         tasks = graph.tasks
@@ -711,7 +705,7 @@ class Team:
         c_finish: list = []
         # d_parent[i]: dispatch index of the task whose completion dispatched
         # task i (-1: dispatched at t0 or after an external capacity epoch) —
-        # the seq-assignment genealogy the scalar engine creates implicitly
+        # the seq-assignment genealogy the per-task path creates implicitly
         d_parent: list = []
         cur_parent = -1
         last_di = -1
@@ -810,17 +804,15 @@ class Team:
 
     # -- internals --------------------------------------------------------
     def _runnable_index(self) -> Optional[int]:
-        """Index in the ready deque of the best runnable task, if any.
-
-        The default policy is largest-runnable-first (``lpt``): among
-        mutex-free ready tasks, pick the one with the most work — the
-        classic makespan heuristic, approximating what priority-aware task
-        runtimes (Nanos) do.  Ties (and equal-size chunked loops) keep FIFO
-        order, preserving the memory order of chunked traversals.
+        """Index in the ready deque of the runnable task to dispatch next.
 
         ``fifo`` takes the oldest runnable task (breadth-first, best
         locality across a chunked traversal); ``lifo`` the newest
-        (depth-first, cache-hot dependents first).
+        (depth-first, cache-hot dependents first).  The default ``lpt``
+        policy (largest runnable task first, FIFO among ties — the classic
+        makespan heuristic, approximating what priority-aware task runtimes
+        such as Nanos do) dispatches from the heap in :meth:`_dispatch_heap`
+        instead.
         """
         held = self._held_refs
         ready = self._ready
@@ -831,30 +823,12 @@ class Team:
                 if task.mutex_refs.isdisjoint(held):
                     return i
             return None
-        if self.scheduler == "lifo":
-            if not held:
-                return len(ready) - 1 if ready else None
-            for i in range(len(ready) - 1, -1, -1):
-                if ready[i].mutex_refs.isdisjoint(held):
-                    return i
-            return None
-        best = None
-        best_instr = -1.0
         if not held:
-            # no mutexes held: plain argmax, skip the per-task set test
-            for i, task in enumerate(ready):
-                if task._instr > best_instr:
-                    best = i
-                    best_instr = task._instr
-            return best
-        for i, task in enumerate(ready):
-            # instruction test first: it is cheaper than the set test and
-            # the update condition is conjunctive either way
-            instr = task._instr
-            if instr > best_instr and task.mutex_refs.isdisjoint(held):
-                best = i
-                best_instr = instr
-        return best
+            return len(ready) - 1 if ready else None
+        for i in range(len(ready) - 1, -1, -1):
+            if ready[i].mutex_refs.isdisjoint(held):
+                return i
+        return None
 
     def _push_ready(self, task: Task) -> None:
         """Add ``task`` to the LPT heap (seq = FIFO tie-break on equal work)."""
@@ -862,7 +836,7 @@ class Team:
         heapq.heappush(self._heap, (-task._instr, self._seq, task))
 
     def _dispatch_heap(self) -> None:
-        """Heap-backed dispatch, task-for-task identical to `_dispatch`.
+        """LPT dispatch from the ready heap.
 
         With mutexes held, blocked heap entries are popped aside and pushed
         back after the pick: each keeps its original seq, so future ordering
@@ -894,11 +868,7 @@ class Team:
             if self._stats is not None:
                 self._stats.max_concurrency = max(
                     self._stats.max_concurrency, self._active)
-            if self._fast:
-                self.engine.defer(self._start_task, task)
-            else:
-                self.engine.process(self._worker(task),
-                                    name=f"{self.name}.{task.label}")
+            self.engine.defer(self._start_task, task)
         if self.listener is not None and self._graph is not None:
             if self._active >= self._max_workers and heap:
                 if not self._hungry_notified:
@@ -921,15 +891,9 @@ class Team:
             if self._stats is not None:
                 self._stats.max_concurrency = max(
                     self._stats.max_concurrency, self._active)
-            if self._fast:
-                # Callback-based execution: posts the same bootstrap event a
-                # Process would, so the (time, seq) trajectory is identical —
-                # minus the generator frame, the Process object and its
-                # completion event.
-                self.engine.defer(self._start_task, task)
-            else:
-                self.engine.process(self._worker(task),
-                                    name=f"{self.name}.{task.label}")
+            # callback-based execution: the start runs one event hop later,
+            # where a worker Process would run up to its first yield
+            self.engine.defer(self._start_task, task)
         # Appetite signalling for DLB: hungry if capacity-bound work remains.
         if self.listener is not None and self._graph is not None:
             if self._active >= self._max_workers and self._ready:
@@ -938,8 +902,7 @@ class Team:
                     self.listener.on_team_hungry(self)
 
     def _start_task(self, task: Task) -> None:
-        """Begin executing ``task`` (fast path; runs at bootstrap-event pop,
-        exactly where a worker generator would run up to its first yield)."""
+        """Begin executing ``task`` (runs when the dispatch deferral pops)."""
         t0 = self.engine.now
         core = self.core
         if task._dur_core is core:
@@ -956,8 +919,7 @@ class Team:
                                self._finish_task, task, t0, exec_seconds)
 
     def _finish_task(self, task: Task, t0: float, exec_seconds: float) -> None:
-        """Task completion bookkeeping (fast path; runs at timeout pop,
-        exactly where a worker generator would resume)."""
+        """Task completion bookkeeping (runs when the task's timer pops)."""
         t1 = self.engine.now
         stats = self._stats
         assert stats is not None
@@ -997,12 +959,3 @@ class Team:
         else:
             self._hungry_notified = False
             self._dispatch()
-
-    def _worker(self, task: Task):
-        # Baseline (pre-PR-2) generator path, kept for before/after
-        # benchmarking; the fast path above is event-for-event equivalent.
-        t0 = self.engine.now
-        exec_seconds = self.core.seconds(task.work) * self.slowdown
-        duration = exec_seconds + self.task_overhead_s
-        yield self.engine.timeout(duration)
-        self._finish_task(task, t0, exec_seconds)

@@ -23,10 +23,9 @@ stages:
 Everything is a pure function of simulated state: the trace is
 deterministic, the windows are a fixed partition, and ``scale_at`` /
 ``staleness`` / :meth:`CosimHub.transfer_summary` neither mutate the hub
-nor consult the wall clock.  Repeated queries — from a rerun, from the
-``engine_batch`` core, from any fluid-toggle combination — therefore
-return bit-identical values, which is what lets the ventilator-coupled
-digest checks hold.
+nor consult the wall clock.  Repeated queries — from a rerun or from
+another consumer of the same trace — therefore return bit-identical
+values, which is what lets the ventilator-coupled golden digests hold.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ from scipy import sparse
 
 from ..mesh.elements import ElementType, NODES_PER_TYPE
 from ..mesh.mesh import Mesh
-from ..perf import toggles as _perf_toggles
 from . import geometry as _geom
 from .shape import reference_element
 
@@ -108,50 +107,12 @@ class AssemblyResult:
     element_nodes: np.ndarray
 
 
-def _geometry(coords: np.ndarray, conn: np.ndarray, ref):
-    """Per-element, per-quadrature-point physical gradients and |J| dV.
-
-    Returns (grads, dvol, jac_ok) with grads (ne, nq, nn, 3) and dvol
-    (ne, nq).
-    """
-    xe = coords[conn]                                     # (ne, nn, 3)
-    # J[e,q,i,j] = sum_n dN[q,n,i] * xe[e,n,j]  =  dx_j / dxi_i
-    J = np.einsum("qni,enj->eqij", ref.dN, xe)
-    detJ = np.linalg.det(J)
-    invJ = np.linalg.inv(J)
-    # chain rule: dN/dx_j = dN/dxi_i * dxi_i/dx_j, and since J is the
-    # transposed conventional Jacobian, dxi_i/dx_j = invJ[j, i].
-    grads = np.einsum("qni,eqji->eqnj", ref.dN, invJ)
-    dvol = np.abs(detJ) * ref.weights[None, :]
-    return grads, dvol
-
-
-def _type_blocks(mesh: Mesh, element_ids: np.ndarray, use_geom: bool,
-                 cache=None):
-    """Yield per-element-type ``(nn, ref, eids, conn, grads, dvol, h, Ndvol)``.
-
-    With ``use_geom`` the geometry comes from the shared static-geometry
-    cache (:mod:`repro.fem.geometry`, bit-identical arrays); otherwise it is
-    recomputed inline (the pre-cache code path) and ``h``/``Ndvol`` are
-    ``None`` — consumers derive them on demand, keeping the baseline's exact
-    operation sequence.
-    """
-    if use_geom:
-        for blk in _geom.geometry_blocks(mesh, element_ids, cache=cache):
-            yield (NODES_PER_TYPE[blk.etype], reference_element(blk.etype),
-                   blk.eids, blk.conn, blk.grads, blk.dvol, blk.h, blk.Ndvol)
-        return
-    etype_arr = mesh.elem_types[element_ids]
-    for etype in ElementType:
-        sel = etype_arr == etype
-        eids = element_ids[sel]
-        if len(eids) == 0:
-            continue
-        nn = NODES_PER_TYPE[etype]
-        ref = reference_element(etype)
-        conn = mesh.elem_nodes[eids][:, :nn]
-        grads, dvol = _geometry(mesh.coords, conn, ref)
-        yield nn, ref, eids, conn, grads, dvol, None, None
+def _type_blocks(mesh: Mesh, element_ids: np.ndarray, cache=None):
+    """Yield per-element-type ``(nn, ref, eids, conn, grads, dvol, h, Ndvol)``
+    from the shared static-geometry cache (:mod:`repro.fem.geometry`)."""
+    for blk in _geom.geometry_blocks(mesh, element_ids, cache=cache):
+        yield (NODES_PER_TYPE[blk.etype], reference_element(blk.etype),
+               blk.eids, blk.conn, blk.grads, blk.dvol, blk.h, blk.Ndvol)
 
 
 def assemble_operator(mesh: Mesh,
@@ -181,100 +142,20 @@ def assemble_operator(mesh: Mesh,
         mirroring Alya's local assembly with no MPI communication.
     source:
         Constant volumetric source assembled into the RHS.
+
+    The assembly is operator-split: the velocity-independent blocks are
+    assembled once per (mesh, element set, coefficients) and cached, and
+    each call recomputes only the convection + stabilization values, which
+    scatter through the cached CSR sparsity pattern (see
+    :func:`_assemble_split`).
     """
     n = mesh.nnodes
     if element_ids is None:
         element_ids = np.arange(mesh.nelem)
     element_ids = np.asarray(element_ids)
 
-    toggles = _perf_toggles.TOGGLES
-    if toggles.operator_split and toggles.assembly_pattern_cache:
-        # operator-split incremental assembly: constant blocks cached per
-        # (mesh, element set, coefficients), only the velocity-dependent
-        # part recomputed per call (scatters through the cached pattern —
-        # hence the assembly_pattern_cache requirement)
-        return _assemble_split(mesh, kappa, mass_coeff, velocity, stabilize,
-                               element_ids, source, toggles)
-
-    rows_all, cols_all, vals_all = [], [], []
-    rhs = np.zeros(n)
-    scatter = np.zeros(len(element_ids), dtype=np.int64)
-    elem_nn = np.zeros(len(element_ids), dtype=np.int32)
-    # vectorized element-id -> local-position map (searchsorted over the
-    # argsorted ids; replaces a python dict + np.fromiter per type)
-    id_order = np.argsort(element_ids, kind="stable")
-    sorted_ids = element_ids[id_order]
-
-    pattern: Optional[_CSRPattern] = None
-    pattern_cache: Optional[dict] = None
-    pattern_key = None
-    if toggles.assembly_pattern_cache:
-        pattern_cache = mesh.__dict__.setdefault("_asm_pattern_cache", {})
-        pattern_key = (n, element_ids.tobytes())
-        pattern = pattern_cache.get(pattern_key)
-
-    for nn, ref, eids, conn, grads, dvol, h_cached, _ in _type_blocks(
-            mesh, element_ids, toggles.geometry_cache):
-        # diffusion: K_ab = sum_q kappa grad_a . grad_b dV
-        Ke = kappa * np.einsum("eqaj,eqbj,eq->eab", grads, grads, dvol)
-        if mass_coeff != 0.0:
-            Ke += mass_coeff * np.einsum("qa,qb,eq->eab", ref.N, ref.N, dvol)
-        if velocity is not None:
-            # advection velocity at quadrature points
-            uq = np.einsum("qa,eaj->eqj", ref.N, velocity[conn])
-            # C_ab = N_a (u . grad N_b) dV
-            ugb = np.einsum("eqj,eqbj->eqb", uq, grads)
-            Ke += np.einsum("qa,eqb,eq->eab", ref.N, ugb, dvol)
-            if stabilize:
-                # VMS/SUPG-style: tau (u.grad N_a)(u.grad N_b), with
-                # tau ~ h / (2|u|) per element.
-                if h_cached is not None:
-                    h = h_cached                                   # (ne,)
-                else:
-                    h = np.cbrt(dvol.sum(axis=1))                  # (ne,)
-                umag = np.linalg.norm(uq, axis=2).mean(axis=1)     # (ne,)
-                tau = h / (2.0 * umag + 1e-12)
-                uga = ugb  # same contraction for the 'a' index
-                Ke += np.einsum("e,eqa,eqb,eq->eab", tau, uga, ugb, dvol)
-        # scatter
-        if pattern is None:
-            # COO triplets only needed when no cached sparsity pattern
-            # exists for this (mesh, element set)
-            rows = np.repeat(conn, nn, axis=1).ravel()
-            cols = np.tile(conn, (1, nn)).ravel()
-            rows_all.append(rows)
-            cols_all.append(cols)
-        vals_all.append(Ke.ravel())
-        if source != 0.0:
-            fe = source * np.einsum("qa,eq->ea", ref.N, dvol)
-            np.add.at(rhs, conn.ravel(), fe.ravel())
-        pos = id_order[np.searchsorted(sorted_ids, eids)]
-        scatter[pos] = nn * nn + nn   # matrix entries + rhs entries
-        elem_nn[pos] = nn
-
-    if pattern is not None:
-        vals = np.concatenate(vals_all) if vals_all else np.zeros(0)
-        if len(vals) != pattern.nval:
-            raise ValueError(_STALE_MSG)
-        data = np.bincount(pattern.slot, weights=vals,
-                           minlength=pattern.nnz)
-        matrix = sparse.csr_matrix(
-            (data, pattern.indices, pattern.indptr), shape=(n, n))
-    elif rows_all:
-        if pattern_cache is not None:
-            matrix, pattern = _build_csr_pattern(
-                np.concatenate(rows_all), np.concatenate(cols_all),
-                np.concatenate(vals_all), n)
-            pattern_cache[pattern_key] = pattern
-        else:
-            matrix = sparse.coo_matrix(
-                (np.concatenate(vals_all),
-                 (np.concatenate(rows_all), np.concatenate(cols_all))),
-                shape=(n, n)).tocsr()
-    else:
-        matrix = sparse.csr_matrix((n, n))
-    return AssemblyResult(matrix=matrix, rhs=rhs, scatter_counts=scatter,
-                          element_nodes=elem_nn)
+    return _assemble_split(mesh, kappa, mass_coeff, velocity, stabilize,
+                           element_ids, source)
 
 
 @dataclass
@@ -285,8 +166,7 @@ class _SplitConst:
     (deduplicated through the shared :class:`_CSRPattern`), the constant
     source RHS and the work meters.  Stored in the mesh's geometry cache
     (:mod:`repro.fem.geometry`), so mesh mutation invalidates it; the
-    pattern itself stays in ``mesh._asm_pattern_cache`` (shared with the
-    monolithic path).
+    pattern itself stays in ``mesh._asm_pattern_cache``.
     """
 
     pattern: Optional[_CSRPattern]   # None for an empty element set
@@ -306,8 +186,7 @@ class _SplitConst:
 
 def _build_split_const(mesh: Mesh, element_ids: np.ndarray, kappa: float,
                        mass_coeff: float, source: float, n: int,
-                       ids_key: bytes, use_geom: bool,
-                       gcache) -> _SplitConst:
+                       ids_key: bytes, gcache) -> _SplitConst:
     """Assemble the constant blocks once for a (mesh, element set, coeffs)."""
     rows_all, cols_all, vals_all = [], [], []
     rhs = np.zeros(n)
@@ -318,7 +197,7 @@ def _build_split_const(mesh: Mesh, element_ids: np.ndarray, kappa: float,
     pattern_cache = mesh.__dict__.setdefault("_asm_pattern_cache", {})
     pattern = pattern_cache.get((n, ids_key))
     for nn, ref, eids, conn, grads, dvol, _h, _Ndvol in _type_blocks(
-            mesh, element_ids, use_geom, cache=gcache):
+            mesh, element_ids, cache=gcache):
         Ke = kappa * np.einsum("eqaj,eqbj,eq->eab", grads, grads, dvol)
         if mass_coeff != 0.0:
             Ke += mass_coeff * np.einsum("qa,qb,eq->eab", ref.N, ref.N, dvol)
@@ -352,8 +231,7 @@ def _build_split_const(mesh: Mesh, element_ids: np.ndarray, kappa: float,
 
 def _assemble_split(mesh: Mesh, kappa: float, mass_coeff: float,
                     velocity: Optional[np.ndarray], stabilize: bool,
-                    element_ids: np.ndarray, source: float,
-                    toggles) -> AssemblyResult:
+                    element_ids: np.ndarray, source: float) -> AssemblyResult:
     """Operator-split assembly: cached constant part + per-call convection.
 
     The constant ``mass_coeff*M + kappa*K`` (and source RHS) is reused from
@@ -362,23 +240,21 @@ def _assemble_split(mesh: Mesh, kappa: float, mass_coeff: float,
     continuity operator) is fully constant and reduces to one array copy.
 
     The per-call part contracts conv + stab together as one batched matmul
-    (``Ke = (Ndvol + tau dV u.grad)^T (u.grad)``), which reorders the
-    floating-point sums: matrix *values* may differ from the monolithic
-    path in the last ulp, like the pattern-cache duplicate summation
-    already documented on :func:`_build_csr_pattern`.  Simulated-time
-    results stay bit-identical — they consume only the sparsity structure
-    and work meters.
+    (``Ke = (Ndvol + tau dV u.grad)^T (u.grad)``): matrix *values* may
+    differ in the last ulp from an element-by-element sum of the separate
+    terms, like the duplicate summation documented on
+    :func:`_build_csr_pattern`.  Simulated-time results depend only on the
+    sparsity structure and work meters.
     """
     n = mesh.nnodes
     ids_key = element_ids.tobytes()
     gcache = _geom.cache_for(mesh)
-    use_geom = toggles.geometry_cache
     const_key = ("split", ids_key, float(kappa), float(mass_coeff),
                  float(source))
     const = gcache.get(const_key)
     if const is None:
         const = _build_split_const(mesh, element_ids, kappa, mass_coeff,
-                                   source, n, ids_key, use_geom, gcache)
+                                   source, n, ids_key, gcache)
         gcache.put(const_key, const, const.nbytes)
     pattern = const.pattern
     if pattern is None:
@@ -391,15 +267,11 @@ def _assemble_split(mesh: Mesh, kappa: float, mass_coeff: float,
     else:
         vals_all = []
         for nn, ref, eids, conn, grads, dvol, h, Ndvol in _type_blocks(
-                mesh, element_ids, use_geom, cache=gcache):
+                mesh, element_ids, cache=gcache):
             uq = np.einsum("qa,eaj->eqj", ref.N, velocity[conn])
             ugb = np.einsum("eqj,eqbj->eqb", uq, grads)
-            if Ndvol is None:
-                Ndvol = ref.N[None, :, :] * dvol[:, :, None]
             A = Ndvol
             if stabilize:
-                if h is None:
-                    h = np.cbrt(dvol.sum(axis=1))
                 umag = np.linalg.norm(uq, axis=2).mean(axis=1)
                 tau = h / (2.0 * umag + 1e-12)
                 # u.grad N doubles as the 'a'-index factor of the stab term

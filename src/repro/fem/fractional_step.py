@@ -20,15 +20,14 @@ the classic Chorin-Temam incremental projection on our meshes:
 with lumped mass M_L.  Velocity carries 3 interleaved DOF per node
 (:mod:`repro.fem.vector`).
 
-Performance (PR 8): the per-step *setup* work — vector expansion of the
-momentum operator, Dirichlet row replacement, Jacobi rebuild — is recycled
-behind the ``fluid_operator_recycle`` toggle: the expansion permutation and
-Dirichlet slot maps are computed once at construction and each step reduces
-to one gather of the freshly assembled scalar CSR data (bit-identical by
-construction, self-checked at init).  The continuity solve can optionally
-use Alya-style deflated CG (``pressure_solver="deflated"``) whose
-:class:`~repro.solver.deflated.DeflationSetup` is paid once in ``__init__``
-under the ``deflation_setup_cache`` toggle.
+Performance: the per-step *setup* work — vector expansion of the momentum
+operator, Dirichlet row replacement, Jacobi rebuild — is recycled: the
+expansion permutation and Dirichlet slot maps are computed once per Δt rung
+and each step reduces to one gather of the freshly assembled scalar CSR
+data (self-checked at build time against ``vector_operator`` +
+``apply_dirichlet``).  The continuity solve can optionally use Alya-style
+deflated CG (``pressure_solver="deflated"``) whose
+:class:`~repro.solver.deflated.DeflationSetup` is paid once per rung.
 
 This is the *numeric* fluid path; the tube-flow test in
 ``tests/test_fluid.py`` drives it end-to-end (inflow/outflow balance,
@@ -44,7 +43,6 @@ import numpy as np
 from scipy import sparse
 
 from ..mesh.mesh import Mesh
-from ..perf import toggles as _perf_toggles
 from ..solver import bicgstab, cg, deflated_cg, jacobi_preconditioner
 from ..solver.deflated import DeflationSetup
 from .assembly import assemble_operator
@@ -61,13 +59,12 @@ from .vector import (
 
 __all__ = ["FLUID_COUNTERS", "FlowBC", "FractionalStepSolver", "StepInfo"]
 
-#: running totals of the fluid fast paths (momentum matrices recycled vs
-#: rebuilt from scratch, deflated continuity solves, deflation setups
-#: built/reused, Δt-rung operator-cache traffic, adaptive steps and
-#: subcycles); surfaced by :func:`repro.perf.instrument.fluid_counters`
+#: running totals of the fluid solver (momentum matrices recycled, deflated
+#: continuity solves, deflation setups built/reused, Δt-rung operator-cache
+#: traffic, adaptive steps and subcycles); surfaced by
+#: :func:`repro.perf.instrument.fluid_counters`
 FLUID_COUNTERS = {
     "momentum_recycled": 0,
-    "momentum_rebuilt": 0,
     "pressure_deflated_solves": 0,
     "deflation_setups_built": 0,
     "deflation_setups_reused": 0,
@@ -156,10 +153,6 @@ class FractionalStepSolver:
         n_coarse)``.
     n_coarse:
         Number of RCB parts for the default coarse space.
-
-    The ``fluid_operator_recycle`` and ``deflation_setup_cache`` toggles
-    are captured at construction (long-lived-object capture semantics of
-    :mod:`repro.perf.toggles`).
     """
 
     def __init__(self, mesh: Mesh, bc: FlowBC, viscosity: float = 1.9e-5,
@@ -207,13 +200,7 @@ class FractionalStepSolver:
         self._inlet_scale = 1.0
         # seed the prescribed values into the initial field
         self.u[vel_nodes] = vel_values
-        # fast paths (toggle state captured at construction)
-        toggles = _perf_toggles.TOGGLES
-        self._recycle_enabled = bool(toggles.fluid_operator_recycle)
-        self._defl_cache_enabled = bool(toggles.deflation_setup_cache)
-        self._slots: Optional[DirichletSlots] = None
-        if self._recycle_enabled:
-            self._build_recycler()
+        self._build_recycler()
         self.pressure_solver = pressure_solver
         self._pressure_groups: Optional[np.ndarray] = None
         self._defl_setup: Optional[DeflationSetup] = None
@@ -223,10 +210,8 @@ class FractionalStepSolver:
             else:
                 from ..partition import rcb_partition
                 self._pressure_groups = rcb_partition(mesh.coords, n_coarse)
-            if self._defl_cache_enabled:
-                self._defl_setup = DeflationSetup(self._L,
-                                                  self._pressure_groups)
-                FLUID_COUNTERS["deflation_setups_built"] += 1
+            self._defl_setup = DeflationSetup(self._L, self._pressure_groups)
+            FLUID_COUNTERS["deflation_setups_built"] += 1
         self._store_rung_state(self._dt)
         FLUID_COUNTERS["dt_rung_rebuilds"] += 1
 
@@ -265,10 +250,8 @@ class FractionalStepSolver:
             self._defl_setup = state["defl_setup"]
             return
         FLUID_COUNTERS["dt_rung_misses"] += 1
-        self._slots = None
-        if self._recycle_enabled:
-            self._build_recycler()
-        if self.pressure_solver == "deflated" and self._defl_cache_enabled:
+        self._build_recycler()
+        if self.pressure_solver == "deflated":
             # L is Δt-independent, so this rebuild reproduces the previous
             # setup bit-for-bit — paid once per rung for the invalidation
             # guarantee, then served from the rung cache forever
@@ -280,9 +263,9 @@ class FractionalStepSolver:
     def _store_rung_state(self, value: float) -> None:
         self._rung_states[value] = {
             "slots": self._slots,
-            "gather": getattr(self, "_gather", None),
-            "scalar_nnz": getattr(self, "_scalar_nnz", None),
-            "defl_setup": getattr(self, "_defl_setup", None),
+            "gather": self._gather,
+            "scalar_nnz": self._scalar_nnz,
+            "defl_setup": self._defl_setup,
         }
 
     def rung_cache_size(self) -> int:
@@ -297,7 +280,7 @@ class FractionalStepSolver:
         pattern, derives the vector-expansion permutation and the Dirichlet
         slot maps, composes them into a single scalar-data -> constrained-
         vector-data gather, and self-checks the whole chain bit-for-bit
-        against the naive ``vector_operator`` + ``apply_dirichlet`` path.
+        against the ``vector_operator`` + ``apply_dirichlet`` construction.
         """
         mesh, n = self.mesh, self.mesh.nnodes
         scalar = assemble_operator(mesh, kappa=self.viscosity,
@@ -310,8 +293,9 @@ class FractionalStepSolver:
         slots = DirichletSlots(pattern, self._vel_dofs, self._vel_values)
         # one composed gather: constrained vector slot <- scalar slot
         gather = perm[slots.src]
-        # self-check against the naive path (init-only cost): same scalar
-        # data pushed through both routes must agree bit-for-bit
+        # self-check against the direct construction (build-time cost):
+        # the same scalar data pushed through both routes must agree
+        # bit-for-bit
         data = np.empty(slots.nnz)
         data[slots.dst] = scalar.data[gather]
         data[slots.fixed] = 1.0
@@ -325,65 +309,55 @@ class FractionalStepSolver:
                 and np.array_equal(naive.data, data)):
             raise RuntimeError(
                 "momentum operator recycling self-check failed: recycled "
-                "matrix differs from the naive path")
+                "matrix differs from vector_operator + apply_dirichlet")
         self._slots = slots
         self._gather = gather
 
     def _momentum_system(self, rhs: np.ndarray):
         """Constrained momentum matrix + RHS + Jacobi preconditioner.
 
-        The recycled path assembles only the *scalar* operator (itself
-        incremental under ``operator_split``) and gathers its data straight
-        into the constrained vector pattern; the naive path re-runs the COO
-        expansion and the LIL row replacement.  Both produce bit-identical
-        systems, so the returned solver inputs — and everything downstream
-        — match exactly.
+        Assembles only the *scalar* operator (itself incremental: the
+        assembly is operator-split) and gathers its data straight into the
+        constrained vector pattern precomputed by :meth:`_build_recycler`.
         """
         mesh = self.mesh
         nu, rho, dt = self.viscosity, self.density, self.dt
-        if self._slots is not None:
-            scalar = assemble_operator(mesh, kappa=nu, mass_coeff=rho / dt,
-                                       velocity=self.u).matrix
-            if scalar.nnz != self._scalar_nnz:
-                raise ValueError(
-                    "momentum recycling pattern is stale: the mesh changed "
-                    "after solver construction")
-            data = np.empty(self._slots.nnz)
-            data[self._slots.dst] = scalar.data[self._gather]
-            data[self._slots.fixed] = 1.0
-            A = self._slots.matrix(data)
-            rhs[self._vel_dofs] = self._vel_values
-            if self._slots.diag_slots is not None:
-                # O(n) Jacobi refresh from the diagonal slot view —
-                # identical values to jacobi_preconditioner(A)
-                diag = data[self._slots.diag_slots].copy()
-                diag[np.abs(diag) < 1e-300] = 1.0
-                inv = 1.0 / diag
+        scalar = assemble_operator(mesh, kappa=nu, mass_coeff=rho / dt,
+                                   velocity=self.u).matrix
+        if scalar.nnz != self._scalar_nnz:
+            raise ValueError(
+                "momentum recycling pattern is stale: the mesh changed "
+                "after solver construction")
+        data = np.empty(self._slots.nnz)
+        data[self._slots.dst] = scalar.data[self._gather]
+        data[self._slots.fixed] = 1.0
+        A = self._slots.matrix(data)
+        rhs[self._vel_dofs] = self._vel_values
+        if self._slots.diag_slots is not None:
+            # O(n) Jacobi refresh from the diagonal slot view — identical
+            # values to jacobi_preconditioner(A)
+            diag = data[self._slots.diag_slots].copy()
+            diag[np.abs(diag) < 1e-300] = 1.0
+            inv = 1.0 / diag
 
-                def pre(r: np.ndarray) -> np.ndarray:
-                    return inv * r
-            else:  # pragma: no cover - momentum diagonal always stored
-                pre = jacobi_preconditioner(A)
-            FLUID_COUNTERS["momentum_recycled"] += 1
-            return A, rhs, pre
-        A = vector_operator(mesh, kappa=nu, mass_coeff=rho / dt,
-                            velocity=self.u)
-        A, rhs = apply_dirichlet(A, rhs, self._vel_dofs, self._vel_values)
-        FLUID_COUNTERS["momentum_rebuilt"] += 1
-        return A, rhs, jacobi_preconditioner(A)
+            def pre(r: np.ndarray) -> np.ndarray:
+                return inv * r
+        else:  # pragma: no cover - momentum diagonal always stored
+            pre = jacobi_preconditioner(A)
+        FLUID_COUNTERS["momentum_recycled"] += 1
+        return A, rhs, pre
 
     # -- inlet transient ----------------------------------------------------
     def set_inlet_scale(self, scale: float) -> None:
         """Scale every prescribed velocity BC by ``scale``.
 
         The co-simulation forwarding surface: the hub (or any waveform)
-        multiplies the inlet Dirichlet values, and both momentum paths —
-        the recycled gather and the naive row replacement — read the
-        rescaled values on the next step, because Dirichlet *values* only
-        ever enter through the RHS and the projection re-imposition (the
-        recycler's slot structure is value-independent).  Wall nodes stay
-        exactly zero.  Pure state, no wall clock: a given scale sequence
-        reproduces bit-identical fields under every toggle combination.
+        multiplies the inlet Dirichlet values, and the recycled momentum
+        gather reads the rescaled values on the next step, because Dirichlet
+        *values* only ever enter through the RHS and the projection
+        re-imposition (the recycler's slot structure is value-independent).
+        Wall nodes stay exactly zero.  Pure state, no wall clock: a given
+        scale sequence reproduces bit-identical fields.
         """
         scale = float(scale)
         if scale <= 0:
@@ -419,10 +393,7 @@ class FractionalStepSolver:
         b = -(rho / dt) * div_star
         b[self.bc.outlet_nodes] = 0.0
         if self.pressure_solver == "deflated":
-            if self._defl_setup is not None:
-                FLUID_COUNTERS["deflation_setups_reused"] += 1
-            else:
-                FLUID_COUNTERS["deflation_setups_built"] += 1
+            FLUID_COUNTERS["deflation_setups_reused"] += 1
             res_p = deflated_cg(self._L, b, self._pressure_groups, tol=tol,
                                 maxiter=maxiter, M=self._L_pre,
                                 setup=self._defl_setup)
@@ -468,8 +439,7 @@ class FractionalStepSolver:
         breathing transient consumed through the CFL controller.
 
         Deterministic by construction: the controller reads only simulated
-        state, every float operation is fixed-order, and the fields are
-        bit-identical across perf-toggle combinations — so the Δt sequence
+        state and every float operation is fixed-order, so the Δt sequence
         replays exactly on any rerun.
         """
         from .geometry import geometry_blocks

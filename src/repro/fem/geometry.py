@@ -3,19 +3,11 @@
 The paper's workload is the classic static-mesh case: one airway mesh, many
 timesteps.  Element geometry — Jacobians, inverse-Jacobian physical
 gradients, quadrature volumes ``|J| dV``, element volumes and sizes ``h`` —
-never changes across a run, yet before this module every kernel recomputed
-it per call: :func:`repro.fem.assembly.assemble_operator` per assembly,
-:func:`repro.fem.sgs.update_sgs` per sweep, the pressure-velocity coupling
-in :mod:`repro.fem.vector` per operator build, and
-:class:`repro.particles.interpolation.MeshVelocityField` rebuilt its
-centroid KD-tree per instance.
-
-This module computes the geometry once per (mesh, element-type, element-set)
-and hands the cached arrays to all consumers.  The cached values are
-produced by the *identical* floating-point operation sequence the kernels
-used inline, so consuming the cache is bit-identical to recomputing — the
-wall-clock-only contract of :mod:`repro.perf.toggles` (toggle
-``geometry_cache``).
+never changes across a run.  This module computes it once per (mesh,
+element-type, element-set) and hands the cached arrays to every consumer:
+:func:`repro.fem.assembly.assemble_operator`, :func:`repro.fem.sgs.update_sgs`,
+the pressure-velocity coupling in :mod:`repro.fem.vector`, and the centroid
+KD-tree of :class:`repro.particles.interpolation.MeshVelocityField`.
 
 Cache management:
 
@@ -191,13 +183,25 @@ def drop_cache(mesh: Mesh) -> None:
         COUNTERS.add("bytes_cached", -cache.total_bytes)
 
 
-def _build_blocks(mesh: Mesh, element_ids: np.ndarray) -> list:
-    """Compute the per-type geometry blocks of an element set.
+def _jacobian_geometry(coords: np.ndarray, conn: np.ndarray, ref):
+    """Per-element, per-quadrature-point physical gradients and |J| dV.
 
-    The operation sequence (selection order, einsum paths, ``dvol`` /
-    ``vol`` / ``h`` expressions) is exactly the one the kernels ran inline,
-    so cached and recomputed values are bit-identical.
+    Returns ``(grads, dvol)`` with grads (ne, nq, nn, 3) and dvol (ne, nq).
     """
+    xe = coords[conn]                                     # (ne, nn, 3)
+    # J[e,q,i,j] = sum_n dN[q,n,i] * xe[e,n,j]  =  dx_j / dxi_i
+    J = np.einsum("qni,enj->eqij", ref.dN, xe)
+    detJ = np.linalg.det(J)
+    invJ = np.linalg.inv(J)
+    # chain rule: dN/dx_j = dN/dxi_i * dxi_i/dx_j, and since J is the
+    # transposed conventional Jacobian, dxi_i/dx_j = invJ[j, i].
+    grads = np.einsum("qni,eqji->eqnj", ref.dN, invJ)
+    dvol = np.abs(detJ) * ref.weights[None, :]
+    return grads, dvol
+
+
+def _build_blocks(mesh: Mesh, element_ids: np.ndarray) -> list:
+    """Compute the per-type geometry blocks of an element set."""
     blocks = []
     etype_arr = mesh.elem_types[element_ids]
     for etype in ElementType:
@@ -208,13 +212,7 @@ def _build_blocks(mesh: Mesh, element_ids: np.ndarray) -> list:
         nn = NODES_PER_TYPE[etype]
         ref = reference_element(etype)
         conn = mesh.elem_nodes[eids][:, :nn]
-        xe = mesh.coords[conn]
-        # see repro.fem.assembly._geometry for the transposed-Jacobian rule
-        J = np.einsum("qni,enj->eqij", ref.dN, xe)
-        detJ = np.linalg.det(J)
-        invJ = np.linalg.inv(J)
-        grads = np.einsum("qni,eqji->eqnj", ref.dN, invJ)
-        dvol = np.abs(detJ) * ref.weights[None, :]
+        grads, dvol = _jacobian_geometry(mesh.coords, conn, ref)
         vol = dvol.sum(axis=1)
         h = np.cbrt(vol)
         Ndvol = ref.N[None, :, :] * dvol[:, :, None]

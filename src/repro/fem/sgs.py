@@ -20,9 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..mesh.elements import ElementType, NODES_PER_TYPE
 from ..mesh.mesh import Mesh
-from ..perf import toggles as _perf_toggles
 from . import geometry as _geom
 from .shape import reference_element
 
@@ -58,46 +56,15 @@ def update_sgs(mesh: Mesh, state: SGSState, velocity: np.ndarray,
         element_ids = np.arange(mesh.nelem)
     element_ids = np.asarray(element_ids)
     values = state.values
-    if _perf_toggles.TOGGLES.geometry_cache:
-        # cached grads/vol are produced by the identical operation sequence
-        # (repro.fem.geometry), so this branch is bit-identical to the
-        # inline one below
-        for blk in _geom.geometry_blocks(mesh, element_ids):
-            ref = reference_element(blk.etype)
-            eids, conn, grads = blk.eids, blk.conn, blk.grads
-            ue = velocity[conn]                                # (ne, nn, 3)
-            h = np.cbrt(np.maximum(blk.vol, 1e-300))
-            uq = np.einsum("qa,eaj->eqj", ref.N, ue).mean(axis=1)
-            gradu = np.einsum("eqnj,enk->eqjk", grads, ue).mean(axis=1)
-            conv = np.einsum("ej,ejk->ek", uq, gradu)          # (ne, 3)
-            umag = np.linalg.norm(uq, axis=1)
-            inv_tau = _C1 * viscosity / h ** 2 + _C2 * umag / h
-            tau = 1.0 / (inv_tau + 1.0 / dt + 1e-30)
-            residual = -conv - values[eids] / dt
-            values[eids] = tau[:, None] * residual
-        return state
-    etypes = mesh.elem_types[element_ids]
-    for etype in ElementType:
-        sel = etypes == etype
-        eids = element_ids[sel]
-        if len(eids) == 0:
-            continue
-        nn = NODES_PER_TYPE[etype]
-        ref = reference_element(etype)
-        conn = mesh.elem_nodes[eids][:, :nn]
-        xe = mesh.coords[conn]
-        ue = velocity[conn]                                   # (ne, nn, 3)
-        J = np.einsum("qni,enj->eqij", ref.dN, xe)
-        detJ = np.abs(np.linalg.det(J))
-        vol = (detJ * ref.weights[None, :]).sum(axis=1)       # (ne,)
-        h = np.cbrt(np.maximum(vol, 1e-300))
-        invJ = np.linalg.inv(J)
-        # see repro.fem.assembly._geometry for the transposed-Jacobian rule
-        grads = np.einsum("qni,eqji->eqnj", ref.dN, invJ)
-        # mean velocity and mean convective term over quadrature points
-        uq = np.einsum("qa,eaj->eqj", ref.N, ue).mean(axis=1)  # (ne, 3)
+    # element geometry (gradients, volumes) from the static-geometry cache
+    for blk in _geom.geometry_blocks(mesh, element_ids):
+        ref = reference_element(blk.etype)
+        eids, conn, grads = blk.eids, blk.conn, blk.grads
+        ue = velocity[conn]                                # (ne, nn, 3)
+        h = np.cbrt(np.maximum(blk.vol, 1e-300))
+        uq = np.einsum("qa,eaj->eqj", ref.N, ue).mean(axis=1)
         gradu = np.einsum("eqnj,enk->eqjk", grads, ue).mean(axis=1)
-        conv = np.einsum("ej,ejk->ek", uq, gradu)              # (ne, 3)
+        conv = np.einsum("ej,ejk->ek", uq, gradu)          # (ne, 3)
         umag = np.linalg.norm(uq, axis=1)
         inv_tau = _C1 * viscosity / h ** 2 + _C2 * umag / h
         tau = 1.0 / (inv_tau + 1.0 / dt + 1e-30)

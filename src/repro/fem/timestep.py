@@ -2,9 +2,9 @@
 
 The controller picks the time step from the *state* of the simulation —
 the velocity field and the cached element sizes of
-:mod:`repro.fem.geometry` — never from the wall clock, so a rerun (or a
-rerun under any :mod:`repro.perf.toggles` combination, whose fields are
-bit-identical by contract) reproduces the exact same Δt sequence.
+:mod:`repro.fem.geometry` — never from the wall clock, so a rerun
+reproduces the exact same Δt sequence (pinned, with the rung walk, in
+``tests/golden_digests.json``).
 
 Two pieces:
 
@@ -143,8 +143,7 @@ def cfl_rate(u: np.ndarray, blocks) -> float:
 
     ``u`` is the (nnodes, 3) nodal velocity; ``|u_e|`` is the magnitude of
     the element-mean velocity and ``h_e`` the cached element size.  Fixed
-    numpy reduction order — bit-reproducible for identical fields, which
-    the perf-toggle contract guarantees.
+    numpy reduction order — bit-reproducible for identical fields.
     """
     rate = 0.0
     for block in blocks:

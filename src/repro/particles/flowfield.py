@@ -25,19 +25,16 @@ from typing import Sequence
 import numpy as np
 
 from ..mesh.airway import Segment
-from ..perf import toggles as _perf_toggles
 
 __all__ = ["AirwayFlow"]
 
 
 class _LocateWorkspace:
-    """Reusable buffers for the fused :meth:`AirwayFlow.locate` path.
+    """Reusable buffers for :meth:`AirwayFlow.locate`.
 
     One (capacity, ns, 3) block plus per-coordinate (capacity, ns) planes;
-    grown geometrically, sliced per call.  The fused path writes every
-    intermediate into these with ``out=`` — the floating-point operations
-    applied to each element are identical to the allocating baseline, so
-    the returned values are bit-identical.
+    grown geometrically, sliced per call.  ``locate`` writes every
+    intermediate into these with ``out=``.
     """
 
     def __init__(self, n: int, ns: int):
@@ -108,7 +105,7 @@ class AirwayFlow:
                 has_child[seg.parent] = True
         self._has_child = has_child
         self._len_hi = self._arr.lengths + 1e-12
-        # contiguous per-coordinate rows for the fused plane kernels
+        # contiguous per-coordinate rows for the locate plane kernels
         self._starts_T = np.ascontiguousarray(self._arr.starts.T)
         self._dirs_T = np.ascontiguousarray(self._arr.directions.T)
         self._ws: _LocateWorkspace | None = None
@@ -121,45 +118,14 @@ class AirwayFlow:
         The owning segment is the one containing the point (radial fraction
         <= 1 with axial projection inside [0, L]); ties and outside points
         resolve to the segment with the smallest radial fraction.
+
+        The kernel works on three contiguous (n, ns) coordinate planes
+        held in a reusable workspace (no large allocations after warm-up):
+        the axial projection is an ``einsum`` over the 3-D offset block,
+        and the squared distance sums ``(d0² + d1²) + d2²``, the pairing
+        ``np.linalg.norm`` uses over a length-3 axis.
         """
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        # stateless kernel: the toggle is read per call (the benchmark's
-        # shared workload hands one AirwayFlow to both measurement phases)
-        if _perf_toggles.TOGGLES.particle_fused_step and len(points):
-            return self._locate_fused(points)
-        a = self._arr
-        rel = points[:, None, :] - a.starts[None, :, :]       # (np, ns, 3)
-        t = np.einsum("psj,sj->ps", rel, a.directions)        # axial coord
-        t_in = (t >= -1e-12) & (t <= a.lengths[None, :] + 1e-12)
-        t_clamped = np.clip(t, 0.0, a.lengths[None, :])
-        closest = (a.starts[None, :, :]
-                   + t_clamped[:, :, None] * a.directions[None, :, :])
-        r = np.linalg.norm(points[:, None, :] - closest, axis=2)
-        rfrac = r / a.radii[None, :]
-        # prefer segments whose axial span contains the point
-        penalty = np.where(t_in, 0.0, 1e6)
-        score = rfrac + penalty
-        seg_idx = np.argmin(score, axis=1)
-        rows = np.arange(len(points))
-        axial = t_clamped[rows, seg_idx] / a.lengths[seg_idx]
-        radial = rfrac[rows, seg_idx]
-        return seg_idx, axial, radial
-
-    def _locate_fused(self, points: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Buffered :meth:`locate`: per-element op sequence identical to
-        the allocating baseline, zero large allocations after warm-up
-        (toggle ``particle_fused_step``).
-
-        The baseline's (n, ns, 3) broadcasts are restructured into three
-        contiguous (n, ns) coordinate planes, which cuts the kernel's wall
-        clock roughly in half.  Bit-identity is preserved because every
-        element still sees the same scalar operations in the same order:
-        the axial projection keeps the baseline's actual ``einsum`` (fed
-        per-plane into the 3-D block), and the squared-distance sum
-        ``(d0² + d1²) + d2²`` is exactly ``np.add.reduce``'s pairing over a
-        length-3 axis.
-        """
         a = self._arr
         n, ns = len(points), len(a.lengths)
         ws = self._ws

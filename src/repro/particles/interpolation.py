@@ -21,7 +21,6 @@ from scipy.spatial import cKDTree
 
 from ..fem import geometry as _geom
 from ..mesh.mesh import Mesh
-from ..perf import toggles as _perf_toggles
 
 __all__ = ["MeshVelocityField"]
 
@@ -53,20 +52,15 @@ class MeshVelocityField:
                 f"{nodal_velocity.shape}")
         self.mesh = mesh
         self.nodal_velocity = nodal_velocity
-        # toggles captured at construction (see repro.perf.toggles); the
-        # shared tree is identical to a private one — centroids are static
-        if _perf_toggles.TOGGLES.geometry_cache:
-            self._tree = _shared_centroid_tree(mesh)
-        else:
-            self._tree = cKDTree(mesh.centroids())
-        self._fused = _perf_toggles.TOGGLES.particle_fused_step
+        # one centroid tree per mesh, shared by every field on it
+        self._tree = _shared_centroid_tree(mesh)
         # padded connectivity and a validity mask for vectorized gathers
         self._conn = mesh.elem_nodes
         self._valid = mesh.elem_nodes >= 0
         self._ws: dict = {}
 
     def _buffers(self, n: int) -> dict:
-        """Reusable (capacity, 6[, 3]) buffers for the fused gather path."""
+        """Reusable (capacity, 6[, 3]) buffers for the interpolation."""
         ws = self._ws
         if not ws or ws["capacity"] < n:
             cap = max(n, 2 * ws.get("capacity", 0))
@@ -96,20 +90,7 @@ class MeshVelocityField:
         conn = self._conn[eids]                      # (n, 6)
         valid = self._valid[eids]                    # (n, 6)
         safe_conn = np.where(valid, conn, 0)
-        if self._fused:
-            return self._interpolate_fused(points, valid, safe_conn)
-        node_xyz = self.mesh.coords[safe_conn]       # (n, 6, 3)
-        d = np.linalg.norm(node_xyz - points[:, None, :], axis=2)
-        w = np.where(valid, 1.0 / np.maximum(d, 1e-15), 0.0)
-        w /= w.sum(axis=1, keepdims=True)
-        vel = self.nodal_velocity[safe_conn]         # (n, 6, 3)
-        return np.einsum("nk,nkj->nj", w, vel)
-
-    def _interpolate_fused(self, points: np.ndarray, valid: np.ndarray,
-                           safe_conn: np.ndarray) -> np.ndarray:
-        """The inverse-distance combine through preallocated buffers —
-        identical op sequence to the allocating path, bit-identical
-        output (toggle ``particle_fused_step``)."""
+        # the inverse-distance combine, through preallocated buffers
         n = len(points)
         ws = self._buffers(n)
         xyz = ws["xyz"][:n]

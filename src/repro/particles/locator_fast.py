@@ -7,9 +7,8 @@ one of its adjacency-ring neighbours) is accepted only when the
 precomputed per-element safety radii of
 :class:`repro.fem.geometry.ElementAdjacency` prove it is still the global
 nearest centroid; everything else falls back to one batched KD-tree query.
-The result is bit-identical to querying the tree for every point — the
-wall-clock-only contract of :mod:`repro.perf.toggles` (toggle
-``particle_warm_start``).
+The result is bit-identical to querying the tree for every point (the
+public :meth:`repro.particles.ElementLocator.elements_of` full query).
 
 Acceptance tiers, for a point ``x`` with cached host ``h``:
 

@@ -1,47 +1,22 @@
-"""Performance layer: measurement harness + fast-path toggles (PR 2).
+"""Performance layer: counters and the benchmark runner.
 
-Two halves:
+* :mod:`repro.perf.instrument` — named tallies and the engine / fluid
+  counter snapshots surfaced through ``RunResult.engine_diag``;
+* :mod:`repro.perf.bench` — the benchmark runner that emits the BENCH JSON
+  trajectory (``python -m repro.perf.bench``).
 
-* **measurement** — :mod:`repro.perf.instrument` (phase timers, counters,
-  throughput meters) and :mod:`repro.perf.bench` (the benchmark runner that
-  emits ``BENCH_pr2.json``; run it with ``python -m repro.perf.bench``);
-* **optimization control** — :mod:`repro.perf.toggles`, the switches gating
-  every PR 2 fast path so before/after can be measured from one build.
-
-Attribute access is lazy (PEP 562): low-level modules (``sim``, ``smpi``,
-``core``, ``fem``, ``particles``) import ``repro.perf.toggles`` at import
-time, while ``repro.perf.bench`` imports the application layer — eager
-re-exports here would create an import cycle.
+``run_benchmarks`` resolves lazily (PEP 562): the runner imports the
+application layer, which itself imports :mod:`repro.perf.instrument`.
 """
 
 from __future__ import annotations
 
-__all__ = [
-    "Toggles",
-    "TOGGLES",
-    "set_toggles",
-    "baseline",
-    "configured",
-    "PhaseTimer",
-    "Counters",
-    "ThroughputMeter",
-    "engine_counters",
-    "run_benchmarks",
-]
+from .instrument import Counters, engine_counters
 
-_TOGGLE_NAMES = {"Toggles", "TOGGLES", "set_toggles", "baseline",
-                 "configured"}
-_INSTRUMENT_NAMES = {"PhaseTimer", "Counters", "ThroughputMeter",
-                     "engine_counters"}
+__all__ = ["Counters", "engine_counters", "run_benchmarks"]
 
 
 def __getattr__(name: str):
-    if name in _TOGGLE_NAMES:
-        from . import toggles
-        return getattr(toggles, name)
-    if name in _INSTRUMENT_NAMES:
-        from . import instrument
-        return getattr(instrument, name)
     if name == "run_benchmarks":
         from .bench import run_benchmarks
         return run_benchmarks

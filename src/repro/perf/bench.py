@@ -1,9 +1,15 @@
 """Benchmark runner: the BENCH JSON trajectory of the performance layer.
 
-Runs representative workloads twice — once with every fast path disabled
-(:func:`repro.perf.toggles.baseline`, the pre-PR-2 code paths, all kept in
-the tree for exactly this purpose) and once with the current defaults — and
-emits a machine-readable before/after report.
+Times representative workloads — DES micro-benchmarks, numeric kernels and
+end-to-end runs — and emits a machine-readable report.  Each hot path has
+one implementation, so most rows are *absolute*: their after-time is gated
+against the previous report (``--compare``/``--baseline``), and the
+simulated results are pinned by ``tests/golden_digests.json``.  Three rows
+compare *policies* on the same code and keep a before side with a minimum
+speedup: ``time_to_endpoint`` (fixed fine Δt vs CFL-adaptive stepping),
+``breathing_cycle`` (transform-per-request vs a buffered co-simulation
+hub) and ``campaign_throughput`` (a cold process per job vs the warm
+worker pool).
 
 Usage::
 
@@ -11,15 +17,14 @@ Usage::
     PYTHONPATH=src python -m repro.perf.bench --quick         # CI smoke
     PYTHONPATH=src python -m repro.perf.bench --compare BENCH_pr5.json \
         --baseline auto
-    PYTHONPATH=src python -m repro.perf.bench --digest-check engine_batch
-    PYTHONPATH=src python -m repro.perf.bench --digest-check engine_batch \
-        --digest-workload adaptive
 
 ``--compare`` exits non-zero when any benchmark is more than
-``SLOWDOWN_TOLERANCE`` times slower than the committed baseline report —
-the CI perf-regression gate.  Quick mode runs the *same* workload sizes
-with fewer repeats and fewer end-to-end variants, so its timings remain
-comparable (within the 2x gate) to a committed full-mode report.
+``SLOWDOWN_TOLERANCE`` times slower than the committed reference report,
+or when an end-to-end row's simulated digest differs from the reference
+report's after-digest — the CI perf- and result-regression gate.  Quick
+mode runs the *same* workload sizes with fewer repeats and fewer
+end-to-end variants, so its timings remain comparable (within the 2x gate)
+to a committed full-mode report.
 
 ``--baseline`` additionally gates the cross-PR *trajectory*: the current
 after-times are compared against the previous PR's committed report (its
@@ -32,20 +37,8 @@ drift factor, is recorded in the report's ``trajectory`` section.
 below the current PR number — PRs that shipped no bench report (PR 6)
 simply don't break the chain.
 
-``--digest-check TOGGLE`` skips the timing suite entirely and runs the
-default end-to-end configuration twice — once with ``TOGGLE`` forced off,
-once with the current defaults — failing if the simulated digests differ:
-the per-push form of the wall-clock-only contract.
-``--digest-workload adaptive`` runs the same check through the adaptive
-time-stepping paths instead (CFL-controlled tube flow for the fluid
-toggles, a local-adaptive transient end-to-end spec otherwise);
-``--digest-workload breathing`` through the ventilator-coupled cosim
-paths (hub-driven inlet rescale on the tube solver for the fluid
-toggles, the gated-injection ventilator spec end-to-end otherwise).
-
-Every end-to-end benchmark also records a digest of the simulated-time
-results under both toggle states: the report itself re-checks the PR's
-bit-identicality contract.
+Every end-to-end benchmark records the
+:func:`repro.campaign.simulated_digest` of its result.
 """
 
 from __future__ import annotations
@@ -62,7 +55,7 @@ import sys
 import time
 from typing import Callable, Optional
 
-__all__ = ["run_benchmarks", "trajectory_check", "resolve_auto_baseline",
+__all__ = ["run_benchmarks", "trajectory_check", "resolve_auto_reference",
            "main", "SLOWDOWN_TOLERANCE"]
 
 #: --compare fails when current/baseline exceeds this per benchmark
@@ -90,8 +83,8 @@ ENDPOINT_ACCURACY_TOL = 0.05
 def _best_of(fn: Callable[[], object], repeats: int) -> tuple[float, object]:
     """Smallest wall-clock of ``repeats`` calls (and the last result).
 
-    The cyclic collector is paused around the timed calls (both toggle
-    states get the same treatment): on measurements in the 100 ms range a
+    The cyclic collector is paused around the timed calls (both sides of
+    a policy row get the same treatment): on measurements in the 100 ms range a
     generational pass over the cached workload structures costs several
     percent and lands on random repeats, which is exactly the noise a
     best-of protocol cannot average away.
@@ -118,18 +111,13 @@ def _engine_events_workload() -> int:
     """DES micro-benchmark with the substrate's real event mix.
 
     Two concurrent streams, matching what the engine actually dispatches in
-    a CFPD run: (a) the callback-based task runtime executing a stream of
-    small graphs on single-worker teams — the regime where the batched
-    engine's whole-graph plans and the (cached) plan templates collapse
-    per-task events into one completion per graph — and (b) lockstep
-    ``defer``/``call_later`` chains forming same-timestamp cohorts that the
-    scalar engine pays one heap operation per event for and the batched
-    engine retires as one calendar bucket.
+    a CFPD run: (a) the task runtime executing a stream of small graphs on
+    single-worker teams — the regime where whole-graph plans and the
+    (cached) plan templates collapse per-task events into one completion
+    per graph — and (b) lockstep ``defer``/``call_later`` chains forming
+    same-timestamp cohorts that the engine retires as one calendar bucket.
 
-    Returns the *scalar-equivalent* event count via a second accounting:
-    ``eng.events_processed`` differs by design between the two engines
-    (the plan path schedules one event per graph), so the row reports the
-    before-side count as the workload size.
+    Returns the engine's ``events_processed``.
     """
     from ..core import Team, TaskGraph
     from ..machine import CoreModel, WorkSpec
@@ -227,10 +215,9 @@ def _assembly_workload() -> str:
     """Repeated operator assembly on the default airway mesh.
 
     The digest covers what the simulated-time layer consumes — the sparsity
-    structure and the per-element work meters — which are exact across
-    toggle states.  The matrix *values* agree only to the last ulp
-    (duplicate-summation order differs from SciPy's ``tocsr``; asserted at
-    1e-12 in ``tests/test_perf.py``), so they stay out of the digest.
+    structure and the per-element work meters.  The matrix *values* are
+    pinned separately (to 1e-12) in ``tests/golden_digests.json``, so they
+    stay out of the digest.
     """
     from ..fem import assemble_operator
 
@@ -250,8 +237,8 @@ def _assembly_workload() -> str:
 def _assembly_constant_workload() -> str:
     """Repeated assembly of the velocity-independent (continuity) operator.
 
-    With operator splitting this operator is fully constant: after the
-    first build every repeat reduces to a cached-data copy, so this row
+    The operator-split assembly makes this operator fully constant: after
+    the first build every repeat reduces to a cached-data copy, so this row
     isolates the assembled-once path from the incremental one.
     """
     from ..fem import assemble_operator
@@ -285,14 +272,12 @@ def _sgs_workload() -> float:
 # -- numeric fluid workload pieces -------------------------------------------
 
 #: (mesh, bc) of the straight-tube flow problem driving the fluid rows;
-#: built once, untimed (the mesh and BCs are toggle-neutral inputs)
+#: built once, untimed
 _FLUID_TUBE: Optional[tuple] = None
 
-#: (before_solver, after_solver, u0, p0) — the fractional-step solver pair;
-#: the before side is constructed with the fluid fast paths off (the
-#: ``fluid_operator_recycle`` / ``deflation_setup_cache`` toggles are
-#: captured at construction), the after side with the current defaults
-_FLUID_SOLVERS: Optional[tuple] = None
+#: (solver, u0, p0) — the warm fractional-step solver of the
+#: ``fractional_step`` row
+_FLUID_SOLVER: Optional[tuple] = None
 
 #: (A, groups, rhs list) of the pressure-solve row: an SPD pressure-like
 #: Poisson system on a structured tet cube with a large RCB coarse space
@@ -329,33 +314,25 @@ def _fluid_tube() -> tuple:
     return _FLUID_TUBE
 
 
-def _fluid_solvers() -> tuple:
-    """Construct the before/after fractional-step solver pair (untimed).
-
-    Solver construction captures the ``fluid_operator_recycle`` and
-    ``deflation_setup_cache`` toggles, so the before side must be built
-    under :func:`~repro.perf.toggles.configured` with them off; the timed
-    row then measures pure per-step cost on warm solvers.
-    """
-    global _FLUID_SOLVERS
-    if _FLUID_SOLVERS is None:
+def _fluid_solver() -> tuple:
+    """Construct the fractional-step solver (untimed): the row measures
+    pure per-step cost on a warm solver."""
+    global _FLUID_SOLVER
+    if _FLUID_SOLVER is None:
         from ..fem import FractionalStepSolver
-        from .toggles import configured
 
         mesh, bc = _fluid_tube()
-        kwargs = dict(viscosity=1e-3, density=1.0, dt=1e-3)
-        with configured(fluid_operator_recycle=False,
-                        deflation_setup_cache=False, krylov_buffers=False):
-            before = FractionalStepSolver(mesh, bc, **kwargs)
-        after = FractionalStepSolver(mesh, bc, **kwargs)
-        _FLUID_SOLVERS = (before, after, after.u.copy(), after.p.copy())
-    return _FLUID_SOLVERS
+        solver = FractionalStepSolver(mesh, bc, viscosity=1e-3, density=1.0,
+                                      dt=1e-3)
+        _FLUID_SOLVER = (solver, solver.u.copy(), solver.p.copy())
+    return _FLUID_SOLVER
 
 
-def _fractional_step_run(solver, u0, p0) -> str:
+def _fractional_step_workload() -> str:
     """Reset the fields and advance 10 steps (the startup regime, where
     per-step setup dominates the short Krylov solves); digest covers the
     final velocity/pressure bytes and the per-step iteration counts."""
+    solver, u0, p0 = _fluid_solver()
     solver.u = u0.copy()
     solver.p = p0.copy()
     infos = solver.run(10, tol=1e-4)
@@ -365,23 +342,6 @@ def _fractional_step_run(solver, u0, p0) -> str:
     digest.update(repr([(i.momentum_iterations, i.pressure_iterations)
                         for i in infos]).encode())
     return digest.hexdigest()
-
-
-def _fractional_step_after() -> str:
-    before, after, u0, p0 = _fluid_solvers()
-    return _fractional_step_run(after, u0, p0)
-
-
-def _fractional_step_before() -> str:
-    """The pre-PR-8 per-step path: COO vector expansion + LIL Dirichlet row
-    replacement + full Jacobi rebuild every step, allocating Krylov cores
-    (``krylov_buffers`` is read per solve, so it is forced off here too)."""
-    from .toggles import configured
-
-    before, after, u0, p0 = _fluid_solvers()
-    with configured(fluid_operator_recycle=False,
-                    deflation_setup_cache=False, krylov_buffers=False):
-        return _fractional_step_run(before, u0, p0)
 
 
 def _cube_tet_mesh(n: int):
@@ -453,7 +413,7 @@ def _pressure_digest(results) -> str:
     return digest.hexdigest()
 
 
-def _pressure_solve_cached() -> str:
+def _pressure_solve_workload() -> str:
     """One :class:`DeflationSetup` amortized over the RHS batch.  The setup
     build is *inside* the timed region — the row measures the amortization,
     not its omission."""
@@ -463,16 +423,6 @@ def _pressure_solve_cached() -> str:
     setup = DeflationSetup(A, groups)
     return _pressure_digest(
         [deflated_cg(A, b, tol=1e-4, setup=setup) for b in bs])
-
-
-def _pressure_solve_per_call() -> str:
-    """The pre-PR-8 execution model: every solve rebuilds and refactorizes
-    the coarse space from the group vector."""
-    from ..solver import deflated_cg
-
-    A, groups, bs = _pressure_system()
-    return _pressure_digest(
-        [deflated_cg(A, b, groups, tol=1e-4) for b in bs])
 
 
 #: (mesh, bc, u0, p0, dt_fine, n_fixed, control) of the time-to-endpoint
@@ -569,19 +519,13 @@ def _endpoint_adaptive() -> dict:
 
 def _endpoint_detail(before: dict, after: dict) -> dict:
     """Accuracy and determinism cross-checks of the time-to-endpoint row
-    (untimed): endpoint error vs the fine fixed-Δt reference, a rerun, and
-    the adaptive run with every fluid fast path forced off — the digests
-    of all three must match bit for bit."""
+    (untimed): endpoint error vs the fine fixed-Δt reference, and a rerun
+    of the adaptive run, whose digest must match bit for bit."""
     import numpy as np
-
-    from .toggles import configured
 
     err = float(np.linalg.norm(after["u"] - before["u"])
                 / np.linalg.norm(before["u"]))
     rerun = _endpoint_adaptive()
-    with configured(fluid_operator_recycle=False,
-                    deflation_setup_cache=False, krylov_buffers=False):
-        toggled = _endpoint_adaptive()
     return {
         "steps_fixed": before["steps"],
         "steps_adaptive": after["steps"],
@@ -592,9 +536,7 @@ def _endpoint_detail(before: dict, after: dict) -> dict:
         "simulated_digest": {
             "after": after["digest"],
             "rerun": rerun["digest"],
-            "fast_paths_off": toggled["digest"],
-            "identical": after["digest"] == rerun["digest"]
-            == toggled["digest"],
+            "identical": after["digest"] == rerun["digest"],
         },
     }
 
@@ -624,14 +566,9 @@ def _krylov_system() -> tuple:
 
 
 def _krylov_cg_workload() -> str:
-    """Repeated tight-tolerance Jacobi-CG solves on the prebuilt system.
-
-    The matrix is toggle-neutral setup, so the standard baseline-vs-default
-    mechanism isolates the ``krylov_buffers`` allocation-free cores; the
-    buffered iteration replays the allocating cores' FP operations in the
-    same order, so the digest (solution bytes + iteration counts) is
-    bit-identical by design.
-    """
+    """Repeated tight-tolerance Jacobi-CG solves on the prebuilt system:
+    the allocation-free Krylov cores at small size, where per-iteration
+    overhead is a visible fraction of the solve."""
     from ..solver import cg
 
     A, M, bs = _krylov_system()
@@ -641,7 +578,7 @@ def _krylov_cg_workload() -> str:
 
 #: (trace, times) of the breathing-cycle row: a multi-cycle ventilator
 #: flow trace plus the solver-side query schedule; built once, untimed
-#: (the 0D integration is a toggle-neutral input to both sides)
+#: (the 0D integration is a shared input to both sides)
 _COSIM_TRACE: Optional[tuple] = None
 
 
@@ -689,8 +626,9 @@ def _breathing_cycle_unbuffered() -> str:
     trace, times = _cosim_trace()
     return _hub_forward_digest(
         lambda t: CosimHub(trace).scale_at(t), trace, times)
-#: particle benchmark row (toggle-neutral: trackers are bit-identical
-#: across toggle states, which ``tests/test_perf_identical.py`` enforces)
+
+
+#: (x, v, a, status) of the pre-rolled particle population
 _PARTICLE_PREROLL: Optional[tuple] = None
 
 #: precomputed (positions, status) per step of a depositing trajectory;
@@ -753,10 +691,8 @@ def _particle_snapshots() -> list:
 
 def _tracker_step_workload() -> str:
     """60 transport steps at the simulation dt from the pre-rolled
-    population (fresh tracker per call — toggles captured at
-    construction); digest covers the full final particle state."""
-    import numpy as np
-
+    population (fresh tracker per call); digest covers the full final
+    particle state."""
     from ..particles import (FluidProperties, NewmarkTracker,
                              ParticleProperties)
 
@@ -774,7 +710,7 @@ def _tracker_step_workload() -> str:
 
 def _interpolation_workload() -> str:
     """Mesh-field velocity interpolation at the pre-rolled particle
-    positions (fresh field per call — toggles captured at construction)."""
+    positions (fresh field per call)."""
     from ..particles.interpolation import MeshVelocityField
 
     wl = _workload()
@@ -816,31 +752,6 @@ def _run_cfpd(**config_kwargs):
     from ..app.driver import RunConfig, run_cfpd
 
     return run_cfpd(RunConfig(**config_kwargs))
-
-
-def _cfpd_digest(res) -> str:
-    """Digest of every simulated-time result of a run.
-
-    Kept out of the timed region (a ``post`` hook): hashing the ~5k phase
-    samples costs ~14 ms — noise on the scalar side but a double-digit
-    share of the batched end-to-end time, so timing it would understate
-    the engine speedup by harness cost alone.
-    """
-    h = hashlib.sha256()
-    for s in res.phase_log.samples:
-        h.update(repr((s.step, s.rank, s.phase,
-                       round(s.t0, 12), round(s.t1, 12))).encode())
-    h.update(repr(round(res.total_time, 12)).encode())
-    h.update(repr(res.deposition).encode())
-    h.update(repr(res.solver_info).encode())
-    return h.hexdigest()
-
-
-def _run_cfpd_digest(spec=None, **config_kwargs) -> str:
-    """End-to-end run; digest covers every simulated-time result."""
-    from ..app.driver import RunConfig, run_cfpd
-
-    return _cfpd_digest(run_cfpd(RunConfig(**config_kwargs), spec=spec))
 
 
 def _campaign_bench_spec():
@@ -895,21 +806,29 @@ def _campaign_setup() -> None:
 # -- benchmark table ---------------------------------------------------------
 
 def _benchmark_table(quick: bool) -> list[dict]:
-    """(name, kind, callable, throughput units) rows for this mode."""
+    """Benchmark rows for this mode.
+
+    A row times ``fn``; a *policy* row also times ``before_fn`` (the other
+    execution model on the same code) and gates their ratio at
+    ``min_speedup``.  End-to-end runs digest their result in the ``post``
+    hook, outside the timed region: hashing the ~5k phase samples costs
+    ~14 ms, a double-digit share of the end-to-end time.
+    """
+    from ..campaign import simulated_digest
+
     table = [
         # micro rows finish in milliseconds, so their relative timing noise
         # is the largest in the table: they get a deeper best-of (still
         # the cheapest rows by far) to land on the floor reliably
         {"name": "engine_events", "kind": "micro",
          "fn": _engine_events_workload, "units": "events", "warmup": True,
-         "repeats": 7, "min_speedup": 4.0,
-         "note": "units count is the before-side (scalar) event total: the "
-                 "batched engine retires the same workload through plans "
-                 "and cohorts, so its own events_processed is lower by "
-                 "design"},
+         "repeats": 7,
+         "note": "units count is the engine's own events_processed: "
+                 "whole-graph plans and same-timestamp cohorts retire the "
+                 "task and timer streams in few dispatches"},
         {"name": "engine_events_manyrank", "kind": "micro",
          "fn": _engine_events_manyrank_workload, "units": None,
-         "warmup": True, "repeats": 7, "min_speedup": 2.0,
+         "warmup": True, "repeats": 7,
          "note": "96-rank p2p ring + allreduce/barrier, token compute: "
                  "gates the engine/comm dispatch stack at production rank "
                  "counts"},
@@ -919,8 +838,8 @@ def _benchmark_table(quick: bool) -> list[dict]:
         {"name": "assembly", "kind": "kernel",
          "fn": _assembly_workload, "units": "elements", "warmup": True,
          "unit_count": lambda: 5 * _workload().mesh.nelem},
-        # after-side is a ~3 ms cached-copy path: deeper best-of for the
-        # same reason as the micro rows
+        # a ~3 ms cached-copy path: deeper best-of for the same reason as
+        # the micro rows
         {"name": "assembly_constant", "kind": "kernel",
          "fn": _assembly_constant_workload, "units": "elements",
          "warmup": True, "repeats": 7,
@@ -928,29 +847,20 @@ def _benchmark_table(quick: bool) -> list[dict]:
         {"name": "sgs", "kind": "kernel",
          "fn": _sgs_workload, "units": "elements", "warmup": True,
          "unit_count": lambda: 10 * _workload().mesh.nelem},
-        # before/after compare solver *construction states* (the fluid
-        # toggles are captured at construction), so both sides are prebuilt
-        # in setup and the before side re-enters configured() per call for
-        # the per-solve krylov_buffers read
         {"name": "fractional_step", "kind": "kernel",
-         "fn": _fractional_step_after, "before_fn": _fractional_step_before,
-         "setup": _fluid_solvers, "units": "steps", "repeats": 7,
-         "unit_count": lambda: 10, "min_speedup": 2.0,
-         "note": "before = COO vector expansion + LIL Dirichlet rows + "
-                 "Jacobi rebuild per step, allocating Krylov cores; after "
-                 "= one composed gather into the precomputed constrained "
-                 "pattern (fluid_operator_recycle) + buffered cores"},
+         "fn": _fractional_step_workload, "setup": _fluid_solver,
+         "units": "steps", "repeats": 7, "unit_count": lambda: 10,
+         "note": "one composed gather of the scalar operator into the "
+                 "precomputed constrained momentum pattern per step, "
+                 "allocation-free Krylov cores"},
         {"name": "pressure_solve", "kind": "kernel",
-         "fn": _pressure_solve_cached, "before_fn": _pressure_solve_per_call,
-         "setup": _pressure_system, "units": "solves", "repeats": 3,
-         "unit_count": lambda: 8, "min_speedup": 1.5,
-         "note": "before = deflated CG rebuilding the coarse space every "
-                 "solve; after = one DeflationSetup (built inside the "
+         "fn": _pressure_solve_workload, "setup": _pressure_system,
+         "units": "solves", "repeats": 3, "unit_count": lambda: 8,
+         "note": "deflated CG with one DeflationSetup (built inside the "
                  "timed region) amortized over the RHS batch"},
-        # before/after compare *time-stepping policies* on the same code
-        # (fixed fine Δt vs the CFL-controlled ladder), not toggle states;
-        # the detail hook cross-checks endpoint accuracy and bit-identical
-        # digests across a rerun and the fluid fast paths forced off
+        # policy row: fixed fine Δt vs the CFL-controlled ladder on the
+        # same code; the detail hook cross-checks endpoint accuracy and a
+        # bit-identical rerun
         {"name": "time_to_endpoint", "kind": "kernel",
          "fn": _endpoint_adaptive, "before_fn": _endpoint_fixed,
          "setup": _adaptive_endpoint, "units": None, "repeats": 3,
@@ -961,13 +871,13 @@ def _benchmark_table(quick: bool) -> list[dict]:
                  "timed on both sides)"},
         {"name": "krylov_cg", "kind": "kernel",
          "fn": _krylov_cg_workload, "units": "solves", "warmup": True,
-         "setup": _krylov_system, "repeats": 7, "min_speedup": 1.1,
+         "setup": _krylov_system, "repeats": 7,
          "unit_count": lambda: 32,
-         "note": "gates the krylov_buffers allocation-free cores on an "
-                 "iteration-heavy small system"},
-        # before/after compare hub execution models (transform-per-request
-        # vs one buffered receive/transform amortized over the forwards),
-        # not toggle states; forwards are bit-identical by construction
+         "note": "allocation-free CG cores on an iteration-heavy small "
+                 "system"},
+        # policy row: hub execution models (transform-per-request vs one
+        # buffered receive/transform amortized over the forwards); forwards
+        # are bit-identical by construction
         {"name": "breathing_cycle", "kind": "kernel",
          "fn": _breathing_cycle_buffered,
          "before_fn": _breathing_cycle_unbuffered,
@@ -979,29 +889,28 @@ def _benchmark_table(quick: bool) -> list[dict]:
                  "answering the same 200 forwards"},
         {"name": "particle_location", "kind": "kernel",
          "fn": _particles_workload, "units": "particles", "warmup": True,
-         "setup": _particle_snapshots, "min_speedup": 1.2,
+         "setup": _particle_snapshots,
          "unit_count": lambda: 4 * 60 * 20 * _workload().n_particles},
         {"name": "tracker_step", "kind": "kernel",
          "fn": _tracker_step_workload, "units": "particle_steps",
-         "warmup": True, "setup": _particle_preroll, "min_speedup": 2.0,
+         "warmup": True, "setup": _particle_preroll,
          "unit_count": lambda: 60 * 20 * _workload().n_particles},
         {"name": "interpolation", "kind": "kernel",
          "fn": _interpolation_workload, "units": "points", "warmup": True,
          "setup": _particle_preroll,
          "unit_count": lambda: 10 * 20 * _workload().n_particles},
-        # the 5x-gated rows keep a fixed best-of-5 in every mode: a single
-        # quick-mode repeat flaps around the gate on host noise alone
+        # the end-to-end rows keep a fixed best-of-5 in every mode: a single
+        # quick-mode repeat is too noisy for the --compare gate
         {"name": "run_cfpd_sync", "kind": "end_to_end",
-         "fn": lambda: _run_cfpd(), "post": _cfpd_digest, "units": None,
-         "warmup": True, "repeats": 5, "min_speedup": 5.0},
+         "fn": lambda: _run_cfpd(), "post": simulated_digest, "units": None,
+         "warmup": True, "repeats": 5},
         {"name": "run_cfpd_coupled", "kind": "end_to_end",
          "fn": lambda: _run_cfpd(mode="coupled", fluid_ranks=64),
-         "post": _cfpd_digest, "units": None, "warmup": True,
-         "repeats": 5, "min_speedup": 5.0},
-        # before/after compare execution models (cold process per job vs
-        # the warm 4-worker pool), not toggle states; the host has a
-        # single CPU, so the gate measures amortized startup/precompute,
-        # not parallel speedup
+         "post": simulated_digest, "units": None, "warmup": True,
+         "repeats": 5},
+        # policy row: execution models (cold process per job vs the warm
+        # 4-worker pool); the host has a single CPU, so the gate measures
+        # amortized startup/precompute, not parallel speedup
         {"name": "campaign_throughput", "kind": "end_to_end",
          "fn": _campaign_warm_pool, "before_fn": _campaign_cold_serial,
          "setup": _campaign_setup, "units": "jobs", "repeats": 1,
@@ -1013,12 +922,12 @@ def _benchmark_table(quick: bool) -> list[dict]:
     if not quick:
         table += [
             {"name": "run_cfpd_sync_dlb", "kind": "end_to_end",
-             "fn": lambda: _run_cfpd(dlb=True), "post": _cfpd_digest,
+             "fn": lambda: _run_cfpd(dlb=True), "post": simulated_digest,
              "units": None},
             {"name": "run_cfpd_coupled_dlb", "kind": "end_to_end",
              "fn": lambda: _run_cfpd(mode="coupled", fluid_ranks=64,
                                      dlb=True),
-             "post": _cfpd_digest, "units": None},
+             "post": simulated_digest, "units": None},
         ]
     return table
 
@@ -1039,14 +948,12 @@ def _env_info() -> dict:
 
 def run_benchmarks(quick: bool = False, repeats: Optional[int] = None,
                    verbose: bool = True) -> dict:
-    """Run the before/after benchmark suite; returns the report dict.
+    """Run the benchmark suite; returns the report dict.
 
     ``quick`` keeps workload sizes identical but uses one repeat and skips
     the DLB end-to-end variants (the CI smoke configuration); ``repeats``
     overrides the per-benchmark repeat count (full default: 3, best-of).
     """
-    from .toggles import baseline
-
     if repeats is None:
         repeats = 1 if quick else 3
     benchmarks = []
@@ -1056,62 +963,47 @@ def run_benchmarks(quick: bool = False, repeats: Optional[int] = None,
             print(f"[bench] {name} ...", flush=True)
         setup = row.get("setup")
         if setup is not None:
-            setup()  # toggle-neutral precompute, kept out of the timings
-        # cache-exercising kernels get one untimed call per toggle state:
-        # the timing then covers the steady state even at --quick's single
-        # repeat (full mode's best-of already lands on warm calls)
-        warmup = row.get("warmup", False)
+            setup()  # precompute, kept out of the timings
         row_repeats = row.get("repeats", repeats)
         # "post" maps the timed callable's return value to the reported
-        # result (e.g. the simulated digest) *outside* the timed region —
-        # harness verification cost stays out of both sides' timings
+        # result (e.g. the simulated digest) *outside* the timed region
         post = row.get("post", lambda r: r)
         before_fn = row.get("before_fn")
+        entry = {"name": name, "kind": row["kind"]}
         if before_fn is not None:
-            # explicit before/after pair: an execution-model comparison
-            # (both sides run the *current* code, no toggles involved)
             before_s, before_res = _best_of(before_fn, row_repeats)
-            after_s, after_res = _best_of(fn, row_repeats)
-        else:
-            with baseline():
-                if warmup:
-                    fn()
-                before_s, before_res = _best_of(fn, row_repeats)
-            if warmup:
-                fn()
-            after_s, after_res = _best_of(fn, row_repeats)
-        before_res = post(before_res)
+            before_res = post(before_res)
+            entry["before_seconds"] = round(before_s, 6)
+        elif row.get("warmup", False):
+            # cache-exercising kernels get one untimed call: the timing then
+            # covers the steady state even at --quick's single repeat
+            fn()
+        after_s, after_res = _best_of(fn, row_repeats)
         after_res = post(after_res)
-        entry = {
-            "name": name,
-            "kind": row["kind"],
-            "before_seconds": round(before_s, 6),
-            "after_seconds": round(after_s, 6),
-            "speedup": round(before_s / after_s, 3) if after_s > 0 else None,
-        }
-        if "min_speedup" in row:
+        entry["after_seconds"] = round(after_s, 6)
+        if before_fn is not None:
+            entry["speedup"] = (round(before_s / after_s, 3) if after_s > 0
+                                else None)
             entry["min_speedup"] = row["min_speedup"]
         if "note" in row:
             entry["note"] = row["note"]
         if row.get("units"):
-            # engine_events reports the scalar-side processed-event count
-            # (the batched engine retires the same workload in fewer
-            # dispatches); kernels declare their unit counts in the table
-            count = (float(before_res) if name == "engine_events"
+            # engine_events reports the engine's own processed-event count;
+            # the other rows declare their unit counts in the table
+            count = (float(after_res) if name == "engine_events"
                      else float(row["unit_count"]()))
-            entry["throughput"] = {
-                "units": row["units"],
-                "count": count,
-                "before_per_second": round(count / before_s, 1),
-                "after_per_second": round(count / after_s, 1),
-            }
+            entry["throughput"] = {"units": row["units"], "count": count}
+            if before_fn is not None:
+                entry["throughput"]["before_per_second"] = round(
+                    count / before_s, 1)
+            entry["throughput"]["after_per_second"] = round(
+                count / after_s, 1)
         if row["kind"] in ("kernel", "end_to_end") and isinstance(
-                before_res, str):
-            entry["simulated_digest"] = {
-                "before": before_res,
-                "after": after_res,
-                "identical": before_res == after_res,
-            }
+                after_res, str):
+            entry["simulated_digest"] = {"after": after_res}
+            if before_fn is not None:
+                entry["simulated_digest"].update(
+                    before=before_res, identical=before_res == after_res)
         # "detail" maps the post-mapped (before, after) results to extra
         # row-specific report fields, outside the timed region; a
         # "simulated_digest" key joins the identity gate and an "ok" key
@@ -1126,18 +1018,19 @@ def run_benchmarks(quick: bool = False, repeats: Optional[int] = None,
                 entry["detail"] = extra
         benchmarks.append(entry)
         if verbose:
-            print(f"[bench]   before={before_s:.3f}s after={after_s:.3f}s "
-                  f"speedup={entry['speedup']}x", flush=True)
+            timing = f"after={after_s:.3f}s"
+            if before_fn is not None:
+                timing = (f"before={before_s:.3f}s {timing} "
+                          f"speedup={entry['speedup']}x")
+            print(f"[bench]   {timing}", flush=True)
     digests = [b["simulated_digest"]["identical"] for b in benchmarks
-               if "simulated_digest" in b]
+               if "identical" in b.get("simulated_digest", {})]
     detail_oks = [b["detail"]["ok"] for b in benchmarks
                   if "ok" in b.get("detail", {})]
     gated = [b for b in benchmarks if "min_speedup" in b]
     gates_ok = all(b["speedup"] is not None
                    and b["speedup"] >= b["min_speedup"] for b in gated)
-    default_e2e = next((b for b in benchmarks
-                        if b["name"] == "run_cfpd_sync"), None)
-    report = {
+    return {
         "schema": _SCHEMA,
         "generated_by": "python -m repro.perf.bench"
                         + (" --quick" if quick else ""),
@@ -1146,23 +1039,23 @@ def run_benchmarks(quick: bool = False, repeats: Optional[int] = None,
         "env": _env_info(),
         "benchmarks": benchmarks,
         "summary": {
-            "end_to_end_default_speedup":
-                default_e2e["speedup"] if default_e2e else None,
             "all_simulated_results_identical": all(digests) if digests
             else None,
             "speedup_gates_ok": gates_ok if gated else None,
             "detail_checks_ok": all(detail_oks) if detail_oks else None,
         },
     }
-    return report
 
 
 def compare_reports(current: dict, reference: dict,
                     tolerance: float = SLOWDOWN_TOLERANCE) -> list[str]:
-    """Regression check: current after-times vs a reference report.
+    """Regression check: current after-times and digests vs a reference.
 
-    Returns human-readable failure lines (empty when everything is within
-    ``tolerance``); benchmarks missing from either report are skipped.
+    Returns human-readable failure lines (empty when everything holds):
+    a benchmark more than ``tolerance`` times slower than the reference,
+    or an ``end_to_end`` row whose simulated digest differs from the
+    reference's after-digest.  Benchmarks missing from either report are
+    skipped.
     """
     ref_by_name = {b["name"]: b for b in reference.get("benchmarks", [])}
     failures = []
@@ -1175,6 +1068,13 @@ def compare_reports(current: dict, reference: dict,
             failures.append(
                 f"{b['name']}: {cur_s:.3f}s vs reference {ref_s:.3f}s "
                 f"({cur_s / ref_s:.2f}x > {tolerance}x tolerance)")
+        if b.get("kind") == "end_to_end":
+            cur_d = b.get("simulated_digest", {}).get("after")
+            ref_d = ref.get("simulated_digest", {}).get("after")
+            if cur_d is not None and ref_d is not None and cur_d != ref_d:
+                failures.append(
+                    f"{b['name']}: simulated digest {cur_d[:16]}... drifted "
+                    f"from reference {ref_d[:16]}...")
     return failures
 
 
@@ -1242,7 +1142,7 @@ def trajectory_check(current: dict, reference: dict,
     return trajectory, failures, host_drift
 
 
-def resolve_auto_baseline(out_path: str) -> Optional[str]:
+def resolve_auto_reference(out_path: str) -> Optional[str]:
     """``--baseline auto``: the newest committed ``BENCH_prN.json`` with
     ``N`` strictly below the output report's PR number.
 
@@ -1267,156 +1167,10 @@ def resolve_auto_baseline(out_path: str) -> Optional[str]:
     return best[1] if best else None
 
 
-#: toggles whose code paths run_cfpd never reaches in full — the driver's
-#: coupled fluid phase solves prebuilt operator systems but constructs no
-#: :class:`FractionalStepSolver` — so their digest check drives the
-#: tube-flow solver directly (both pressure solvers, both toggle states)
-_FLUID_DIGEST_TOGGLES = ("fluid_operator_recycle", "deflation_setup_cache",
-                         "krylov_buffers")
-
-
-def _fluid_toggle_digest() -> str:
-    """Tube-flow digest for the fluid-path toggles: fresh solvers (toggle
-    capture happens at construction) advanced 6 steps with each pressure
-    solver; covers field bytes and Krylov iteration counts."""
-    from ..fem import FractionalStepSolver
-
-    mesh, bc = _fluid_tube()
-    digest = hashlib.sha256()
-    for pressure_solver in ("cg", "deflated"):
-        solver = FractionalStepSolver(mesh, bc, viscosity=1e-3, density=1.0,
-                                      dt=2e-3,
-                                      pressure_solver=pressure_solver)
-        infos = solver.run(6, tol=1e-5)
-        digest.update(solver.u.tobytes())
-        digest.update(solver.p.tobytes())
-        digest.update(repr([(i.momentum_iterations, i.pressure_iterations)
-                            for i in infos]).encode())
-    return digest.hexdigest()
-
-
-def _fluid_adaptive_digest() -> str:
-    """Adaptive-Δt variant of :func:`_fluid_toggle_digest`: fresh solvers
-    advanced to a fixed endpoint through the CFL controller on a ladder
-    the inflow forces a rung drop on, so the digest covers the controller
-    walk (Δt sequence and rungs) as well as the field bytes."""
-    from ..fem import CflController, DtLadder, FractionalStepSolver
-
-    mesh, bc = _fluid_tube()
-    control = CflController(ladder=DtLadder(dt_min=5e-4, dt_max=4e-3))
-    digest = hashlib.sha256()
-    for pressure_solver in ("cg", "deflated"):
-        solver = FractionalStepSolver(mesh, bc, viscosity=1e-3, density=1.0,
-                                      dt=2e-3,
-                                      pressure_solver=pressure_solver)
-        infos = solver.advance_to(8e-3, control=control, tol=1e-5)
-        digest.update(solver.u.tobytes())
-        digest.update(solver.p.tobytes())
-        digest.update(repr([(i.momentum_iterations, i.pressure_iterations,
-                             round(i.dt, 12), i.rung)
-                            for i in infos]).encode())
-    return digest.hexdigest()
-
-
-def _fluid_breathing_digest() -> str:
-    """Ventilator-coupled variant of :func:`_fluid_toggle_digest`: the
-    hub's forwarded scale drives the inlet through
-    ``advance_to(..., inlet_scale=...)`` while the CFL controller walks
-    the ladder, so the digest covers the inlet rescale path (per-step
-    ``inlet_scale`` values) on top of the field bytes and the controller
-    walk."""
-    from ..cosim import (BreathingPattern, LungModel, VENTILATION_PATTERNS,
-                         VentilatorSettings, hub_for)
-    from ..fem import CflController, DtLadder, FractionalStepSolver
-
-    mesh, bc = _fluid_tube()
-    pattern = BreathingPattern(
-        LungModel(), VentilatorSettings(**VENTILATION_PATTERNS["rest"]))
-    hub = hub_for(pattern, n_cycles=1, horizon=8e-3)
-    control = CflController(ladder=DtLadder(dt_min=5e-4, dt_max=4e-3))
-    digest = hashlib.sha256()
-    for pressure_solver in ("cg", "deflated"):
-        solver = FractionalStepSolver(mesh, bc, viscosity=1e-3, density=1.0,
-                                      dt=2e-3,
-                                      pressure_solver=pressure_solver)
-        infos = solver.advance_to(8e-3, control=control,
-                                  inlet_scale=hub.scale_at, tol=1e-5)
-        digest.update(solver.u.tobytes())
-        digest.update(solver.p.tobytes())
-        digest.update(repr([(i.momentum_iterations, i.pressure_iterations,
-                             round(i.dt, 12), i.rung,
-                             round(i.inlet_scale, 12))
-                            for i in infos]).encode())
-    return digest.hexdigest()
-
-
-def _breathing_digest_spec():
-    """The end-to-end digest-check spec for ``--digest-workload
-    breathing``: ventilator-coupled inlet through the cosim hub,
-    injection gated to inhalation, the CFL ladder consuming the
-    transient — every path the cosim PR added to the driver."""
-    from ..app.workload import WorkloadSpec
-
-    return WorkloadSpec(adaptive="global", inlet_waveform="ventilator",
-                        injection_phase="inhale", injection_interval=4,
-                        n_steps=16)
-
-
-def _adaptive_digest_spec():
-    """The end-to-end digest-check spec for ``--digest-workload adaptive``:
-    local per-rank rungs with deterministic subcycling over a transient
-    sine inflow — the paths the adaptive PR added to the driver."""
-    from ..app.workload import WorkloadSpec
-
-    return WorkloadSpec(adaptive="local", inlet_waveform="sine")
-
-
-def _digest_check(toggle: str, workload: str = "default") -> int:
-    """Run the toggle's digest workload with ``toggle`` off vs on and
-    compare simulated digests — the quick per-push contract check.
-
-    ``workload="adaptive"`` routes the check through the adaptive-Δt
-    paths: the tube solver advances through the CFL controller for the
-    fluid toggles, and the end-to-end run uses a local-adaptive transient
-    spec for everything else.  ``workload="breathing"`` routes it through
-    the ventilator-coupled cosim paths instead (hub-driven inlet rescale
-    on the tube solver for the fluid toggles, the gated-injection
-    ventilator spec end-to-end otherwise).
-    """
-    from .toggles import Toggles, configured
-
-    if toggle not in Toggles.__dataclass_fields__:
-        print(f"[bench] unknown toggle {toggle!r}; known: "
-              f"{', '.join(Toggles.__dataclass_fields__)}", file=sys.stderr)
-        return 2
-    if toggle in _FLUID_DIGEST_TOGGLES:
-        digest_fn = {"adaptive": _fluid_adaptive_digest,
-                     "breathing": _fluid_breathing_digest,
-                     }.get(workload, _fluid_toggle_digest)
-    elif workload == "adaptive":
-        def digest_fn():
-            return _run_cfpd_digest(spec=_adaptive_digest_spec())
-    elif workload == "breathing":
-        def digest_fn():
-            return _run_cfpd_digest(spec=_breathing_digest_spec())
-    else:
-        digest_fn = _run_cfpd_digest
-    with configured(**{toggle: False}):
-        d_off = digest_fn()
-    d_on = digest_fn()
-    if d_off != d_on:
-        print(f"[bench] FAIL: simulated digest depends on toggle "
-              f"{toggle} ({d_off[:16]}… off vs {d_on[:16]}… on)",
-              file=sys.stderr)
-        return 1
-    print(f"[bench] digest identical with {toggle} off/on ({d_on[:16]}…)")
-    return 0
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf.bench",
-        description="Before/after benchmark suite (emits BENCH JSON).")
+        description="Benchmark suite (emits BENCH JSON).")
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke mode: 1 repeat, fewer end-to-end "
                              "variants, same workload sizes")
@@ -1428,7 +1182,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--compare", metavar="BASELINE_JSON", default=None,
                         help="fail (exit 1) if any benchmark is "
                              f">{SLOWDOWN_TOLERANCE}x slower than this "
-                             "reference report")
+                             "reference report, or any end-to-end "
+                             "simulated digest differs from it")
     parser.add_argument("--baseline", metavar="REFERENCE_JSON", default=None,
                         help="previous PR's committed report; records the "
                              "cross-PR trajectory in the output and fails "
@@ -1437,28 +1192,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                              "floor of it.  'auto' resolves the newest "
                              "BENCH_prN.json below the output's PR number "
                              "(gaps from report-less PRs are fine)")
-    parser.add_argument("--digest-check", metavar="TOGGLE", default=None,
-                        help="skip the timing suite; run the default "
-                             "end-to-end config with TOGGLE off vs on and "
-                             "fail (exit 1) if the simulated digests "
-                             "differ")
-    parser.add_argument("--digest-workload", default="default",
-                        choices=("default", "adaptive", "breathing"),
-                        help="workload --digest-check runs: the default "
-                             "configuration, the adaptive-Δt paths "
-                             "(CFL-controlled tube flow for the fluid "
-                             "toggles, a local-adaptive transient spec "
-                             "end-to-end otherwise), or the "
-                             "ventilator-coupled cosim paths (hub-driven "
-                             "inlet rescale on the tube solver / the "
-                             "gated-injection ventilator spec)")
     args = parser.parse_args(argv)
 
-    if args.digest_check:
-        return _digest_check(args.digest_check, args.digest_workload)
-
     if args.baseline == "auto":
-        resolved = resolve_auto_baseline(
+        resolved = resolve_auto_reference(
             args.out if args.out != "-" else _DEFAULT_OUT)
         if resolved is None:
             print("[bench] --baseline auto: no earlier BENCH_prN.json "
@@ -1489,8 +1226,8 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     identical = report["summary"]["all_simulated_results_identical"]
     if identical is False:
-        print("[bench] FAIL: simulated-time results differ between toggle "
-              "states", file=sys.stderr)
+        print("[bench] FAIL: simulated-time results differ between the "
+              "two sides of a policy row", file=sys.stderr)
         return 1
     if report["summary"]["speedup_gates_ok"] is False:
         for b in report["benchmarks"]:
@@ -1513,7 +1250,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             for line in failures:
                 print(f"[bench] REGRESSION: {line}", file=sys.stderr)
             return 1
-        print(f"[bench] within {SLOWDOWN_TOLERANCE}x of {args.compare}")
+        print(f"[bench] within {SLOWDOWN_TOLERANCE}x of {args.compare}, "
+              "end-to-end digests unchanged")
     if args.baseline:
         if trajectory_failures:
             for line in trajectory_failures:

@@ -1,10 +1,9 @@
 """Free-list event arena for the batched DES engine.
 
-The scalar engine allocates one :class:`~repro.sim.engine.Event` object per
-deferred callback (``Engine.defer`` / ``Engine.call_later``) — roughly one
-Python object plus heap entry per task start, task finish, message delivery
-and collective hop.  Under :data:`~repro.perf.toggles.Toggles.engine_batch`
-those callbacks live in this arena instead: a table of parallel columns
+A deferred callback (``Engine.defer`` / ``Engine.call_later``) runs once
+per task start, task finish, message delivery and collective hop.  Rather
+than one :class:`~repro.sim.engine.Event` object per callback, those
+callbacks live in this arena: a table of parallel columns
 (``when``/``seq``/``kind``/``state`` plus the callback itself) indexed by an
 integer *slot* that is recycled through a free list, so steady-state
 simulation performs **zero** per-event object allocation.

@@ -25,8 +25,7 @@ from collections import deque
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from ..machine import ClusterModel, rank_to_node
-from ..perf import toggles as _perf_toggles
-from ..sim import Engine, Event, Store
+from ..sim import Engine, Event
 from .pmpi import HookList
 
 __all__ = [
@@ -114,7 +113,7 @@ def _payload_nbytes(payload: Any, nbytes: Optional[float]) -> float:
 
 
 class _KeyedMailbox:
-    """Message queue with O(1) keyed matching (``engine_batch`` fast path).
+    """Per-rank message queue with O(1) keyed matching.
 
     Observationally identical to a :class:`~repro.sim.Store` holding
     :class:`Message` items matched by (comm_id, src, tag) predicates: puts
@@ -341,19 +340,13 @@ class Comm:
         """Non-blocking send; returns an event triggering at delivery."""
         if not 0 <= dest < self.size:
             raise MPIError(f"dest {dest} out of range for comm size {self.size}")
+        # Callback-based transfer: the deferral is posted where a Process
+        # bootstrap would be and the delivery timer is created when it pops;
+        # ``req`` is the request handle.
         world = self._world
-        if world._fast_finish:
-            # Callback-based transfer: the deferral is posted where the
-            # Process bootstrap would be and the delivery timeout is created
-            # when it pops, so the event trajectory matches the generator
-            # path below; ``req`` stands in for the Process request handle.
-            req = Event(world.engine)
-            world.engine.defer(self._isend_start, payload, dest, tag,
-                               nbytes, req)
-            return req
-        return world.engine.process(
-            self._transfer(payload, dest, tag, nbytes),
-            name=f"isend[{self.world_rank}->{self.group[dest]}]")
+        req = Event(world.engine)
+        world.engine.defer(self._isend_start, payload, dest, tag, nbytes, req)
+        return req
 
     def _isend_start(self, payload: Any, dest: int, tag: int,
                      nbytes: Optional[float], req: Event) -> None:
@@ -361,20 +354,15 @@ class Comm:
         size = (float(nbytes) if nbytes is not None
                 else _payload_nbytes(payload, None))
         dest_world = self.group[dest]
-        if world._batch:
-            # message cost is a pure function of (placement, size), and halo
-            # exchanges repeat identical (peer, size) pairs every step
-            dc = self._delay_cache
-            delay = dc.get((dest_world, size))
-            if delay is None:
-                delay = world.cluster.message_seconds(
-                    world.node_of(self.world_rank),
-                    world.node_of(dest_world), size)
-                dc[(dest_world, size)] = delay
-        else:
+        # message cost is a pure function of (placement, size), and halo
+        # exchanges repeat identical (peer, size) pairs every step
+        dc = self._delay_cache
+        delay = dc.get((dest_world, size))
+        if delay is None:
             delay = world.cluster.message_seconds(
                 world.node_of(self.world_rank), world.node_of(dest_world),
                 size)
+            dc[(dest_world, size)] = delay
         dropped = False
         if world.fault_controller is not None:
             dropped, extra = world.fault_controller.on_message(
@@ -449,16 +437,8 @@ class Comm:
             return ev
 
         meta = None if source == ANY_SOURCE else {"src": self.group[source]}
-        box = world.mailbox(self.world_rank)
-        if world._batch:
-            return box.get_keyed(self.comm_id, source, tag, meta)
-
-        def predicate(msg: Message) -> bool:
-            return (msg.comm_id == self.comm_id
-                    and (source == ANY_SOURCE or msg.src == source)
-                    and (tag == ANY_TAG or msg.tag == tag))
-
-        return box.get(predicate, meta=meta)
+        return world.mailbox(self.world_rank).get_keyed(
+            self.comm_id, source, tag, meta)
 
     def wait(self, event: Event):
         """Blocking wait on a request event (isend/irecv), with PMPI hooks."""
@@ -575,32 +555,28 @@ class Comm:
         contributions (collectives shrink, ULFM-style).
         """
         contribs = yield from self._collective("allreduce", value, nbytes)
-        world = self._world
-        if world._batch:
-            # every member computes the identical reduction over the shared
-            # contribution dict — compute it once per (collective, op) and
-            # share the result when it is immutable (n ranks x n terms
-            # otherwise).  The cache entry pins the contribs dict, so an
-            # id() hit is guaranteed to be the same collective.
-            cache = world._reduce_cache
-            entry = cache.get(id(contribs))
-            if entry is not None and entry[0] is contribs:
-                by_op = entry[1]
-                hit = by_op.get(id(op), _REDUCE_MISS)
-                if hit is not _REDUCE_MISS:
-                    return hit
-            else:
-                if len(cache) > 16:
-                    cache.clear()
-                by_op = {}
-                cache[id(contribs)] = (contribs, by_op)
-            result = _reduce_values(
-                [contribs[r] for r in self._ordered_ranks(contribs)], op)
-            if type(result) in _SHAREABLE_TYPES:
-                by_op[id(op)] = result
-            return result
-        return _reduce_values(
+        # every member computes the identical reduction over the shared
+        # contribution dict — compute it once per (collective, op) and share
+        # the result when it is immutable (n ranks x n terms otherwise).
+        # The cache entry pins the contribs dict, so an id() hit is
+        # guaranteed to be the same collective.
+        cache = self._world._reduce_cache
+        entry = cache.get(id(contribs))
+        if entry is not None and entry[0] is contribs:
+            by_op = entry[1]
+            hit = by_op.get(id(op), _REDUCE_MISS)
+            if hit is not _REDUCE_MISS:
+                return hit
+        else:
+            if len(cache) > 16:
+                cache.clear()
+            by_op = {}
+            cache[id(contribs)] = (contribs, by_op)
+        result = _reduce_values(
             [contribs[r] for r in self._ordered_ranks(contribs)], op)
+        if type(result) in _SHAREABLE_TYPES:
+            by_op[id(op)] = result
+        return result
 
     def reduce(self, value: Any, root: int = 0,
                op: Callable[[Any, Any], Any] = None,
@@ -710,12 +686,7 @@ class World:
         self.hooks = HookList()
         self.collectives: dict[tuple[int, int], _Collective] = {}
         self._coll_seq: dict[tuple[int, int], int] = {}
-        self._batch = _perf_toggles.TOGGLES.engine_batch
-        if self._batch:
-            self._mailboxes: list[Any] = [_KeyedMailbox(engine)
-                                          for _ in range(nranks)]
-        else:
-            self._mailboxes = [Store(engine) for _ in range(nranks)]
+        self._mailboxes = [_KeyedMailbox(engine) for _ in range(nranks)]
         #: id(contribs) -> (contribs, {id(op): shared result}) — see allreduce
         self._reduce_cache: dict[int, tuple] = {}
         self._next_comm_id = 1
@@ -736,8 +707,6 @@ class World:
         #: group tuple -> (intra_steps, inter_steps) for collective_cost;
         #: pure topology, static for the lifetime of the world.
         self._group_topo: dict[tuple, tuple[int, int]] = {}
-        self._fast = _perf_toggles.TOGGLES.comm_fast_path
-        self._fast_finish = _perf_toggles.TOGGLES.runtime_fast_path
 
     # -- topology -----------------------------------------------------------
     def node_of(self, world_rank: int) -> int:
@@ -776,11 +745,8 @@ class World:
 
     # -- plumbing used by Comm ------------------------------------------------
     def mailbox(self, world_rank: int):
-        """The destination message queue of ``world_rank``.
-
-        A :class:`~repro.sim.Store`, or a :class:`_KeyedMailbox` under the
-        ``engine_batch`` toggle — same put/get-match/fail_pending contract.
-        """
+        """The destination message queue (a :class:`_KeyedMailbox`) of
+        ``world_rank``."""
         return self._mailboxes[world_rank]
 
     def deliver(self, msg: Message, dest_world_rank: int) -> None:
@@ -852,7 +818,7 @@ class World:
         coll = self.collectives.get(key)
         if coll is None:
             return
-        if self._fast and not self.dead_ranks:
+        if not self.dead_ranks:
             # No failures in the job: everyone is alive, so completion is
             # just a contribution count — no per-call group scan or filtered
             # copy of the contribution dict.
@@ -870,23 +836,10 @@ class World:
                 return
             contribs = {i: v for i, v in coll.contribs.items() if i in alive}
         del self.collectives[key]
-        delay = self.collective_cost(coll)
-        done = coll.done
-
-        if self._fast_finish:
-            # Deferred-callback completion: the deferral event is posted at
-            # the same queue position a Process bootstrap would be, and the
-            # timeout is created when it pops — the same (time, seq)
-            # trajectory as the generator below, minus its allocations and
-            # the process-completion event.
-            self.engine.defer(self._finish_collective, done, delay, contribs)
-            return
-
-        def finish():
-            yield self.engine.timeout(delay)
-            done.succeed(contribs)
-
-        self.engine.process(finish(), name=f"{coll.kind}[{key[0]}]")
+        # deferred-callback completion: the completion timer is created
+        # when the deferral pops, one event hop after the last contribution
+        self.engine.defer(self._finish_collective, coll.done,
+                          self.collective_cost(coll), contribs)
 
     def _finish_collective(self, done: Event, delay: float,
                            contribs: dict) -> None:

@@ -32,8 +32,6 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import sparse
 
-from ..perf import toggles as _perf_toggles
-
 try:  # pragma: no cover - scipy always ships _sparsetools today
     from scipy.sparse import _sparsetools as _st
     _HAVE_CSR_MATVEC = hasattr(_st, "csr_matvec")
@@ -112,8 +110,8 @@ def jacobi_preconditioner(A: sparse.spmatrix) -> Callable[[np.ndarray],
     return apply
 
 
-#: reusable per-(core, size) iteration workspaces for the ``krylov_buffers``
-#: fast path; bounded so a sweep over many system sizes cannot grow it
+#: reusable per-(core, size) iteration workspaces of the allocation-free
+#: cores; bounded so a sweep over many system sizes cannot grow it
 #: without limit (insertion order doubles as LRU order)
 _WORKSPACES: dict = {}
 _WORKSPACE_LIMIT = 8
@@ -194,140 +192,17 @@ class _StagnationGuard:
 
 
 def _cg_core(A: sparse.spmatrix, b: np.ndarray,
-             x0: Optional[np.ndarray], tol: float, maxiter: int,
-             M: Optional[Callable[[np.ndarray], np.ndarray]],
-             fault: Optional[FaultHook],
-             stagnation_window: int) -> SolveResult:
-    """CG iteration core; raises :class:`SolverBreakdown` on failure."""
-    n = len(b)
-    x = np.zeros(n) if x0 is None else x0.astype(np.float64).copy()
-    r = b - A @ x
-    matvecs = 1
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
-        return SolveResult(x=np.zeros(n), converged=True, iterations=0,
-                           residuals=[0.0], matvecs=matvecs)
-    z = M(r) if M is not None else r
-    p = z.copy()
-    rz = float(r @ z)
-    residuals = [float(np.linalg.norm(r) / norm_b)]
-    guard = _StagnationGuard(stagnation_window)
-    try:
-        for it in range(1, maxiter + 1):
-            Ap = A @ p
-            matvecs += 1
-            pAp = float(p @ Ap)
-            if not np.isfinite(pAp):
-                raise SolverBreakdown("nonfinite_residual", it)
-            if pAp <= 0:
-                raise SolverBreakdown("indefinite_operator", it)
-            alpha = rz / pAp
-            x += alpha * p
-            r -= alpha * Ap
-            if fault is not None:
-                r = fault(it, r)
-            res = float(np.linalg.norm(r) / norm_b)
-            residuals.append(res)
-            guard.check(res, it)
-            if res < tol:
-                return SolveResult(x=x, converged=True, iterations=it,
-                                   residuals=residuals, matvecs=matvecs)
-            z = M(r) if M is not None else r
-            rz_new = float(r @ z)
-            beta = rz_new / rz
-            rz = rz_new
-            p = z + beta * p
-    except SolverBreakdown as exc:
-        exc.residuals = residuals
-        exc.matvecs = matvecs
-        raise
-    return SolveResult(x=x, converged=False, iterations=maxiter,
-                       residuals=residuals, matvecs=matvecs)
-
-
-def _bicgstab_core(A: sparse.spmatrix, b: np.ndarray,
-                   x0: Optional[np.ndarray], tol: float, maxiter: int,
-                   M: Optional[Callable[[np.ndarray], np.ndarray]],
-                   fault: Optional[FaultHook],
-                   stagnation_window: int) -> SolveResult:
-    """BiCGStab iteration core; raises :class:`SolverBreakdown` on failure."""
-    n = len(b)
-    x = np.zeros(n) if x0 is None else x0.astype(np.float64).copy()
-    r = b - A @ x
-    matvecs = 1
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0.0:
-        return SolveResult(x=np.zeros(n), converged=True, iterations=0,
-                           residuals=[0.0], matvecs=matvecs)
-    r_hat = r.copy()
-    rho = alpha = omega = 1.0
-    v = np.zeros(n)
-    p = np.zeros(n)
-    residuals = [float(np.linalg.norm(r) / norm_b)]
-    guard = _StagnationGuard(stagnation_window)
-    try:
-        for it in range(1, maxiter + 1):
-            rho_new = float(r_hat @ r)
-            if not np.isfinite(rho_new):
-                raise SolverBreakdown("nonfinite_residual", it)
-            if abs(rho_new) < 1e-300:
-                raise SolverBreakdown("rho_breakdown", it)
-            beta = (rho_new / rho) * (alpha / omega) if it > 1 else 0.0
-            rho = rho_new
-            p = r + beta * (p - omega * v)
-            phat = M(p) if M is not None else p
-            v = A @ phat
-            matvecs += 1
-            denom = float(r_hat @ v)
-            if abs(denom) < 1e-300:
-                raise SolverBreakdown("orthogonality_breakdown", it)
-            alpha = rho / denom
-            s = r - alpha * v
-            if np.linalg.norm(s) / norm_b < tol:
-                x += alpha * phat
-                residuals.append(float(np.linalg.norm(s) / norm_b))
-                return SolveResult(x=x, converged=True, iterations=it,
-                                   residuals=residuals, matvecs=matvecs)
-            shat = M(s) if M is not None else s
-            t = A @ shat
-            matvecs += 1
-            tt = float(t @ t)
-            if not np.isfinite(tt):
-                raise SolverBreakdown("nonfinite_residual", it)
-            if tt < 1e-300:
-                raise SolverBreakdown("t_breakdown", it)
-            omega = float(t @ s) / tt
-            x += alpha * phat + omega * shat
-            r = s - omega * t
-            if fault is not None:
-                r = fault(it, r)
-            res = float(np.linalg.norm(r) / norm_b)
-            residuals.append(res)
-            guard.check(res, it)
-            if res < tol:
-                return SolveResult(x=x, converged=True, iterations=it,
-                                   residuals=residuals, matvecs=matvecs)
-            if abs(omega) < 1e-300:
-                raise SolverBreakdown("omega_breakdown", it)
-    except SolverBreakdown as exc:
-        exc.residuals = residuals
-        exc.matvecs = matvecs
-        raise
-    return SolveResult(x=x, converged=False, iterations=maxiter,
-                       residuals=residuals, matvecs=matvecs)
-
-
-def _cg_core_buffered(A: sparse.spmatrix, b: np.ndarray,
                       x0: Optional[np.ndarray], tol: float, maxiter: int,
                       M: Optional[Callable[[np.ndarray], np.ndarray]],
                       fault: Optional[FaultHook],
                       stagnation_window: int) -> SolveResult:
-    """Allocation-free CG core, bit-identical to :func:`_cg_core`.
+    """Allocation-free CG iteration core; raises :class:`SolverBreakdown`
+    on failure.
 
     The iteration vectors live in a cached per-size workspace; every axpy
     is an ``out=`` pair (``np.multiply`` then ``np.add``/``np.subtract``)
     performing the same scalar-times-element and element-plus-element
-    operations, in the same order, as the allocating expressions.
+    operations, in the same order, as the one-line NumPy expressions.
     """
     n = len(b)
     norm_b = np.linalg.norm(b)
@@ -390,17 +265,17 @@ def _cg_core_buffered(A: sparse.spmatrix, b: np.ndarray,
         _release_workspace("cg", n, ws)
 
 
-def _bicgstab_core_buffered(A: sparse.spmatrix, b: np.ndarray,
+def _bicgstab_core(A: sparse.spmatrix, b: np.ndarray,
                             x0: Optional[np.ndarray], tol: float,
                             maxiter: int,
                             M: Optional[Callable[[np.ndarray], np.ndarray]],
                             fault: Optional[FaultHook],
                             stagnation_window: int) -> SolveResult:
-    """Allocation-free BiCGStab core, bit-identical to
-    :func:`_bicgstab_core`.
+    """Allocation-free BiCGStab iteration core; raises
+    :class:`SolverBreakdown` on failure.
 
     Compound updates decompose into the same elementary steps as the
-    allocating expressions: ``p = r + beta*(p - omega*v)`` becomes
+    one-line NumPy expressions: ``p = r + beta*(p - omega*v)`` becomes
     ``tmp = omega*v; tmp = p - tmp; tmp = beta*tmp; p = r + tmp``, which
     is the evaluation order NumPy uses for the one-liner.
     """
@@ -544,9 +419,7 @@ def cg(A: sparse.spmatrix, b: np.ndarray,
     residual each iteration (fault injection); breakdown triggers one
     re-preconditioned retry unless ``retry_on_breakdown`` is False.
     """
-    core = (_cg_core_buffered if _perf_toggles.TOGGLES.krylov_buffers
-            else _cg_core)
-    return _recovering(core, A, b, x0, tol, maxiter, M, fault,
+    return _recovering(_cg_core, A, b, x0, tol, maxiter, M, fault,
                        retry_on_breakdown, stagnation_window)
 
 
@@ -561,7 +434,5 @@ def bicgstab(A: sparse.spmatrix, b: np.ndarray,
 
     Same breakdown/recovery contract as :func:`cg`.
     """
-    core = (_bicgstab_core_buffered if _perf_toggles.TOGGLES.krylov_buffers
-            else _bicgstab_core)
-    return _recovering(core, A, b, x0, tol, maxiter, M, fault,
+    return _recovering(_bicgstab_core, A, b, x0, tol, maxiter, M, fault,
                        retry_on_breakdown, stagnation_window)

@@ -2,15 +2,14 @@
 
 Covers the deterministic CFL controller and Δt ladder, the per-rung
 operator cache behind ``FractionalStepSolver.dt`` (including the stale-Δt
-regression the setter fixes), ``advance_to`` determinism across reruns and
-every fluid perf-toggle combination, endpoint accuracy against a fine
+regression the setter fixes), ``advance_to`` determinism across reruns, endpoint accuracy against a fine
 fixed-Δt reference, the app-layer Δt schedules / local subcycling, the
 driver's bit-identical replay of adaptive workloads, the campaign axis,
-and the batched runtime's repeats-ordering contract.
+and the planned runtime's repeats-ordering contract.  The absolute Δt
+walks and fields are pinned in ``tests/golden_digests.json``.
 """
 
 import hashlib
-import itertools
 
 import numpy as np
 import pytest
@@ -27,11 +26,8 @@ from repro.fem.timestep import (CflController, DtLadder, cfl_rate,
 from repro.machine import CoreModel, WorkSpec
 from repro.mesh.airway import Segment
 from repro.mesh.generator import MeshResolution, build_tube_mesh
-from repro.perf.toggles import configured
 from repro.sim import Engine
-
-FLUID_TOGGLES = ("fluid_operator_recycle", "deflation_setup_cache",
-                 "krylov_buffers")
+from tests.test_runtime import NullRecorder
 
 
 @pytest.fixture(scope="module")
@@ -220,26 +216,17 @@ class TestAdvanceTo:
         with pytest.raises(ValueError):
             solver.advance_to(0.0)
 
-    def test_deterministic_across_all_toggle_combos(self, tube):
+    def test_rerun_replays_bit_identically(self, tube):
         """Same initial state ⇒ identical Δt sequence, rung walk, Krylov
-        iteration counts and final fields, for every subset of the fluid
-        fast-path toggles."""
+        iteration counts and final fields."""
         mesh, bc = tube
-        with configured(**{t: False for t in FLUID_TOGGLES}):
-            ref, _ = _advance_digest(mesh, bc)
-        for combo in itertools.product([False, True], repeat=3):
-            state = dict(zip(FLUID_TOGGLES, combo))
-            with configured(**state):
-                got, _ = _advance_digest(mesh, bc)
-            assert got == ref, f"adaptive digest depends on toggles {state}"
-        # and a plain rerun replays bit for bit
+        ref, _ = _advance_digest(mesh, bc)
         again, _ = _advance_digest(mesh, bc)
         assert again == ref
 
     def test_deterministic_deflated(self, tube):
         mesh, bc = tube
-        with configured(**{t: False for t in FLUID_TOGGLES}):
-            ref, _ = _advance_digest(mesh, bc, "deflated")
+        ref, _ = _advance_digest(mesh, bc, "deflated")
         got, _ = _advance_digest(mesh, bc, "deflated")
         assert got == ref
 
@@ -358,9 +345,6 @@ class TestDriverAdaptive:
         ref, result = _run_digest(self.SPEC)
         again, _ = _run_digest(self.SPEC)
         assert again == ref
-        with configured(engine_batch=False):
-            unbatched, _ = _run_digest(self.SPEC)
-        assert unbatched == ref
         diag = result.adaptive_diag
         assert diag["mode"] == "local"
         assert diag["n_sim_steps"] < self.SPEC.n_steps
@@ -384,25 +368,26 @@ class TestCampaignAxis:
         assert all(job.spec.inlet_waveform == "sine" for job in jobs)
 
 
-# -- batched runtime: repeats ordering --------------------------------------
+# -- planned runtime: repeats ordering --------------------------------------
 
 CORE = CoreModel(name="unit", freq_ghz=1.0, base_ipc=1.0, out_of_order=True,
                  atomic_stall_cycles=0.0, mem_stall_cycles=0.0)
 SEC = 1e9
 
 
-def _tied_completion_order():
+def _tied_completion_order(recorder=None):
     """Two teams finishing at the same simulated time, with different
     repeat structure: A runs a 4-task graph twice, B runs an 8-task graph
     once (same total work, both on 2 threads ⇒ both end at t=4).
 
-    The completion order of this tie is the scalar runtime's dispatch
-    genealogy; the batched runtime must reproduce it even though A's
-    final completion comes from a repeated plan.
+    The completion order of this tie is the per-task runtime's dispatch
+    genealogy; planned execution must reproduce it even though A's final
+    completion comes from a repeated plan.  A ``recorder`` forces the
+    per-task path.
     """
     eng = Engine()
-    team_a = Team(eng, CORE, 2, name="A")
-    team_b = Team(eng, CORE, 2, name="B")
+    team_a = Team(eng, CORE, 2, name="A", recorder=recorder)
+    team_b = Team(eng, CORE, 2, name="B", recorder=recorder)
     order = []
 
     def graph(n):
@@ -428,24 +413,22 @@ def _tied_completion_order():
 
 class TestBatchedRepeatsOrdering:
     def test_tie_order_matches_scalar_runtime(self):
-        with configured(engine_batch=False):
-            scalar = _tied_completion_order()
-        with configured(engine_batch=True):
-            batched = _tied_completion_order()
-        assert batched == scalar
+        per_task = _tied_completion_order(NullRecorder())
+        planned = _tied_completion_order()
+        assert planned == per_task
 
     @pytest.mark.parametrize("repeats", [2, 3, 4])
     def test_repeated_plan_stats_match_scalar(self, repeats):
-        """The k-repeat plan's aggregate stats replicate the scalar
+        """The k-repeat plan's aggregate stats replicate the per-task
         left-fold ``+=`` accumulation bit for bit (not ``k * x``, which
         rounds differently for k >= 3)."""
         g = TaskGraph()
         for instr in (SEC / 3, SEC / 7, SEC / 11):
             g.add_task(WorkSpec(instr))
 
-        def run_once():
+        def run_once(recorder=None):
             eng = Engine()
-            team = Team(eng, CORE, 2)
+            team = Team(eng, CORE, 2, recorder=recorder)
             out = {}
 
             def prog():
@@ -456,8 +439,4 @@ class TestBatchedRepeatsOrdering:
             return (eng.now, s.tasks_run, s.busy_seconds,
                     s.instructions, s.overhead_seconds, s.t_end)
 
-        with configured(engine_batch=False):
-            scalar = run_once()
-        with configured(engine_batch=True):
-            batched = run_once()
-        assert batched == scalar
+        assert run_once() == run_once(NullRecorder())

@@ -18,7 +18,6 @@ from repro.fem import (
 )
 from repro.fem import geometry as geom_mod
 from repro.mesh import AirwayConfig, MeshResolution, build_airway_mesh
-from repro.perf import toggles as toggles_mod
 
 
 def small_airway():
@@ -44,16 +43,17 @@ class TestGeometryCache:
         assert b2 is b1  # same cached list, not a recompute
 
     def test_blocks_match_inline_geometry(self, mesh):
-        """Cached arrays are bit-identical to the kernels' inline compute."""
-        from repro.fem.assembly import _geometry
+        """Cached blocks hold the per-type Jacobian geometry of the
+        element set, in the kernels' selection order."""
+        from repro.fem.geometry import _jacobian_geometry
         from repro.fem.shape import reference_element
         from repro.mesh import NODES_PER_TYPE
 
         for blk in geometry_blocks(mesh):
             nn = NODES_PER_TYPE[blk.etype]
             conn = mesh.elem_nodes[blk.eids][:, :nn]
-            grads, dvol = _geometry(mesh.coords, conn,
-                                    reference_element(blk.etype))
+            grads, dvol = _jacobian_geometry(mesh.coords, conn,
+                                             reference_element(blk.etype))
             assert np.array_equal(blk.conn, conn)
             assert np.array_equal(blk.grads, grads)
             assert np.array_equal(blk.dvol, dvol)
@@ -69,14 +69,15 @@ class TestGeometryCache:
         assert geom_mod.COUNTERS.get("invalidations") == inv0 + 1
         assert cache_for(mesh) is not cache0
         # the rebuilt geometry reflects the mutated coordinates
-        from repro.fem.assembly import _geometry
+        from repro.fem.geometry import _jacobian_geometry
         from repro.fem.shape import reference_element
         from repro.mesh import NODES_PER_TYPE
 
         blk = blocks[0]
         nn = NODES_PER_TYPE[blk.etype]
-        _, dvol = _geometry(mesh.coords, mesh.elem_nodes[blk.eids][:, :nn],
-                            reference_element(blk.etype))
+        _, dvol = _jacobian_geometry(
+            mesh.coords, mesh.elem_nodes[blk.eids][:, :nn],
+            reference_element(blk.etype))
         assert np.array_equal(blk.dvol, dvol)
 
     def test_inplace_connectivity_mutation_invalidates(self, mesh):
@@ -136,24 +137,18 @@ class TestOperatorSplit:
         return dict(kappa=1.9e-5, mass_coeff=230.0,
                     velocity=rng.normal(size=(mesh.nnodes, 3)), source=0.4)
 
-    def test_split_matches_monolithic(self, mesh):
+    def test_repeated_assemblies_bit_identical(self, mesh):
+        """The first call builds the constant part, the second reuses it;
+        both produce the same operator bit for bit."""
         kw = self._operands(mesh)
-        with toggles_mod.configured(operator_split=False):
-            mono = assemble_operator(mesh, **kw)
-        split1 = assemble_operator(mesh, **kw)  # builds the constant part
-        split2 = assemble_operator(mesh, **kw)  # reuses it
-        for res in (split1, split2):
-            assert np.array_equal(res.matrix.indices, mono.matrix.indices)
-            assert np.array_equal(res.matrix.indptr, mono.matrix.indptr)
-            # values agree to summation-order tolerance (the split sums the
-            # constant and convective element matrices in a different order)
-            assert np.allclose(res.matrix.data, mono.matrix.data,
-                               rtol=1e-12, atol=1e-14)
-            assert np.array_equal(res.rhs, mono.rhs)
-            assert np.array_equal(res.scatter_counts, mono.scatter_counts)
-            assert np.array_equal(res.element_nodes, mono.element_nodes)
-        # repeated split assemblies are bit-identical to each other
-        assert np.array_equal(split1.matrix.data, split2.matrix.data)
+        drop_cache(mesh)
+        first = assemble_operator(mesh, **kw)
+        second = assemble_operator(mesh, **kw)
+        for attr in ("indices", "indptr", "data"):
+            assert np.array_equal(getattr(first.matrix, attr),
+                                  getattr(second.matrix, attr))
+        assert np.array_equal(first.rhs, second.rhs)
+        assert np.array_equal(first.scatter_counts, second.scatter_counts)
 
     def test_constant_operator_is_cached_copy(self, mesh):
         """velocity=None: the whole operator is constant across repeats."""
@@ -168,16 +163,15 @@ class TestOperatorSplit:
         """Mutating a result must not corrupt the cached constant blocks."""
         kw = self._operands(mesh)
         first = assemble_operator(mesh, **kw)
+        rhs, data = first.rhs.copy(), first.matrix.data.copy()
+        counts = first.scatter_counts.copy()
         first.rhs += 99.0
         first.matrix.data[:] = -1.0
         first.scatter_counts[:] = 0
         second = assemble_operator(mesh, **kw)
-        with toggles_mod.configured(operator_split=False):
-            mono = assemble_operator(mesh, **kw)
-        assert np.array_equal(second.rhs, mono.rhs)
-        assert np.allclose(second.matrix.data, mono.matrix.data,
-                           rtol=1e-12, atol=1e-14)
-        assert np.array_equal(second.scatter_counts, mono.scatter_counts)
+        assert np.array_equal(second.rhs, rhs)
+        assert np.array_equal(second.matrix.data, data)
+        assert np.array_equal(second.scatter_counts, counts)
 
     def test_stale_connectivity_still_detected(self, mesh):
         from repro.mesh import ElementType
@@ -194,6 +188,8 @@ class TestOperatorSplit:
 
 class TestSGSGeometry:
     def test_cached_geometry_is_bit_identical(self, mesh):
+        """A sweep on a cold cache (geometry built) and one on the warm
+        cache (geometry served) agree bit for bit."""
         rng = np.random.default_rng(5)
         vel = rng.normal(size=(mesh.nnodes, 3))
 
@@ -203,25 +199,26 @@ class TestSGSGeometry:
                 update_sgs(mesh, state, vel, viscosity=1.9e-5, dt=1e-4)
             return state.values
 
-        with toggles_mod.baseline():
-            ref = sweep()
-        fast = sweep()
-        assert np.array_equal(ref, fast)
+        drop_cache(mesh)
+        cold = sweep()
+        assert np.array_equal(cold, sweep())
 
     def test_restricted_element_set(self, mesh):
         rng = np.random.default_rng(6)
         vel = rng.normal(size=(mesh.nnodes, 3))
         ids = np.arange(mesh.nelem // 3)
 
-        def sweep():
+        def sweep(element_ids=None):
             state = SGSState.zeros(mesh.nelem)
             update_sgs(mesh, state, vel, viscosity=1.9e-5, dt=1e-4,
-                       element_ids=ids)
+                       element_ids=element_ids)
             return state.values
 
-        with toggles_mod.baseline():
-            ref = sweep()
-        assert np.array_equal(ref, sweep())
+        # element-local kernel: a restricted sweep updates exactly the
+        # selected elements, to the values a full sweep gives them
+        part, full = sweep(ids), sweep()
+        assert np.allclose(part[ids], full[ids], rtol=1e-12, atol=0.0)
+        assert not part[mesh.nelem // 3:].any()
 
 
 # -- shared centroid KD-tree -----------------------------------------------
@@ -235,10 +232,10 @@ class TestSharedCentroidTree:
         f1 = MeshVelocityField(mesh, vel)
         f2 = MeshVelocityField(mesh, vel)
         assert f1._tree is f2._tree
-        with toggles_mod.baseline():
-            f3 = MeshVelocityField(mesh, vel)
+        drop_cache(mesh)
+        f3 = MeshVelocityField(mesh, vel)
         assert f3._tree is not f1._tree
-        # shared and private trees answer identically
+        # a shared and a rebuilt tree answer identically
         pts = mesh.coords[:10] + 1e-4
         assert np.array_equal(f1.host_elements(pts), f3.host_elements(pts))
 

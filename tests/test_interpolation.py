@@ -107,18 +107,6 @@ class TestMeshVelocityField:
 
 
 class TestFusedInterpolation:
-    def test_fused_matches_baseline_bitwise(self, tube):
-        from repro.perf import toggles as toggles_mod
-
-        rng = np.random.default_rng(3)
-        nodal = rng.normal(size=(tube.nnodes, 3))
-        pts = tube.coords[rng.integers(0, tube.nnodes, 200)] \
-            + 1e-5 * rng.standard_normal((200, 3))
-        with toggles_mod.configured(particle_fused_step=False):
-            ref = MeshVelocityField(tube, nodal).velocity(pts)
-        got = MeshVelocityField(tube, nodal).velocity(pts)
-        assert ref.tobytes() == got.tobytes()
-
     def test_host_elements_dtype_intp(self, tube):
         field = MeshVelocityField(tube, np.zeros((tube.nnodes, 3)))
         assert field.host_elements(tube.coords[:5]).dtype == np.intp

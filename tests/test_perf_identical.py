@@ -1,34 +1,22 @@
-"""The PR 2 contract: fast paths change wall-clock only.
+"""Determinism guards of the simulated results.
 
-Two guards:
-
-* **determinism** — two optimized runs of the same configuration produce
-  identical simulated-time metrics and identical checkpoint bytes;
-* **bit-identical before/after** — a run with every fast path disabled
-  (:func:`repro.perf.toggles.baseline`) matches an optimized run exactly:
-  phase samples, total time, deposition, solver info, and the on-disk
-  checkpoint file (byte-for-byte), across sync/coupled x DLB on/off.
+* **determinism** — two runs of the same configuration produce identical
+  simulated-time metrics and identical checkpoint bytes (compared inside
+  one build; the absolute digests are pinned in
+  ``tests/golden_digests.json``);
+* **arena recycling** — the event arena serves steady-state allocations
+  from its free list and leaks nothing between runs.
 """
 
 import hashlib
 
-import pytest
-
 from repro.app.driver import RunConfig, run_cfpd
 from repro.app.workload import WorkloadSpec, get_workload
-from repro.perf import toggles as toggles_mod
 
 #: small but non-trivial workload: enough steps for two checkpoint cuts
 SPEC = WorkloadSpec(generations=3, points_per_ring=6, n_steps=4)
 
-CONFIGS = {
-    "sync": dict(cluster="thunder", num_nodes=1, nranks=8),
-    "sync_dlb": dict(cluster="thunder", num_nodes=1, nranks=8, dlb=True),
-    "coupled": dict(cluster="thunder", num_nodes=1, nranks=8,
-                    mode="coupled", fluid_ranks=6),
-    "coupled_dlb": dict(cluster="thunder", num_nodes=1, nranks=8,
-                        mode="coupled", fluid_ranks=6, dlb=True),
-}
+SYNC = dict(cluster="thunder", num_nodes=1, nranks=8)
 
 
 def _digest(result) -> str:
@@ -53,173 +41,11 @@ def _run(config_kwargs, ckpt_path):
 
 class TestDeterminism:
     def test_two_optimized_runs_identical(self, tmp_path):
-        d1, c1 = _run(CONFIGS["sync"], tmp_path / "a.ckpt")
-        d2, c2 = _run(CONFIGS["sync"], tmp_path / "b.ckpt")
+        """Same configuration twice: same digest, same checkpoint bytes."""
+        d1, c1 = _run(SYNC, tmp_path / "a.ckpt")
+        d2, c2 = _run(SYNC, tmp_path / "b.ckpt")
         assert d1 == d2
         assert c1 == c2
-
-
-class TestBitIdenticalBeforeAfter:
-    @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_fast_paths_change_wall_clock_only(self, name, tmp_path):
-        kwargs = CONFIGS[name]
-        with toggles_mod.baseline():
-            d_before, c_before = _run(kwargs, tmp_path / "before.ckpt")
-        d_after, c_after = _run(kwargs, tmp_path / "after.ckpt")
-        assert d_before == d_after, (
-            f"{name}: simulated-time metrics changed by the fast paths")
-        assert c_before == c_after, (
-            f"{name}: checkpoint bytes changed by the fast paths")
-
-
-@pytest.fixture(scope="module")
-def default_digests(tmp_path_factory):
-    """Digest + checkpoint bytes of a defaults run, once per config."""
-    base = tmp_path_factory.mktemp("defaults")
-    return {name: _run(kwargs, base / f"{name}.ckpt")
-            for name, kwargs in CONFIGS.items()}
-
-
-class TestPerToggleBisection:
-    """Each PR 3 / PR 4 / PR 7 / PR 8 toggle can be flipped off alone
-    without changing any simulated result — the property the bisection
-    workflow relies on."""
-
-    @pytest.mark.parametrize("toggle", ["geometry_cache", "operator_split",
-                                        "scheduler_heap",
-                                        "driver_graph_cache",
-                                        "particle_warm_start",
-                                        "particle_compaction",
-                                        "particle_fused_step",
-                                        "engine_batch",
-                                        "fluid_operator_recycle",
-                                        "deflation_setup_cache",
-                                        "krylov_buffers"])
-    @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_single_toggle_off_is_identical(self, toggle, name, tmp_path,
-                                            default_digests):
-        with toggles_mod.configured(**{toggle: False}):
-            d_off, c_off = _run(CONFIGS[name], tmp_path / "off.ckpt")
-        d_ref, c_ref = default_digests[name]
-        assert d_off == d_ref, (
-            f"{name}: simulated-time metrics depend on toggle {toggle}")
-        assert c_off == c_ref, (
-            f"{name}: checkpoint bytes depend on toggle {toggle}")
-
-
-class TestEngineBatchMatrix:
-    """The batched event core composes with every engine-adjacent toggle.
-
-    ``engine_batch`` interlocks with the event loop, the task runtime and
-    the message layer, so turning it off *together with* one of those fast
-    paths must still land on the default digest — across sync/coupled x
-    DLB on/off.  This is the matrix the (when, seq) contract promises:
-    every toggle combination produces bit-identical simulated results.
-    """
-
-    ENGINE_ADJACENT = ["engine_fast_path", "runtime_fast_path",
-                       "comm_fast_path", "scheduler_heap",
-                       "driver_graph_cache"]
-
-    @pytest.mark.parametrize("toggle", ENGINE_ADJACENT)
-    @pytest.mark.parametrize("name", sorted(CONFIGS))
-    def test_batch_off_with_toggle_off_is_identical(self, toggle, name,
-                                                    tmp_path,
-                                                    default_digests):
-        with toggles_mod.configured(engine_batch=False, **{toggle: False}):
-            d_off, c_off = _run(CONFIGS[name], tmp_path / "off.ckpt")
-        d_ref, c_ref = default_digests[name]
-        assert d_off == d_ref, (
-            f"{name}: digest depends on engine_batch x {toggle}")
-        assert c_off == c_ref, (
-            f"{name}: checkpoint bytes depend on engine_batch x {toggle}")
-
-
-class TestManyRankTieOrder:
-    """Batch-vs-scalar identity at production scale (96 ranks, 2 nodes).
-
-    Small single-node configs never produce same-instant completions on
-    *different* nodes, so they cannot catch a wrong tie-break among plan
-    completion events — the many-rank default configuration does (lockstep
-    ranks finish identical graphs at identical times every phase).
-    """
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(),                                   # sync, marenostrum4, 96
-        dict(mode="coupled", fluid_ranks=64),
-    ], ids=["sync", "coupled"])
-    def test_default_config_digest_identical(self, kwargs):
-        cfg = RunConfig(**kwargs)
-        with toggles_mod.baseline():
-            before = run_cfpd(cfg)
-        after = run_cfpd(cfg)
-        assert _digest(before) == _digest(after)
-
-
-class TestFaultPlanReplay:
-    """Fault injection replays identically under the batched core.
-
-    A plan with a straggler window, a rank death and a message-loss budget
-    must fire at the same simulated times and leave the same simulated
-    metrics whether the engine runs scalar or batched — fault timers and
-    the keyed-mailbox failure path ride the same (when, seq) order.
-    """
-
-    def _fault_run(self, config_kwargs):
-        from repro.fault import FaultPlan, FaultSpec
-        cfg = RunConfig(**config_kwargs)
-        plan = FaultPlan(specs=(
-            FaultSpec(kind="straggler", time=1e-5, rank=0, factor=6.0,
-                      duration=2e-4),
-            FaultSpec(kind="rank_death", time=3e-4, rank=5),
-            FaultSpec(kind="msg_delay", time=0.0, rank=2, delay=1e-5,
-                      duration=5e-4),
-        ))
-        result = run_cfpd(cfg, spec=SPEC, fault_plan=plan)
-        events = [(e.time, e.kind, e.rank) for e in result.faults.events]
-        return events, _digest(result)
-
-    @pytest.mark.parametrize("name", ["sync", "coupled"])
-    def test_fault_events_and_digest_identical(self, name):
-        with toggles_mod.baseline():
-            ev_before, d_before = self._fault_run(CONFIGS[name])
-        ev_after, d_after = self._fault_run(CONFIGS[name])
-        assert ev_before == ev_after, (
-            f"{name}: fault firing schedule changed under engine_batch")
-        assert d_before == d_after, (
-            f"{name}: simulated metrics after faults changed")
-
-    def test_message_loss_deadlock_diagnostic_identical(self):
-        """A dropped message deadlocks at the same simulated time with the
-        same dropped count, scalar or batched (the keyed mailbox's blocked
-        getter surfaces in the diagnostic exactly like the Store's)."""
-        from repro.fault import FaultInjector, FaultPlan, FaultSpec
-        from repro.machine import marenostrum4
-        from repro.sim import Engine
-        from repro.smpi import DeadlockError, World
-
-        def outcome():
-            eng = Engine()
-            world = World(eng, marenostrum4(), 2)
-            injector = FaultInjector(world, FaultPlan(specs=(
-                FaultSpec(kind="msg_drop", time=0.0, rank=0, count=1),)))
-            injector.start()
-
-            def program(comm):
-                if comm.rank == 0:
-                    yield from comm.compute(1e-6)
-                    yield from comm.send("lost", dest=1)
-                else:
-                    yield from comm.recv(source=0)
-
-            procs = world.launch(program)
-            with pytest.raises(DeadlockError):
-                world.run(procs)
-            return injector.messages_dropped, eng.now
-
-        with toggles_mod.baseline():
-            before = outcome()
-        assert before == outcome()
 
 
 class TestArenaRecycling:
@@ -231,7 +57,7 @@ class TestArenaRecycling:
     """
 
     def test_arena_steady_state(self):
-        result = run_cfpd(RunConfig(**CONFIGS["sync"]), spec=SPEC)
+        result = run_cfpd(RunConfig(**SYNC), spec=SPEC)
         arena = result.engine_diag["batch"]["arena"]
         assert arena["live"] == 0, "slots leaked past the end of the run"
         assert arena["recycled"] > 0
@@ -241,7 +67,7 @@ class TestArenaRecycling:
 
     def test_no_object_growth_between_runs(self):
         import gc
-        cfg = RunConfig(**CONFIGS["sync"])
+        cfg = RunConfig(**SYNC)
         run_cfpd(cfg, spec=SPEC)     # warm caches (graphs, geometry, ...)
         gc.collect()
         n0 = len(gc.get_objects())

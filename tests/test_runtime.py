@@ -37,6 +37,15 @@ def run_graph(graph, nthreads, capacity_script=None, **team_kwargs):
     return eng, team, result["stats"]
 
 
+class NullRecorder:
+    """A recorder that keeps nothing: attaching it makes a team run its
+    graphs task by task (plan mode engages only when no one observes
+    per-task execution)."""
+
+    def record(self, rank, category, label, t0, t1):
+        pass
+
+
 def simple_graph(n_tasks, instr=SEC):
     g = TaskGraph()
     for _ in range(n_tasks):
@@ -224,19 +233,19 @@ class TestMalleability:
 
 
 class TestPlanEquivalence:
-    """Whole-graph plans (``engine_batch``) vs the scalar task-by-task path.
+    """Whole-graph plans vs the task-by-task path (the one DLB and traced
+    runs take).
 
     Mid-run ``set_slowdown``/``set_capacity`` force a replan; the replayed
-    prefix and the re-simulated suffix must land on exactly the scalar
+    prefix and the re-simulated suffix must land on exactly the per-task
     stats — not approximately: the same float expressions in the same
     order.
     """
 
     @staticmethod
-    def _perturbed_run(graph_factory, script):
-        from repro.sim import Engine as Eng
-        eng = Eng()
-        team = Team(eng, CORE, 2)
+    def _perturbed_run(graph_factory, script, recorder=None):
+        eng = Engine()
+        team = Team(eng, CORE, 2, recorder=recorder)
         out = {}
 
         def prog():
@@ -266,13 +275,9 @@ class TestPlanEquivalence:
          (1.3, lambda t: t.set_slowdown(1.0))],
     ], ids=["slowdown", "capacity", "mixed"])
     def test_midrun_perturbation_exact(self, script):
-        from repro.perf.toggles import configured
-
         def graphs():
             return simple_graph(7, instr=0.35 * SEC)
 
-        with configured(engine_batch=False):
-            scalar = self._perturbed_run(graphs, script)
-        with configured(engine_batch=True):
-            batch = self._perturbed_run(graphs, script)
-        assert scalar == batch      # bit-exact, no approx
+        per_task = self._perturbed_run(graphs, script, NullRecorder())
+        planned = self._perturbed_run(graphs, script)
+        assert planned == per_task      # bit-exact, no approx

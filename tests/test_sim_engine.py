@@ -389,12 +389,8 @@ class TestStore:
 
 
 class TestBatchEngine:
-    """The cohort-batched core (``engine_batch``) against the scalar engine.
-
-    Every test drives the same program through a scalar and a batched
-    engine and compares the observable trajectory — the (when, seq) FIFO
-    contract says they must match exactly.
-    """
+    """The cohort-batched core: (when, seq) FIFO dispatch order, arena slot
+    recycling, cancellation and the cohort counters."""
 
     @staticmethod
     def _trace_program(record):
@@ -422,19 +418,18 @@ class TestBatchEngine:
         return run_on
 
     def test_dispatch_order_matches_scalar(self):
-        from repro.perf.toggles import configured
-        scalar_rec, batch_rec = [], []
-        with configured(engine_batch=False):
-            self._trace_program(scalar_rec)(Engine())
-        with configured(engine_batch=True):
-            self._trace_program(batch_rec)(Engine())
-        assert scalar_rec == batch_rec
+        """The total (when, seq) order a single global event heap gives:
+        by time, then FIFO by scheduling order."""
+        rec = []
+        self._trace_program(rec)(Engine())
+        assert rec == [(0.0, "defer-a"), (0.0, "defer-b"),
+                       (0.5, "timer-half"), (0.5, "proc-half"),
+                       (0.5, "proc-defer"), (1.0, "timer-one-first"),
+                       (1.0, "timer-one-second"), (1.0, "proc-one")]
 
     def test_run_until_and_resume(self):
-        from repro.perf.toggles import configured
         fired = []
-        with configured(engine_batch=True):
-            eng = Engine()
+        eng = Engine()
         eng.call_later(1.0, fired.append, "one")
         eng.call_later(2.0, fired.append, "two")
         eng.run(until=1.5)
@@ -443,13 +438,11 @@ class TestBatchEngine:
         assert fired == ["one", "two"] and eng.now == 2.0
 
     def test_step_parity_with_run(self):
-        from repro.perf.toggles import configured
         def schedule(eng, out):
             eng.call_later(1.0, out.append, "a")
             eng.call_later(1.0, out.append, "b")
             eng.call_later(2.0, out.append, "c")
-        with configured(engine_batch=True):
-            e1, e2 = Engine(), Engine()
+        e1, e2 = Engine(), Engine()
         r1, r2 = [], []
         schedule(e1, r1)
         schedule(e2, r2)
@@ -460,10 +453,8 @@ class TestBatchEngine:
         assert e2.events_processed == e1.events_processed
 
     def test_cancel_scheduled_never_fires(self):
-        from repro.perf.toggles import configured
         fired = []
-        with configured(engine_batch=True):
-            eng = Engine()
+        eng = Engine()
         h = eng.call_later(1.0, fired.append, "cancelled")
         eng.call_later(2.0, fired.append, "kept")
         eng.cancel_scheduled(h)
@@ -473,9 +464,7 @@ class TestBatchEngine:
         assert eng.arena.live == 0      # cancelled slot was recycled
 
     def test_cancelled_tail_does_not_advance_clock(self):
-        from repro.perf.toggles import configured
-        with configured(engine_batch=True):
-            eng = Engine()
+        eng = Engine()
         eng.call_later(1.0, lambda: None)
         h = eng.call_later(5.0, lambda: None)
         eng.cancel_scheduled(h)
@@ -483,9 +472,7 @@ class TestBatchEngine:
         assert eng.now == 1.0   # the cancelled bucket at t=5 is not a jump
 
     def test_arena_free_list_recycles(self):
-        from repro.perf.toggles import configured
-        with configured(engine_batch=True):
-            eng = Engine()
+        eng = Engine()
 
         def chain(n):
             if n:
@@ -499,9 +486,7 @@ class TestBatchEngine:
 
     def test_cohort_counters(self):
         from repro.perf.instrument import engine_counters
-        from repro.perf.toggles import configured
-        with configured(engine_batch=True):
-            eng = Engine()
+        eng = Engine()
         for _ in range(4):
             eng.call_later(1.0, lambda: None)
         eng.call_later(2.0, lambda: None)

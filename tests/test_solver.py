@@ -139,62 +139,35 @@ class TestJacobi:
 
 
 class TestBufferedCores:
-    """The ``krylov_buffers`` cores replay the allocating cores' FP
-    operations in the same order on preallocated workspaces — every solve
-    must be bit-identical to the allocating path."""
-
-    @pytest.mark.parametrize("solve", [cg, bicgstab])
-    @pytest.mark.parametrize("precondition", [False, True])
-    @pytest.mark.parametrize("guess", [False, True])
-    def test_bitwise_identical_to_allocating_cores(self, solve,
-                                                   precondition, guess):
-        from repro.perf.toggles import configured
-
-        A, b = spd_system(n=120, seed=5)
-        M = jacobi_preconditioner(A) if precondition else None
-        x0 = np.linspace(-1.0, 1.0, len(b)) if guess else None
-        with configured(krylov_buffers=False):
-            ref = solve(A, b, x0=x0, tol=1e-10, maxiter=400, M=M)
-        with configured(krylov_buffers=True):
-            fast = solve(A, b, x0=x0, tol=1e-10, maxiter=400, M=M)
-        assert fast.x.tobytes() == ref.x.tobytes()
-        assert fast.iterations == ref.iterations
-        assert fast.matvecs == ref.matvecs
-        assert fast.residuals == ref.residuals
+    """The allocation-free cores run on cached per-size workspaces; their
+    results against the recorded allocating-core solves are pinned in
+    ``tests/golden_digests.json``."""
 
     @pytest.mark.parametrize("solve", [cg, bicgstab])
     def test_zero_rhs(self, solve):
-        from repro.perf.toggles import configured
-
         A, _ = spd_system(n=40, seed=1)
-        with configured(krylov_buffers=True):
-            res = solve(A, np.zeros(40))
+        res = solve(A, np.zeros(40))
         assert res.converged and res.iterations == 0
         assert np.all(res.x == 0.0)
 
     def test_result_does_not_alias_workspace(self):
         """The returned solution must survive the workspace being reused
         by a later solve."""
-        from repro.perf.toggles import configured
-
         A, b = spd_system(n=60, seed=2)
-        with configured(krylov_buffers=True):
-            first = cg(A, b, tol=1e-10, maxiter=400)
-            snapshot = first.x.copy()
-            cg(A, 2.0 * b, tol=1e-10, maxiter=400)
+        first = cg(A, b, tol=1e-10, maxiter=400)
+        snapshot = first.x.copy()
+        cg(A, 2.0 * b, tol=1e-10, maxiter=400)
         np.testing.assert_array_equal(first.x, snapshot)
 
     def test_workspace_cache_hits(self):
-        from repro.perf.toggles import configured
         from repro.solver import krylov_workspace_stats
 
         A, b = spd_system(n=50, seed=3)
-        with configured(krylov_buffers=True):
-            before = krylov_workspace_stats()
-            cg(A, b, tol=1e-10, maxiter=400)
-            mid = krylov_workspace_stats()
-            cg(A, b, tol=1e-10, maxiter=400)
-            after = krylov_workspace_stats()
+        before = krylov_workspace_stats()
+        cg(A, b, tol=1e-10, maxiter=400)
+        mid = krylov_workspace_stats()
+        cg(A, b, tol=1e-10, maxiter=400)
+        after = krylov_workspace_stats()
         assert mid["misses"] > before["misses"]
         assert after["hits"] > mid["hits"]
         assert after["resident"] <= 8
