@@ -640,7 +640,7 @@ _PARTICLE_SNAPSHOTS: Optional[list] = None
 def _particle_preroll() -> tuple:
     """(x, v, a, status) after 60 coarse steps (dt = 1e-3) of a 20x
     population: a realistic fraction has deposited, the rest has spread
-    down the tree — the regime the particle fast paths target."""
+    down the tree — the regime the particle hot paths target."""
     global _PARTICLE_PREROLL
     if _PARTICLE_PREROLL is None:
         from ..particles import (FluidProperties, NewmarkTracker,
@@ -681,7 +681,7 @@ def _particle_snapshots() -> list:
         snaps = []
         # the simulation dt from the pre-rolled population: frozen
         # particles dominate and the movers drift a fraction of an
-        # element per step — the regime the locator fast paths target
+        # element per step — the regime the warm-start locator targets
         for _ in range(60):
             tracker.step(state, 1e-4)
             snaps.append((state.x.copy(), state.status.copy()))

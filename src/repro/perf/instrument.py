@@ -7,9 +7,9 @@ attaching them cannot perturb simulated-time results.
 * :func:`engine_counters` — snapshot of a DES engine's progress counters
   (events processed, simulated now, alive processes, cohort and plan
   statistics);
-* :func:`fluid_counters` — snapshot of the numeric fluid fast-path tallies
-  (momentum operators recycled vs rebuilt, deflated pressure solves,
-  deflation setups built/reused, Krylov workspace cache traffic).
+* :func:`fluid_counters` — snapshot of the numeric fluid solver's tallies
+  (momentum operators recycled, deflated pressure solves, deflation
+  setups built/reused, Krylov workspace cache traffic).
 """
 
 from __future__ import annotations
@@ -86,10 +86,10 @@ def engine_counters(engine) -> Dict[str, float]:
 
 
 def fluid_counters() -> Dict[str, float]:
-    """Snapshot of the numeric fluid fast-path tallies.
+    """Snapshot of the numeric fluid solver's tallies.
 
     Combines the :data:`repro.fem.fractional_step.FLUID_COUNTERS` running
-    totals (momentum operators recycled vs rebuilt from scratch, deflated
+    totals (momentum operators recycled, deflated
     continuity solves, deflation setups built/reused, Δt-rung operator-
     cache hits/misses/rebuilds, adaptive steps and local-mode subcycles)
     with the buffered Krylov cores' workspace-cache counters
