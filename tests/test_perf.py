@@ -344,6 +344,75 @@ class TestParticleFastPath:
         assert np.array_equal(eids, tree.query(points)[1])
         assert stats.self_ball > 0
 
+    #: tracker caches of each hot spot, dropped before every step to force
+    #: the from-scratch path (the locator's reference is its full query)
+    COLD = {
+        "particle_warm_start": (),
+        "particle_compaction": ("_order",),
+        "particle_fused_step": ("_newmark_ws", "_loc_valid"),
+    }
+
+    def _injection_run(self, cold=()):
+        """The golden ``particles/injection`` scenario: a Δt switch and a
+        mid-run injection with a frozen/active mix.  Returns the state and,
+        per step, the warm-started and the full-query element ids."""
+        airway, state, tracker = self._track()
+        locator = ElementLocator(airway)
+        elems, full = [], []
+        for i in range(20):
+            for attr in cold:
+                setattr(tracker, attr, None)
+            tracker.step(state, 1e-3 if i < 10 else 1e-4)
+            if i == 10:
+                state.extend(inject_at_inlet(airway, 80, seed=13))
+            elems.append(locator.elements_of_state(state).copy())
+            full.append(locator.elements_of(state.x))
+        return state, elems, full
+
+    @pytest.mark.parametrize("toggle", ["particle_warm_start",
+                                        "particle_compaction",
+                                        "particle_fused_step"])
+    def test_single_toggle_off_tracker_bit_identical(self, toggle):
+        """Each tracker hot spot against its reference, bit for bit: the
+        warm-started locator against the full KD-tree query, the compacted
+        active set and the buffered, locate-reusing step against a step
+        with that cache dropped.  The run itself matches its golden pin."""
+        from tests.test_golden_digests import (_particle_summary,
+                                               assert_matches, jsonable,
+                                               load_golden)
+
+        warm, elems, full = self._injection_run()
+        assert_matches(jsonable(_particle_summary(warm, elems)),
+                       load_golden()["particles/injection"],
+                       path="particles/injection")
+        cold, cold_elems, _ = self._injection_run(self.COLD[toggle])
+        reference = full if toggle == "particle_warm_start" else cold_elems
+        for a, b in zip(elems, reference):
+            assert np.array_equal(a, b)
+        assert warm.x.tobytes() == cold.x.tobytes()
+        assert warm.v.tobytes() == cold.v.tobytes()
+        assert warm.a.tobytes() == cold.a.tobytes()
+        assert np.array_equal(warm.status, cold.status)
+
+    def test_all_new_toggles_off_matches_defaults(self):
+        """A tracker rebuilt before every step (no compaction order, no
+        locate reuse, no step buffers) matches a long-lived one."""
+        def run(fresh):
+            airway, state, tracker = self._track()
+            for _ in range(15):
+                if fresh:
+                    tracker = NewmarkTracker(tracker.flow,
+                                             particles=tracker.particles,
+                                             fluid=tracker.fluid)
+                tracker.step(state, 1e-3)
+            return state
+
+        s_ref = run(False)
+        s_cold = run(True)
+        assert s_ref.x.tobytes() == s_cold.x.tobytes()
+        assert s_ref.v.tobytes() == s_cold.v.tobytes()
+        assert np.array_equal(s_ref.status, s_cold.status)
+
     def test_repeated_injection_keeps_locator_exact(self):
         """Cache growth across several injections with a frozen/active
         mix: the warm-start host cache must stay consistent."""
