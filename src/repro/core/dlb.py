@@ -78,25 +78,43 @@ class DLB:
         self._borrowed: Dict[int, int] = {}      # rank -> extra cores held
         self._in_mpi: Dict[int, bool] = {}
         self._dead: set[int] = set()
-        # node -> attached ranks in attach order (the iteration order the
-        # lend/feed scans used when filtering ``self.teams`` by node), and
-        # rank -> node, so the per-event scans skip the world lookups.
+        # node -> attached ranks in attach order (the iteration order of
+        # the reclaim and feed scans), rank -> node, so the per-event scans
+        # skip the world lookups, and rank -> its index in that order.
         self._node_teams: Dict[int, list] = {}
         self._team_node: Dict[int, int] = {}
+        self._team_pos: Dict[int, int] = {}
+        # node -> attach indices of the feed candidates: ranks that may want
+        # cores.  A team only starts wanting cores through a dispatch, which
+        # notifies on_team_hungry, or through a DLB shrink when a reclaim
+        # pulls cores back from it; both add the rank here, and _feed drops
+        # the ranks it finds sated.  So _feed visits the hungry teams
+        # without asking every team of the node.
+        self._candidates: Dict[int, set] = {}
         self.stats = DLBStats()
         if enabled:
             world.hooks.register(self)
 
     # -- setup ----------------------------------------------------------------
     def attach_team(self, rank: int, team: Team) -> None:
-        """Register the thread team of ``rank`` for balancing."""
+        """Register the thread team of ``rank`` for balancing.
+
+        Raises ``ValueError`` if ``rank`` already has a team: a second
+        attach would list the rank twice in its node's feed order and reset
+        its lent/borrowed books mid-run.
+        """
+        if rank in self.teams:
+            raise ValueError(f"rank {rank} already has a team attached")
         self.teams[rank] = team
         self._lent[rank] = 0
         self._borrowed[rank] = 0
         self._in_mpi[rank] = False
         node = self.world.node_of(rank)
         self._team_node[rank] = node
-        self._node_teams.setdefault(node, []).append(rank)
+        ranks = self._node_teams.setdefault(node, [])
+        self._team_pos[rank] = len(ranks)
+        ranks.append(rank)
+        self._candidates.setdefault(node, set())
         self._pool.setdefault(node, 0)
         if self.enabled:
             team.listener = self
@@ -152,6 +170,8 @@ class DLB:
                 self._borrowed[other] -= k
                 other_team = self.teams[other]
                 other_team.set_capacity(other_team.capacity - k)
+                # the shrink may leave runnable tasks without a worker
+                self._candidates[node].add(self._team_pos[other])
                 need -= k
         if need > 0:  # pragma: no cover - accounting invariant
             raise RuntimeError(
@@ -162,12 +182,18 @@ class DLB:
 
     # -- Team listener interface -------------------------------------------------
     def on_team_hungry(self, team: Team) -> None:
-        """Team listener: grant pooled cores to a capacity-bound team."""
+        """Team listener: grant pooled cores to a capacity-bound team.
+
+        The rank becomes a feed candidate either way; with nothing pooled
+        on its node (most notifications) that is all there is to do.
+        """
         rank = team.rank
-        if rank not in self.teams or self._in_mpi.get(rank) \
-                or rank in self._dead:
+        node = self._team_node.get(rank)
+        if node is None or rank in self._dead:
             return
-        node = self._team_node[rank]
+        self._candidates[node].add(self._team_pos[rank])
+        if self._pool[node] <= 0 or self._in_mpi[rank]:
+            return
         self._grant(node, rank)
 
     def on_team_idle(self, team: Team) -> None:
@@ -242,14 +268,26 @@ class DLB:
                                            team.capacity)
 
     def _feed(self, node: int) -> None:
-        """Distribute pooled cores among currently hungry teams on ``node``."""
-        hungry = [r for r in self._node_teams.get(node, ())
-                  if not self._in_mpi.get(r)
-                  and r not in self._dead
-                  and self.teams[r].wants_cores]
-        for rank in hungry:
-            if self._pool.get(node, 0) <= 0:
+        """Distribute pooled cores among currently hungry teams on ``node``.
+
+        Walks the node's feed candidates in attach order until the pool is
+        empty, granting to each team that wants cores and dropping the ones
+        that do not.  Ranks inside MPI stay candidates: they may want cores
+        again when they return.  A grant changes only the granted team, so
+        asking each team as the walk reaches it gives the grants a scan of
+        every team made up front would.
+        """
+        cands = self._candidates[node]
+        ranks = self._node_teams[node]
+        for pos in sorted(cands):
+            if self._pool[node] <= 0:
                 break
+            rank = ranks[pos]
+            if self._in_mpi[rank]:
+                continue
+            if rank in self._dead or not self.teams[rank].wants_cores:
+                cands.discard(pos)
+                continue
             self._grant(node, rank)
 
     # -- introspection -----------------------------------------------------

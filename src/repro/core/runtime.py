@@ -13,9 +13,13 @@ Scheduling semantics:
 * a ready task is *runnable* when none of its ``MUTEXINOUTSET`` refs is held
   by a running task; the scheduler acquires all refs atomically (the DES
   scheduler is a single logical lock, so no deadlock is possible);
-* ready tasks are dispatched FIFO with runnable-first scanning, which keeps
-  consecutive (memory-contiguous) chunks on the same worker when possible —
-  the locality property the paper attributes to multidependences.
+* ready tasks are dispatched runnable-first under the team's policy:
+  largest task first (``lpt``, the default, FIFO among ties — the classic
+  makespan heuristic, approximating priority-aware task runtimes such as
+  Nanos), oldest first (``fifo``, which keeps consecutive memory-contiguous
+  chunks on the same worker — the locality property the paper attributes
+  to multidependences) or newest first (``lifo``);
+* dispatching a task schedules its completion directly: one timer per task.
 """
 
 from __future__ import annotations
@@ -181,6 +185,61 @@ class _PlanArbiter:
             team._arm_plan(plan)
 
 
+def _pop_lpt(heap: list, held: set) -> Optional[Task]:
+    """Remove and return the best runnable task of an LPT ready heap.
+
+    Entries are ``(-instr, seq, task)``; the pick is the smallest entry
+    whose task holds none of the ``held`` mutex refs, or ``None`` when
+    every ready task is blocked.  Seqs are unique, so the smallest runnable
+    entry is the one repeated pops would reach first: one scan plus an
+    O(log n) removal picks the same task without popping blocked entries
+    aside and pushing them back.  The caller guarantees a non-empty heap.
+    """
+    if not held or heap[0][2].mutex_refs.isdisjoint(held):
+        return heapq.heappop(heap)[2]
+    pos = -1
+    best = None
+    for i, entry in enumerate(heap):
+        if (best is None or entry < best) \
+                and entry[2].mutex_refs.isdisjoint(held):
+            pos = i
+            best = entry
+    if best is None:
+        return None
+    last = heap.pop()
+    if pos < len(heap):
+        # standard heap delete: the moved leaf sinks below ``pos`` or
+        # rises above it, whichever restores the invariant
+        heap[pos] = last
+        heapq._siftup(heap, pos)
+        heapq._siftdown(heap, 0, pos)
+    return best[2]
+
+
+def _pop_deque(ready: deque, held: set, lifo: bool) -> Optional[Task]:
+    """Remove and return the next runnable task of a fifo/lifo ready deque.
+
+    ``fifo`` takes the oldest runnable task (breadth-first, best locality
+    across a chunked traversal); ``lifo`` the newest (depth-first,
+    cache-hot dependents first).  ``None`` when every ready task is
+    blocked by a held mutex.  The caller guarantees a non-empty deque.
+    """
+    if not held:
+        return ready.pop() if lifo else ready.popleft()
+    if lifo:
+        for i in range(len(ready) - 1, -1, -1):
+            task = ready[i]
+            if task.mutex_refs.isdisjoint(held):
+                del ready[i]
+                return task
+        return None
+    for i, task in enumerate(ready):
+        if task.mutex_refs.isdisjoint(held):
+            del ready[i]
+            return task
+    return None
+
+
 class Team:
     """A rank's thread team: a malleable pool of simulated cores.
 
@@ -226,7 +285,6 @@ class Team:
         #: execution-time multiplier (> 1 under an injected DVFS throttle)
         self.slowdown = 1.0
         self._active = 0
-        self._ready: deque[Task] = deque()
         self._held_refs: set = set()
         self._graph: Optional[TaskGraph] = None
         self._remaining = 0
@@ -234,12 +292,13 @@ class Team:
         self._done: Optional[Event] = None
         self._stats: Optional[GraphStats] = None
         self._hungry_notified = False
-        # Heap-backed LPT ready queue: entries are (-instr, seq, task), so
-        # popping the heap min yields the largest-instruction task, earliest
-        # arrival first (FIFO tie-break), in O(log n) per dispatch.  The
-        # fifo/lifo policies keep the ``_ready`` deque.
+        # Ready queue.  LPT keeps a heap of (-instr, seq, task) entries, so
+        # the heap min is the largest-instruction task, earliest arrival
+        # first (FIFO tie-break), in O(log n) per dispatch; fifo/lifo keep
+        # a deque of tasks.
         self._use_heap = scheduler == "lpt"
-        self._heap: list = []
+        self._lifo = scheduler == "lifo"
+        self._ready: list | deque = [] if self._use_heap else deque()
         self._seq = 0
         # Plan mode: simulate the whole graph execution up front and
         # schedule one completion event, instead of 2 DES events per task.
@@ -285,8 +344,6 @@ class Team:
         """Tasks currently ready (waiting for a worker)."""
         if self._plan is not None:
             return self._plan_ready_count()
-        if self._use_heap:
-            return len(self._heap)
         return len(self._ready)
 
     def _plan_ready_count(self) -> int:
@@ -325,16 +382,15 @@ class Team:
         if self._active < self._max_workers:
             return False
         held = self._held_refs
-        if self._use_heap:
-            if not held:
-                return bool(self._heap)
-            # existence check only — no need for the *best* runnable task
-            return any(entry[2].mutex_refs.isdisjoint(held)
-                       for entry in self._heap)
+        ready = self._ready
         if not held:
             # no mutexes held: any ready task is runnable
-            return bool(self._ready)
-        return self._runnable_index() is not None
+            return bool(ready)
+        # existence check only — no need for the *best* runnable task
+        if self._use_heap:
+            return any(entry[2].mutex_refs.isdisjoint(held)
+                       for entry in ready)
+        return any(task.mutex_refs.isdisjoint(held) for task in ready)
 
     def set_capacity(self, n: int) -> None:
         """Change the worker ceiling; growth dispatches immediately, shrink
@@ -626,67 +682,34 @@ class Team:
         """Simulate one graph execution in plain Python, event-for-event
         equivalent to the per-task path's trajectory.
 
-        Replicates `_dispatch`/`_start_task`/`_finish_task` exactly: the
-        scheduling policy (LPT heap with FIFO tie-break / fifo / lifo),
-        mutex pop-aside, dispatch-while-capacity-remains after every
+        Replicates `_dispatch`/`_finish_task` exactly: the scheduling
+        policy through the same pick helpers (:func:`_pop_lpt`,
+        :func:`_pop_deque`), dispatch-while-capacity-remains after every
         completion, cached task durations, and the float expression order
         of start/finish arithmetic.  Time-varying capacity and slowdown
         arrive as ``(time, value)`` epochs; an epoch at time T applies
-        before any completion at T, matching the per-task seq order (the
-        perturbing timeout was scheduled before the task started).
+        before any completion at T, and so to every dispatch at T,
+        matching the per-task seq order (the perturbing timeout was
+        scheduled before the finish that dispatches).
         """
         tasks = graph.tasks
         n = len(tasks)
         core = self.core
         ovh = self.task_overhead_s
-        scheduler = self.scheduler
+        lpt = self._use_heap
+        lifo = self._lifo
         preds_left = [t.n_preds for t in tasks]
         held: set = set()
-        # ready structures (seq = FIFO tie-break, matches _push_ready)
-        heap: list = []
-        fifo: deque = deque()
+        # ready structure: the per-task path's (seq = FIFO tie-break,
+        # matches _push_ready)
+        ready: list | deque = [] if lpt else deque()
         seqc = 0
-        if scheduler == "lpt":
+        if lpt:
             for task in graph.roots():
                 seqc += 1
-                heapq.heappush(heap, (-task._instr, seqc, task.tid))
+                heapq.heappush(ready, (-task._instr, seqc, task))
         else:
-            fifo.extend(t.tid for t in graph.roots())
-
-        def pick() -> Optional[int]:
-            if scheduler == "lpt":
-                if not heap:
-                    return None
-                if not held:
-                    return heapq.heappop(heap)[2]
-                blocked = []
-                tid = None
-                while heap:
-                    entry = heapq.heappop(heap)
-                    if tasks[entry[2]].mutex_refs.isdisjoint(held):
-                        tid = entry[2]
-                        break
-                    blocked.append(entry)
-                for entry in blocked:
-                    heapq.heappush(heap, entry)
-                return tid
-            if scheduler == "fifo":
-                if not held:
-                    return fifo.popleft() if fifo else None
-                for i, tid in enumerate(fifo):
-                    if tasks[tid].mutex_refs.isdisjoint(held):
-                        del fifo[i]
-                        return tid
-                return None
-            # lifo
-            if not held:
-                return fifo.pop() if fifo else None
-            for i in range(len(fifo) - 1, -1, -1):
-                if tasks[fifo[i]].mutex_refs.isdisjoint(held):
-                    tid = fifo[i]
-                    del fifo[i]
-                    return tid
-            return None
+            ready.extend(graph.roots())
 
         slow = slow_epochs[0][1]
         si = 1
@@ -723,11 +746,12 @@ class Team:
             while si < n_slow and slow_epochs[si][0] <= t:
                 slow = slow_epochs[si][1]
                 si += 1
-            while active < W:
-                tid = pick()
-                if tid is None:
+            while active < W and ready:
+                task = (_pop_lpt(ready, held) if lpt
+                        else _pop_deque(ready, held, lifo))
+                if task is None:
                     break
-                task = tasks[tid]
+                tid = task.tid
                 if task.mutex_refs:
                     held |= task.mutex_refs
                 active += 1
@@ -766,18 +790,18 @@ class Team:
                 active -= 1
                 completed += 1
                 c_finish.append(finish)
-                if scheduler == "lpt":
+                if lpt:
                     for succ in task.successors:
                         preds_left[succ] -= 1
                         if preds_left[succ] == 0:
                             seqc += 1
-                            heapq.heappush(
-                                heap, (-tasks[succ]._instr, seqc, succ))
+                            nxt = tasks[succ]
+                            heapq.heappush(ready, (-nxt._instr, seqc, nxt))
                 else:
                     for succ in task.successors:
                         preds_left[succ] -= 1
                         if preds_left[succ] == 0:
-                            fifo.append(succ)
+                            ready.append(tasks[succ])
             elif next_ep is not None:
                 t = next_ep
                 cur_parent = -1
@@ -803,126 +827,63 @@ class Team:
                      stalled)
 
     # -- internals --------------------------------------------------------
-    def _runnable_index(self) -> Optional[int]:
-        """Index in the ready deque of the runnable task to dispatch next.
-
-        ``fifo`` takes the oldest runnable task (breadth-first, best
-        locality across a chunked traversal); ``lifo`` the newest
-        (depth-first, cache-hot dependents first).  The default ``lpt``
-        policy (largest runnable task first, FIFO among ties — the classic
-        makespan heuristic, approximating what priority-aware task runtimes
-        such as Nanos do) dispatches from the heap in :meth:`_dispatch_heap`
-        instead.
-        """
-        held = self._held_refs
-        ready = self._ready
-        if self.scheduler == "fifo":
-            if not held:
-                return 0 if ready else None
-            for i, task in enumerate(ready):
-                if task.mutex_refs.isdisjoint(held):
-                    return i
-            return None
-        if not held:
-            return len(ready) - 1 if ready else None
-        for i in range(len(ready) - 1, -1, -1):
-            if ready[i].mutex_refs.isdisjoint(held):
-                return i
-        return None
-
     def _push_ready(self, task: Task) -> None:
         """Add ``task`` to the LPT heap (seq = FIFO tie-break on equal work)."""
         self._seq += 1
-        heapq.heappush(self._heap, (-task._instr, self._seq, task))
-
-    def _dispatch_heap(self) -> None:
-        """LPT dispatch from the ready heap.
-
-        With mutexes held, blocked heap entries are popped aside and pushed
-        back after the pick: each keeps its original seq, so future ordering
-        is unchanged.  With the default one-thread teams of the paper's
-        configurations, ``held`` is almost always empty here and a dispatch
-        is a single heappop.
-        """
-        heap = self._heap
-        held = self._held_refs
-        while self._active < self._max_workers and heap:
-            if not held:
-                task = heapq.heappop(heap)[2]
-            else:
-                blocked = []
-                task = None
-                while heap:
-                    entry = heapq.heappop(heap)
-                    if entry[2].mutex_refs.isdisjoint(held):
-                        task = entry[2]
-                        break
-                    blocked.append(entry)
-                for entry in blocked:
-                    heapq.heappush(heap, entry)
-                if task is None:
-                    break
-            if task.mutex_refs:
-                held |= task.mutex_refs     # in-place: held is _held_refs
-            self._active += 1
-            if self._stats is not None:
-                self._stats.max_concurrency = max(
-                    self._stats.max_concurrency, self._active)
-            self.engine.defer(self._start_task, task)
-        if self.listener is not None and self._graph is not None:
-            if self._active >= self._max_workers and heap:
-                if not self._hungry_notified:
-                    self._hungry_notified = True
-                    self.listener.on_team_hungry(self)
+        heapq.heappush(self._ready, (-task._instr, self._seq, task))
 
     def _dispatch(self) -> None:
-        if self._use_heap:
-            self._dispatch_heap()
-            return
-        while self._active < self._max_workers:
-            idx = self._runnable_index()
-            if idx is None:
-                break
-            task = self._ready[idx]
-            del self._ready[idx]
-            if task.mutex_refs:
-                self._held_refs |= task.mutex_refs
-            self._active += 1
-            if self._stats is not None:
-                self._stats.max_concurrency = max(
-                    self._stats.max_concurrency, self._active)
-            # callback-based execution: the start runs one event hop later,
-            # where a worker Process would run up to its first yield
-            self.engine.defer(self._start_task, task)
-        # Appetite signalling for DLB: hungry if capacity-bound work remains.
-        if self.listener is not None and self._graph is not None:
-            if self._active >= self._max_workers and self._ready:
-                if not self._hungry_notified:
-                    self._hungry_notified = True
-                    self.listener.on_team_hungry(self)
+        """Start runnable tasks while workers are free.
 
-    def _start_task(self, task: Task) -> None:
-        """Begin executing ``task`` (runs when the dispatch deferral pops)."""
-        t0 = self.engine.now
+        A start is the task's finish timer: the duration is read here
+        (``slowdown`` included, so an epoch at time T applies to every
+        dispatch made after it at T, the plan path's rule) and one
+        ``call_later`` carries the task to :meth:`_finish_task`.  The pick
+        helpers are the plan simulator's; with the default one-thread teams
+        of the paper's configurations no mutex is held here and a pick is a
+        single heappop.
+        """
+        ready = self._ready
+        held = self._held_refs
+        engine = self.engine
         core = self.core
-        if task._dur_core is core:
-            base = task._dur
-        else:
-            # Task graphs are re-executed every simulated time step with the
-            # same WorkSpec on the same core: compute the nominal duration
-            # once and reuse the identical float thereafter.
-            base = core.seconds(task.work)
-            task._dur = base
-            task._dur_core = core
-        exec_seconds = base * self.slowdown
-        self.engine.call_later(exec_seconds + self.task_overhead_s,
-                               self._finish_task, task, t0, exec_seconds)
+        stats = self._stats
+        active = self._active
+        cap = self._max_workers
+        while active < cap and ready:
+            task = (_pop_lpt(ready, held) if self._use_heap
+                    else _pop_deque(ready, held, self._lifo))
+            if task is None:
+                break
+            if task.mutex_refs:
+                held |= task.mutex_refs     # in-place: held is _held_refs
+            active += 1
+            if active > stats.max_concurrency:
+                stats.max_concurrency = active
+            if task._dur_core is core:
+                base = task._dur
+            else:
+                # Task graphs are re-executed every simulated time step with
+                # the same WorkSpec on the same core: compute the nominal
+                # duration once and reuse the identical float thereafter.
+                base = core.seconds(task.work)
+                task._dur = base
+                task._dur_core = core
+            exec_seconds = base * self.slowdown
+            engine.call_later(exec_seconds + self.task_overhead_s,
+                              self._finish_task, task, engine.now,
+                              exec_seconds)
+        self._active = active
+        # Appetite signalling for DLB: hungry if capacity-bound work remains.
+        if (active >= cap and ready and self.listener is not None
+                and not self._hungry_notified):
+            self._hungry_notified = True
+            self.listener.on_team_hungry(self)
 
     def _finish_task(self, task: Task, t0: float, exec_seconds: float) -> None:
         """Task completion bookkeeping (runs when the task's timer pops)."""
         t1 = self.engine.now
         stats = self._stats
-        assert stats is not None
         stats.tasks_run += 1
         stats.instructions += task._instr
         stats.busy_seconds += exec_seconds
@@ -933,29 +894,27 @@ class Team:
             self._held_refs -= task.mutex_refs
         self._active -= 1
         self._remaining -= 1
-        graph = self._graph
-        assert graph is not None
+        tasks = self._graph.tasks
+        preds_left = self._preds_left
         if self._use_heap:
             for succ in task.successors:
-                self._preds_left[succ] -= 1
-                if self._preds_left[succ] == 0:
-                    self._push_ready(graph.tasks[succ])
+                preds_left[succ] -= 1
+                if preds_left[succ] == 0:
+                    self._push_ready(tasks[succ])
         else:
             for succ in task.successors:
-                self._preds_left[succ] -= 1
-                if self._preds_left[succ] == 0:
-                    self._ready.append(graph.tasks[succ])
-        if self._remaining == 0:
-            stats.t_end = self.engine.now
-            done = self._done
-            self._graph = None
-            self._stats = None
-            self._done = None
-            self._hungry_notified = False
-            if self.listener is not None:
-                self.listener.on_team_idle(self)
-            assert done is not None
-            done.succeed(stats)
-        else:
-            self._hungry_notified = False
+                preds_left[succ] -= 1
+                if preds_left[succ] == 0:
+                    self._ready.append(tasks[succ])
+        self._hungry_notified = False
+        if self._remaining:
             self._dispatch()
+            return
+        stats.t_end = t1
+        done = self._done
+        self._graph = None
+        self._stats = None
+        self._done = None
+        if self.listener is not None:
+            self.listener.on_team_idle(self)
+        done.succeed(stats)

@@ -22,9 +22,10 @@ Usage::
 ``SLOWDOWN_TOLERANCE`` times slower than the committed reference report,
 or when an end-to-end row's simulated digest differs from the reference
 report's after-digest — the CI perf- and result-regression gate.  Quick
-mode runs the *same* workload sizes with fewer repeats and fewer
-end-to-end variants, so its timings remain comparable (within the 2x gate)
-to a committed full-mode report.
+mode runs the *same* rows at the same workload sizes with fewer repeats
+(the end-to-end rows, DLB included, keep their fixed best-of-5), so its
+timings remain comparable (within the 2x gate) to a committed full-mode
+report.
 
 ``--baseline`` additionally gates the cross-PR *trajectory*: the current
 after-times are compared against the previous PR's committed report (its
@@ -805,8 +806,8 @@ def _campaign_setup() -> None:
 
 # -- benchmark table ---------------------------------------------------------
 
-def _benchmark_table(quick: bool) -> list[dict]:
-    """Benchmark rows for this mode.
+def _benchmark_table() -> list[dict]:
+    """Benchmark rows (the same in quick and full mode).
 
     A row times ``fn``; a *policy* row also times ``before_fn`` (the other
     execution model on the same code) and gates their ratio at
@@ -816,7 +817,7 @@ def _benchmark_table(quick: bool) -> list[dict]:
     """
     from ..campaign import simulated_digest
 
-    table = [
+    return [
         # micro rows finish in milliseconds, so their relative timing noise
         # is the largest in the table: they get a deeper best-of (still
         # the cheapest rows by far) to land on the floor reliably
@@ -900,12 +901,21 @@ def _benchmark_table(quick: bool) -> list[dict]:
          "setup": _particle_preroll,
          "unit_count": lambda: 10 * 20 * _workload().n_particles},
         # the end-to-end rows keep a fixed best-of-5 in every mode: a single
-        # quick-mode repeat is too noisy for the --compare gate
+        # quick-mode repeat is too noisy for the --compare gate.  The DLB
+        # rows are the paper's headline configuration (Figs. 8-11) and run
+        # the per-task runtime path and LeWI on every MPI call
         {"name": "run_cfpd_sync", "kind": "end_to_end",
          "fn": lambda: _run_cfpd(), "post": simulated_digest, "units": None,
          "warmup": True, "repeats": 5},
         {"name": "run_cfpd_coupled", "kind": "end_to_end",
          "fn": lambda: _run_cfpd(mode="coupled", fluid_ranks=64),
+         "post": simulated_digest, "units": None, "warmup": True,
+         "repeats": 5},
+        {"name": "run_cfpd_sync_dlb", "kind": "end_to_end",
+         "fn": lambda: _run_cfpd(dlb=True), "post": simulated_digest,
+         "units": None, "warmup": True, "repeats": 5},
+        {"name": "run_cfpd_coupled_dlb", "kind": "end_to_end",
+         "fn": lambda: _run_cfpd(mode="coupled", fluid_ranks=64, dlb=True),
          "post": simulated_digest, "units": None, "warmup": True,
          "repeats": 5},
         # policy row: execution models (cold process per job vs the warm
@@ -919,17 +929,6 @@ def _benchmark_table(quick: bool) -> list[dict]:
                  "script model); after = campaign executor, 4-worker "
                  "fork pool sharing the warm workload cache"},
     ]
-    if not quick:
-        table += [
-            {"name": "run_cfpd_sync_dlb", "kind": "end_to_end",
-             "fn": lambda: _run_cfpd(dlb=True), "post": simulated_digest,
-             "units": None},
-            {"name": "run_cfpd_coupled_dlb", "kind": "end_to_end",
-             "fn": lambda: _run_cfpd(mode="coupled", fluid_ranks=64,
-                                     dlb=True),
-             "post": simulated_digest, "units": None},
-        ]
-    return table
 
 
 def _env_info() -> dict:
@@ -950,14 +949,14 @@ def run_benchmarks(quick: bool = False, repeats: Optional[int] = None,
                    verbose: bool = True) -> dict:
     """Run the benchmark suite; returns the report dict.
 
-    ``quick`` keeps workload sizes identical but uses one repeat and skips
-    the DLB end-to-end variants (the CI smoke configuration); ``repeats``
-    overrides the per-benchmark repeat count (full default: 3, best-of).
+    ``quick`` keeps the rows and workload sizes identical but uses one
+    repeat where a row fixes none (the CI smoke configuration); ``repeats``
+    overrides that default repeat count (full default: 3, best-of).
     """
     if repeats is None:
         repeats = 1 if quick else 3
     benchmarks = []
-    for row in _benchmark_table(quick):
+    for row in _benchmark_table():
         name, fn = row["name"], row["fn"]
         if verbose:
             print(f"[bench] {name} ...", flush=True)
@@ -1172,8 +1171,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         prog="python -m repro.perf.bench",
         description="Benchmark suite (emits BENCH JSON).")
     parser.add_argument("--quick", action="store_true",
-                        help="CI smoke mode: 1 repeat, fewer end-to-end "
-                             "variants, same workload sizes")
+                        help="CI smoke mode: 1 repeat where a row fixes "
+                             "none, same rows and workload sizes")
     parser.add_argument("--out", default=_DEFAULT_OUT,
                         help=f"output JSON path (default: {_DEFAULT_OUT}; "
                              "'-' for stdout only)")

@@ -351,8 +351,8 @@ class Engine:
         Equivalent to a :class:`Process` whose generator would execute
         ``fn`` before its first yield (the bootstrap event is posted at the
         same queue position), without the generator/Process allocation.
-        The callback-based task runtime and collective completion are built
-        on this.  Returns an opaque handle (an arena slot); callers that
+        Nonblocking sends, collective completion and the task runtime's
+        plan arbiter are built on this.  Returns an opaque handle (an arena slot); callers that
         need cancellation use :meth:`cancel_scheduled`.
         """
         # the hot path allocates no object at all: the callback rides in
@@ -382,8 +382,8 @@ class Engine:
 
         Equivalent to a :class:`Timeout` with ``fn`` as its only callback —
         same queue entry, same seq — without the Timeout construction or the
-        callback closure.  Used by the callback-based task runtime for the
-        per-task execution delay.  Returns an opaque handle (see
+        callback closure.  The callback-based task runtime schedules each
+        task's finish timer with it, at dispatch.  Returns an opaque handle (see
         :meth:`defer`).
         """
         when = self.now + delay

@@ -5,6 +5,8 @@ MPI+OpenMP application in which the under-loaded rank reaches a blocking
 MPI call and lends its cores to the overloaded rank on the same node.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -158,3 +160,118 @@ class TestManyRanks:
         assert t_off == pytest.approx(24.0, abs=0.1)
         assert t_on < 0.5 * t_off
         assert dlb.stats.max_team_capacity >= 4
+
+
+class TestAttach:
+    def test_double_attach_rejected(self):
+        eng = Engine()
+        world = World(eng, marenostrum4(num_nodes=1), 2)
+        dlb = DLB(world)
+        team = Team(eng, CORE, 2, rank=0)
+        dlb.attach_team(0, team)
+        with pytest.raises(ValueError, match="rank 0"):
+            dlb.attach_team(0, Team(eng, CORE, 2, rank=0))
+        assert dlb.teams[0] is team
+
+
+class _LoggedTeam(Team):
+    """A team that logs every capacity change as ``(rank, capacity)``."""
+
+    def __init__(self, log, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._log = log
+
+    def set_capacity(self, n):
+        self._log.append((self.rank, n))
+        super().set_capacity(n)
+
+
+class TestFeedOrder:
+    """One node, seven teams attached in the order R, L, E, A, C, D, B:
+
+    * R (2 cores) lends, and its reclaim shrinks E, which borrowed them;
+    * A and B are hungry one-core teams; A has the higher rank but is
+      attached first;
+    * C is idle, D is inside MPI with a backlog;
+    * L (6 cores) then enters MPI and lends: the feed must grant to E,
+      then A, in attach order, and stop when the pool is empty.
+    """
+
+    R, L, E, A, C, D, B = 0, 1, 2, 6, 4, 5, 3
+
+    def _scenario(self):
+        eng = Engine()
+        world = World(eng, marenostrum4(num_nodes=1), 7)
+        dlb = DLB(world)
+        log = []
+        cores = {self.R: 2, self.L: 6}
+        teams = {}
+        for rank in (self.R, self.L, self.E, self.A, self.C, self.D,
+                     self.B):
+            teams[rank] = _LoggedTeam(log, eng, CORE, cores.get(rank, 1),
+                                      rank=rank)
+            dlb.attach_team(rank, teams[rank])
+        for rank in (self.E, self.A, self.D, self.B):
+            graph = build_parallel_for_graph(np.full(6, SEC), 1,
+                                             min_chunks=6)
+            eng.process(teams[rank].run(graph))
+        seen = {}
+
+        def at(when, fn):
+            eng.call_later(when, fn)
+
+        def lend_r():
+            dlb.on_mpi_enter(self.R, "recv")
+            seen["e_after_lend"] = teams[self.E].capacity
+
+        def d_enters():
+            dlb.on_mpi_enter(self.D, "recv")
+
+        def reclaim_r():
+            dlb.on_mpi_exit(self.R, "recv")
+            seen["e_after_reclaim"] = teams[self.E].capacity
+            seen["e_wants"] = teams[self.E].wants_cores
+
+        def lend_l():
+            seen["b_wants"] = teams[self.B].wants_cores
+            seen["d_wants"] = teams[self.D].wants_cores
+            del log[:]
+            dlb.on_mpi_enter(self.L, "recv")
+            seen["feed"] = list(log)
+            seen["pool"] = dlb.pool_size(0)
+            seen["capacities"] = {r: t.capacity for r, t in teams.items()}
+            # nothing pooled: a hungry notification must change nothing
+            stats = dataclasses.asdict(dlb.stats)
+            del log[:]
+            dlb.on_team_hungry(teams[self.B])
+            seen["empty_pool_log"] = list(log)
+            seen["stats_unchanged"] = dataclasses.asdict(dlb.stats) == stats
+            seen["capacities_after"] = {r: t.capacity
+                                        for r, t in teams.items()}
+
+        at(0.25, lend_r)
+        at(0.5, d_enters)
+        at(0.75, reclaim_r)
+        at(0.9, lend_l)
+        eng.run()
+        return seen
+
+    def test_grants_in_attach_order_until_pool_empty(self):
+        seen = self._scenario()
+        assert seen["e_after_lend"] == 3         # E borrowed R's 2 cores
+        assert seen["e_after_reclaim"] == 1      # the reclaim shrank E
+        assert seen["e_wants"]
+        assert seen["b_wants"] and seen["d_wants"]
+        # L shrinks to 0 and pools 6 cores; E takes its 3 ready tasks' worth,
+        # A the remaining 3 of its 5; B (hungry, attached last), C (idle)
+        # and D (inside MPI) get nothing
+        assert seen["feed"] == [(self.L, 0), (self.E, 4), (self.A, 4)]
+        assert seen["pool"] == 0
+        caps = seen["capacities"]
+        assert caps[self.B] == caps[self.C] == caps[self.D] == 1
+
+    def test_hungry_with_empty_pool_changes_nothing(self):
+        seen = self._scenario()
+        assert seen["empty_pool_log"] == []
+        assert seen["stats_unchanged"]
+        assert seen["capacities_after"] == seen["capacities"]

@@ -56,13 +56,16 @@ class TestInstrument:
 
 class TestBench:
     def test_table_modes(self):
+        """Quick and full mode share one table: every end-to-end replay
+        row, DLB included, runs in the CI smoke with a fixed best-of-5."""
         from repro.perf.bench import _benchmark_table
 
-        full = {r["name"] for r in _benchmark_table(quick=False)}
-        quick = {r["name"] for r in _benchmark_table(quick=True)}
-        assert quick < full
-        assert "run_cfpd_sync" in quick
-        assert "run_cfpd_sync_dlb" in full - quick
+        rows = {r["name"]: r for r in _benchmark_table()}
+        for name in ("run_cfpd_sync", "run_cfpd_coupled",
+                     "run_cfpd_sync_dlb", "run_cfpd_coupled_dlb"):
+            assert rows[name]["kind"] == "end_to_end"
+            assert rows[name]["repeats"] == 5 and rows[name]["warmup"]
+            assert "post" in rows[name]
 
     def test_compare_reports_flags_regressions(self):
         from repro.perf.bench import compare_reports
@@ -131,9 +134,9 @@ class TestBench:
 
         monkeypatch.setattr(
             bench, "_benchmark_table",
-            lambda quick: [{"name": "engine_events", "kind": "micro",
-                            "fn": bench._engine_events_workload,
-                            "units": "events"}])
+            lambda: [{"name": "engine_events", "kind": "micro",
+                      "fn": bench._engine_events_workload,
+                      "units": "events"}])
         report = bench.run_benchmarks(quick=True, verbose=False)
         assert report["schema"] == "repro-bench-v1"
         [b] = report["benchmarks"]
@@ -454,7 +457,7 @@ class TestParticleFastPath:
         policy rows carry a before side and a minimum speedup."""
         from repro.perf.bench import _benchmark_table
 
-        rows = {r["name"]: r for r in _benchmark_table(quick=True)}
+        rows = {r["name"]: r for r in _benchmark_table()}
         for name in ("particle_location", "tracker_step", "interpolation"):
             assert "before_fn" not in rows[name]
         policy = {n for n, r in rows.items() if "before_fn" in r}

@@ -1,6 +1,8 @@
 """Unit tests for the malleable task-execution team."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import DepType, Team, TaskGraph
 from repro.core.runtime import RuntimeError_
@@ -281,3 +283,87 @@ class TestPlanEquivalence:
         per_task = self._perturbed_run(graphs, script, NullRecorder())
         planned = self._perturbed_run(graphs, script)
         assert planned == per_task      # bit-exact, no approx
+
+    # -- mutexes, policies and epochs on dispatch instants ---------------
+
+    @staticmethod
+    def _mutex_graph(spec):
+        """A graph from drawn ``(instr_quarters, mutex refs, chain ref)``
+        triples: equal instruction counts tie on LPT, shared mutex refs
+        block ready tasks, and a shared chain ref orders tasks by a DAG
+        edge."""
+        g = TaskGraph()
+        for quarters, mutexes, chain in spec:
+            depend = {DepType.MUTEXINOUTSET: mutexes}
+            if chain is not None:
+                depend[DepType.INOUT] = [chain]
+            g.add_task(WorkSpec(quarters * 0.25 * SEC), depend=depend)
+        return g
+
+    @staticmethod
+    def _epoch_run(graph, workers, scheduler, epochs, recorder):
+        """Run ``graph`` with ``(time, action)`` epochs armed before the run
+        starts: each epoch's timer precedes every task finish at its
+        instant, so it applies to every dispatch made at that instant."""
+        eng = Engine()
+        team = Team(eng, CORE, workers, task_overhead_s=0.01,
+                    recorder=recorder, scheduler=scheduler)
+        for when, action in epochs:
+            eng.call_later(when, action, team)
+        out = {}
+
+        def prog():
+            out["stats"] = yield from team.run(graph)
+
+        eng.process(prog())
+        eng.run()
+        s = out["stats"]
+        return (s.tasks_run, s.instructions, s.busy_seconds,
+                s.overhead_seconds, s.t_start, s.t_end, s.max_concurrency)
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=st.lists(
+               st.tuples(st.integers(1, 4),
+                         st.frozensets(st.sampled_from("abcd"), max_size=2),
+                         st.one_of(st.none(), st.sampled_from("xy"))),
+               min_size=1, max_size=10),
+           workers=st.integers(2, 4),
+           scheduler=st.sampled_from(Team.SCHEDULERS),
+           kind=st.sampled_from(["slowdown", "capacity"]),
+           factor=st.sampled_from([0.5, 2.0, 3.0]),
+           cap=st.integers(1, 3),
+           pick=st.integers(0, 64),
+           later=st.one_of(st.none(), st.sampled_from([0.1, 0.35])))
+    def test_mutex_graphs_exact(self, spec, workers, scheduler, kind, factor,
+                                cap, pick, later):
+        """Per-task path (null recorder) vs plan path on drawn mutex graphs,
+        stat for stat and bit for bit, with a capacity or slowdown epoch
+        landing exactly on a dispatch instant of the unperturbed run (a
+        task finish, where the finished task's successors and any
+        mutex-blocked tasks start) and an optional later epoch undoing
+        it."""
+        instants = []
+
+        class Finishes:
+            def record(self, rank, category, label, t0, t1):
+                instants.append(t1)
+
+        self._epoch_run(self._mutex_graph(spec), workers, scheduler, [],
+                        Finishes())
+        when = sorted(set(instants))[pick % len(set(instants))]
+        if kind == "slowdown":
+            apply, undo = (lambda t: t.set_slowdown(factor),
+                           lambda t: t.set_slowdown(1.0))
+        else:
+            apply, undo = (lambda t: t.set_capacity(cap),
+                           lambda t: t.set_capacity(workers))
+        epochs = [(when, apply)]
+        if later is not None:
+            epochs.append((when + later, undo))
+
+        per_task = self._epoch_run(self._mutex_graph(spec), workers,
+                                   scheduler, epochs, NullRecorder())
+        planned = self._epoch_run(self._mutex_graph(spec), workers,
+                                  scheduler, epochs, None)
+        assert planned == per_task      # bit-exact, no approx
+        assert per_task[0] == len(spec)
