@@ -559,6 +559,59 @@ def _interpolation():
             "velocity_norm": _norm(field.velocity(pts))}
 
 
+# -- two-level decomposition -------------------------------------------------
+
+#: mesh seeds of the default-size airway whose decompositions are pinned
+#: (2018 is the default mesh)
+DECOMP_MESH_SEEDS = (2018, 7, 31)
+
+#: (rank-level method, rank counts) pinned on each mesh
+DECOMP_CASES = (("rcb", (1, 7, 16, 32, 48, 64, 96)),
+                ("multilevel", (8, 24)))
+
+
+def decomposition_digest(data) -> str:
+    """One SHA-256 over every output of ``Workload.decomposition``: labels,
+    and per rank the element ids, colors, subdomain labels, sorted
+    subdomain adjacency, solver nnz, halo bytes, neighbour list and work
+    meters.  Arrays hash with their dtype and shape, scalars through
+    ``repr``, so a change of type is caught as well as a change of value.
+    """
+    h = hashlib.sha256()
+
+    def arr(a):
+        a = np.asarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(np.ascontiguousarray(a).tobytes())
+
+    arr(data.labels)
+    for rw in data.ranks:
+        h.update(repr(rw.rank).encode())
+        for a in (rw.element_ids, rw.colors, rw.sub_labels,
+                  rw.assembly_instr, rw.assembly_atomics, rw.sgs_instr):
+            arr(a)
+        h.update(repr([sorted(s) for s in rw.sub_adjacency]).encode())
+        h.update(repr((rw.solver_nnz, rw.halo_bytes,
+                       rw.neighbors)).encode())
+    return h.hexdigest()
+
+
+def _decomposition(mesh_seed: int, method: str, nranks: int) -> dict:
+    from repro.app.workload import WorkloadSpec, get_workload
+
+    wl = get_workload(WorkloadSpec(mesh_seed=mesh_seed))
+    return {"digest": decomposition_digest(
+        wl.decomposition(nranks, method=method))}
+
+
+for _seed in DECOMP_MESH_SEEDS:
+    for _method, _counts in DECOMP_CASES:
+        for _nranks in _counts:
+            entry(f"decomposition/seed={_seed}/{_method}/{_nranks}")(
+                lambda _s=_seed, _m=_method, _n=_nranks:
+                _decomposition(_s, _m, _n))
+
+
 # -- the fixture -------------------------------------------------------------
 
 def compute(name: str):
