@@ -38,11 +38,17 @@ from ..fem import (
     element_sizes,
     element_work_meters,
     geometry_blocks,
+    node_sharing_graph,
     update_sgs,
 )
 from ..mesh import AirwayConfig, MeshResolution, build_airway_mesh
 from ..mesh.generator import AirwayMesh
-from ..partition import Decomposition, decompose_mesh, greedy_coloring
+from ..partition import (
+    Decomposition,
+    decompose_mesh,
+    greedy_coloring,
+    rank_partition,
+)
 from ..particles import (
     AirwayFlow,
     ElementLocator,
@@ -331,6 +337,8 @@ class Workload:
         self.nodal_velocity = self.flow.nodal_velocity(self.mesh.coords)
         self.n_particles = spec.particle_count(self.mesh.nelem)
         self._decomps: dict = {}
+        self._rank_labels: dict = {}
+        self._meters: Optional[tuple] = None
         self._trajectory: Optional[list] = None
         self._histograms: dict = {}
         self._fluid_solution: Optional[dict] = None
@@ -340,6 +348,18 @@ class Workload:
         self._subcycles: dict = {}
 
     # -- decompositions -------------------------------------------------------
+    def rank_labels(self, nranks: int, method: str = "rcb") -> np.ndarray:
+        """(nelem,) owning rank of every element for ``nranks`` (cached).
+
+        The rank level of :meth:`decomposition`, and all that the
+        particle-side callers (histograms, overlaps, subcycles) read.
+        """
+        key = (nranks, method)
+        if key not in self._rank_labels:
+            self._rank_labels[key] = rank_partition(self.airway, nranks,
+                                                    method=method)
+        return self._rank_labels[key]
+
     def decomposition(self, nranks: int, subdomains_per_rank: int = 64,
                       method: str = "rcb",
                       min_shared_nodes: int = 4,
@@ -351,44 +371,58 @@ class Workload:
         subdomain granularity floor is low so teams always have several
         times more tasks than threads; see
         :func:`repro.partition.subdomain_decomposition` and EXPERIMENTS.md.
+
+        Every rank is handled at once: the subdomains in one batched pass
+        (:func:`repro.partition.decompose_mesh`), the coloring as one
+        first-fit sweep over the mesh's conflict graph restricted to
+        intra-rank edges (each rank's elements ascend, so this equals a
+        per-rank sweep), and the work meters as one whole-mesh array each,
+        sliced per rank.
         """
         key = (nranks, subdomains_per_rank, method, min_shared_nodes,
                min_elements_per_subdomain)
         if key in self._decomps:
             return self._decomps[key]
+        labels = self.rank_labels(nranks, method)
         dec = decompose_mesh(self.airway, nranks,
                              subdomains_per_rank=subdomains_per_rank,
                              method=method,
                              min_shared_nodes=min_shared_nodes,
-                             min_elements_per_subdomain=min_elements_per_subdomain)
-        row_nnz, node_owner = self._row_structure(dec.labels, nranks)
-        neighbor_bytes = self._neighbor_bytes(dec.labels, nranks)
-        ranks = []
-        for dom in dec.domains:
-            ids = dom.element_ids
-            # the same per-element meters the assembly kernel reports
-            a_instr, atomics = element_work_meters(
-                self.mesh, self.costs.assembly_instr, ids)
-            s_instr, _ = element_work_meters(
-                self.mesh, self.costs.sgs_instr, ids)
-            colors = (greedy_coloring(self.mesh.node_sharing_adjacency(ids))
-                      if len(ids) else np.zeros(0, dtype=np.int32))
-            owned_rows = node_owner == dom.rank
-            ranks.append(RankWork(
-                rank=dom.rank,
-                element_ids=ids,
-                assembly_instr=a_instr,
-                assembly_atomics=atomics,
-                sgs_instr=s_instr,
-                colors=colors,
-                sub_labels=dom.sub_labels,
-                sub_adjacency=dom.sub_adjacency,
-                solver_nnz=float(row_nnz[owned_rows].sum()),
-                halo_bytes=dom.halo_nodes * self.costs.halo_bytes_per_node,
-                neighbors=neighbor_bytes[dom.rank]))
-        data = DecompData(decomposition=dec, ranks=ranks, labels=dec.labels)
+                             min_elements_per_subdomain=min_elements_per_subdomain,
+                             labels=labels)
+        row_nnz, node_owner = self._row_structure(labels, nranks)
+        solver_nnz = np.bincount(node_owner, weights=row_nnz,
+                                 minlength=nranks)
+        neighbor_bytes = self._neighbor_bytes(labels, nranks)
+        a_instr, atomics, s_instr = self._element_meters()
+        colors = greedy_coloring(
+            node_sharing_graph(self.mesh).within_parts(labels))
+        ranks = [RankWork(
+            rank=dom.rank,
+            element_ids=dom.element_ids,
+            assembly_instr=a_instr[dom.element_ids],
+            assembly_atomics=atomics[dom.element_ids],
+            sgs_instr=s_instr[dom.element_ids],
+            colors=colors[dom.element_ids],
+            sub_labels=dom.sub_labels,
+            sub_adjacency=dom.sub_adjacency,
+            solver_nnz=float(solver_nnz[dom.rank]),
+            halo_bytes=dom.halo_nodes * self.costs.halo_bytes_per_node,
+            neighbors=neighbor_bytes[dom.rank]) for dom in dec.domains]
+        data = DecompData(decomposition=dec, ranks=ranks, labels=labels)
         self._decomps[key] = data
         return data
+
+    def _element_meters(self) -> tuple:
+        """Whole-mesh (assembly instructions, assembly atomics, SGS
+        instructions) per element — the same meters the assembly kernel
+        reports, computed once per mesh."""
+        if self._meters is None:
+            a_instr, atomics = element_work_meters(
+                self.mesh, self.costs.assembly_instr)
+            s_instr, _ = element_work_meters(self.mesh, self.costs.sgs_instr)
+            self._meters = (a_instr, atomics, s_instr)
+        return self._meters
 
     def _neighbor_bytes(self, labels: np.ndarray, nranks: int) -> list:
         """Per rank: (neighbor rank, halo bytes) pairs — ranks sharing
@@ -544,7 +578,7 @@ class Workload:
         schedule = self.dt_schedule()
         sub = np.ones((len(schedule), nranks), dtype=np.int64)
         if self.spec.adaptive == "local":
-            labels = self.decomposition(nranks, method=method).labels
+            labels = self.rank_labels(nranks, method)
             rates = self.element_rates()
             rank_rate = np.zeros(nranks)
             for r in range(nranks):
@@ -798,8 +832,8 @@ class Workload:
         """(n_sim_steps, nranks) active-particle counts per owning rank."""
         key = (nranks, method)
         if key not in self._histograms:
-            data = self.decomposition(nranks, method=method)
-            locator = ElementLocator(self.airway, data.labels)
+            locator = ElementLocator(self.airway,
+                                     self.rank_labels(nranks, method))
             hist = np.zeros((self.n_sim_steps, nranks), dtype=np.int64)
             for s, step in enumerate(self.trajectory()):
                 pos = step["positions"]
@@ -813,8 +847,8 @@ class Workload:
         """(f, p) matrix: bytes of velocity data fluid rank i sends particle
         rank j each step (proportional to the element overlap of the two
         partitions)."""
-        lf = self.decomposition(f, method=method).labels
-        lp = self.decomposition(p, method=method).labels
+        lf = self.rank_labels(f, method)
+        lp = self.rank_labels(p, method)
         counts = np.zeros((f, p))
         np.add.at(counts, (lf, lp), 1.0)
         # ~ nodes per element x bytes per node

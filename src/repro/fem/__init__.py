@@ -14,6 +14,7 @@ from .geometry import (
     drop_cache,
     element_sizes,
     geometry_blocks,
+    node_sharing_graph,
     set_cache_budget,
 )
 from .sgs import SGSState, update_sgs
@@ -48,6 +49,7 @@ __all__ = [
     "element_cfl_rates",
     "element_sizes",
     "geometry_blocks",
+    "node_sharing_graph",
     "set_cache_budget",
     "deinterleave",
     "divergence_operator",

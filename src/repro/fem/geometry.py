@@ -27,8 +27,10 @@ Cache management:
 Besides raw geometry blocks the cache stores *derived extras* under the
 same invalidation: the operator-split constant blocks of
 :mod:`repro.fem.assembly`, the pressure-velocity coupling matrix of
-:mod:`repro.fem.vector`, and the centroid KD-tree shared by
-:mod:`repro.particles.interpolation` (see :func:`cached_extra`).
+:mod:`repro.fem.vector`, the centroid KD-tree shared by
+:mod:`repro.particles.interpolation`, and the node-sharing conflict graph
+shared by the particle locator and the decomposition's coloring (see
+:func:`cached_extra`).
 """
 
 from __future__ import annotations
@@ -40,14 +42,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..mesh.elements import ElementType, NODES_PER_TYPE
-from ..mesh.mesh import Mesh
+from ..mesh.mesh import CSRGraph, Mesh
 from ..perf.instrument import Counters
 from .shape import reference_element
 
 __all__ = [
     "ElementGeometry", "ElementAdjacency", "GeometryCache", "COUNTERS",
     "cache_for", "geometry_blocks", "cached_extra", "element_adjacency",
-    "element_sizes",
+    "element_sizes", "node_sharing_graph",
     "set_cache_budget", "cache_budget_bytes", "drop_cache",
 ]
 
@@ -304,13 +306,30 @@ class ElementAdjacency:
                 + self.r_safe.nbytes)
 
 
+def node_sharing_graph(mesh: Mesh,
+                       cache: Optional[GeometryCache] = None) -> CSRGraph:
+    """Cached whole-mesh node-sharing conflict graph
+    (:meth:`Mesh.node_sharing_adjacency`).
+
+    One sparse product per mesh serves both the warm-start element
+    adjacency of the particle locator and the per-rank coloring of the
+    decomposition (:meth:`CSRGraph.within_parts` of this graph).
+    """
+    def build():
+        graph = mesh.node_sharing_adjacency()
+        return graph, graph.xadj.nbytes + graph.adjncy.nbytes
+    return cached_extra(mesh, "node_sharing_graph", build, cache=cache)
+
+
 def _build_element_adjacency(mesh: Mesh,
-                             max_ring: int = 12) -> ElementAdjacency:
+                             max_ring: int = 12,
+                             cache: Optional[GeometryCache] = None
+                             ) -> ElementAdjacency:
     from scipy.spatial import cKDTree
 
     centroids = mesh.centroids()
     nelem = mesh.nelem
-    graph = mesh.node_sharing_adjacency()
+    graph = node_sharing_graph(mesh, cache=cache)
     xadj, adjncy = graph.xadj, graph.adjncy
     degrees = np.diff(xadj)
     maxdeg = int(degrees.max(initial=0))
@@ -373,7 +392,7 @@ def element_adjacency(mesh: Mesh,
     """Cached :class:`ElementAdjacency` for ``mesh`` (see
     :mod:`repro.particles.locator_fast`)."""
     def build():
-        adj = _build_element_adjacency(mesh)
+        adj = _build_element_adjacency(mesh, cache=cache)
         return adj, adj.nbytes
     return cached_extra(mesh, "element_adjacency", build, cache=cache)
 
@@ -384,7 +403,8 @@ def cached_extra(mesh: Mesh, name, build: Callable[[], tuple],
 
     ``build`` is called on a miss and must return ``(value, nbytes)``.
     Used for the operator-split constant blocks, the pressure-velocity
-    coupling matrix and the shared centroid KD-tree.
+    coupling matrix, the shared centroid KD-tree and the node-sharing
+    conflict graph.
     """
     if cache is None:
         cache = cache_for(mesh)

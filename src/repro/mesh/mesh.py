@@ -54,6 +54,17 @@ class CSRGraph:
         """Degree of vertex ``v``."""
         return int(self.xadj[v + 1] - self.xadj[v])
 
+    def within_parts(self, labels: np.ndarray) -> "CSRGraph":
+        """The same vertices, keeping only edges between two vertices of
+        one part (``labels[v] == labels[w]``), neighbour order preserved."""
+        src = np.repeat(np.arange(self.n, dtype=self.adjncy.dtype),
+                        np.diff(self.xadj))
+        labels = np.asarray(labels)
+        keep = labels[src] == labels[self.adjncy]
+        xadj = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src[keep], minlength=self.n), out=xadj[1:])
+        return CSRGraph(xadj=xadj, adjncy=self.adjncy[keep])
+
     @staticmethod
     def from_edges(n: int, edges_a: np.ndarray, edges_b: np.ndarray
                    ) -> "CSRGraph":
@@ -211,16 +222,16 @@ class Mesh:
         node-sharing race/conflict graph of the assembly).
         """
         inc = self._incidence(element_ids)
-        counts = (inc @ inc.T).tocoo()
-        mask = (counts.data >= ncommon) & (counts.row != counts.col)
-        src = counts.row[mask]
-        dst = counts.col[mask]
+        # CSR with rows ascending; each row keeps the product's order
+        counts = inc @ inc.T
         n = inc.shape[0]
-        order = np.argsort(src, kind="stable")
-        src, dst = src[order], dst[order]
+        rows = np.repeat(np.arange(n, dtype=counts.indices.dtype),
+                         np.diff(counts.indptr))
+        keep = (counts.data >= ncommon) & (counts.indices != rows)
         xadj = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=xadj[1:])
-        return CSRGraph(xadj=xadj, adjncy=dst.astype(np.int32))
+        np.cumsum(np.bincount(rows[keep], minlength=n), out=xadj[1:])
+        return CSRGraph(xadj=xadj, adjncy=counts.indices[keep].astype(
+            np.int32, copy=False))
 
     def face_adjacency(self, ncommon: int = 2) -> CSRGraph:
         """Dual graph for partitioning: elements sharing >= ``ncommon`` nodes.

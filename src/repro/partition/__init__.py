@@ -7,10 +7,11 @@ from .domain import (
     RankDomain,
     decompose_mesh,
     halo_counts,
+    rank_partition,
     subdomain_decomposition,
 )
 from .metis import edge_cut, partition_graph, partition_weights
-from .rcb import rcb_partition
+from .rcb import rcb_partition, rcb_partition_sets
 
 __all__ = [
     "Decomposition",
@@ -23,7 +24,9 @@ __all__ = [
     "halo_counts",
     "partition_graph",
     "partition_weights",
+    "rank_partition",
     "rcb_partition",
+    "rcb_partition_sets",
     "subdomain_decomposition",
     "verify_coloring",
 ]

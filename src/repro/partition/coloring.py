@@ -21,16 +21,32 @@ __all__ = ["greedy_coloring", "dsatur_coloring", "verify_coloring",
 
 
 def greedy_coloring(graph: CSRGraph) -> np.ndarray:
-    """First-fit coloring in vertex order; returns (n,) int color ids."""
+    """First-fit coloring in vertex order; returns (n,) int color ids.
+
+    Vertex ``v`` takes the smallest color none of its lower-numbered
+    neighbours holds (the ones already colored when the sweep reaches
+    it).  On a graph whose edges never cross between parts, one sweep in
+    global order therefore equals a separate sweep per part in its own
+    order, provided each part's vertices keep that order globally.
+    """
     n = graph.n
-    colors = np.full(n, -1, dtype=np.int32)
-    for v in range(n):
-        used = {colors[w] for w in graph.neighbors(v) if colors[w] >= 0}
+    src = np.repeat(np.arange(n, dtype=graph.adjncy.dtype),
+                    np.diff(graph.xadj))
+    lower = graph.adjncy < src
+    heads = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src[lower], minlength=n), out=heads[1:])
+    heads = heads.tolist()
+    # a memoryview hands out each neighbour id as the sweep reads it,
+    # rather than materializing every edge as a Python int up front
+    adjncy = memoryview(np.ascontiguousarray(graph.adjncy[lower]))
+    colors: list = []
+    for a, b in zip(heads, heads[1:]):
+        used = set(map(colors.__getitem__, adjncy[a:b]))
         c = 0
         while c in used:
             c += 1
-        colors[v] = c
-    return colors
+        colors.append(c)
+    return np.array(colors, dtype=np.int32)
 
 
 def dsatur_coloring(graph: CSRGraph) -> np.ndarray:

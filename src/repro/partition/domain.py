@@ -16,16 +16,17 @@ imbalance of L96 ~ 0.66 the paper measures in Table 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from ..mesh.generator import AirwayMesh
 from ..mesh.mesh import Mesh
 from .metis import partition_graph
-from .rcb import rcb_partition
+from .rcb import rcb_partition, rcb_partition_sets
 
 __all__ = ["RankDomain", "Decomposition", "decompose_mesh",
-           "subdomain_decomposition", "halo_counts"]
+           "rank_partition", "subdomain_decomposition", "halo_counts"]
 
 
 @dataclass
@@ -87,40 +88,91 @@ def subdomain_decomposition(mesh: Mesh, element_ids: np.ndarray,
     the adjacency degree far beyond the production regime (~6-8
     neighbours), so experiments may raise the threshold — a documented
     scale compensation (see EXPERIMENTS.md).
+
+    This is the one-rank case of the batched routine
+    :func:`decompose_mesh` runs over all ranks at once.
     """
-    nlocal = len(element_ids)
-    if nlocal == 0:
-        return np.zeros(0, dtype=np.int32), []
-    # never create subdomains so small that task overhead dominates
-    nsub = max(1, min(nsub, nlocal,
-                      nlocal // max(1, min_elements_per_subdomain) or 1))
-    if method == "rcb":
-        sub_labels = rcb_partition(mesh.centroids()[element_ids],
-                                   nsub).astype(np.int32)
-    elif method == "contiguous":
-        bounds = np.linspace(0, nlocal, nsub + 1).astype(np.int64)
-        sub_labels = np.zeros(nlocal, dtype=np.int32)
-        for s in range(nsub):
-            sub_labels[bounds[s]:bounds[s + 1]] = s
-    else:
-        raise ValueError(f"unknown subdomain method {method!r}")
-    # adjacency: count nodes shared between subdomain pairs
+    element_ids = np.asarray(element_ids, dtype=np.int64)
+    sub_labels, adjacency = _subdomains(
+        mesh, element_ids, [0, len(element_ids)], nsub, method,
+        min_shared_nodes, min_elements_per_subdomain)
+    return sub_labels, adjacency[0]
+
+
+def _subdomains(mesh: Mesh, element_ids: np.ndarray, offsets, nsub: int,
+                method: str, min_shared_nodes: int,
+                min_elements_per_subdomain: int
+                ) -> tuple[np.ndarray, list[list[frozenset]]]:
+    """:func:`subdomain_decomposition` of many ranks at once.
+
+    Rank ``r`` owns ``element_ids[offsets[r]:offsets[r + 1]]``.  Returns
+    the (n,) int32 subdomain labels, local to each rank, and per rank its
+    list of adjacency sets.  The adjacency of every rank comes from one
+    subdomain-node incidence product over globally numbered subdomains
+    (rank offset + local id), keeping only pairs inside one rank.
+    """
     from scipy import sparse
 
+    if method not in ("rcb", "contiguous"):
+        raise ValueError(f"unknown subdomain method {method!r}")
+    offsets = np.asarray(offsets, dtype=np.int64)
+    nlocal = np.diff(offsets)
+    # never create subdomains so small that task overhead dominates
+    floor = np.maximum(nlocal // max(1, min_elements_per_subdomain), 1)
+    nparts = np.maximum(1, np.minimum(np.minimum(nsub, nlocal), floor))
+    nparts[nlocal == 0] = 0
+    if method == "rcb":
+        sub_labels = rcb_partition_sets(mesh.centroids()[element_ids],
+                                        offsets, np.maximum(nparts, 1))
+    else:
+        sub_labels = _contiguous_labels(offsets, nparts)
+    # adjacency: count nodes shared between subdomain pairs
+    sub_offsets = np.cumsum(nparts) - nparts
+    owner = np.repeat(np.arange(len(nparts)), nparts)   # rank of each sub
+    global_sub = np.repeat(sub_offsets, nlocal) + sub_labels
     conn = mesh.elem_nodes[element_ids]
     valid = conn.ravel() >= 0
     nodes = conn.ravel()[valid]
-    subs = np.repeat(sub_labels, conn.shape[1])[valid]
+    subs = np.repeat(global_sub, conn.shape[1])[valid]
+    nsub_total = int(nparts.sum())
     inc = sparse.csr_matrix(
         (np.ones(len(nodes), dtype=np.int32), (subs, nodes)),
-        shape=(nsub, mesh.nnodes))
+        shape=(nsub_total, mesh.nnodes))
     inc.data[:] = 1  # count each (subdomain, node) incidence once
     counts = (inc @ inc.T).tocoo()
-    mask = (counts.data >= min_shared_nodes) & (counts.row != counts.col)
-    adjacency = [set() for _ in range(nsub)]
-    for x, y in zip(counts.row[mask], counts.col[mask]):
-        adjacency[x].add(int(y))
-    return sub_labels, [frozenset(s) for s in adjacency]
+    mask = ((counts.data >= min_shared_nodes) & (counts.row != counts.col)
+            & (owner[counts.row] == owner[counts.col]))
+    rows = counts.row[mask]
+    local = (counts.col[mask] - sub_offsets[owner[rows]]).tolist()
+    heads = np.zeros(nsub_total + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=nsub_total), out=heads[1:])
+    heads = heads.tolist()
+    # each row keeps the product's column order, which among one rank's
+    # subdomains is the order of that rank's product alone: sets built in
+    # it iterate exactly like the one-rank result's
+    sets = [frozenset(set(local[heads[g]:heads[g + 1]]))
+            for g in range(nsub_total)]
+    bounds = np.append(sub_offsets, nsub_total).tolist()
+    return sub_labels, [sets[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def _contiguous_labels(offsets: np.ndarray, nparts: np.ndarray
+                       ) -> np.ndarray:
+    """Chunk each rank's memory order into ``nparts`` nearly equal runs,
+    at the bounds ``np.linspace(0, nlocal, nparts + 1).astype(int)``."""
+    nlocal = np.diff(offsets)
+    # the inner bounds s = 1 .. nparts - 1 of every rank, as global
+    # positions, ascending; linspace computes bound s as s * (nlocal/nparts)
+    ninner = np.maximum(nparts - 1, 0)
+    rank = np.repeat(np.arange(len(nparts)), ninner)
+    s = 1 + np.arange(len(rank)) - np.repeat(np.cumsum(ninner) - ninner,
+                                             ninner)
+    step = nlocal / np.maximum(nparts, 1)
+    inner = offsets[:-1][rank] + (s * step[rank]).astype(np.int64)
+    position = np.arange(offsets[-1])
+    below = np.repeat(np.cumsum(ninner) - ninner, nlocal)
+    return (np.searchsorted(inner, position, side="right")
+            - below).astype(np.int32)
 
 
 def halo_counts(mesh: Mesh, labels: np.ndarray, nranks: int) -> np.ndarray:
@@ -136,13 +188,32 @@ def halo_counts(mesh: Mesh, labels: np.ndarray, nranks: int) -> np.ndarray:
         shape=(mesh.nnodes, nranks))
     inc.data[:] = 1
     ranks_per_node = np.asarray(inc.sum(axis=1)).ravel()
-    shared = ranks_per_node >= 2
-    counts = np.zeros(nranks, dtype=np.int64)
-    for r in range(nranks):
-        touched = np.asarray(
-            inc[:, r].todense()).ravel().astype(bool)
-        counts[r] = int((touched & shared).sum())
-    return counts
+    shared = (ranks_per_node >= 2).astype(np.int64)
+    return np.asarray(inc.T @ shared, dtype=np.int64)
+
+
+def rank_partition(airway: AirwayMesh | Mesh, nranks: int,
+                   method: str = "multilevel", seed: int = 0) -> np.ndarray:
+    """The rank level of :func:`decompose_mesh`: (nelem,) owning rank of
+    every element.
+
+    ``method`` selects the partitioner: ``"multilevel"`` (graph,
+    Metis-like — uses junction-aware dual graph for airway meshes) or
+    ``"rcb"`` (geometric, faster for large meshes).
+    """
+    if isinstance(airway, AirwayMesh):
+        mesh = airway.mesh
+        dual = airway.dual_with_junctions
+    else:
+        mesh = airway
+        dual = mesh.face_adjacency
+    if nranks < 1:
+        raise ValueError(f"nranks must be >= 1, got {nranks}")
+    if method == "multilevel":
+        return partition_graph(dual(), nranks, seed=seed)
+    if method == "rcb":
+        return rcb_partition(mesh.centroids(), nranks)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def decompose_mesh(airway: AirwayMesh | Mesh, nranks: int,
@@ -150,38 +221,32 @@ def decompose_mesh(airway: AirwayMesh | Mesh, nranks: int,
                    method: str = "multilevel",
                    min_shared_nodes: int = 1,
                    min_elements_per_subdomain: int = 6,
-                   seed: int = 0) -> Decomposition:
+                   seed: int = 0,
+                   labels: Optional[np.ndarray] = None) -> Decomposition:
     """Two-level decomposition of a mesh (or airway mesh) for ``nranks``.
 
-    ``method`` selects the rank-level partitioner: ``"multilevel"`` (graph,
-    Metis-like — uses junction-aware dual graph for airway meshes) or
-    ``"rcb"`` (geometric, faster for large meshes).
+    The rank level is :func:`rank_partition` with ``method`` and ``seed``,
+    unless the caller passes its result as ``labels``.  The subdomain
+    level runs for all ranks at once.
     """
-    if isinstance(airway, AirwayMesh):
-        mesh = airway.mesh
-        dual = airway.dual_with_junctions if method == "multilevel" else None
-    else:
-        mesh = airway
-        dual = mesh.face_adjacency if method == "multilevel" else None
-    if nranks < 1:
-        raise ValueError(f"nranks must be >= 1, got {nranks}")
-    if method == "multilevel":
-        labels = partition_graph(dual(), nranks, seed=seed)
-    elif method == "rcb":
-        labels = rcb_partition(mesh.centroids(), nranks)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    mesh = airway.mesh if isinstance(airway, AirwayMesh) else airway
+    if labels is None:
+        labels = rank_partition(airway, nranks, method=method, seed=seed)
+    elif len(labels) != mesh.nelem:
+        raise ValueError("labels must hold one rank per element")
     halos = halo_counts(mesh, labels, nranks)
-    domains = []
-    for r in range(nranks):
-        element_ids = np.nonzero(labels == r)[0]
-        sub_labels, adjacency = subdomain_decomposition(
-            mesh, element_ids, subdomains_per_rank,
-            min_shared_nodes=min_shared_nodes,
-            min_elements_per_subdomain=min_elements_per_subdomain)
-        domains.append(RankDomain(rank=r, element_ids=element_ids,
-                                  sub_labels=sub_labels,
-                                  sub_adjacency=adjacency,
-                                  halo_nodes=int(halos[r])))
+    # each rank's elements, ascending: np.nonzero(labels == r)
+    order = np.argsort(labels, kind="stable")
+    offsets = np.zeros(nranks + 1, dtype=np.int64)
+    np.cumsum(np.bincount(labels, minlength=nranks), out=offsets[1:])
+    sub_labels, adjacency = _subdomains(
+        mesh, order, offsets, subdomains_per_rank, "rcb", min_shared_nodes,
+        min_elements_per_subdomain)
+    cuts = offsets[1:-1]
+    domains = [RankDomain(rank=r, element_ids=ids, sub_labels=subs,
+                          sub_adjacency=adj, halo_nodes=int(halo))
+               for r, (ids, subs, adj, halo) in enumerate(zip(
+                   np.split(order, cuts), np.split(sub_labels, cuts),
+                   adjacency, halos))]
     return Decomposition(mesh=mesh, nranks=nranks, labels=labels,
                          domains=domains)

@@ -732,7 +732,7 @@ def _particles_workload() -> str:
 
     wl = _workload()
     nranks = 96
-    labels = wl.decomposition(nranks).labels
+    labels = wl.rank_labels(nranks)
     snaps = _particle_snapshots()
     locator = ElementLocator(wl.airway, labels)
     digest = hashlib.sha256()
@@ -746,6 +746,60 @@ def _particles_workload() -> str:
             hist = locator.rank_histogram_state(state, nranks)
             digest.update(hist.tobytes())
     return digest.hexdigest()
+
+
+#: a private default-size workload with its operators assembled, built
+#: once by :func:`_decomposition_setup`
+_DECOMP_WORKLOAD = None
+
+
+def _decomposition_setup():
+    global _DECOMP_WORKLOAD
+    if _DECOMP_WORKLOAD is None:
+        from ..app.workload import Workload, WorkloadSpec
+
+        _DECOMP_WORKLOAD = Workload(WorkloadSpec())
+        _DECOMP_WORKLOAD.operators()
+    return _DECOMP_WORKLOAD
+
+
+def _decomposition_workload():
+    """The two-level decomposition of the default mesh for 96 ranks, from
+    cold: the workload's rank labels, decompositions and work meters and
+    the mesh's geometry cache (which holds the conflict graph) are cleared
+    first, so every call partitions, colors and meters from scratch."""
+    from ..fem import drop_cache
+
+    wl = _decomposition_setup()
+    wl._decomps.clear()
+    wl._rank_labels.clear()
+    wl._meters = None
+    drop_cache(wl.mesh)
+    return wl.decomposition(96)
+
+
+def _decomposition_digest(data) -> str:
+    """SHA-256 over every output of a :class:`DecompData`."""
+    import numpy as np
+
+    digest = hashlib.sha256(np.ascontiguousarray(data.labels).tobytes())
+    for rw in data.ranks:
+        for a in (rw.element_ids, rw.colors, rw.sub_labels,
+                  rw.assembly_instr, rw.assembly_atomics, rw.sgs_instr):
+            digest.update(np.ascontiguousarray(a).tobytes())
+        digest.update(repr(([sorted(s) for s in rw.sub_adjacency],
+                            rw.solver_nnz, rw.halo_bytes,
+                            rw.neighbors)).encode())
+    return digest.hexdigest()
+
+
+def _first_result():
+    """A never-built default spec to its first :class:`RunResult`: mesh,
+    partition, FE assembly, solves and particles, then the replay."""
+    from ..app.driver import RunConfig, run_cfpd
+    from ..app.workload import Workload, WorkloadSpec
+
+    return run_cfpd(RunConfig(), workload=Workload(WorkloadSpec()))
 
 
 def _run_cfpd(**config_kwargs):
@@ -888,6 +942,14 @@ def _benchmark_table() -> list[dict]:
                  "trace to window scales on every solver query; after = "
                  "one buffered CosimHub (receive/transform once) "
                  "answering the same 200 forwards"},
+        {"name": "decomposition", "kind": "kernel",
+         "fn": _decomposition_workload, "post": _decomposition_digest,
+         "setup": _decomposition_setup, "units": "elements",
+         "warmup": True, "repeats": 5,
+         "unit_count": lambda: _decomposition_setup().mesh.nelem,
+         "note": "default mesh, 96 ranks, caches cleared per call: rank "
+                 "RCB, all ranks' subdomains in one batched pass, one "
+                 "coloring sweep, whole-mesh work meters"},
         {"name": "particle_location", "kind": "kernel",
          "fn": _particles_workload, "units": "particles", "warmup": True,
          "setup": _particle_snapshots,
@@ -918,6 +980,12 @@ def _benchmark_table() -> list[dict]:
          "fn": lambda: _run_cfpd(mode="coupled", fluid_ranks=64, dlb=True),
          "post": simulated_digest, "units": None, "warmup": True,
          "repeats": 5},
+        # the ROADMAP's cold path: a fresh Workload to its first result
+        {"name": "first_result", "kind": "end_to_end",
+         "fn": _first_result, "post": simulated_digest, "units": None,
+         "warmup": True, "repeats": 5,
+         "note": "fresh Workload(WorkloadSpec()) -> run_cfpd(RunConfig()): "
+                 "every numeric build stage, then the first replay"},
         # policy row: execution models (cold process per job vs the warm
         # 4-worker pool); the host has a single CPU, so the gate measures
         # amortized startup/precompute, not parallel speedup

@@ -159,6 +159,19 @@ class TestCoupledDriver:
         assert fluid_ranks == set(range(5))
         assert particle_ranks == set(range(5, 8))
 
+    def test_particle_ranks_build_labels_only(self):
+        """The particle side reads rank labels only, so a cold coupled
+        run builds the full two-level decomposition for the fluid ranks
+        alone."""
+        fresh = Workload(WorkloadSpec(generations=2, points_per_ring=6,
+                                      n_steps=2))
+        cfg = RunConfig(cluster="thunder", num_nodes=1, nranks=8,
+                        mode="coupled", fluid_ranks=5)
+        run_cfpd(cfg, workload=fresh)
+        assert [key[0] for key in fresh._decomps] == [5]
+        assert set(fresh._rank_labels) == {(5, "rcb"), (3, "rcb")}
+        assert fresh.decomposition(5).labels is fresh.rank_labels(5)
+
     def test_invalid_split_rejected(self, wl):
         with pytest.raises(ValueError):
             run_cfpd(RunConfig(nranks=8, mode="coupled", fluid_ranks=0),

@@ -20,6 +20,7 @@ from repro.partition import (
     partition_graph,
     partition_weights,
     rcb_partition,
+    rcb_partition_sets,
     subdomain_decomposition,
     verify_coloring,
 )
@@ -103,6 +104,100 @@ class TestRCB:
         pts = rng.uniform(size=(n, 3))
         labels = rcb_partition(pts, k)
         assert len(np.unique(labels)) == k
+
+
+def reference_rcb(points, nparts, weights=None):
+    """Depth-first recursive RCB: the oracle of the level-synchronous
+    kernel (each set sorted stably in its current order, cut at the
+    weighted median, at most one point per part once len <= nparts)."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    weights = (np.ones(n) if weights is None
+               else np.asarray(weights, dtype=np.float64))
+    labels = np.zeros(n, dtype=np.int32)
+
+    def split(idx, nparts, offset):
+        if nparts == 1 or len(idx) == 0:
+            labels[idx] = offset
+            return
+        if len(idx) <= nparts:
+            labels[idx] = offset + np.arange(len(idx))
+            return
+        k_left = nparts // 2
+        sub = points[idx]
+        axis = int(np.argmax(sub.max(axis=0) - sub.min(axis=0)))
+        order = np.argsort(sub[:, axis], kind="stable")
+        w = weights[idx][order]
+        total = w.sum()
+        if total <= 0:
+            cut = len(idx) * k_left // nparts
+        else:
+            cut = int(np.searchsorted(np.cumsum(w), total * k_left / nparts))
+            cut = max(k_left, min(cut, len(idx) - (nparts - k_left)))
+        split(idx[order[:cut]], k_left, offset)
+        split(idx[order[cut:]], nparts - k_left, offset + k_left)
+
+    split(np.arange(n), nparts, 0)
+    return labels
+
+
+@st.composite
+def point_sets(draw):
+    """Several point sets in 1-3 D on a coarse grid (many duplicated
+    coordinates), empty sets and sets no larger than their part count
+    included, with one of four weightings."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    sizes = draw(st.lists(st.integers(min_value=0, max_value=40),
+                          min_size=1, max_size=5))
+    nparts = draw(st.lists(st.integers(min_value=1, max_value=12),
+                           min_size=len(sizes), max_size=len(sizes)))
+    n = sum(sizes)
+    coords = draw(st.lists(st.integers(min_value=0, max_value=3),
+                           min_size=n * dim, max_size=n * dim))
+    points = np.asarray(coords, dtype=np.float64).reshape(n, dim)
+    mode = draw(st.sampled_from(["none", "integer", "zero", "fractional"]))
+    if mode == "none":
+        weights = None
+    elif mode == "zero":
+        weights = np.zeros(n)
+    elif mode == "integer":
+        weights = np.asarray(draw(st.lists(
+            st.integers(min_value=0, max_value=5), min_size=n, max_size=n)),
+            dtype=np.float64)
+    else:
+        weights = np.asarray(draw(st.lists(
+            st.floats(min_value=0.0, max_value=10.0, allow_subnormal=False),
+            min_size=n, max_size=n)), dtype=np.float64)
+    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
+    return points, offsets, nparts, weights
+
+
+class TestRCBKernel:
+    @given(point_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_recursive_reference(self, case):
+        points, offsets, nparts, weights = case
+        got = rcb_partition_sets(points, offsets, nparts, weights)
+        assert got.dtype == np.int32
+        for a, b, k in zip(offsets[:-1], offsets[1:], nparts):
+            w = None if weights is None else weights[a:b]
+            want = reference_rcb(points[a:b], k, w)
+            assert (got[a:b] == want).all()
+            one = rcb_partition(points[a:b], k, w)
+            assert one.dtype == np.int32 and (one == want).all()
+
+    def test_degenerate_and_empty_sets(self):
+        points = np.array([[0.0], [0.0], [1.0], [0.0], [2.0], [2.0]])
+        labels = rcb_partition_sets(points, [0, 0, 3, 6], [4, 5, 2])
+        assert labels.tolist() == [0, 1, 2, 0, 1, 1]
+
+    def test_rejects_bad_offsets(self):
+        with pytest.raises(ValueError):
+            rcb_partition_sets(np.zeros((4, 2)), [0, 3], [2])
+        with pytest.raises(ValueError):
+            rcb_partition_sets(np.zeros((4, 2)), [0, 3, 2, 4], [2, 2, 2])
+        with pytest.raises(ValueError):
+            rcb_partition_sets(np.zeros((4, 2)), [0, 4], [0])
 
 
 class TestMultilevel:
@@ -309,3 +404,77 @@ class TestDecomposeMesh:
     def test_unknown_method(self, airway):
         with pytest.raises(ValueError):
             decompose_mesh(airway, 4, method="magic")
+
+
+class TestBatchedDecomposition:
+    """Every rank of the all-ranks-at-once decomposition equals the
+    per-rank public functions run on that rank alone."""
+
+    @pytest.fixture(scope="class")
+    def small_wl(self):
+        from repro.app import Workload, WorkloadSpec
+
+        return Workload(WorkloadSpec(generations=2, points_per_ring=6,
+                                     n_steps=2))
+
+    @staticmethod
+    def assert_ranks_match(wl, dd, **kw):
+        from repro.fem import element_work_meters
+
+        mesh = wl.mesh
+        for rw in dd.ranks:
+            ids = np.nonzero(dd.labels == rw.rank)[0]
+            assert rw.element_ids.dtype == ids.dtype
+            assert (rw.element_ids == ids).all()
+            sub, adj = subdomain_decomposition(mesh, ids, **kw)
+            assert rw.sub_labels.dtype == sub.dtype
+            assert (rw.sub_labels == sub).all()
+            assert rw.sub_adjacency == adj
+            colors = (greedy_coloring(mesh.node_sharing_adjacency(ids))
+                      if len(ids) else np.zeros(0, dtype=np.int32))
+            assert rw.colors.dtype == colors.dtype
+            assert (rw.colors == colors).all()
+            instr, atomics = element_work_meters(
+                mesh, wl.costs.assembly_instr, ids)
+            assert (rw.assembly_instr == instr).all()
+            assert (rw.assembly_atomics == atomics).all()
+
+    @pytest.mark.parametrize("nranks, method", [
+        (1, "rcb"), (7, "rcb"), (24, "rcb"), (8, "multilevel")])
+    def test_ranks_equal_per_rank_functions(self, small_wl, nranks, method):
+        dd = small_wl.decomposition(nranks, method=method)
+        self.assert_ranks_match(small_wl, dd, nsub=64, min_shared_nodes=4,
+                                min_elements_per_subdomain=3)
+
+    def test_empty_ranks(self, small_wl):
+        """More ranks than elements: the surplus ranks own nothing."""
+        nranks = small_wl.mesh.nelem + 5
+        dd = small_wl.decomposition(nranks)
+        assert (np.bincount(dd.labels, minlength=nranks) == 0).sum() == 5
+        self.assert_ranks_match(small_wl, dd, nsub=64, min_shared_nodes=4,
+                                min_elements_per_subdomain=3)
+
+    def test_decompose_mesh_with_given_labels(self, small_wl):
+        mesh = small_wl.mesh
+        labels = np.minimum(rcb_partition(mesh.centroids(), 4), 2)
+        dec = decompose_mesh(mesh, 4, subdomains_per_rank=8, labels=labels)
+        assert dec.domains[3].nelem == 0 and dec.domains[3].nsub == 0
+        assert dec.domains[3].halo_nodes == 0
+        for dom in dec.domains[:3]:
+            ids = np.nonzero(labels == dom.rank)[0]
+            sub, adj = subdomain_decomposition(mesh, ids, 8)
+            assert (dom.sub_labels == sub).all() and dom.sub_adjacency == adj
+        with pytest.raises(ValueError):
+            decompose_mesh(mesh, 4, labels=labels[:-1])
+
+    def test_contiguous_matches_linspace_chunks(self, tube_mesh):
+        for nsub in (1, 3, 7, 16):
+            ids = np.arange(0, tube_mesh.nelem, 2)[:101]
+            labels, _ = subdomain_decomposition(
+                tube_mesh, ids, nsub, method="contiguous",
+                min_elements_per_subdomain=1)
+            bounds = np.linspace(0, len(ids), nsub + 1).astype(np.int64)
+            want = np.zeros(len(ids), dtype=np.int32)
+            for s in range(nsub):
+                want[bounds[s]:bounds[s + 1]] = s
+            assert labels.dtype == np.int32 and (labels == want).all()

@@ -67,6 +67,19 @@ class TestBench:
             assert rows[name]["repeats"] == 5 and rows[name]["warmup"]
             assert "post" in rows[name]
 
+    def test_cold_path_rows(self):
+        """The decomposition kernel and the first-result cold path run in
+        quick and full mode, each digesting its result outside the timed
+        region."""
+        from repro.perf.bench import _benchmark_table
+
+        rows = {r["name"]: r for r in _benchmark_table()}
+        assert rows["decomposition"]["kind"] == "kernel"
+        assert rows["first_result"]["kind"] == "end_to_end"
+        for name in ("decomposition", "first_result"):
+            assert rows[name]["repeats"] == 5 and rows[name]["warmup"]
+            assert "post" in rows[name]
+
     def test_compare_reports_flags_regressions(self):
         from repro.perf.bench import compare_reports
 
