@@ -182,6 +182,26 @@ def _adaptive_default():
     return {"digest": _digest(_run({}, ADAPTIVE_SPEC_KW))}
 
 
+#: hybrid MPI+OpenMP (48 ranks x 2 threads): the only pins whose teams run
+#: more than one worker, so graph plans compare in-flight finish times
+HYBRID_KW = dict(nranks=48, threads_per_rank=2)
+
+
+@entry("e2e/mn4/hybrid")
+def _hybrid():
+    return {"digest": _digest(_run(HYBRID_KW))}
+
+
+@entry("e2e/mn4/hybrid_dlb")
+def _hybrid_dlb():
+    return {"digest": _digest(_run(dict(HYBRID_KW, dlb=True)))}
+
+
+@entry("e2e/mn4/adaptive_local_hybrid")
+def _adaptive_hybrid():
+    return {"digest": _digest(_run(HYBRID_KW, ADAPTIVE_SPEC_KW))}
+
+
 @entry("e2e/mn4/breathing_ventilator")
 def _breathing_default():
     result = _run({}, BREATHING_SPEC_KW)
