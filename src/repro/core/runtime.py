@@ -81,17 +81,19 @@ class _Plan:
     """A fully materialized execution schedule of one graph run.
 
     Produced by :meth:`Team._plan_sim` (or instantiated from a cached
-    template): per-task start/finish times in dispatch order, finish times
-    in completion order, and the final stats sums — everything the per-task
-    path would compute task by task, computed up front so the DES carries
-    a *single* completion event for the whole graph.
+    :class:`_PlanTemplate`): per-task start/finish times in dispatch order,
+    finish times in completion order, and the final stats sums — everything
+    the per-task path would compute task by task, computed up front so the
+    DES carries a *single* completion event for the whole graph.
     """
 
     __slots__ = ("d_tids", "d_start", "d_finish", "d_dur", "c_finish",
-                 "sums", "n_total", "t_end", "chain", "slot", "stalled")
+                 "sums", "n_total", "t_end", "chain", "slot", "stalled",
+                 "d_parent", "c_order")
 
     def __init__(self, d_tids, d_start, d_finish, d_dur, c_finish, sums,
-                 n_total, t_end, chain, stalled):
+                 n_total, t_end, chain, stalled, d_parent=None,
+                 c_order=None):
         self.d_tids = d_tids
         self.d_start = d_start      # non-decreasing (dispatch order)
         self.d_finish = d_finish
@@ -112,28 +114,95 @@ class _Plan:
         self.chain = chain
         self.slot = None            # engine handle of the pending plan event
         self.stalled = stalled      # capacity 0 with work left
+        #: discrete trajectory of a single run (None on a merged repeat
+        #: plan): each dispatch's parent — the dispatch index whose
+        #: completion triggered it, -1 at t0 — and the dispatch indices in
+        #: completion order
+        self.d_parent = d_parent
+        self.c_order = c_order
 
 
 class _PlanTemplate:
-    """Relative (t0-independent) single-worker schedule of a graph.
+    """The start-time-independent trajectory of one graph run.
 
-    With one worker the dispatch order is a pure function of the graph and
-    the scheduling policy — no two in-flight finish times are ever compared
-    — so the order, the per-task durations and the stats sums can be reused
-    across runs; only the absolute times depend on the start time, rebuilt
-    by one float add per task.  The template keeps a strong reference to its
-    graph: identity (``is``) is the cache validity check, and the reference
-    also prevents ``id()`` reuse by a new graph object.
+    Without epochs, every scheduling decision of :meth:`Team._plan_sim`
+    depends only on the order in which in-flight tasks complete: the pick
+    helpers read instruction counts, FIFO seqs and held mutex refs, never a
+    time.  A template keeps that trajectory — dispatch order, per-task
+    durations, each dispatch's parent, the completion order and the stats
+    sums — and :meth:`instantiate` rebuilds the absolute times from a new
+    ``t0`` by the simulator's own float chain (``start = finish[parent]``
+    or ``t0``, ``finish = start + dur``).
+
+    The rebuilt times reproduce the same trajectory exactly when the
+    completion order is still the in-flight heap's pop order: non-decreasing
+    in ``(finish, dispatch index)``.  A pair of consecutive completions
+    where the later task was dispatched by the earlier one's completion
+    satisfies it by construction (its finish is that finish plus a
+    non-negative duration, its dispatch index is higher), so only the other
+    pairs are compared — with one worker there are none.  When a compared
+    pair is out of order, ``instantiate`` returns ``None`` and the caller
+    re-simulates.
+
+    Templates live on the graph (``TaskGraph._plan_templates``), keyed by
+    everything the trajectory depends on besides the graph — core, worker
+    count, slowdown, task overhead and scheduler — so they outlive the
+    team that recorded them; the graph drops them when it gains a task.
     """
 
-    __slots__ = ("graph", "slowdown", "d_tids", "dur", "sums")
+    __slots__ = ("d_tids", "d_dur", "d_parent", "c_order", "checks",
+                 "chain_idx", "sums", "n_total", "stalled")
 
-    def __init__(self, graph, slowdown, d_tids, dur, sums):
-        self.graph = graph
-        self.slowdown = slowdown
-        self.d_tids = d_tids
-        self.dur = dur
-        self.sums = sums
+    def __init__(self, plan: _Plan):
+        self.d_tids = plan.d_tids
+        self.d_dur = plan.d_dur
+        self.d_parent = parent = plan.d_parent
+        self.c_order = order = plan.c_order
+        self.checks = [k for k in range(1, len(order))
+                       if parent[order[k]] != order[k - 1]
+                       or plan.d_dur[order[k]] < 0.0]
+        # genealogy of the last completion, as dispatch indices
+        chain_idx = []
+        idx = order[-1] if order else -1
+        while idx >= 0:
+            chain_idx.append(idx)
+            idx = parent[idx]
+        self.chain_idx = chain_idx
+        self.sums = plan.sums
+        self.n_total = plan.n_total
+        self.stalled = plan.stalled
+
+    def instantiate(self, t0: float) -> Optional[_Plan]:
+        """The plan of a run starting at ``t0``, or ``None`` when the
+        recorded completion order is not the heap order at ``t0``."""
+        d_start = []
+        d_finish = []
+        for p, dur in zip(self.d_parent, self.d_dur):
+            t = t0 if p < 0 else d_finish[p]
+            d_start.append(t)
+            d_finish.append(t + dur)
+        order = self.c_order
+        for k in self.checks:
+            a = order[k - 1]
+            b = order[k]
+            if (d_finish[b], b) < (d_finish[a], a):
+                return None
+        c_finish = [d_finish[i] for i in order]
+        if self.chain_idx:
+            chain = [0.0] * (2 * len(self.chain_idx))
+            chain[0::2] = [d_start[i] for i in self.chain_idx]
+            chain = tuple(chain)
+        else:
+            chain = (t0, 0.0)
+        return _Plan(self.d_tids, d_start, d_finish, self.d_dur, c_finish,
+                     self.sums, self.n_total,
+                     0.0 if self.stalled else c_finish[-1], chain,
+                     self.stalled, self.d_parent, order)
+
+
+#: trajectories a graph keeps per team-parameter key (see
+#: :meth:`Team._plan_templated`); the default replays need at most five
+MAX_PLAN_TEMPLATES = 8
 
 
 class _PlanArbiter:
@@ -159,7 +228,7 @@ class _PlanArbiter:
     """
 
     __slots__ = ("engine", "_pending", "planned_graphs", "planned_tasks",
-                 "plan_cache_hits", "plan_replans")
+                 "plan_cache_hits", "plan_template_misses", "plan_replans")
 
     def __init__(self, engine: Engine):
         self.engine = engine
@@ -168,7 +237,8 @@ class _PlanArbiter:
         # attributes because the hot path bumps them once per graph run
         self.planned_graphs = 0
         self.planned_tasks = 0
-        self.plan_cache_hits = 0
+        self.plan_cache_hits = 0        # runs served by a template
+        self.plan_template_misses = 0   # order-check fallbacks
         self.plan_replans = 0
 
     def submit(self, team: "Team", plan: _Plan) -> None:
@@ -310,7 +380,6 @@ class Team:
         # history and the future reflects the change.
         self._plan: Optional[_Plan] = None
         self._plan_repeats = 1
-        self._plan_cache: dict[int, _PlanTemplate] = {}
         self._slow_epochs: list[tuple[float, float]] = []
         self._cap_epochs: list[tuple[float, int]] = []
         arb = getattr(engine, "_plan_arbiter", None)
@@ -511,84 +580,64 @@ class Team:
                     repeats: int = 1) -> None:
         """Materialize the whole run (all ``repeats``) as one plan + one
         completion event."""
-        t0 = stats.t_start
         arb = self._arbiter
         arb.planned_graphs += repeats
         arb.planned_tasks += repeats * len(graph.tasks)
         self._plan_repeats = repeats
-        if self._max_workers == 1:
-            tpl = self._plan_cache.get(id(graph))
-            if (tpl is None or tpl.graph is not graph
-                    or tpl.slowdown != self.slowdown):
-                rel = self._plan_sim(graph, 0.0, [(0.0, self.slowdown)],
-                                     [(0.0, 1)])
-                tpl = _PlanTemplate(graph, self.slowdown, rel.d_tids,
-                                    rel.d_dur, rel.sums)
-                self._plan_cache[id(graph)] = tpl
-            else:
-                arb.plan_cache_hits += 1
-            self._install_plan(
-                self._instantiate_template(tpl, t0, graph, repeats))
+        self._install_plan(self._plan_unperturbed(graph, stats.t_start,
+                                                  repeats))
+
+    def _plan_unperturbed(self, graph: TaskGraph, t0: float,
+                          repeats: int = 1) -> _Plan:
+        """The plan of ``repeats`` runs of ``graph`` from ``t0`` at the
+        team's current capacity and slowdown, one segment per repeat served
+        by :meth:`_plan_templated`."""
+        key = (self.core, self._max_workers, self.slowdown,
+               self.task_overhead_s, self.scheduler)
+        return self._plan_repeated(
+            lambda t: self._plan_templated(graph, key, t), t0, repeats)
+
+    def _plan_templated(self, graph: TaskGraph, key: tuple,
+                        t0: float) -> _Plan:
+        """One unperturbed run of ``graph`` at ``t0``: instantiated from the
+        first of the graph's templates for ``key`` whose completion order
+        holds at ``t0``, simulated otherwise.  A simulated run records its
+        trajectory as a further template (up to :data:`MAX_PLAN_TEMPLATES`
+        per key): near-tied finishes can order differently at different
+        start times, and a deterministic replay meets the same start times
+        again.  Two templates that both pass are the same trajectory — the
+        order check admits only the one the simulation would take."""
+        templates = graph._plan_templates.get(key)
+        if templates is None:
+            templates = graph._plan_templates[key] = []
         else:
-            self._install_plan(
-                self._plan_sim_repeated(graph, t0, [(t0, self.slowdown)],
-                                        [(t0, self._max_workers)], repeats))
+            for tpl in templates:
+                plan = tpl.instantiate(t0)
+                if plan is not None:
+                    self._arbiter.plan_cache_hits += 1
+                    return plan
+            self._arbiter.plan_template_misses += 1
+        plan = self._plan_sim(graph, t0, [(t0, self.slowdown)],
+                              [(t0, self._max_workers)])
+        if len(templates) < MAX_PLAN_TEMPLATES:
+            templates.append(_PlanTemplate(plan))
+        return plan
 
-    def _instantiate_template(self, tpl: _PlanTemplate, t0: float,
-                              graph: TaskGraph, repeats: int = 1) -> _Plan:
-        """Rebuild absolute times from a relative single-worker template.
-
-        One float add per task, in the exact expression order of the per-task
-        chain (``finish = start + dur``, next start = previous finish), so
-        the absolute times are bit-identical to a fresh simulation.
-        ``repeats`` chains the schedule back to back; the stats sums fold
-        left, one term per repeat, matching the per-task loop's per-repeat
-        ``+=`` aggregation bit for bit.
-        """
-        t = t0
-        d_start = []
-        d_finish = []
-        push_s = d_start.append
-        push_f = d_finish.append
-        for _ in range(repeats):
-            for dur in tpl.dur:
-                push_s(t)
-                t = t + dur
-                push_f(t)
-        busy, instr, overhead, max_conc = tpl.sums
-        for _ in range(repeats - 1):
-            busy += tpl.sums[0]
-            instr += tpl.sums[1]
-            overhead += tpl.sums[2]
-        # single worker: the full reversed dispatch sequence IS the
-        # genealogy walk; repeat-boundary roots carry hop tag 1.0
-        n = len(tpl.dur)
-        chain_l = []
-        for idx in range(len(d_start) - 1, -1, -1):
-            chain_l.append(d_start[idx])
-            chain_l.append(1.0 if idx and idx % n == 0 else 0.0)
-        return _Plan(tpl.d_tids * repeats, d_start, d_finish,
-                     tpl.dur * repeats, d_finish,
-                     (busy, instr, overhead, max_conc),
-                     repeats * len(graph.tasks), d_finish[-1],
-                     tuple(chain_l), False)
-
-    def _plan_sim_repeated(self, graph: TaskGraph, t0: float,
-                           slow_epochs: list, cap_epochs: list,
-                           repeats: int) -> _Plan:
-        """``repeats`` back-to-back :meth:`_plan_sim` runs merged into one
-        plan: each segment starts at the previous segment's end (the per-task
-        loop re-enters ``_run_once`` inside the previous completion), the
-        stats sums fold left like the per-task per-repeat aggregation, and
-        the dispatch-genealogy chain concatenates through the repeat
-        boundary — repeat ``j``'s roots are dispatched inside repeat
-        ``j-1``'s *done* callback, one event hop after any same-time
+    @staticmethod
+    def _plan_repeated(segment, t0: float, repeats: int) -> _Plan:
+        """``repeats`` back-to-back runs merged into one plan, each
+        ``segment(start)`` starting at the previous segment's end (the
+        per-task loop re-enters ``_run_once`` inside the previous
+        completion).  The stats sums fold left like the per-task per-repeat
+        aggregation, and the dispatch-genealogy chain concatenates through
+        the repeat boundary — repeat ``j``'s roots are dispatched inside
+        repeat ``j-1``'s *done* callback, one event hop after any same-time
         task-finish dispatch, so the boundary root carries hop tag 1.0."""
-        plan = self._plan_sim(graph, t0, slow_epochs, cap_epochs)
+        plan = segment(t0)
         for _ in range(repeats - 1):
             if plan.stalled:
                 break
-            nxt = self._plan_sim(graph, plan.t_end, slow_epochs, cap_epochs)
+            nxt = segment(plan.t_end)
             sums = (plan.sums[0] + nxt.sums[0], plan.sums[1] + nxt.sums[1],
                     plan.sums[2] + nxt.sums[2],
                     max(plan.sums[3], nxt.sums[3]))
@@ -600,6 +649,15 @@ class Team:
                          plan.n_total + nxt.n_total, nxt.t_end,
                          nxt.chain[:-1] + (1.0,) + plan.chain, nxt.stalled)
         return plan
+
+    def _plan_sim_repeated(self, graph: TaskGraph, t0: float,
+                           slow_epochs: list, cap_epochs: list,
+                           repeats: int) -> _Plan:
+        """``repeats`` back-to-back :meth:`_plan_sim` runs merged into one
+        plan (see :meth:`_plan_repeated`)."""
+        return self._plan_repeated(
+            lambda t: self._plan_sim(graph, t, slow_epochs, cap_epochs),
+            t0, repeats)
 
     def _install_plan(self, plan: _Plan) -> None:
         """Adopt a freshly simulated plan and queue it for arming.
@@ -726,6 +784,7 @@ class Team:
         d_finish: list = []
         d_dur: list = []
         c_finish: list = []
+        c_order: list = []
         # d_parent[i]: dispatch index of the task whose completion dispatched
         # task i (-1: dispatched at t0 or after an external capacity epoch) —
         # the seq-assignment genealogy the per-task path creates implicitly
@@ -790,6 +849,7 @@ class Team:
                 active -= 1
                 completed += 1
                 c_finish.append(finish)
+                c_order.append(di)
                 if lpt:
                     for succ in task.successors:
                         preds_left[succ] -= 1
@@ -824,7 +884,7 @@ class Team:
             chain = (t0, 0.0)
         return _Plan(d_tids, d_start, d_finish, d_dur, c_finish,
                      (busy, instr, ovh_sum, max_conc), n, t_end, chain,
-                     stalled)
+                     stalled, d_parent, c_order)
 
     # -- internals --------------------------------------------------------
     def _push_ready(self, task: Task) -> None:

@@ -102,6 +102,10 @@ class TaskGraph:
         # last writer / readers-since-last-write, per ordered data ref
         self._last_writer: dict[Hashable, int] = {}
         self._readers_since_write: dict[Hashable, list[int]] = {}
+        #: plan templates of the runtime (``repro.core.runtime``), keyed by
+        #: the executing team's parameters; dropped whenever the graph
+        #: gains a task, since they describe the graph as it was
+        self._plan_templates: dict = {}
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -118,6 +122,7 @@ class TaskGraph:
         ``depend`` maps :class:`DepType` to an iterable of data refs.  The
         iterable may be computed at run time (multidependences).
         """
+        self._plan_templates.clear()
         tid = len(self.tasks)
         task = Task(tid=tid, work=work, label=label or f"task{tid}")
         preds: set[int] = set()
@@ -162,6 +167,7 @@ class TaskGraph:
         once all tasks of color ``c`` finished.  Implemented with a sentinel
         ref so the edge count stays linear.
         """
+        self._plan_templates.clear()
         # Depend IN on nothing; explicit edges from all current sinks:
         tid = len(self.tasks)
         task = Task(tid=tid, work=WorkSpec(0.0), label=label)

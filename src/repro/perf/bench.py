@@ -980,6 +980,12 @@ def _benchmark_table() -> list[dict]:
          "fn": lambda: _run_cfpd(mode="coupled", fluid_ranks=64, dlb=True),
          "post": simulated_digest, "units": None, "warmup": True,
          "repeats": 5},
+        # hybrid MPI+OpenMP (Figs. 6-7): two-worker teams, whose graph
+        # plans compare in-flight finish times
+        {"name": "run_cfpd_hybrid", "kind": "end_to_end",
+         "fn": lambda: _run_cfpd(nranks=48, threads_per_rank=2),
+         "post": simulated_digest, "units": None, "warmup": True,
+         "repeats": 5},
         # the ROADMAP's cold path: a fresh Workload to its first result
         {"name": "first_result", "kind": "end_to_end",
          "fn": _first_result, "post": simulated_digest, "units": None,

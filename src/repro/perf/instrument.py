@@ -75,6 +75,7 @@ def engine_counters(engine) -> Dict[str, float]:
             "planned_graphs": arbiter.planned_graphs,
             "planned_tasks": arbiter.planned_tasks,
             "plan_cache_hits": arbiter.plan_cache_hits,
+            "plan_template_misses": arbiter.plan_template_misses,
             "plan_replans": arbiter.plan_replans,
         }
     return {

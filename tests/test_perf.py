@@ -62,7 +62,8 @@ class TestBench:
 
         rows = {r["name"]: r for r in _benchmark_table()}
         for name in ("run_cfpd_sync", "run_cfpd_coupled",
-                     "run_cfpd_sync_dlb", "run_cfpd_coupled_dlb"):
+                     "run_cfpd_sync_dlb", "run_cfpd_coupled_dlb",
+                     "run_cfpd_hybrid"):
             assert rows[name]["kind"] == "end_to_end"
             assert rows[name]["repeats"] == 5 and rows[name]["warmup"]
             assert "post" in rows[name]
@@ -175,6 +176,24 @@ class TestBench:
         assert len(failures) == 1       # only end-to-end rows are pinned
         assert failures[0].startswith("e2e:") and "digest" in failures[0]
         assert compare_reports(ref, ref) == []
+
+
+# -- plan templates --------------------------------------------------------
+
+class TestPlanTemplates:
+    def test_warm_hybrid_replay_serves_templates(self):
+        """On a warm default 48x2 replay every planned graph run is either
+        served by the template its graph cached on an earlier run or falls
+        back on the order check, and the fallbacks stay rare."""
+        from repro.app.driver import RunConfig, run_cfpd
+
+        cfg = RunConfig(nranks=48, threads_per_rank=2)
+        run_cfpd(cfg)
+        plans = run_cfpd(cfg).engine_diag["batch"]["plans"]
+        hits = plans["plan_cache_hits"]
+        misses = plans["plan_template_misses"]
+        assert hits + misses == plans["planned_graphs"] > 0
+        assert misses <= 0.15 * plans["planned_graphs"]
 
 
 # -- smpi fast-path equivalence --------------------------------------------

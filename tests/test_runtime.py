@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DepType, Team, TaskGraph
-from repro.core.runtime import RuntimeError_
+from repro.core.runtime import MAX_PLAN_TEMPLATES, RuntimeError_
 from repro.machine import CoreModel, WorkSpec
 from repro.sim import Engine
 
@@ -287,17 +287,18 @@ class TestPlanEquivalence:
     # -- mutexes, policies and epochs on dispatch instants ---------------
 
     @staticmethod
-    def _mutex_graph(spec):
-        """A graph from drawn ``(instr_quarters, mutex refs, chain ref)``
+    def _mutex_graph(spec, unit=0.25):
+        """A graph from drawn ``(instr_units, mutex refs, chain ref)``
         triples: equal instruction counts tie on LPT, shared mutex refs
         block ready tasks, and a shared chain ref orders tasks by a DAG
-        edge."""
+        edge.  A non-dyadic ``unit`` makes paths of equal real length
+        finish at rounding-dependent times."""
         g = TaskGraph()
-        for quarters, mutexes, chain in spec:
+        for units, mutexes, chain in spec:
             depend = {DepType.MUTEXINOUTSET: mutexes}
             if chain is not None:
                 depend[DepType.INOUT] = [chain]
-            g.add_task(WorkSpec(quarters * 0.25 * SEC), depend=depend)
+            g.add_task(WorkSpec(units * unit * SEC), depend=depend)
         return g
 
     @staticmethod
@@ -367,3 +368,143 @@ class TestPlanEquivalence:
                                   scheduler, epochs, None)
         assert planned == per_task      # bit-exact, no approx
         assert per_task[0] == len(spec)
+
+    # -- plan templates ----------------------------------------------------
+
+    PLAN_FIELDS = ("d_tids", "d_start", "d_finish", "d_dur", "c_finish",
+                   "sums", "n_total", "t_end", "chain", "stalled")
+
+    @classmethod
+    def _assert_plans_equal(cls, got, want):
+        for name in cls.PLAN_FIELDS:
+            assert getattr(got, name) == getattr(want, name), name
+
+    @staticmethod
+    def _fresh(team, graph, t0, repeats=1):
+        return team._plan_sim_repeated(graph, t0, [(t0, team.slowdown)],
+                                       [(t0, team.capacity)], repeats)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spec=st.lists(
+               st.tuples(st.integers(1, 4),
+                         st.frozensets(st.sampled_from("abcd"), max_size=2),
+                         st.one_of(st.none(), st.sampled_from("xy"))),
+               min_size=1, max_size=10),
+           workers=st.integers(1, 4),
+           scheduler=st.sampled_from(Team.SCHEDULERS),
+           slowdown=st.sampled_from([1.0, 0.5, 3.0]),
+           overhead=st.sampled_from([0.01, 0.0137]),
+           unit=st.sampled_from([0.25, 0.1]),
+           repeats=st.integers(1, 3),
+           t_rec=st.sampled_from([0.0, 0.7, 123456.789]),
+           t0s=st.lists(st.one_of(
+               st.floats(0.0, 10.0),
+               st.floats(1e3, 1e7),
+               st.sampled_from([0.1, 1.7, 98765.4321, 3.3e5 + 0.1])),
+               min_size=1, max_size=6))
+    def test_template_plans_exact(self, spec, workers, scheduler, slowdown,
+                                  overhead, unit, repeats, t_rec, t0s):
+        """A plan served from a graph's template — or from the fallback
+        simulation when the recorded completion order fails the order
+        check — equals a fresh simulation field for field, float ``==``
+        (a digest rounds times and would miss an ulp of drift)."""
+        graph = self._mutex_graph(spec, unit)
+        team = Team(Engine(), CORE, workers, task_overhead_s=overhead,
+                    scheduler=scheduler)
+        team.set_slowdown(slowdown)
+        first = team._plan_unperturbed(graph, t_rec, repeats)
+        self._assert_plans_equal(first, self._fresh(team, graph, t_rec,
+                                                    repeats))
+        [templates] = graph._plan_templates.values()
+        for t0 in t0s:
+            self._assert_plans_equal(team._plan_unperturbed(graph, t0,
+                                                            repeats),
+                                     self._fresh(team, graph, t0, repeats))
+        arb = team._arbiter
+        served = arb.plan_cache_hits + arb.plan_template_misses
+        assert served == repeats * (1 + len(t0s)) - 1
+        assert len(templates) == min(1 + arb.plan_template_misses,
+                                     MAX_PLAN_TEMPLATES)
+        if workers == 1:
+            assert arb.plan_template_misses == 0
+
+    @staticmethod
+    def _race_graph():
+        """fifo on two workers: ``y`` (0.3 s) runs beside ``x1`` (0.1 s)
+        then ``x2`` (0.2 s), so the finish order of ``y`` and ``x2``
+        compares ``t0 + 0.3`` with ``(t0 + 0.1) + 0.2``, which rounding
+        decides differently at different start times."""
+        g = TaskGraph()
+        g.add_task(WorkSpec(0.3 * SEC))
+        g.add_task(WorkSpec(0.1 * SEC))
+        g.add_task(WorkSpec(0.2 * SEC))
+        return g
+
+    def test_order_check_failure_falls_back(self):
+        graph = self._race_graph()
+        team = Team(Engine(), CORE, 2, task_overhead_s=0.0,
+                    scheduler="fifo")
+        team._plan_unperturbed(graph, 0.0)
+        [[tpl]] = graph._plan_templates.values()
+        t0 = next(t for t in (k * 0.1 for k in range(1, 10_000))
+                  if tpl.instantiate(t) is None)
+        arb = team._arbiter
+        misses = arb.plan_template_misses
+        plan = team._plan_unperturbed(graph, t0)
+        assert arb.plan_template_misses == misses + 1
+        self._assert_plans_equal(plan, self._fresh(team, graph, t0))
+        # the fallback took the other completion order and recorded it:
+        # the same start time is now served, and so is the first one
+        assert plan.c_order != tpl.c_order
+        [templates] = graph._plan_templates.values()
+        assert len(templates) == 2
+        hits = arb.plan_cache_hits
+        for t in (t0, 0.0):
+            self._assert_plans_equal(team._plan_unperturbed(graph, t),
+                                     self._fresh(team, graph, t))
+        assert arb.plan_cache_hits == hits + 2
+        assert arb.plan_template_misses == misses + 1
+
+    def test_graph_growth_drops_templates(self):
+        """A graph that gains a task after a run is planned afresh, not
+        from the template recorded before (which would report two tasks
+        with a one-task makespan)."""
+        graph = simple_graph(1, instr=1.1338 * SEC)
+        eng = Engine()
+        team = Team(eng, CORE, 1)
+        out = []
+
+        def prog():
+            out.append((yield from team.run(graph)))
+            graph.add_task(WorkSpec(0.5 * SEC))
+            out.append((yield from team.run(graph)))
+            graph.add_barrier()
+            out.append((yield from team.run(graph)))
+
+        eng.process(prog())
+        eng.run()
+        assert [s.tasks_run for s in out] == [1, 2, 3]
+        assert out[1].makespan == pytest.approx(1.6338)
+        assert out[2].makespan == pytest.approx(1.6338)
+        per_task = run_graph(graph, 1, recorder=NullRecorder())[2]
+        assert (out[2].busy_seconds, out[2].instructions) == \
+            (per_task.busy_seconds, per_task.instructions)
+
+    def test_teams_sharing_a_graph_keep_their_own_templates(self):
+        """Templates are keyed by the team parameters, so two teams with
+        different overheads or schedulers running one graph each get
+        their own exact plan."""
+        graph = self._mutex_graph([(3, frozenset("a"), None),
+                                   (1, frozenset("ab"), "x"),
+                                   (2, frozenset(), None),
+                                   (4, frozenset("b"), "x"),
+                                   (2, frozenset("c"), None)])
+        teams = [Team(Engine(), CORE, 2, task_overhead_s=ovh,
+                      scheduler=sched)
+                 for ovh, sched in [(0.01, "lpt"), (0.03, "lpt"),
+                                    (0.01, "fifo"), (0.03, "lifo")]]
+        for t0 in (0.0, 2.5, 7.125):
+            for team in teams:
+                self._assert_plans_equal(team._plan_unperturbed(graph, t0),
+                                         self._fresh(team, graph, t0))
+        assert len(graph._plan_templates) == len(teams)
