@@ -122,6 +122,26 @@ class _Plan:
         self.c_order = c_order
 
 
+def _genealogy(d_parent: list, last: int) -> list:
+    """Dispatch indices from ``last`` up its parent links to a root
+    (empty when ``last`` is -1: nothing completed)."""
+    idx = []
+    while last >= 0:
+        idx.append(last)
+        last = d_parent[last]
+    return idx
+
+
+def _chain(d_start: list, genealogy: list, t0: float) -> tuple:
+    """A plan's ``chain``: the dispatch times along ``genealogy``, each
+    with hop tag 0.0, or ``(t0, 0.0)`` for an empty genealogy."""
+    if not genealogy:
+        return (t0, 0.0)
+    chain = [0.0] * (2 * len(genealogy))
+    chain[0::2] = [d_start[i] for i in genealogy]
+    return tuple(chain)
+
+
 class _PlanTemplate:
     """The start-time-independent trajectory of one graph run.
 
@@ -161,13 +181,7 @@ class _PlanTemplate:
         self.checks = [k for k in range(1, len(order))
                        if parent[order[k]] != order[k - 1]
                        or plan.d_dur[order[k]] < 0.0]
-        # genealogy of the last completion, as dispatch indices
-        chain_idx = []
-        idx = order[-1] if order else -1
-        while idx >= 0:
-            chain_idx.append(idx)
-            idx = parent[idx]
-        self.chain_idx = chain_idx
+        self.chain_idx = _genealogy(parent, order[-1] if order else -1)
         self.sums = plan.sums
         self.n_total = plan.n_total
         self.stalled = plan.stalled
@@ -188,15 +202,10 @@ class _PlanTemplate:
             if (d_finish[b], b) < (d_finish[a], a):
                 return None
         c_finish = [d_finish[i] for i in order]
-        if self.chain_idx:
-            chain = [0.0] * (2 * len(self.chain_idx))
-            chain[0::2] = [d_start[i] for i in self.chain_idx]
-            chain = tuple(chain)
-        else:
-            chain = (t0, 0.0)
         return _Plan(self.d_tids, d_start, d_finish, self.d_dur, c_finish,
                      self.sums, self.n_total,
-                     0.0 if self.stalled else c_finish[-1], chain,
+                     0.0 if self.stalled else c_finish[-1],
+                     _chain(d_start, self.chain_idx, t0),
                      self.stalled, self.d_parent, order)
 
 
@@ -872,18 +881,9 @@ class Team:
                 stalled = True
                 break
         t_end = c_finish[-1] if completed == n else 0.0
-        if last_di >= 0:
-            chain_l = []
-            idx = last_di
-            while idx >= 0:
-                chain_l.append(d_start[idx])
-                chain_l.append(0.0)
-                idx = d_parent[idx]
-            chain = tuple(chain_l)
-        else:
-            chain = (t0, 0.0)
         return _Plan(d_tids, d_start, d_finish, d_dur, c_finish,
-                     (busy, instr, ovh_sum, max_conc), n, t_end, chain,
+                     (busy, instr, ovh_sum, max_conc), n, t_end,
+                     _chain(d_start, _genealogy(d_parent, last_di), t0),
                      stalled, d_parent, c_order)
 
     # -- internals --------------------------------------------------------
