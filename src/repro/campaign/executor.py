@@ -6,12 +6,9 @@ through the store/journal machinery:
 * cells whose fingerprint is already in the store are **cache hits** —
   re-running an identical campaign performs zero new simulations;
 * pending cells run either inline (``workers=0``, the deterministic serial
-  path the figure runners use), under the **supervised worker pool**
+  path the figure runners use) or under the **supervised worker pool**
   (``workers=N`` — lease-based work claiming, heartbeat liveness and
-  poison-job quarantine, see :mod:`repro.campaign.supervisor`), or one
-  fresh cold process per job (``fresh_process_per_job=True`` — the
-  pre-campaign "ad-hoc script per cell" execution model, kept as the
-  bench baseline);
+  poison-job quarantine, see :mod:`repro.campaign.supervisor`);
 * failures are classified against the :mod:`repro.fault` /
   :mod:`repro.smpi` failure taxonomy: only *transient* classes (worker
   crash, timeout) retry, with exponential backoff — a deterministic
@@ -39,7 +36,6 @@ from __future__ import annotations
 import multiprocessing
 from concurrent.futures import (
     BrokenExecutor,
-    ProcessPoolExecutor,
     TimeoutError as FutureTimeoutError,
 )
 from dataclasses import dataclass, field
@@ -212,7 +208,6 @@ def run_campaign(campaign: CampaignSpec,
                  job_timeout: Optional[float] = None,
                  max_retries: int = 2,
                  backoff_base: float = 0.05,
-                 fresh_process_per_job: bool = False,
                  kill_plan: Optional[FaultPlan] = None,
                  journal: Optional[Journal] = None,
                  progress: Optional[Callable[[str], None]] = None,
@@ -223,9 +218,8 @@ def run_campaign(campaign: CampaignSpec,
 
     ``workers=0`` runs inline (serial, deterministic order); ``workers>=1``
     uses the supervised worker pool (leases, heartbeats, quarantine — see
-    :mod:`repro.campaign.supervisor`, tunable via ``supervision``);
-    ``fresh_process_per_job`` runs each job serially in a cold spawned
-    process instead.  ``kill_plan`` injects orchestration faults:
+    :mod:`repro.campaign.supervisor`, tunable via ``supervision``).
+    ``kill_plan`` injects orchestration faults:
     campaign-level ``job_kill`` (see :class:`_KillGate`, raises
     :class:`JobKilledError` *after* the journal records the kill so a
     resume picks up exactly where it stopped) and the per-worker kinds
@@ -254,10 +248,8 @@ def run_campaign(campaign: CampaignSpec,
     try:
         _execute(jobs, run, store, journal, gate, workers=workers,
                  job_timeout=job_timeout, max_retries=max_retries,
-                 backoff_base=backoff_base,
-                 fresh_process_per_job=fresh_process_per_job,
-                 progress=progress, clock=clock, supervision=supervision,
-                 kill_plan=kill_plan)
+                 backoff_base=backoff_base, progress=progress, clock=clock,
+                 supervision=supervision, kill_plan=kill_plan)
         if journal is not None:
             journal.append("campaign_end", **run.stats())
     except JobKilledError as exc:
@@ -272,8 +264,8 @@ def run_campaign(campaign: CampaignSpec,
 
 
 def _execute(jobs, run, store, journal, gate, *, workers, job_timeout,
-             max_retries, backoff_base, fresh_process_per_job, progress,
-             clock, supervision, kill_plan):
+             max_retries, backoff_base, progress, clock, supervision,
+             kill_plan):
     pending = []
     seen: dict = {}
     for job in jobs:
@@ -296,7 +288,7 @@ def _execute(jobs, run, store, journal, gate, *, workers, job_timeout,
 
     if not pending:
         return
-    if workers >= 1 and not fresh_process_per_job:
+    if workers >= 1:
         _execute_supervised(pending, run, store, journal, gate,
                             workers=workers, job_timeout=job_timeout,
                             max_retries=max_retries,
@@ -305,19 +297,15 @@ def _execute(jobs, run, store, journal, gate, *, workers, job_timeout,
                             kill_plan=kill_plan)
     else:
         _execute_serial(pending, store, journal, gate,
-                        fresh_process=fresh_process_per_job,
-                        job_timeout=job_timeout, max_retries=max_retries,
-                        backoff_base=backoff_base, progress=progress,
-                        clock=clock)
+                        max_retries=max_retries, backoff_base=backoff_base,
+                        progress=progress, clock=clock)
 
 
-def _execute_serial(pending, store, journal, gate, *, fresh_process,
-                    job_timeout, max_retries, backoff_base, progress,
-                    clock):
+def _execute_serial(pending, store, journal, gate, *, max_retries,
+                    backoff_base, progress, clock):
     for outcome in pending:
         _run_with_retries(outcome, journal, max_retries=max_retries,
-                          backoff_base=backoff_base, job_timeout=job_timeout,
-                          fresh_process=fresh_process, clock=clock)
+                          backoff_base=backoff_base, clock=clock)
         _publish(outcome, store, journal, gate, progress)
 
 
@@ -341,8 +329,7 @@ def _execute_supervised(pending, run, store, journal, gate, *, workers,
     sup.run()
 
 
-def _run_with_retries(outcome, journal, *, max_retries, backoff_base,
-                      job_timeout, fresh_process, clock):
+def _run_with_retries(outcome, journal, *, max_retries, backoff_base, clock):
     job = outcome.job
     for attempt in range(1, max_retries + 2):
         outcome.attempts = attempt
@@ -350,10 +337,7 @@ def _run_with_retries(outcome, journal, *, max_retries, backoff_base,
             journal.append("job_start", fingerprint=outcome.fingerprint,
                            job_id=job.job_id, attempt=attempt)
         try:
-            if fresh_process:
-                outcome.record = _run_in_fresh_process(job, job_timeout)
-            else:
-                outcome.record = run_job(job)
+            outcome.record = run_job(job)
             outcome.status = "done"
             return
         except Exception as exc:  # noqa: BLE001 - classified below
@@ -375,15 +359,6 @@ def _run_with_retries(outcome, journal, *, max_retries, backoff_base,
                                job_id=job.job_id, failure_class=failure,
                                error=str(exc))
             return
-
-
-def _run_in_fresh_process(job: Job, job_timeout: Optional[float]) -> dict:
-    """One cold spawned process per job — the ad-hoc-script execution
-    model the campaign layer replaces (every job pays interpreter start,
-    imports and the full numeric precompute; nothing is reused)."""
-    ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
-        return pool.submit(run_job, job).result(timeout=job_timeout)
 
 
 def _publish(outcome, store, journal, gate, progress) -> None:

@@ -1,11 +1,12 @@
 """Benchmark runner: the BENCH JSON trajectory of the performance layer.
 
-Times representative workloads — DES micro-benchmarks, numeric kernels and
-end-to-end runs — and emits a machine-readable report.  Each hot path has
+Times DES micro-benchmarks, numeric kernels and three execution-policy
+comparisons, and emits a machine-readable report.  End-to-end runs are
+timed by the repository's ``bench/`` harness, not here.  Each hot path has
 one implementation, so most rows are *absolute*: their after-time is gated
-against the previous report (``--compare``/``--baseline``), and the
-simulated results are pinned by ``tests/golden_digests.json``.  Three rows
-compare *policies* on the same code and keep a before side with a minimum
+against the previous report (``--baseline``), and the simulated results
+are pinned by ``tests/golden_digests.json``.  Three rows compare
+*policies* on the same code and keep a before side with a minimum
 speedup: ``time_to_endpoint`` (fixed fine Δt vs CFL-adaptive stepping),
 ``breathing_cycle`` (transform-per-request vs a buffered co-simulation
 hub) and ``campaign_throughput`` (a cold process per job vs the warm
@@ -14,18 +15,12 @@ worker pool).
 Usage::
 
     PYTHONPATH=src python -m repro.perf.bench                 # full run
-    PYTHONPATH=src python -m repro.perf.bench --quick         # CI smoke
-    PYTHONPATH=src python -m repro.perf.bench --compare BENCH_pr5.json \
-        --baseline auto
+    PYTHONPATH=src python -m repro.perf.bench --quick --baseline auto  # CI
 
-``--compare`` exits non-zero when any benchmark is more than
-``SLOWDOWN_TOLERANCE`` times slower than the committed reference report,
-or when an end-to-end row's simulated digest differs from the reference
-report's after-digest — the CI perf- and result-regression gate.  Quick
-mode runs the *same* rows at the same workload sizes with fewer repeats
-(the end-to-end rows, DLB included, keep their fixed best-of-5), so its
-timings remain comparable (within the 2x gate) to a committed full-mode
-report.
+Quick mode runs the *same* rows at the same workload sizes with fewer
+repeats where a row fixes none.  The run exits non-zero when a policy row
+misses its minimum speedup, its two sides disagree on the simulated
+digest, or a detail check (endpoint accuracy) fails.
 
 ``--baseline`` additionally gates the cross-PR *trajectory*: the current
 after-times are compared against the previous PR's committed report (its
@@ -35,11 +30,8 @@ median kernel ratio between the two reports — times the noise floor (see
 :func:`trajectory_check`).  The comparison, including the estimated
 drift factor, is recorded in the report's ``trajectory`` section.
 ``--baseline auto`` resolves the newest committed ``BENCH_prN.json``
-below the current PR number — PRs that shipped no bench report (PR 6)
-simply don't break the chain.
-
-Every end-to-end benchmark records the
-:func:`repro.campaign.simulated_digest` of its result.
+below the current PR number — PRs that shipped no bench report simply
+don't break the chain.
 """
 
 from __future__ import annotations
@@ -57,10 +49,7 @@ import time
 from typing import Callable, Optional
 
 __all__ = ["run_benchmarks", "trajectory_check", "resolve_auto_reference",
-           "main", "SLOWDOWN_TOLERANCE"]
-
-#: --compare fails when current/baseline exceeds this per benchmark
-SLOWDOWN_TOLERANCE = 2.0
+           "main"]
 
 #: --baseline floor for drift-adjusted kernel speedups (see
 #: :func:`trajectory_check`): after the median host-drift factor is
@@ -73,7 +62,9 @@ TRAJECTORY_NOISE_FLOOR = 0.9
 TRAJECTORY_QUICK_FLOOR = 0.85
 
 _SCHEMA = "repro-bench-v1"
-_DEFAULT_OUT = "BENCH_pr10.json"
+#: gitignored scratch output: a committed BENCH_prN.json is only ever
+#: written by naming it with --out
+_DEFAULT_OUT = "BENCH_smoke.json"
 
 #: documented accuracy contract of the adaptive time-to-endpoint row:
 #: relative L2 distance of the adaptive endpoint velocity from the fine
@@ -793,22 +784,6 @@ def _decomposition_digest(data) -> str:
     return digest.hexdigest()
 
 
-def _first_result():
-    """A never-built default spec to its first :class:`RunResult`: mesh,
-    partition, FE assembly, solves and particles, then the replay."""
-    from ..app.driver import RunConfig, run_cfpd
-    from ..app.workload import Workload, WorkloadSpec
-
-    return run_cfpd(RunConfig(), workload=Workload(WorkloadSpec()))
-
-
-def _run_cfpd(**config_kwargs):
-    """End-to-end run returning the :class:`RunResult` (the timed part)."""
-    from ..app.driver import RunConfig, run_cfpd
-
-    return run_cfpd(RunConfig(**config_kwargs))
-
-
 def _campaign_bench_spec():
     """The bench sweep: 8 jobs (2 rank counts x 2 thread counts x DLB)."""
     from ..app import RunConfig, WorkloadSpec
@@ -823,22 +798,37 @@ def _campaign_bench_spec():
               ("config.dlb", [False, True])])
 
 
-def _campaign_digest(run) -> str:
+def _campaign_digest(digests: dict) -> str:
+    """SHA-256 over a campaign's sorted (fingerprint, digest) map."""
     h = hashlib.sha256()
-    for fp, digest in sorted(run.digest_map().items()):
+    for fp, digest in sorted(digests.items()):
         h.update(fp.encode())
         h.update(digest.encode())
     return h.hexdigest()
 
 
-def _campaign_cold_serial() -> str:
-    """The pre-campaign execution model: one cold spawned process per job
-    (every cell pays interpreter start, imports and the full workload
-    precompute — the "ad-hoc script per configuration" status quo)."""
-    from ..campaign import run_campaign
+def _cold_process_digests(campaign) -> dict:
+    """The pre-campaign execution model: every job of ``campaign`` runs
+    serially in its own cold spawned process, paying interpreter start,
+    imports and the full numeric precompute (the "ad-hoc script per
+    configuration" status quo).  Returns the (fingerprint -> digest) map
+    :meth:`CampaignRun.digest_map` gives for the same jobs."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    return _campaign_digest(
-        run_campaign(_campaign_bench_spec(), fresh_process_per_job=True))
+    from ..campaign.runner import run_job
+
+    ctx = multiprocessing.get_context("spawn")
+    digests = {}
+    for job in campaign.expand():
+        with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
+            record = pool.submit(run_job, job).result()
+        digests[job.fingerprint] = record["simulated_digest"]
+    return digests
+
+
+def _campaign_cold_serial() -> str:
+    return _campaign_digest(_cold_process_digests(_campaign_bench_spec()))
 
 
 def _campaign_warm_pool() -> str:
@@ -847,7 +837,7 @@ def _campaign_warm_pool() -> str:
     from ..campaign import run_campaign
 
     return _campaign_digest(
-        run_campaign(_campaign_bench_spec(), workers=4))
+        run_campaign(_campaign_bench_spec(), workers=4).digest_map())
 
 
 def _campaign_setup() -> None:
@@ -865,12 +855,9 @@ def _benchmark_table() -> list[dict]:
 
     A row times ``fn``; a *policy* row also times ``before_fn`` (the other
     execution model on the same code) and gates their ratio at
-    ``min_speedup``.  End-to-end runs digest their result in the ``post``
-    hook, outside the timed region: hashing the ~5k phase samples costs
-    ~14 ms, a double-digit share of the end-to-end time.
+    ``min_speedup``.  A ``post`` hook maps the timed call's return value
+    to the reported result outside the timed region.
     """
-    from ..campaign import simulated_digest
-
     return [
         # micro rows finish in milliseconds, so their relative timing noise
         # is the largest in the table: they get a deeper best-of (still
@@ -962,36 +949,6 @@ def _benchmark_table() -> list[dict]:
          "fn": _interpolation_workload, "units": "points", "warmup": True,
          "setup": _particle_preroll,
          "unit_count": lambda: 10 * 20 * _workload().n_particles},
-        # the end-to-end rows keep a fixed best-of-5 in every mode: a single
-        # quick-mode repeat is too noisy for the --compare gate.  The DLB
-        # rows are the paper's headline configuration (Figs. 8-11) and run
-        # the per-task runtime path and LeWI on every MPI call
-        {"name": "run_cfpd_sync", "kind": "end_to_end",
-         "fn": lambda: _run_cfpd(), "post": simulated_digest, "units": None,
-         "warmup": True, "repeats": 5},
-        {"name": "run_cfpd_coupled", "kind": "end_to_end",
-         "fn": lambda: _run_cfpd(mode="coupled", fluid_ranks=64),
-         "post": simulated_digest, "units": None, "warmup": True,
-         "repeats": 5},
-        {"name": "run_cfpd_sync_dlb", "kind": "end_to_end",
-         "fn": lambda: _run_cfpd(dlb=True), "post": simulated_digest,
-         "units": None, "warmup": True, "repeats": 5},
-        {"name": "run_cfpd_coupled_dlb", "kind": "end_to_end",
-         "fn": lambda: _run_cfpd(mode="coupled", fluid_ranks=64, dlb=True),
-         "post": simulated_digest, "units": None, "warmup": True,
-         "repeats": 5},
-        # hybrid MPI+OpenMP (Figs. 6-7): two-worker teams, whose graph
-        # plans compare in-flight finish times
-        {"name": "run_cfpd_hybrid", "kind": "end_to_end",
-         "fn": lambda: _run_cfpd(nranks=48, threads_per_rank=2),
-         "post": simulated_digest, "units": None, "warmup": True,
-         "repeats": 5},
-        # the ROADMAP's cold path: a fresh Workload to its first result
-        {"name": "first_result", "kind": "end_to_end",
-         "fn": _first_result, "post": simulated_digest, "units": None,
-         "warmup": True, "repeats": 5,
-         "note": "fresh Workload(WorkloadSpec()) -> run_cfpd(RunConfig()): "
-                 "every numeric build stage, then the first replay"},
         # policy row: execution models (cold process per job vs the warm
         # 4-worker pool); the host has a single CPU, so the gate measures
         # amortized startup/precompute, not parallel speedup
@@ -1019,16 +976,14 @@ def _env_info() -> dict:
     }
 
 
-def run_benchmarks(quick: bool = False, repeats: Optional[int] = None,
-                   verbose: bool = True) -> dict:
+def run_benchmarks(quick: bool = False, verbose: bool = True) -> dict:
     """Run the benchmark suite; returns the report dict.
 
     ``quick`` keeps the rows and workload sizes identical but uses one
-    repeat where a row fixes none (the CI smoke configuration); ``repeats``
-    overrides that default repeat count (full default: 3, best-of).
+    repeat where a row fixes none (the CI smoke configuration; full mode
+    takes the best of 3).
     """
-    if repeats is None:
-        repeats = 1 if quick else 3
+    repeats = 1 if quick else 3
     benchmarks = []
     for row in _benchmark_table():
         name, fn = row["name"], row["fn"]
@@ -1118,37 +1073,6 @@ def run_benchmarks(quick: bool = False, repeats: Optional[int] = None,
             "detail_checks_ok": all(detail_oks) if detail_oks else None,
         },
     }
-
-
-def compare_reports(current: dict, reference: dict,
-                    tolerance: float = SLOWDOWN_TOLERANCE) -> list[str]:
-    """Regression check: current after-times and digests vs a reference.
-
-    Returns human-readable failure lines (empty when everything holds):
-    a benchmark more than ``tolerance`` times slower than the reference,
-    or an ``end_to_end`` row whose simulated digest differs from the
-    reference's after-digest.  Benchmarks missing from either report are
-    skipped.
-    """
-    ref_by_name = {b["name"]: b for b in reference.get("benchmarks", [])}
-    failures = []
-    for b in current.get("benchmarks", []):
-        ref = ref_by_name.get(b["name"])
-        if ref is None:
-            continue
-        cur_s, ref_s = b["after_seconds"], ref["after_seconds"]
-        if ref_s > 0 and cur_s > tolerance * ref_s:
-            failures.append(
-                f"{b['name']}: {cur_s:.3f}s vs reference {ref_s:.3f}s "
-                f"({cur_s / ref_s:.2f}x > {tolerance}x tolerance)")
-        if b.get("kind") == "end_to_end":
-            cur_d = b.get("simulated_digest", {}).get("after")
-            ref_d = ref.get("simulated_digest", {}).get("after")
-            if cur_d is not None and ref_d is not None and cur_d != ref_d:
-                failures.append(
-                    f"{b['name']}: simulated digest {cur_d[:16]}... drifted "
-                    f"from reference {ref_d[:16]}...")
-    return failures
 
 
 def _median(values: list[float]) -> float:
@@ -1250,13 +1174,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--out", default=_DEFAULT_OUT,
                         help=f"output JSON path (default: {_DEFAULT_OUT}; "
                              "'-' for stdout only)")
-    parser.add_argument("--repeats", type=int, default=None,
-                        help="repeat count per measurement (best-of)")
-    parser.add_argument("--compare", metavar="BASELINE_JSON", default=None,
-                        help="fail (exit 1) if any benchmark is "
-                             f">{SLOWDOWN_TOLERANCE}x slower than this "
-                             "reference report, or any end-to-end "
-                             "simulated digest differs from it")
     parser.add_argument("--baseline", metavar="REFERENCE_JSON", default=None,
                         help="previous PR's committed report; records the "
                              "cross-PR trajectory in the output and fails "
@@ -1278,7 +1195,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args.baseline = resolved
 
     trajectory_failures: list[str] = []
-    report = run_benchmarks(quick=args.quick, repeats=args.repeats)
+    report = run_benchmarks(quick=args.quick)
     if args.baseline:
         with open(args.baseline) as fh:
             baseline_report = json.load(fh)
@@ -1315,16 +1232,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                 print(f"[bench] FAIL: {b['name']} detail check failed: "
                       f"{b['detail']}", file=sys.stderr)
         return 1
-    if args.compare:
-        with open(args.compare) as fh:
-            reference = json.load(fh)
-        failures = compare_reports(report, reference)
-        if failures:
-            for line in failures:
-                print(f"[bench] REGRESSION: {line}", file=sys.stderr)
-            return 1
-        print(f"[bench] within {SLOWDOWN_TOLERANCE}x of {args.compare}, "
-              "end-to-end digests unchanged")
     if args.baseline:
         if trajectory_failures:
             for line in trajectory_failures:

@@ -536,16 +536,6 @@ class TestWorkerPool:
         assert cross_run_identity(serial, pooled)["identical"]
         assert tree_digest(serial) == tree_digest(pooled)
 
-    def test_fresh_process_per_job_matches(self, tmp_path):
-        campaign = CampaignSpec(
-            name="cold",
-            base_config=RunConfig(cluster="thunder", num_nodes=1, nranks=2,
-                                  threads_per_rank=1),
-            base_spec=TINY)
-        inline = run_campaign(campaign)
-        cold = run_campaign(campaign, fresh_process_per_job=True)
-        assert cold.digest_map() == inline.digest_map()
-
 
 class TestKillAndResume:
     def test_kill_gate_journals_and_raises(self, tmp_path):

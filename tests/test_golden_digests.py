@@ -41,7 +41,7 @@ import numpy as np
 import pytest
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
-BENCH_REFERENCE = Path(__file__).resolve().parent.parent / "BENCH_pr10.json"
+BENCH_GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
 
 #: relative tolerance for ``*_norm`` leaves unless an entry overrides it
 NORM_RTOL = 1e-9
@@ -109,20 +109,12 @@ SPEC_CONFIGS = {
                         mode="coupled", fluid_ranks=6, dlb=True),
 }
 
-#: the default MareNostrum 4 configurations of the BENCH reports
+#: the default MareNostrum 4 configurations (the benchmark's replay_mn4_*)
 MN4_CONFIGS = {
     "sync": dict(),
     "sync_dlb": dict(dlb=True),
     "coupled": dict(mode="coupled", fluid_ranks=64),
     "coupled_dlb": dict(mode="coupled", fluid_ranks=64, dlb=True),
-}
-
-#: the BENCH report rows whose after-digests the MN4 entries must equal
-MN4_BENCH_ROWS = {
-    "sync": "run_cfpd_sync",
-    "sync_dlb": "run_cfpd_sync_dlb",
-    "coupled": "run_cfpd_coupled",
-    "coupled_dlb": "run_cfpd_coupled_dlb",
 }
 
 #: default-size local-adaptive transient: per-rank rungs with subcycling
@@ -223,6 +215,17 @@ def _ventilator_small():
                   VENT_SMALL_SPEC_KW)
     return {"digest": _digest(result),
             "deposited_by_cycle": result.cosim_diag["deposited_by_cycle"]}
+
+
+@entry("campaign/bench_grid")
+def _campaign_bench_grid():
+    """The perf harness's 8-cell campaign sweep run inline, hashed over its
+    sorted (fingerprint, digest) map like the ``campaign_throughput`` row."""
+    from repro.campaign import run_campaign
+    from repro.perf.bench import _campaign_bench_spec, _campaign_digest
+
+    run = run_campaign(_campaign_bench_spec())
+    return {"digest": _campaign_digest(run.digest_map())}
 
 
 # -- fault injection ---------------------------------------------------------
@@ -659,12 +662,15 @@ class TestGolden:
         assert set(golden) == set(ENTRIES)
 
     def test_default_digests_equal_bench_reference(self, golden):
-        """The MN4 pins are the digests every BENCH report has carried."""
-        with open(BENCH_REFERENCE) as fh:
-            rows = {b["name"]: b for b in json.load(fh)["benchmarks"]}
-        for name, row in MN4_BENCH_ROWS.items():
-            assert golden[f"e2e/mn4/{name}"]["digest"] == \
-                rows[row]["simulated_digest"]["after"]
+        """The MN4 pins equal the benchmark's own pins of the same runs:
+        ``e2e/mn4/<mode>[_dlb]`` is ``replay_mn4_<mode>`` at ``dlb=off|on``
+        in ``bench/golden.json``."""
+        with open(BENCH_GOLDEN) as fh:
+            bench = json.load(fh)
+        for mode in ("sync", "coupled", "hybrid"):
+            for suffix, dlb in (("", "off"), ("_dlb", "on")):
+                assert golden[f"e2e/mn4/{mode}{suffix}"]["digest"] == \
+                    bench[f"replay_mn4_{mode}"][f"dlb={dlb}"]
 
 
 def record(path: Path = GOLDEN_PATH) -> dict:

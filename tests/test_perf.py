@@ -56,44 +56,54 @@ class TestInstrument:
 
 class TestBench:
     def test_table_modes(self):
-        """Quick and full mode share one table: every end-to-end replay
-        row, DLB included, runs in the CI smoke with a fixed best-of-5."""
+        """Quick and full mode share one table of kernel, micro and policy
+        rows; the only end-to-end row is the gated campaign policy row
+        (end-to-end runs are timed by the ``bench/`` harness)."""
         from repro.perf.bench import _benchmark_table
 
         rows = {r["name"]: r for r in _benchmark_table()}
-        for name in ("run_cfpd_sync", "run_cfpd_coupled",
-                     "run_cfpd_sync_dlb", "run_cfpd_coupled_dlb",
-                     "run_cfpd_hybrid"):
-            assert rows[name]["kind"] == "end_to_end"
-            assert rows[name]["repeats"] == 5 and rows[name]["warmup"]
-            assert "post" in rows[name]
+        assert [n for n, r in rows.items() if r["kind"] == "end_to_end"] \
+            == ["campaign_throughput"]
+        gates = {n: r["min_speedup"] for n, r in rows.items()
+                 if "before_fn" in r}
+        assert gates == {"time_to_endpoint": 1.5, "breathing_cycle": 5.0,
+                         "campaign_throughput": 1.67}
 
     def test_cold_path_rows(self):
-        """The decomposition kernel and the first-result cold path run in
-        quick and full mode, each digesting its result outside the timed
-        region."""
+        """The decomposition kernel runs in quick and full mode, digesting
+        its result outside the timed region."""
         from repro.perf.bench import _benchmark_table
 
         rows = {r["name"]: r for r in _benchmark_table()}
         assert rows["decomposition"]["kind"] == "kernel"
-        assert rows["first_result"]["kind"] == "end_to_end"
-        for name in ("decomposition", "first_result"):
-            assert rows[name]["repeats"] == 5 and rows[name]["warmup"]
-            assert "post" in rows[name]
+        assert rows["decomposition"]["repeats"] == 5
+        assert rows["decomposition"]["warmup"]
+        assert "post" in rows["decomposition"]
 
-    def test_compare_reports_flags_regressions(self):
-        from repro.perf.bench import compare_reports
+    def test_default_out_is_not_a_committed_report(self):
+        """A bare ``python -m repro.perf.bench`` must never overwrite a
+        committed ``BENCH_prN.json``."""
+        import re
 
-        ref = {"benchmarks": [
-            {"name": "a", "after_seconds": 1.0},
-            {"name": "b", "after_seconds": 1.0}]}
-        cur = {"benchmarks": [
-            {"name": "a", "after_seconds": 1.5},     # within 2x
-            {"name": "b", "after_seconds": 2.5},     # regression
-            {"name": "new", "after_seconds": 9.0}]}  # not in ref: skipped
-        failures = compare_reports(cur, ref)
-        assert len(failures) == 1
-        assert failures[0].startswith("b:")
+        from repro.perf.bench import _DEFAULT_OUT
+
+        assert re.fullmatch(r"BENCH_pr\d+\.json", _DEFAULT_OUT) is None
+
+    def test_cold_process_before_fn_matches_inline(self):
+        """The ``campaign_throughput`` before side (one cold spawned
+        process per job) gives the digest map of an inline campaign."""
+        from repro.app import RunConfig, WorkloadSpec
+        from repro.campaign import CampaignSpec, run_campaign
+        from repro.perf.bench import _cold_process_digests
+
+        campaign = CampaignSpec(
+            name="cold",
+            base_config=RunConfig(cluster="thunder", num_nodes=1, nranks=2,
+                                  threads_per_rank=1),
+            base_spec=WorkloadSpec(generations=2, points_per_ring=6,
+                                   n_steps=2))
+        assert _cold_process_digests(campaign) == \
+            run_campaign(campaign).digest_map()
 
     def test_trajectory_uniform_host_drift_passes(self):
         from repro.perf.bench import trajectory_check
@@ -158,24 +168,6 @@ class TestBench:
         assert b["after_seconds"] > 0 and "before_seconds" not in b
         assert b["throughput"]["units"] == "events"
         assert b["throughput"]["after_per_second"] > 0
-
-    def test_compare_reports_flags_digest_drift(self):
-        from repro.perf.bench import compare_reports
-
-        ref = {"benchmarks": [
-            {"name": "e2e", "kind": "end_to_end", "after_seconds": 1.0,
-             "simulated_digest": {"after": "a" * 64}},
-            {"name": "k", "kind": "kernel", "after_seconds": 1.0,
-             "simulated_digest": {"after": "a" * 64}}]}
-        cur = {"benchmarks": [
-            {"name": "e2e", "kind": "end_to_end", "after_seconds": 1.0,
-             "simulated_digest": {"after": "b" * 64}},
-            {"name": "k", "kind": "kernel", "after_seconds": 1.0,
-             "simulated_digest": {"after": "b" * 64}}]}
-        failures = compare_reports(cur, ref)
-        assert len(failures) == 1       # only end-to-end rows are pinned
-        assert failures[0].startswith("e2e:") and "digest" in failures[0]
-        assert compare_reports(ref, ref) == []
 
 
 # -- plan templates --------------------------------------------------------
