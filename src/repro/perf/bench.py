@@ -28,7 +28,8 @@ after-times are this PR's starting point) and the run fails if any
 ``kernel`` or ``micro`` benchmark regresses beyond host drift — the
 median kernel ratio between the two reports — times the noise floor (see
 :func:`trajectory_check`).  The comparison, including the estimated
-drift factor, is recorded in the report's ``trajectory`` section.
+drift factor and any failing rows, is recorded in the report's
+``trajectory`` section, and its verdict as ``summary.trajectory_ok``.
 ``--baseline auto`` resolves the newest committed ``BENCH_prN.json``
 below the current PR number — PRs that shipped no bench report simply
 don't break the chain.
@@ -1205,7 +1206,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             else TRAJECTORY_NOISE_FLOOR)
         report["trajectory"] = {"reference": args.baseline,
                                 "host_drift": round(host_drift, 3),
+                                "failures": trajectory_failures,
                                 "benchmarks": trajectory}
+        report["summary"]["trajectory_ok"] = not trajectory_failures
     text = json.dumps(report, indent=2, sort_keys=False)
     if args.out == "-":
         print(text)

@@ -3,6 +3,8 @@ benchmark runner, and the hot paths' structural properties (comm,
 assembly, tracker).  Their absolute results are pinned in
 ``tests/golden_digests.json``."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,31 @@ class TestBench:
         assert not failures            # e2e rows are recorded, not gated
         assert drift == 1.0            # ...and excluded from the estimate
         assert "e2e" in trajectory and "new" not in trajectory
+
+    def test_failed_trajectory_is_recorded_in_the_report(self, tmp_path,
+                                                          monkeypatch):
+        """A report written by a run whose ``--baseline`` gate failed says
+        so itself, in its summary and its trajectory section."""
+        import repro.perf.bench as bench
+
+        def rows(after):
+            return [{"name": n, "kind": "kernel", "after_seconds": s}
+                    for n, s in zip("abcd", after)]
+
+        ref = tmp_path / "BENCH_pr1.json"
+        ref.write_text(json.dumps({"benchmarks": rows([1.0] * 4)}))
+        monkeypatch.setattr(
+            bench, "run_benchmarks",
+            lambda quick: {"benchmarks": rows([1.0, 1.0, 1.0, 3.0]),
+                           "summary": dict.fromkeys(
+                               ("all_simulated_results_identical",
+                                "speedup_gates_ok", "detail_checks_ok"))})
+        out = tmp_path / "BENCH_pr2.json"
+        assert bench.main(["--out", str(out), "--baseline", "auto"]) == 1
+        report = json.loads(out.read_text())
+        assert report["summary"]["trajectory_ok"] is False
+        [failure] = report["trajectory"]["failures"]
+        assert failure.startswith("d:")
 
     def test_run_benchmarks_micro_smoke(self, monkeypatch):
         """One table row end-to-end through the runner (fast smoke)."""
