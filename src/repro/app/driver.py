@@ -32,7 +32,6 @@ from ..core import (
     build_element_loop_graph,
     build_parallel_for_graph,
 )
-from ..fem.fractional_step import FLUID_COUNTERS
 from ..machine import get_cluster
 from ..smpi import RankDeadError, World
 from ..sim import Engine
@@ -144,8 +143,8 @@ class RunResult:
     faults: object = None              # FaultInjector if a plan was injected
     #: (step, sim_time) of every checkpoint written during the run
     checkpoints: list = field(default_factory=list)
-    #: host-side engine diagnostics (perf.instrument.engine_counters):
-    #: event/cohort/arena/plan counters.  Wall-clock instrumentation only —
+    #: host-side engine diagnostics (Engine.counters): events processed and
+    #: the cohort/arena/plan counters.  Wall-clock instrumentation only —
     #: never part of the simulated digest or the checkpoint bytes.
     engine_diag: dict = field(default_factory=dict)
     #: adaptive-Δt schedule diagnostics (Workload.schedule_summary): mode,
@@ -419,8 +418,6 @@ def _fluid_phases(ctx: _RunContext, world_comm, sub_comm, team, local_rank,
     shifting imbalance the DLB study measures.
     """
     reps = int(ctx.subcycles[step, local_rank])
-    if reps > 1:
-        FLUID_COUNTERS["adaptive_subcycles"] += reps - 1
     yield from _run_phase(ctx, world_comm, team, step, "assembly",
                           ctx.assembly[local_rank], repeats=reps)
     yield from _halo_exchange(ctx, sub_comm, local_rank, tag=1000 + step,
@@ -673,7 +670,6 @@ def run_cfpd(config: RunConfig,
     else:
         raise ValueError(f"unknown mode {config.mode!r}")
     world.run(procs)
-    from ..perf.instrument import engine_counters
     from .workload import BREATHING_WAVEFORMS
     adaptive_diag = {}
     if wl.spec.adaptive != "off":
@@ -694,6 +690,6 @@ def run_cfpd(config: RunConfig,
                      tracer=tracer,
                      faults=injector,
                      checkpoints=checkpoints,
-                     engine_diag=engine_counters(engine),
+                     engine_diag=engine.counters(),
                      adaptive_diag=adaptive_diag,
                      cosim_diag=cosim_diag)

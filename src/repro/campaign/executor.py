@@ -306,7 +306,7 @@ def _execute_serial(pending, store, journal, gate, *, max_retries,
     for outcome in pending:
         _run_with_retries(outcome, journal, max_retries=max_retries,
                           backoff_base=backoff_base, clock=clock)
-        _publish(outcome, store, journal, gate, progress)
+        publish(outcome, store, journal, gate, progress)
 
 
 def _execute_supervised(pending, run, store, journal, gate, *, workers,
@@ -348,8 +348,7 @@ def _run_with_retries(outcome, journal, *, max_retries, backoff_base, clock):
                                    fingerprint=outcome.fingerprint,
                                    job_id=job.job_id, failure_class=failure,
                                    error=str(exc), attempt=attempt)
-                clock.sleep(min(BACKOFF_CAP,
-                                backoff_base * 2 ** (attempt - 1)))
+                clock.sleep(retry_backoff(backoff_base, attempt))
                 continue
             outcome.status = "failed"
             outcome.error = str(exc)
@@ -361,12 +360,20 @@ def _run_with_retries(outcome, journal, *, max_retries, backoff_base, clock):
             return
 
 
-def _publish(outcome, store, journal, gate, progress) -> None:
+def retry_backoff(backoff_base: float, attempt: int) -> float:
+    """Seconds to wait after failed ``attempt`` (1-based) before the next:
+    exponential in the attempt, capped at :data:`BACKOFF_CAP`."""
+    return min(BACKOFF_CAP, backoff_base * 2 ** (attempt - 1))
+
+
+def publish(outcome, store, journal, gate, progress) -> None:
     """Store + journal one finished outcome, then let the kill gate act.
 
     The order is the crash-safety contract: the record is durable *before*
-    the journal line, and both land before the gate may abort the
-    campaign — so anything the journal claims finished is in the store.
+    the journal line (store put, then quarantine cleared), and both land
+    before the progress line and the gate, which may abort the campaign —
+    so anything the journal claims finished is in the store.  The serial
+    path and the supervised pool both publish through here.
     """
     if outcome.status == "failed":
         _say(progress, f"{outcome.job.job_id}: FAILED "

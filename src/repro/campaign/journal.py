@@ -15,7 +15,7 @@ here, never in store objects, so stores stay bit-identical across runs)::
     campaign_begin    {campaign, campaign_fingerprint, njobs}
     job_cached        {fingerprint, job_id}
     job_start         {fingerprint, job_id, attempt}
-    job_done          {fingerprint, job_id, digest, elapsed}
+    job_done          {fingerprint, job_id, digest}
     job_retry         {fingerprint, job_id, failure_class, error, attempt}
     job_failed        {fingerprint, job_id, failure_class, error}
     campaign_killed   {reason, completed}

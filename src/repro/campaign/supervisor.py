@@ -96,9 +96,6 @@ class Supervisor:
                  max_retries: int = 2, backoff_base: float = 0.05,
                  job_timeout: Optional[float] = None, fault_plan=None,
                  progress=None):
-        from .executor import BACKOFF_CAP  # late: avoid circular import
-
-        self._backoff_cap = BACKOFF_CAP
         self.queue = deque(pending)
         self.store = store
         self.journal = journal
@@ -312,11 +309,15 @@ class Supervisor:
         outcome = lease.outcome
         worker.lease = None
         if kind == "done":
+            from .executor import publish
+
             outcome.status = "done"
             outcome.record = payload
             outcome.attempts = self.attempts[fp]
             self.remaining -= 1
-            self._publish(outcome)
+            # the executor's crash-safety order: store, journal, kill gate
+            publish(outcome, self.store, self.journal, self.gate,
+                    self.progress)
         elif kind == "error":
             self._handle_job_error(outcome, payload)
 
@@ -343,13 +344,14 @@ class Supervisor:
 
     def _retry(self, outcome, failure: str, error: str,
                attempt: int) -> None:
+        from .executor import retry_backoff
+
         fp = outcome.fingerprint
         self.stats["retries"] += 1
         self._journal("job_retry", fingerprint=fp,
                       job_id=outcome.job.job_id, failure_class=failure,
                       error=error, attempt=attempt)
-        backoff = min(self._backoff_cap,
-                      self.backoff_base * 2 ** (attempt - 1))
+        backoff = retry_backoff(self.backoff_base, attempt)
         self.stats["backoff_total"] += backoff
         heapq.heappush(self.retry_heap,
                        (self.clock.now() + backoff, next(self._tie),
@@ -437,21 +439,6 @@ class Supervisor:
                     self._lose_worker(worker, "heartbeat_timeout")
                 # else: the deadline lapsed but the worker went quiet only
                 # recently — grace until the silence window closes
-
-    # -- publication --------------------------------------------------------
-
-    def _publish(self, outcome) -> None:
-        """Store before journal before the kill gate — the crash-safety
-        order (anything the journal claims done is durable in the store)."""
-        if self.store is not None:
-            self.store.put(outcome.record)
-            self.store.clear_quarantine(outcome.fingerprint)
-        self._journal("job_done", fingerprint=outcome.fingerprint,
-                      job_id=outcome.job.job_id,
-                      digest=outcome.record["simulated_digest"])
-        self._say(f"{outcome.job.job_id}: done "
-                  f"({outcome.record['simulated_digest'][:12]})")
-        self.gate.on_job_done()
 
     # -- helpers ------------------------------------------------------------
 

@@ -37,7 +37,7 @@ __all__ = ["DLB", "DLBStats"]
 
 @dataclass
 class DLBStats:
-    """Counters describing DLB activity during a run."""
+    """Tallies describing DLB activity during a run."""
 
     lend_events: int = 0
     borrow_events: int = 0

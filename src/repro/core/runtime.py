@@ -242,13 +242,21 @@ class _PlanArbiter:
     def __init__(self, engine: Engine):
         self.engine = engine
         self._pending: list = []
-        # plan-mode counters (surfaced through ``perf.instrument``); plain
-        # attributes because the hot path bumps them once per graph run
+        # plan-mode counters (see counters()); plain attributes because
+        # the hot path bumps them once per graph run
         self.planned_graphs = 0
         self.planned_tasks = 0
         self.plan_cache_hits = 0        # runs served by a template
         self.plan_template_misses = 0   # order-check fallbacks
         self.plan_replans = 0
+
+    def counters(self) -> dict:
+        """The plan block of :meth:`Engine.counters`."""
+        return {"planned_graphs": self.planned_graphs,
+                "planned_tasks": self.planned_tasks,
+                "plan_cache_hits": self.plan_cache_hits,
+                "plan_template_misses": self.plan_template_misses,
+                "plan_replans": self.plan_replans}
 
     def submit(self, team: "Team", plan: _Plan) -> None:
         if not self._pending:
@@ -391,7 +399,7 @@ class Team:
         self._plan_repeats = 1
         self._slow_epochs: list[tuple[float, float]] = []
         self._cap_epochs: list[tuple[float, int]] = []
-        arb = getattr(engine, "_plan_arbiter", None)
+        arb = engine._plan_arbiter
         if arb is None:
             arb = engine._plan_arbiter = _PlanArbiter(engine)
         self._arbiter: _PlanArbiter = arb
@@ -520,14 +528,16 @@ class Team:
         """
         if repeats < 1:
             raise RuntimeError_(f"repeats must be >= 1, got {repeats}")
-        if (repeats > 1 and len(graph) > 0
-                and self.recorder is None and self.listener is None):
-            # One plan covering every repeat, submitted in the same arbiter
-            # cohort as a single-run plan.  Per-repeat plans would arm each
-            # team's *final* completion in a cohort determined by its
-            # repeat count, and same-time completions across different
-            # cohorts order by cohort instead of the per-task dispatch
-            # genealogy — the one tie class the arbiter cannot see.
+        # plan mode is re-checked per run: a recorder needs per-task
+        # records and a listener (DLB attaches itself after construction)
+        # needs task-boundary callbacks, so those runs take the per-task
+        # callback path of _run_once.  One plan covers every repeat,
+        # submitted in the same arbiter cohort as a single-run plan.
+        # Per-repeat plans would arm each team's *final* completion in a
+        # cohort determined by its repeat count, and same-time completions
+        # across different cohorts order by cohort instead of the per-task
+        # dispatch genealogy — the one tie class the arbiter cannot see.
+        if len(graph) > 0 and self.recorder is None and self.listener is None:
             if self._graph is not None:
                 raise RuntimeError_(
                     f"{self.name}: run() while a graph is active")
@@ -551,24 +561,13 @@ class Team:
         return stats
 
     def _run_once(self, graph: TaskGraph):
-        """One execution of ``graph`` (the pre-``repeats`` run body)."""
+        """One per-task execution of ``graph`` (two DES events per task)."""
         if self._graph is not None:
             raise RuntimeError_(f"{self.name}: run() while a graph is active")
         stats = GraphStats(t_start=self.engine.now)
         if len(graph) == 0:
             stats.t_end = self.engine.now
             return stats
-        # engagement is re-checked per run: a recorder needs per-task
-        # records and a listener (DLB attaches itself after construction)
-        # needs task-boundary callbacks, so those runs take the per-task
-        # callback path below
-        if self.recorder is None and self.listener is None:
-            self._graph = graph
-            self._stats = stats
-            self._done = Event(self.engine)
-            self._plan_start(graph, stats)
-            result = yield self._done
-            return result
         self._graph = graph
         self._stats = stats
         self._remaining = len(graph.tasks)
@@ -586,7 +585,7 @@ class Team:
 
     # -- plan mode ----------------------------------------------------------
     def _plan_start(self, graph: TaskGraph, stats: GraphStats,
-                    repeats: int = 1) -> None:
+                    repeats: int) -> None:
         """Materialize the whole run (all ``repeats``) as one plan + one
         completion event."""
         arb = self._arbiter

@@ -185,7 +185,7 @@ class FaultInjector:
                                        now + duration)
 
     def summary(self) -> dict:
-        """Counters for the resilience report."""
+        """Fault tallies for the resilience report."""
         by_kind: dict[str, int] = {}
         for ev in self.events:
             by_kind[ev.kind] = by_kind.get(ev.kind, 0) + 1

@@ -8,14 +8,13 @@ from .dirichlet import apply_dirichlet, apply_dirichlet_symmetric
 from .fractional_step import FlowBC, FractionalStepSolver, StepInfo
 from .geometry import (
     ElementGeometry,
+    CACHE_BUDGET_BYTES,
     GeometryCache,
-    cache_budget_bytes,
     cache_for,
     drop_cache,
     element_sizes,
     geometry_blocks,
     node_sharing_graph,
-    set_cache_budget,
 )
 from .sgs import SGSState, update_sgs
 from .timestep import CflController, DtLadder, cfl_rate, element_cfl_rates
@@ -30,6 +29,7 @@ from .vector import (
 
 __all__ = [
     "AssemblyResult",
+    "CACHE_BUDGET_BYTES",
     "CflController",
     "DtLadder",
     "ElementGeometry",
@@ -42,7 +42,6 @@ __all__ = [
     "apply_dirichlet",
     "apply_dirichlet_symmetric",
     "assemble_operator",
-    "cache_budget_bytes",
     "cache_for",
     "cfl_rate",
     "drop_cache",
@@ -50,7 +49,6 @@ __all__ = [
     "element_sizes",
     "geometry_blocks",
     "node_sharing_graph",
-    "set_cache_budget",
     "deinterleave",
     "divergence_operator",
     "element_work_meters",

@@ -28,6 +28,8 @@ data (self-checked at build time against ``vector_operator`` +
 ``apply_dirichlet``).  The continuity solve can optionally use Alya-style
 deflated CG (``pressure_solver="deflated"``) whose
 :class:`~repro.solver.deflated.DeflationSetup` is paid once per rung.
+Each solver tallies that recycling in its own
+:attr:`FractionalStepSolver.counters`.
 
 This is the *numeric* fluid path; the tube-flow test in
 ``tests/test_fluid.py`` drives it end-to-end (inflow/outflow balance,
@@ -57,30 +59,7 @@ from .vector import (
     vector_operator,
 )
 
-__all__ = ["FLUID_COUNTERS", "FlowBC", "FractionalStepSolver", "StepInfo"]
-
-#: running totals of the fluid solver (momentum matrices recycled, deflated
-#: continuity solves, deflation setups built/reused, Δt-rung operator-cache
-#: traffic, adaptive steps and subcycles); surfaced by
-#: :func:`repro.perf.instrument.fluid_counters`
-FLUID_COUNTERS = {
-    "momentum_recycled": 0,
-    "pressure_deflated_solves": 0,
-    "deflation_setups_built": 0,
-    "deflation_setups_reused": 0,
-    #: dt setter served the rung's operator state from the per-rung cache
-    "dt_rung_hits": 0,
-    #: dt setter had no cached state for the new rung
-    "dt_rung_misses": 0,
-    #: rung operator states built (construction + every miss)
-    "dt_rung_rebuilds": 0,
-    #: steps taken through the adaptive controller (advance_to)
-    "adaptive_steps": 0,
-    #: local-mode subcycles replayed by the app driver
-    "adaptive_subcycles": 0,
-    #: inlet Dirichlet values rescaled (co-simulation transient forwarding)
-    "inlet_rescales": 0,
-}
+__all__ = ["FlowBC", "FractionalStepSolver", "StepInfo"]
 
 
 @dataclass(frozen=True)
@@ -168,6 +147,16 @@ class FractionalStepSolver:
         self.viscosity = viscosity
         self.density = density
         self._dt = float(dt)
+        #: this solver's running totals (diagnostics, never part of a
+        #: result): momentum matrices recycled, deflated continuity solves,
+        #: deflation setups built/reused, Δt-rung operator-cache traffic
+        #: (hits, misses and rung states built — construction included),
+        #: steps taken through advance_to and inlet transient rescales
+        self.counters = dict.fromkeys(
+            ("momentum_recycled", "pressure_deflated_solves",
+             "deflation_setups_built", "deflation_setups_reused",
+             "dt_rung_hits", "dt_rung_misses", "dt_rung_rebuilds",
+             "adaptive_steps", "inlet_rescales"), 0)
         #: Δt value -> operator state (recycler maps, deflation setup) so
         #: the adaptive ladder revisits a rung without rebuilding anything
         self._rung_states: dict = {}
@@ -211,9 +200,9 @@ class FractionalStepSolver:
                 from ..partition import rcb_partition
                 self._pressure_groups = rcb_partition(mesh.coords, n_coarse)
             self._defl_setup = DeflationSetup(self._L, self._pressure_groups)
-            FLUID_COUNTERS["deflation_setups_built"] += 1
+            self.counters["deflation_setups_built"] += 1
         self._store_rung_state(self._dt)
-        FLUID_COUNTERS["dt_rung_rebuilds"] += 1
+        self.counters["dt_rung_rebuilds"] += 1
 
     # -- Δt rung cache -------------------------------------------------------
     @property
@@ -243,22 +232,22 @@ class FractionalStepSolver:
         self._dt = value
         state = self._rung_states.get(value)
         if state is not None:
-            FLUID_COUNTERS["dt_rung_hits"] += 1
+            self.counters["dt_rung_hits"] += 1
             self._slots = state["slots"]
             self._gather = state["gather"]
             self._scalar_nnz = state["scalar_nnz"]
             self._defl_setup = state["defl_setup"]
             return
-        FLUID_COUNTERS["dt_rung_misses"] += 1
+        self.counters["dt_rung_misses"] += 1
         self._build_recycler()
         if self.pressure_solver == "deflated":
             # L is Δt-independent, so this rebuild reproduces the previous
             # setup bit-for-bit — paid once per rung for the invalidation
             # guarantee, then served from the rung cache forever
             self._defl_setup = DeflationSetup(self._L, self._pressure_groups)
-            FLUID_COUNTERS["deflation_setups_built"] += 1
+            self.counters["deflation_setups_built"] += 1
         self._store_rung_state(value)
-        FLUID_COUNTERS["dt_rung_rebuilds"] += 1
+        self.counters["dt_rung_rebuilds"] += 1
 
     def _store_rung_state(self, value: float) -> None:
         self._rung_states[value] = {
@@ -344,7 +333,7 @@ class FractionalStepSolver:
                 return inv * r
         else:  # pragma: no cover - momentum diagonal always stored
             pre = jacobi_preconditioner(A)
-        FLUID_COUNTERS["momentum_recycled"] += 1
+        self.counters["momentum_recycled"] += 1
         return A, rhs, pre
 
     # -- inlet transient ----------------------------------------------------
@@ -369,7 +358,7 @@ class FractionalStepSolver:
             self._vel_values = self._vel_values_base
         else:
             self._vel_values = self._vel_values_base * scale
-        FLUID_COUNTERS["inlet_rescales"] += 1
+        self.counters["inlet_rescales"] += 1
 
     # -- one time step ------------------------------------------------------
     def step(self, tol: float = 1e-7, maxiter: int = 600) -> StepInfo:
@@ -393,11 +382,11 @@ class FractionalStepSolver:
         b = -(rho / dt) * div_star
         b[self.bc.outlet_nodes] = 0.0
         if self.pressure_solver == "deflated":
-            FLUID_COUNTERS["deflation_setups_reused"] += 1
+            self.counters["deflation_setups_reused"] += 1
             res_p = deflated_cg(self._L, b, self._pressure_groups, tol=tol,
                                 maxiter=maxiter, M=self._L_pre,
                                 setup=self._defl_setup)
-            FLUID_COUNTERS["pressure_deflated_solves"] += 1
+            self.counters["pressure_deflated_solves"] += 1
         else:
             res_p = cg(self._L, b, tol=tol, maxiter=maxiter, M=self._L_pre)
         phi = res_p.x
@@ -467,7 +456,7 @@ class FractionalStepSolver:
             info = self.step(tol=tol, maxiter=maxiter)
             info.cfl = rate * dt
             info.rung = rung
-            FLUID_COUNTERS["adaptive_steps"] += 1
+            self.counters["adaptive_steps"] += 1
             infos.append(info)
             t += dt
         return infos

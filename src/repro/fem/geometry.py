@@ -16,11 +16,11 @@ Cache management:
   type arrays.  :func:`cache_for` re-checks the fingerprint, so mutating a
   mesh in place (or hitting a same-shaped replacement mesh object) drops
   every cached entry instead of serving stale geometry.
-* **memory accounting** — hits, misses, invalidations, evictions and
-  resident bytes are tallied in :data:`COUNTERS`
-  (a :class:`repro.perf.instrument.Counters`).
+* **memory accounting** — each :class:`GeometryCache` counts its own
+  ``hits``, ``misses`` and ``evictions`` and keeps its resident
+  ``total_bytes``; an invalidation shows as a new cache object.
 * **eviction budget** — per-mesh LRU: when a cache grows past
-  :func:`set_cache_budget` bytes, least-recently-used entries are evicted
+  :data:`CACHE_BUDGET_BYTES`, least-recently-used entries are evicted
   (the entry just inserted is always kept, so a single oversized element
   set still works — it just won't persist a second set alongside it).
 
@@ -43,44 +43,18 @@ import numpy as np
 
 from ..mesh.elements import ElementType, NODES_PER_TYPE
 from ..mesh.mesh import CSRGraph, Mesh
-from ..perf.instrument import Counters
 from .shape import reference_element
 
 __all__ = [
-    "ElementGeometry", "ElementAdjacency", "GeometryCache", "COUNTERS",
-    "cache_for", "geometry_blocks", "cached_extra", "element_adjacency",
-    "element_sizes", "node_sharing_graph",
-    "set_cache_budget", "cache_budget_bytes", "drop_cache",
+    "ElementGeometry", "ElementAdjacency", "GeometryCache",
+    "CACHE_BUDGET_BYTES", "cache_for", "geometry_blocks", "cached_extra",
+    "element_adjacency", "element_sizes", "node_sharing_graph", "drop_cache",
 ]
 
-#: module-wide tallies: ``hits``, ``misses``, ``invalidations``,
-#: ``evictions`` and ``bytes_cached`` (current resident bytes, summed over
-#: all live mesh caches).
-COUNTERS = Counters()
-
-_DEFAULT_BUDGET = 256 * 1024 * 1024
-_budget_bytes = _DEFAULT_BUDGET
+#: per-mesh eviction budget in bytes
+CACHE_BUDGET_BYTES = 256 * 1024 * 1024
 
 _CACHE_ATTR = "_geometry_cache"
-
-
-def set_cache_budget(nbytes: int) -> int:
-    """Set the per-mesh eviction budget in bytes; returns the previous one.
-
-    Takes effect on the next insertion — already-resident entries are only
-    evicted once a ``put`` pushes a cache past the new budget.
-    """
-    global _budget_bytes
-    if nbytes <= 0:
-        raise ValueError(f"cache budget must be positive, got {nbytes}")
-    previous = _budget_bytes
-    _budget_bytes = int(nbytes)
-    return previous
-
-
-def cache_budget_bytes() -> int:
-    """Current per-mesh eviction budget in bytes."""
-    return _budget_bytes
 
 
 @dataclass
@@ -110,12 +84,16 @@ class ElementGeometry:
 
 
 class GeometryCache:
-    """LRU store of geometry blocks and derived extras for one mesh."""
+    """LRU store of geometry blocks and derived extras for one mesh,
+    with its own traffic counters."""
 
     def __init__(self, fingerprint: bytes) -> None:
         self.fingerprint = fingerprint
         self._entries: dict = {}      # key -> (value, nbytes); dict order = LRU
         self.total_bytes = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -124,10 +102,10 @@ class GeometryCache:
         """Cached value for ``key`` (marked most-recently-used), or None."""
         hit = self._entries.pop(key, None)
         if hit is None:
-            COUNTERS.add("misses")
+            self.misses += 1
             return None
         self._entries[key] = hit      # reinsert -> most recently used
-        COUNTERS.add("hits")
+        self.hits += 1
         return hit[0]
 
     def put(self, key, value, nbytes: int) -> None:
@@ -135,18 +113,15 @@ class GeometryCache:
         old = self._entries.pop(key, None)
         if old is not None:
             self.total_bytes -= old[1]
-            COUNTERS.add("bytes_cached", -old[1])
         self._entries[key] = (value, nbytes)
         self.total_bytes += nbytes
-        COUNTERS.add("bytes_cached", nbytes)
-        while self.total_bytes > _budget_bytes and len(self._entries) > 1:
+        while self.total_bytes > CACHE_BUDGET_BYTES and len(self._entries) > 1:
             victim_key = next(iter(self._entries))
             if victim_key == key:
                 break
             _, victim_bytes = self._entries.pop(victim_key)
             self.total_bytes -= victim_bytes
-            COUNTERS.add("bytes_cached", -victim_bytes)
-            COUNTERS.add("evictions")
+            self.evictions += 1
 
 
 def _fingerprint(mesh: Mesh) -> bytes:
@@ -163,16 +138,12 @@ def cache_for(mesh: Mesh) -> GeometryCache:
 
     The fingerprint check runs on every call (cheap next to any kernel), so
     in-place mutation of coordinates or connectivity is detected here — the
-    stale cache is dropped whole and an ``invalidations`` counter tick
-    recorded.
+    stale cache is dropped whole and replaced by a new one.
     """
     fp = _fingerprint(mesh)
     cache: Optional[GeometryCache] = mesh.__dict__.get(_CACHE_ATTR)
     if cache is not None and cache.fingerprint == fp:
         return cache
-    if cache is not None:
-        COUNTERS.add("invalidations")
-        COUNTERS.add("bytes_cached", -cache.total_bytes)
     cache = GeometryCache(fp)
     mesh.__dict__[_CACHE_ATTR] = cache
     return cache
@@ -180,9 +151,7 @@ def cache_for(mesh: Mesh) -> GeometryCache:
 
 def drop_cache(mesh: Mesh) -> None:
     """Explicitly discard the mesh's geometry cache (tests, memory pressure)."""
-    cache = mesh.__dict__.pop(_CACHE_ATTR, None)
-    if cache is not None:
-        COUNTERS.add("bytes_cached", -cache.total_bytes)
+    mesh.__dict__.pop(_CACHE_ATTR, None)
 
 
 def _jacobian_geometry(coords: np.ndarray, conn: np.ndarray, ref):

@@ -4,15 +4,14 @@ A deferred callback (``Engine.defer`` / ``Engine.call_later``) runs once
 per task start, task finish, message delivery and collective hop.  Rather
 than one :class:`~repro.sim.engine.Event` object per callback, those
 callbacks live in this arena: a table of parallel columns
-(``when``/``seq``/``kind``/``state`` plus the callback itself) indexed by an
-integer *slot* that is recycled through a free list, so steady-state
-simulation performs **zero** per-event object allocation.
+(``fn``/``args``/``state``) indexed by an integer *slot* that is recycled
+through a free list, so steady-state simulation performs **zero** per-event
+object allocation.  The deadline and seq live only in the engine's calendar
+entry, which names the slot.
 
-The hot columns are plain Python lists rather than numpy arrays: the engine
+The columns are plain Python lists rather than numpy arrays: the engine
 writes and reads single cells on every event, and scalar indexing into a
-numpy array is several times slower than a list access.  The structured
-numpy view (:meth:`EventArena.as_structured`) is materialized on demand for
-instrumentation and debugging only.
+numpy array is several times slower than a list access.
 
 Slot lifecycle::
 
@@ -30,14 +29,10 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-__all__ = ["EventArena", "FREE", "PENDING", "CANCELLED",
-           "KIND_DEFER", "KIND_TIMER", "KIND_COMPLETION"]
+__all__ = ["EventArena", "FREE", "PENDING", "CANCELLED"]
 
 #: slot states
 FREE, PENDING, CANCELLED = 0, 1, 2
-
-#: slot kinds (instrumentation only — the dispatch path ignores them)
-KIND_DEFER, KIND_TIMER, KIND_COMPLETION = 0, 1, 2
 
 
 class EventArena:
@@ -48,15 +43,11 @@ class EventArena:
     engine<->arena contract, not a public API.
     """
 
-    __slots__ = ("_fn", "_args", "_when", "_seq", "_kind", "_state", "_free",
-                 "allocated", "cancelled")
+    __slots__ = ("_fn", "_args", "_state", "_free", "allocated", "cancelled")
 
     def __init__(self) -> None:
         self._fn: list[Any] = []
         self._args: list[Any] = []
-        self._when: list[float] = []
-        self._seq: list[int] = []
-        self._kind: list[int] = []
         self._state: list[int] = []
         self._free: list[int] = []
         #: total slots ever handed out (recycled allocations included)
@@ -64,31 +55,20 @@ class EventArena:
         #: slots cancelled before firing
         self.cancelled = 0
 
-    def alloc(self, when: float, seq: int, fn: Callable[..., None],
-              args: tuple, kind: int = KIND_DEFER) -> int:
-        """Claim a slot for a callback due at ``when`` and return its index."""
+    def alloc(self, fn: Callable[..., None], args: tuple) -> int:
+        """Claim a slot for a pending callback and return its index."""
         free = self._free
         if free:
             slot = free.pop()
             self._fn[slot] = fn
             self._args[slot] = args
-            self._when[slot] = when
-            self._seq[slot] = seq
-            self._kind[slot] = kind
             self._state[slot] = PENDING
         else:
-            slot = len(self._fn)
-            self._fn.append(fn)
-            self._args.append(args)
-            self._when.append(when)
-            self._seq.append(seq)
-            self._kind.append(kind)
-            self._state.append(PENDING)
+            slot = self._grow(fn, args)
         self.allocated += 1
         return slot
 
-    def _grow(self, when: float, seq: int, fn: Callable[..., None],
-              args: tuple, kind: int) -> int:
+    def _grow(self, fn: Callable[..., None], args: tuple) -> int:
         """Cold path of :meth:`alloc`: append a brand-new slot.
 
         The engine inlines the free-list claim at its hot call sites
@@ -99,9 +79,6 @@ class EventArena:
         slot = len(self._fn)
         self._fn.append(fn)
         self._args.append(args)
-        self._when.append(when)
-        self._seq.append(seq)
-        self._kind.append(kind)
         self._state.append(PENDING)
         return slot
 
@@ -131,7 +108,7 @@ class EventArena:
         return self.allocated - len(self._fn)
 
     def counters(self) -> dict:
-        """Allocation statistics for ``engine_counters``."""
+        """Allocation statistics for :meth:`Engine.counters`."""
         return {
             "allocated": self.allocated,
             "recycled": self.recycled,
@@ -139,16 +116,3 @@ class EventArena:
             "capacity": self.capacity,
             "live": self.live,
         }
-
-    def as_structured(self):
-        """Materialize the when/seq/kind/state columns as a structured
-        numpy array (one row per physical slot) for inspection."""
-        import numpy as np
-
-        out = np.zeros(len(self._fn), dtype=[("when", "f8"), ("seq", "i8"),
-                                             ("kind", "i1"), ("state", "i1")])
-        out["when"] = self._when
-        out["seq"] = self._seq
-        out["kind"] = self._kind
-        out["state"] = self._state
-        return out

@@ -19,7 +19,7 @@ import itertools
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from .arena import KIND_COMPLETION, KIND_DEFER, KIND_TIMER, PENDING, EventArena
+from .arena import PENDING, EventArena
 
 __all__ = [
     "Engine",
@@ -311,15 +311,11 @@ class Engine:
         # schedules append here (monotonic seqs keep it sorted)
         self._cur: list = []
         self._ci = 0
-        # cohort instrumentation (see instrument.engine_counters)
+        # timestamps dispatched (see counters)
         self._n_cohorts = 0
-        self._cohort_events = 0
-        self._max_cohort = 0
-        self._cohort_hist = [0] * 16  # power-of-two size bins
-        self._n_jumps = 0
-        self._jump_total = 0.0
-        self._n_arena_fired = 0
-        self._n_event_dispatch = 0
+        # the task runtime's plan arbiter, attached by the first Team
+        # (repro.core.runtime); counters() reports its plan block
+        self._plan_arbiter = None
 
     # -- factory helpers ----------------------------------------------------
     def event(self) -> Event:
@@ -366,12 +362,9 @@ class Engine:
             slot = free.pop()
             arena._fn[slot] = fn
             arena._args[slot] = args
-            arena._when[slot] = self.now
-            arena._seq[slot] = seq
-            arena._kind[slot] = KIND_DEFER
             arena._state[slot] = 1
         else:
-            slot = arena._grow(self.now, seq, fn, args, KIND_DEFER)
+            slot = arena._grow(fn, args)
         arena.allocated += 1
         self._now_queue.append((seq, slot))
         return slot
@@ -396,12 +389,9 @@ class Engine:
             slot = free.pop()
             arena._fn[slot] = fn
             arena._args[slot] = args
-            arena._when[slot] = when
-            arena._seq[slot] = seq
-            arena._kind[slot] = KIND_TIMER
             arena._state[slot] = 1
         else:
-            slot = arena._grow(when, seq, fn, args, KIND_TIMER)
+            slot = arena._grow(fn, args)
         arena.allocated += 1
         if when == self.now:
             self._cur.append((seq, slot))
@@ -428,7 +418,7 @@ class Engine:
             raise SimulationError(f"cannot schedule into the past "
                                   f"({when} < {self.now})")
         seq = next(self._seq)
-        slot = self.arena.alloc(when, seq, fn, args, KIND_COMPLETION)
+        slot = self.arena.alloc(fn, args)
         self._bucket_insert(when, seq, slot)
         return slot
 
@@ -491,8 +481,6 @@ class Engine:
         cur = self._cur
         ci = self._ci
         n_done = 0
-        n_arena = 0
-        n_events = 0
         try:
             while True:
                 if self._stop_reason is not None:
@@ -536,14 +524,7 @@ class Engine:
                             a_state[p] = 0
                             a_free.append(p)
                         continue
-                    n = len(bucket)
                     self._n_cohorts += 1
-                    self._cohort_events += n
-                    if n > self._max_cohort:
-                        self._max_cohort = n
-                    self._cohort_hist[min(n.bit_length() - 1, 15)] += 1
-                    self._n_jumps += 1
-                    self._jump_total += when - self.now
                     self.now = when
                     cur = bucket
                     ci = 0
@@ -562,7 +543,6 @@ class Engine:
                     a_free.append(payload)
                     if st == 1:  # PENDING
                         n_done += 1
-                        n_arena += 1
                         fn(*args)
                     continue
                 event = payload
@@ -570,7 +550,6 @@ class Engine:
                     event._triggered = True
                     event._ok = True
                 n_done += 1
-                n_events += 1
                 event._processed = True
                 d = event._defer
                 if d is not None:
@@ -587,8 +566,6 @@ class Engine:
         finally:
             self._ci = ci
             self._n_events_processed += n_done
-            self._n_arena_fired += n_arena
-            self._n_event_dispatch += n_events
 
     def step(self) -> None:
         """Process a single event from the queue, advancing the clock.
@@ -633,14 +610,7 @@ class Engine:
                         states[p] = 0
                         self.arena._free.append(p)
                     continue
-                n = len(bucket)
                 self._n_cohorts += 1
-                self._cohort_events += n
-                if n > self._max_cohort:
-                    self._max_cohort = n
-                self._cohort_hist[min(n.bit_length() - 1, 15)] += 1
-                self._n_jumps += 1
-                self._jump_total += when - self.now
                 self.now = when
                 self._cur = bucket
                 self._ci = 0
@@ -656,7 +626,6 @@ class Engine:
                 arena._free.append(payload)
                 if st == PENDING:
                     self._n_events_processed += 1
-                    self._n_arena_fired += 1
                     fn(*args)
                     return
                 continue  # cancelled slot: recycle and keep looking
@@ -665,7 +634,6 @@ class Engine:
                 event._triggered = True
                 event._ok = True
             self._n_events_processed += 1
-            self._n_event_dispatch += 1
             event._processed = True
             d = event._defer
             if d is not None:
@@ -694,6 +662,19 @@ class Engine:
     def events_processed(self) -> int:
         """Total number of events processed so far (diagnostics)."""
         return self._n_events_processed
+
+    def counters(self) -> dict:
+        """Host-side progress counters (never part of a simulated result).
+
+        ``events_processed`` plus a ``"batch"`` block: the number of
+        dispatched timestamps (``cohorts``), the event arena's allocation
+        counters and — once a :class:`~repro.core.runtime.Team` attached
+        its plan arbiter — the whole-graph plan counters (``plans``).
+        """
+        batch = {"cohorts": self._n_cohorts, "arena": self.arena.counters()}
+        if self._plan_arbiter is not None:
+            batch["plans"] = self._plan_arbiter.counters()
+        return {"events_processed": self._n_events_processed, "batch": batch}
 
     @property
     def alive_process_count(self) -> int:

@@ -119,10 +119,11 @@ _WS_STATS = {"hits": 0, "misses": 0, "evictions": 0}
 
 
 def krylov_workspace_stats() -> dict:
-    """Counters of the buffered-core workspace cache (hits/misses/evictions).
+    """Tallies of the buffered-core workspace cache (hits/misses/evictions).
 
-    Feeds :func:`repro.perf.instrument.fluid_counters`; resident entries is
-    the current number of cached (core, size) vector sets.
+    The cache is process-wide and bounded by design, so its tallies are
+    too; ``resident`` is the current number of cached (core, size) vector
+    sets.
     """
     stats = dict(_WS_STATS)
     stats["resident"] = len(_WORKSPACES)

@@ -19,7 +19,6 @@ from repro.app.workload import WorkloadSpec, get_workload
 from repro.campaign import get_campaign
 from repro.core import Team, TaskGraph
 from repro.fem import FlowBC, FractionalStepSolver, element_sizes
-from repro.fem.fractional_step import FLUID_COUNTERS
 from repro.fem.geometry import geometry_blocks
 from repro.fem.timestep import (CflController, DtLadder, cfl_rate,
                                 element_cfl_rates)
@@ -128,23 +127,20 @@ class TestCflRates:
 class TestRungCache:
     def test_counter_deltas(self, tube):
         mesh, bc = tube
-        before = dict(FLUID_COUNTERS)
         solver = FractionalStepSolver(mesh, bc, viscosity=1e-3, density=1.0,
                                       dt=2e-3)
-        assert FLUID_COUNTERS["dt_rung_rebuilds"] == \
-            before["dt_rung_rebuilds"] + 1
+        c = solver.counters
+        assert c["dt_rung_rebuilds"] == 1
         assert solver.rung_cache_size() == 1
         solver.dt = 1e-3                    # miss: new rung built
-        assert FLUID_COUNTERS["dt_rung_misses"] == \
-            before["dt_rung_misses"] + 1
-        assert FLUID_COUNTERS["dt_rung_rebuilds"] == \
-            before["dt_rung_rebuilds"] + 2
+        assert c["dt_rung_misses"] == 1
+        assert c["dt_rung_rebuilds"] == 2
         assert solver.rung_cache_size() == 2
         solver.dt = 2e-3                    # hit: restored from the cache
-        assert FLUID_COUNTERS["dt_rung_hits"] == before["dt_rung_hits"] + 1
+        assert c["dt_rung_hits"] == 1
         assert solver.rung_cache_size() == 2
         solver.dt = 2e-3                    # no-op: same value
-        assert FLUID_COUNTERS["dt_rung_hits"] == before["dt_rung_hits"] + 1
+        assert c["dt_rung_hits"] == 1
         with pytest.raises(ValueError):
             solver.dt = 0.0
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from scipy import sparse
 from repro.fem import (FlowBC, FractionalStepSolver, apply_dirichlet,
                        assemble_operator, vector_operator)
 from repro.fem.dirichlet import DirichletSlots
-from repro.fem.fractional_step import FLUID_COUNTERS
 from repro.fem.vector import vector_expansion_perm
 from repro.mesh.airway import Segment
 from repro.mesh.generator import MeshResolution, build_tube_mesh
@@ -39,18 +38,32 @@ def tube():
 class TestFluidSolverPaths:
     def test_counters_track_the_active_path(self, tube):
         mesh, bc = tube
-        before = dict(FLUID_COUNTERS)
         solver = FractionalStepSolver(mesh, bc, viscosity=1e-3, density=1.0,
                                       dt=2e-3, pressure_solver="deflated")
         solver.run(2, tol=1e-6)
-        assert FLUID_COUNTERS["momentum_recycled"] \
-            == before["momentum_recycled"] + 2
-        assert FLUID_COUNTERS["deflation_setups_built"] \
-            == before["deflation_setups_built"] + 1
-        assert FLUID_COUNTERS["deflation_setups_reused"] \
-            == before["deflation_setups_reused"] + 2
-        assert FLUID_COUNTERS["pressure_deflated_solves"] \
-            == before["pressure_deflated_solves"] + 2
+        c = solver.counters
+        assert c["momentum_recycled"] == 2
+        assert c["deflation_setups_built"] == 1
+        assert c["deflation_setups_reused"] == 2
+        assert c["pressure_deflated_solves"] == 2
+
+    def test_counters_hold_only_their_own_work(self, tube):
+        """A fresh solver starts from zero even after another solver
+        stepped in the same process (a long-lived campaign worker)."""
+        mesh, bc = tube
+        first = FractionalStepSolver(mesh, bc, viscosity=1e-3, density=1.0,
+                                     dt=2e-3, pressure_solver="deflated")
+        first.run(3, tol=1e-6)
+        first.dt = 1e-3
+        fresh = FractionalStepSolver(mesh, bc, viscosity=1e-3, density=1.0,
+                                     dt=2e-3)
+        assert fresh.counters["dt_rung_rebuilds"] == 1  # its own rung
+        assert sum(fresh.counters.values()) == 1
+        fresh.run(1, tol=1e-6)
+        assert fresh.counters["momentum_recycled"] == 1
+        assert fresh.counters["deflation_setups_built"] == 0
+        assert first.counters["momentum_recycled"] == 3
+        assert first.counters["dt_rung_rebuilds"] == 2
 
     def test_stale_pattern_raises(self, tube):
         """The recycler refuses to gather through a pattern that no longer

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from repro.fem import (
+    CACHE_BUDGET_BYTES,
+    GeometryCache,
     SGSState,
     assemble_operator,
-    cache_budget_bytes,
     cache_for,
     drop_cache,
     geometry_blocks,
-    set_cache_budget,
     update_sgs,
 )
 from repro.fem import geometry as geom_mod
@@ -34,12 +34,12 @@ def mesh():
 
 class TestGeometryCache:
     def test_hits_and_misses_counted(self, mesh):
-        hits0 = geom_mod.COUNTERS.get("hits")
-        misses0 = geom_mod.COUNTERS.get("misses")
+        cache = cache_for(mesh)
+        hits0, misses0 = cache.hits, cache.misses
         b1 = geometry_blocks(mesh)
-        assert geom_mod.COUNTERS.get("misses") == misses0 + 1
+        assert cache.misses == misses0 + 1
         b2 = geometry_blocks(mesh)
-        assert geom_mod.COUNTERS.get("hits") == hits0 + 1
+        assert cache.hits == hits0 + 1
         assert b2 is b1  # same cached list, not a recompute
 
     def test_blocks_match_inline_geometry(self, mesh):
@@ -62,12 +62,12 @@ class TestGeometryCache:
 
     def test_inplace_coordinate_mutation_invalidates(self, mesh):
         geometry_blocks(mesh)
-        inv0 = geom_mod.COUNTERS.get("invalidations")
         cache0 = cache_for(mesh)
         mesh.coords[0, 0] += 1e-3
         blocks = geometry_blocks(mesh)  # must rebuild, not serve stale
-        assert geom_mod.COUNTERS.get("invalidations") == inv0 + 1
-        assert cache_for(mesh) is not cache0
+        cache1 = cache_for(mesh)
+        assert cache1 is not cache0
+        assert (cache1.hits, cache1.misses) == (0, 1)
         # the rebuilt geometry reflects the mutated coordinates
         from repro.fem.geometry import _jacobian_geometry
         from repro.fem.shape import reference_element
@@ -82,51 +82,37 @@ class TestGeometryCache:
 
     def test_inplace_connectivity_mutation_invalidates(self, mesh):
         geometry_blocks(mesh)
-        inv0 = geom_mod.COUNTERS.get("invalidations")
+        cache0 = cache_for(mesh)
         mesh.elem_nodes[0, 0], mesh.elem_nodes[0, 1] = (
             int(mesh.elem_nodes[0, 1]), int(mesh.elem_nodes[0, 0]))
-        cache_for(mesh)
-        assert geom_mod.COUNTERS.get("invalidations") == inv0 + 1
+        cache1 = cache_for(mesh)
+        assert cache1 is not cache0
+        assert len(cache1) == 0 and cache1.total_bytes == 0
 
     def test_bytes_accounting_and_drop(self, mesh):
         drop_cache(mesh)
-        bytes0 = geom_mod.COUNTERS.get("bytes_cached")
-        geometry_blocks(mesh)
+        blocks = geometry_blocks(mesh)
         cache = cache_for(mesh)
-        assert cache.total_bytes > 0
-        assert (geom_mod.COUNTERS.get("bytes_cached")
-                == bytes0 + cache.total_bytes)
+        assert cache.total_bytes == sum(b.nbytes for b in blocks) > 0
         drop_cache(mesh)
-        assert geom_mod.COUNTERS.get("bytes_cached") == bytes0
+        fresh = cache_for(mesh)
+        assert fresh is not cache and fresh.total_bytes == 0
 
-    def test_eviction_budget(self, mesh):
-        drop_cache(mesh)
-        full = geometry_blocks(mesh)
-        nbytes = sum(b.nbytes for b in full)
-        drop_cache(mesh)
-        previous = set_cache_budget(max(1, nbytes // 2))
-        try:
-            ev0 = geom_mod.COUNTERS.get("evictions")
-            geometry_blocks(mesh)  # oversized single entry: kept anyway
-            cache = cache_for(mesh)
-            assert len(cache) == 1
-            geometry_blocks(mesh, np.arange(mesh.nelem // 2))
-            # inserting a second entry pushed past the budget: LRU evicted
-            assert geom_mod.COUNTERS.get("evictions") > ev0
-            assert len(cache) == 1
-            assert cache.total_bytes <= nbytes
-        finally:
-            set_cache_budget(previous)
-            drop_cache(mesh)
-
-    def test_budget_accessors(self):
-        previous = set_cache_budget(12345)
-        try:
-            assert cache_budget_bytes() == 12345
-            with pytest.raises(ValueError, match="positive"):
-                set_cache_budget(0)
-        finally:
-            set_cache_budget(previous)
+    def test_eviction_budget(self):
+        cache = GeometryCache(b"")
+        quarter = CACHE_BUDGET_BYTES // 4
+        cache.put("a", "A", 2 * quarter)
+        cache.put("b", "B", quarter)        # still within the budget
+        assert cache.evictions == 0 and len(cache) == 2
+        assert cache.get("a") == "A"        # "a" becomes most recently used
+        cache.put("c", "C", 2 * quarter)    # over budget: LRU "b" goes
+        assert cache.evictions == 1
+        assert cache.get("b") is None and cache.get("a") == "A"
+        assert cache.total_bytes == 4 * quarter <= CACHE_BUDGET_BYTES
+        cache.put("d", "D", 2 * CACHE_BUDGET_BYTES)  # oversized: kept alone
+        assert len(cache) == 1 and cache.get("d") == "D"
+        assert cache.evictions == 3
+        assert cache.total_bytes == 2 * CACHE_BUDGET_BYTES
 
 
 # -- operator-split assembly -----------------------------------------------
@@ -153,9 +139,10 @@ class TestOperatorSplit:
     def test_constant_operator_is_cached_copy(self, mesh):
         """velocity=None: the whole operator is constant across repeats."""
         a = assemble_operator(mesh, kappa=1.0, mass_coeff=2.0)
-        hits0 = geom_mod.COUNTERS.get("hits")
+        cache = cache_for(mesh)
+        hits0 = cache.hits
         b = assemble_operator(mesh, kappa=1.0, mass_coeff=2.0)
-        assert geom_mod.COUNTERS.get("hits") > hits0
+        assert cache.hits > hits0
         assert np.array_equal(a.matrix.data, b.matrix.data)
         assert a.matrix.data is not b.matrix.data
 

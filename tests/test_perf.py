@@ -1,4 +1,4 @@
-"""Unit tests for the performance layer (repro.perf): counters, the
+"""Unit tests for the performance layer (repro.perf): engine counters, the
 benchmark runner, and the hot paths' structural properties (comm,
 assembly, tracker).  Their absolute results are pinned in
 ``tests/golden_digests.json``."""
@@ -19,7 +19,6 @@ from repro.particles import (
     ParticleProperties,
     inject_at_inlet,
 )
-from repro.perf import Counters, engine_counters
 from repro.sim import Engine
 from repro.smpi import World
 
@@ -32,15 +31,7 @@ def small_airway():
 # -- instrumentation -------------------------------------------------------
 
 class TestInstrument:
-    def test_counters(self):
-        c = Counters()
-        c.add("events")
-        c.add("events", 9)
-        assert c.get("events") == 10
-        assert c.get("missing") == 0
-        assert c.report() == {"events": 10}
-
-    def test_engine_counters(self):
+    def test_engine_progress_counters(self):
         eng = Engine()
 
         def proc():
@@ -48,10 +39,11 @@ class TestInstrument:
 
         eng.process(proc())
         eng.run()
-        snap = engine_counters(eng)
+        snap = eng.counters()
         assert snap["events_processed"] > 0
-        assert snap["sim_now"] == pytest.approx(1.0)
-        assert snap["alive_processes"] == 0
+        assert set(snap) == {"events_processed", "batch"}
+        assert set(snap["batch"]) == {"cohorts", "arena"}
+        assert snap["batch"]["arena"]["live"] == 0
 
 
 # -- benchmark runner ------------------------------------------------------
