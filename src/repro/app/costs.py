@@ -62,13 +62,5 @@ class CostModel:
     #: minimum task chunks per phase (malleability floor for DLB)
     min_chunks: int = 8
 
-    def assembly_instructions(self, etype: ElementType) -> float:
-        """Assembly cost of one element of ``etype``."""
-        return self.assembly_instr[etype]
-
-    def sgs_instructions(self, etype: ElementType) -> float:
-        """SGS cost of one element of ``etype``."""
-        return self.sgs_instr[etype]
-
 
 DEFAULT_COSTS = CostModel()

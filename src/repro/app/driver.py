@@ -36,7 +36,7 @@ from ..machine import get_cluster
 from ..smpi import RankDeadError, World
 from ..sim import Engine
 from ..trace import PhaseLog
-from .costs import CostModel, DEFAULT_COSTS
+from .costs import DEFAULT_COSTS
 from .workload import Workload, WorkloadSpec, get_workload
 
 __all__ = ["RunConfig", "RunResult", "run_cfpd"]
@@ -212,11 +212,9 @@ class _RunContext:
     """Prebuilt graphs and metadata shared by all rank programs of a run."""
 
     def __init__(self, workload: Workload, config: RunConfig,
-                 costs: CostModel, start_step: int = 0,
-                 fault_tolerant: bool = False):
+                 start_step: int = 0, fault_tolerant: bool = False):
         self.workload = workload
         self.config = config
-        self.costs = costs
         self.spec = workload.spec
         self.log = PhaseLog(config.nranks)
         self.teams: dict[int, Team] = {}
@@ -273,15 +271,14 @@ class _RunContext:
             config.assembly_strategy, config.sgs_strategy,
             config.strategy_params, config.subdomains_per_rank,
             config.subdomain_min_shared, config.partition_method,
-            particle_chunks,
-            id(costs) if costs is not DEFAULT_COSTS else 0)
+            particle_chunks)
         cached = cache.get(cache_key)
         if cached is not None:
             (self.assembly, self.sgs, self.solver1, self.solver2,
              self.halo_neighbors, self.particles, self.migration_bytes,
              self.sends, self.recvs) = cached
         else:
-            self._build_graphs(config, costs, fluid_dd, hist, nthreads,
+            self._build_graphs(config, fluid_dd, hist, nthreads,
                                fluid_n, particle_n, particle_chunks)
             cache[cache_key] = (
                 self.assembly, self.sgs, self.solver1, self.solver2,
@@ -289,7 +286,7 @@ class _RunContext:
                 self.sends, self.recvs)
         self.sub_comms: dict = {}
 
-    def _build_graphs(self, config, costs, fluid_dd, hist, nthreads,
+    def _build_graphs(self, config, fluid_dd, hist, nthreads,
                       fluid_n, particle_n, particle_chunks):
         """Construct the per-rank task graphs and exchange topology."""
         workload = self.workload
@@ -312,17 +309,17 @@ class _RunContext:
                 colors=rw.colors, sub_labels=rw.sub_labels,
                 sub_adjacency=rw.sub_adjacency, race_free=True,
                 params=config.strategy_params, label="sgs"))
-            s1_work = (costs.solver1_iterations * rw.solver_nnz
-                       * costs.solver_instr_per_nnz)
-            s2_work = (costs.solver2_iterations * rw.solver_nnz
-                       * costs.solver_instr_per_nnz)
-            nchunks = max(costs.min_chunks, nthreads * 4)
+            s1_work = (DEFAULT_COSTS.solver1_iterations * rw.solver_nnz
+                       * DEFAULT_COSTS.solver_instr_per_nnz)
+            s2_work = (DEFAULT_COSTS.solver2_iterations * rw.solver_nnz
+                       * DEFAULT_COSTS.solver_instr_per_nnz)
+            nchunks = max(DEFAULT_COSTS.min_chunks, nthreads * 4)
             self.solver1.append(build_parallel_for_graph(
                 np.full(nchunks, s1_work / nchunks), nthreads,
-                min_chunks=costs.min_chunks, label="solver1"))
+                min_chunks=DEFAULT_COSTS.min_chunks, label="solver1"))
             self.solver2.append(build_parallel_for_graph(
                 np.full(nchunks, s2_work / nchunks), nthreads,
-                min_chunks=costs.min_chunks, label="solver2"))
+                min_chunks=DEFAULT_COSTS.min_chunks, label="solver2"))
             self.halo_neighbors.append(rw.neighbors)
         # particle-phase graphs: [particle-local rank][step]
         self.particles = []
@@ -331,13 +328,14 @@ class _RunContext:
             for s in range(self.n_steps):
                 count = int(hist[s, pr])
                 per_step.append(build_parallel_for_graph(
-                    np.full(count, costs.particle_instr), nthreads,
+                    np.full(count, DEFAULT_COSTS.particle_instr), nthreads,
                     min_chunks=particle_chunks, label="particles"))
             self.particles.append(per_step)
         # migration volume per step (total particles in flight is an upper
         # bound for what crosses rank boundaries)
         self.migration_bytes = [
-            max(1.0, hist[s].sum() * costs.particle_bytes / max(1, particle_n))
+            max(1.0, hist[s].sum() * DEFAULT_COSTS.particle_bytes
+                / max(1, particle_n))
             for s in range(self.n_steps)]
         # coupled-mode exchange topology
         self.sends = None
@@ -423,11 +421,11 @@ def _fluid_phases(ctx: _RunContext, world_comm, sub_comm, team, local_rank,
     yield from _halo_exchange(ctx, sub_comm, local_rank, tag=1000 + step,
                               step=step)
     yield from sub_comm.allreduce(
-        0.0, nbytes=16.0 * ctx.costs.solver1_iterations)
+        0.0, nbytes=16.0 * DEFAULT_COSTS.solver1_iterations)
     yield from _run_phase(ctx, world_comm, team, step, "solver1",
                           ctx.solver1[local_rank], repeats=reps)
     yield from sub_comm.allreduce(
-        0.0, nbytes=16.0 * ctx.costs.solver2_iterations)
+        0.0, nbytes=16.0 * DEFAULT_COSTS.solver2_iterations)
     yield from _run_phase(ctx, world_comm, team, step, "solver2",
                           ctx.solver2[local_rank], repeats=reps)
     yield from sub_comm.allreduce(0.0, nbytes=8.0)
@@ -535,8 +533,7 @@ def _verify_restart_state(wl: Workload, ckpt) -> None:
 
 def run_cfpd(config: RunConfig,
              spec: Optional[WorkloadSpec] = None,
-             workload: Optional[Workload] = None,
-             costs: CostModel = DEFAULT_COSTS, *,
+             workload: Optional[Workload] = None, *,
              fault_plan=None,
              checkpoint_path: Optional[str] = None,
              restart_from: Optional[str] = None) -> RunResult:
@@ -576,7 +573,7 @@ def run_cfpd(config: RunConfig,
         spec = ckpt.spec
         start_step = ckpt.step
     wl = workload if workload is not None else get_workload(
-        spec or WorkloadSpec(), costs)
+        spec or WorkloadSpec())
     if ckpt is not None:
         from ..fault import CheckpointError
         if wl.spec != ckpt.spec:
@@ -589,7 +586,7 @@ def run_cfpd(config: RunConfig,
         raise ValueError(
             f"{config.nranks} ranks x {config.threads_per_rank} threads "
             f"exceed the {cluster.total_cores} cores of {cluster.name}")
-    ctx = _RunContext(wl, config, costs, start_step=start_step,
+    ctx = _RunContext(wl, config, start_step=start_step,
                       fault_tolerant=fault_plan is not None)
     engine = Engine()
     world = World(engine, cluster, config.nranks,

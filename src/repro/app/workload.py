@@ -62,7 +62,7 @@ from ..particles import (
     inject_at_inlet,
 )
 from ..solver import bicgstab, cg, jacobi_preconditioner
-from .costs import CostModel, DEFAULT_COSTS
+from .costs import DEFAULT_COSTS
 
 __all__ = ["WorkloadSpec", "Workload", "RankWork", "StepPlan",
            "get_workload", "BREATHING_WAVEFORMS", "INLET_WAVEFORMS",
@@ -141,6 +141,13 @@ class WorkloadSpec:
     particle_diameter: float = 4e-6
 
     def __post_init__(self):
+        if self.n_steps < 1:
+            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        if self.dt <= 0:
+            raise ValueError(f"dt must be > 0, got {self.dt}")
+        if self.injection_interval < 0:
+            raise ValueError("injection_interval must be >= 0, "
+                             f"got {self.injection_interval}")
         if self.adaptive not in ("off", "global", "local"):
             raise ValueError("adaptive must be 'off', 'global' or 'local', "
                              f"got {self.adaptive!r}")
@@ -324,9 +331,8 @@ class StepPlan:
 class Workload:
     """All numeric state shared by the experiment configurations."""
 
-    def __init__(self, spec: WorkloadSpec, costs: CostModel = DEFAULT_COSTS):
+    def __init__(self, spec: WorkloadSpec):
         self.spec = spec
-        self.costs = costs
         self.airway: AirwayMesh = build_airway_mesh(
             AirwayConfig(generations=spec.generations, seed=spec.mesh_seed),
             MeshResolution(points_per_ring=spec.points_per_ring,
@@ -407,7 +413,7 @@ class Workload:
             sub_labels=dom.sub_labels,
             sub_adjacency=dom.sub_adjacency,
             solver_nnz=float(solver_nnz[dom.rank]),
-            halo_bytes=dom.halo_nodes * self.costs.halo_bytes_per_node,
+            halo_bytes=dom.halo_nodes * DEFAULT_COSTS.halo_bytes_per_node,
             neighbors=neighbor_bytes[dom.rank]) for dom in dec.domains]
         data = DecompData(decomposition=dec, ranks=ranks, labels=labels)
         self._decomps[key] = data
@@ -419,8 +425,9 @@ class Workload:
         reports, computed once per mesh."""
         if self._meters is None:
             a_instr, atomics = element_work_meters(
-                self.mesh, self.costs.assembly_instr)
-            s_instr, _ = element_work_meters(self.mesh, self.costs.sgs_instr)
+                self.mesh, DEFAULT_COSTS.assembly_instr)
+            s_instr, _ = element_work_meters(
+                self.mesh, DEFAULT_COSTS.sgs_instr)
             self._meters = (a_instr, atomics, s_instr)
         return self._meters
 
@@ -441,7 +448,7 @@ class Workload:
         for r, t, count in zip(shared.row, shared.col, shared.data):
             if r != t and count > 0:
                 out[int(r)].append(
-                    (int(t), float(count) * self.costs.halo_bytes_per_node))
+                    (int(t), float(count) * DEFAULT_COSTS.halo_bytes_per_node))
         return out
 
     def _row_structure(self, labels: np.ndarray, nranks: int):
@@ -852,16 +859,14 @@ class Workload:
         counts = np.zeros((f, p))
         np.add.at(counts, (lf, lp), 1.0)
         # ~ nodes per element x bytes per node
-        return counts * 4.5 * self.costs.halo_bytes_per_node
+        return counts * 4.5 * DEFAULT_COSTS.halo_bytes_per_node
 
 
 _WORKLOADS: dict = {}
 
 
-def get_workload(spec: WorkloadSpec, costs: CostModel = DEFAULT_COSTS
-                 ) -> Workload:
+def get_workload(spec: WorkloadSpec) -> Workload:
     """Process-wide workload cache (one numeric precompute per spec)."""
-    key = (spec, id(costs) if costs is not DEFAULT_COSTS else 0)
-    if key not in _WORKLOADS:
-        _WORKLOADS[key] = Workload(spec, costs)
-    return _WORKLOADS[key]
+    if spec not in _WORKLOADS:
+        _WORKLOADS[spec] = Workload(spec)
+    return _WORKLOADS[spec]

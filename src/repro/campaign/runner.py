@@ -15,7 +15,6 @@ across runs; execution timing belongs to the journal and the bench row.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional
 
 from ..app import get_workload, run_cfpd
 from . import serialize
@@ -100,7 +99,7 @@ def run_job(job: Job) -> dict:
     return job_record(job, result)
 
 
-def warm_workload(spec, histogram_ranks: Optional[list] = None) -> None:
+def warm_workload(spec) -> None:
     """Precompute the numeric workload for ``spec`` in this process.
 
     Called by the executor before forking a pool so every worker inherits
@@ -111,5 +110,3 @@ def warm_workload(spec, histogram_ranks: Optional[list] = None) -> None:
     wl.solve_fluid_step()
     wl.sgs_history()
     wl.trajectory()
-    for nranks in histogram_ranks or ():
-        wl.particle_histograms(nranks)

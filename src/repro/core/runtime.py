@@ -58,7 +58,6 @@ class GraphStats:
     tasks_run: int = 0
     instructions: float = 0.0
     busy_seconds: float = 0.0       # sum over workers of task execution time
-    overhead_seconds: float = 0.0   # task-management overhead (not useful work)
     t_start: float = 0.0
     t_end: float = 0.0
     max_concurrency: int = 0
@@ -97,9 +96,9 @@ class _Plan:
         self.d_tids = d_tids
         self.d_start = d_start      # non-decreasing (dispatch order)
         self.d_finish = d_finish
-        self.d_dur = d_dur          # exec*slowdown + overhead, one float
+        self.d_dur = d_dur          # exec seconds * slowdown, one float
         self.c_finish = c_finish    # non-decreasing (completion order)
-        self.sums = sums            # (busy, instructions, overhead, max_conc)
+        self.sums = sums            # (busy, instructions, max_conc)
         self.n_total = n_total
         self.t_end = t_end
         #: dispatch-time genealogy of the last-finishing task as flattened
@@ -166,8 +165,8 @@ class _PlanTemplate:
 
     Templates live on the graph (``TaskGraph._plan_templates``), keyed by
     everything the trajectory depends on besides the graph — core, worker
-    count, slowdown, task overhead and scheduler — so they outlive the
-    team that recorded them; the graph drops them when it gains a task.
+    count, slowdown and scheduler — so they outlive the team that recorded
+    them; the graph drops them when it gains a task.
     """
 
     __slots__ = ("d_tids", "d_dur", "d_parent", "c_order", "checks",
@@ -336,9 +335,6 @@ class Team:
         DES engine and the core performance model of the host node.
     nthreads:
         Base worker count (the rank's own cores).
-    task_overhead_s:
-        Fixed runtime-bookkeeping cost added to every task execution
-        (task creation + dependence management; relevant for multidep).
     rank / name:
         Identity used in traces.
     recorder:
@@ -350,8 +346,8 @@ class Team:
     SCHEDULERS = ("lpt", "fifo", "lifo")
 
     def __init__(self, engine: Engine, core: CoreModel, nthreads: int,
-                 task_overhead_s: float = 0.0, rank: int = 0, name: str = "",
-                 recorder=None, listener: Optional[TeamListener] = None,
+                 rank: int = 0, name: str = "", recorder=None,
+                 listener: Optional[TeamListener] = None,
                  scheduler: str = "lpt"):
         if nthreads < 0:
             raise RuntimeError_(f"nthreads must be >= 0, got {nthreads}")
@@ -364,7 +360,6 @@ class Team:
         self.base_threads = nthreads
         self.rank = rank
         self.name = name or f"team{rank}"
-        self.task_overhead_s = task_overhead_s
         self.recorder = recorder
         self.listener = listener
         self.scheduler = scheduler
@@ -554,7 +549,6 @@ class Team:
             stats.tasks_run += more.tasks_run
             stats.instructions += more.instructions
             stats.busy_seconds += more.busy_seconds
-            stats.overhead_seconds += more.overhead_seconds
             stats.t_end = more.t_end
             stats.max_concurrency = max(stats.max_concurrency,
                                         more.max_concurrency)
@@ -600,8 +594,7 @@ class Team:
         """The plan of ``repeats`` runs of ``graph`` from ``t0`` at the
         team's current capacity and slowdown, one segment per repeat served
         by :meth:`_plan_templated`."""
-        key = (self.core, self._max_workers, self.slowdown,
-               self.task_overhead_s, self.scheduler)
+        key = (self.core, self._max_workers, self.slowdown, self.scheduler)
         return self._plan_repeated(
             lambda t: self._plan_templated(graph, key, t), t0, repeats)
 
@@ -647,8 +640,7 @@ class Team:
                 break
             nxt = segment(plan.t_end)
             sums = (plan.sums[0] + nxt.sums[0], plan.sums[1] + nxt.sums[1],
-                    plan.sums[2] + nxt.sums[2],
-                    max(plan.sums[3], nxt.sums[3]))
+                    max(plan.sums[2], nxt.sums[2]))
             plan = _Plan(plan.d_tids + nxt.d_tids,
                          plan.d_start + nxt.d_start,
                          plan.d_finish + nxt.d_finish,
@@ -724,11 +716,10 @@ class Team:
         release the graph, exactly as `_finish_task` does for the last task."""
         stats = self._stats
         plan = self._plan
-        busy, instr, overhead, max_conc = plan.sums
+        busy, instr, max_conc = plan.sums
         stats.tasks_run = plan.n_total
         stats.instructions = instr
         stats.busy_seconds = busy
-        stats.overhead_seconds = overhead
         stats.max_concurrency = max_conc
         stats.t_end = self.engine.now
         done = self._done
@@ -761,7 +752,6 @@ class Team:
         tasks = graph.tasks
         n = len(tasks)
         core = self.core
-        ovh = self.task_overhead_s
         lpt = self._use_heap
         lifo = self._lifo
         preds_left = [t.n_preds for t in tasks]
@@ -786,7 +776,7 @@ class Team:
         t = t0
         active = 0
         fseq = 0
-        inflight: list = []         # (finish, fseq, tid, exec_seconds)
+        inflight: list = []         # (finish, dispatch index, tid)
         d_tids: list = []
         d_start: list = []
         d_finish: list = []
@@ -801,7 +791,6 @@ class Team:
         last_di = -1
         busy = 0.0
         instr = 0.0
-        ovh_sum = 0.0
         max_conc = 0
         completed = 0
         stalled = False
@@ -830,28 +819,26 @@ class Team:
                     base = core.seconds(task.work)
                     task._dur = base
                     task._dur_core = core
-                exec_seconds = base * slow
-                dur = exec_seconds + ovh
+                dur = base * slow
                 finish = t + dur
                 d_tids.append(tid)
                 d_start.append(t)
                 d_finish.append(finish)
                 d_dur.append(dur)
                 d_parent.append(cur_parent)
-                heapq.heappush(inflight, (finish, fseq, tid, exec_seconds))
+                heapq.heappush(inflight, (finish, fseq, tid))
                 fseq += 1
             if completed == n:
                 break
             next_ep = cap_epochs[ei][0] if ei < n_cap else None
             if inflight and (next_ep is None or inflight[0][0] < next_ep):
-                finish, di, tid, exec_seconds = heapq.heappop(inflight)
+                finish, di, tid = heapq.heappop(inflight)
                 t = finish
                 cur_parent = last_di = di
                 task = tasks[tid]
                 # stats accumulation order matches _finish_task
                 instr += task._instr
-                busy += exec_seconds
-                ovh_sum += ovh
+                busy += d_dur[di]
                 if task.mutex_refs:
                     held -= task.mutex_refs
                 active -= 1
@@ -881,7 +868,7 @@ class Team:
                 break
         t_end = c_finish[-1] if completed == n else 0.0
         return _Plan(d_tids, d_start, d_finish, d_dur, c_finish,
-                     (busy, instr, ovh_sum, max_conc), n, t_end,
+                     (busy, instr, max_conc), n, t_end,
                      _chain(d_start, _genealogy(d_parent, last_di), t0),
                      stalled, d_parent, c_order)
 
@@ -929,9 +916,8 @@ class Team:
                 task._dur = base
                 task._dur_core = core
             exec_seconds = base * self.slowdown
-            engine.call_later(exec_seconds + self.task_overhead_s,
-                              self._finish_task, task, engine.now,
-                              exec_seconds)
+            engine.call_later(exec_seconds, self._finish_task, task,
+                              engine.now, exec_seconds)
         self._active = active
         # Appetite signalling for DLB: hungry if capacity-bound work remains.
         if (active >= cap and ready and self.listener is not None
@@ -946,7 +932,6 @@ class Team:
         stats.tasks_run += 1
         stats.instructions += task._instr
         stats.busy_seconds += exec_seconds
-        stats.overhead_seconds += self.task_overhead_s
         if self.recorder is not None and task._instr > 0:
             self.recorder.record(self.rank, "task", task.label, t0, t1)
         if task.mutex_refs:

@@ -61,6 +61,10 @@ from .vector import (
 
 __all__ = ["FlowBC", "FractionalStepSolver", "StepInfo"]
 
+#: RCB parts of the deflated pressure solver's coarse space (one deflation
+#: group per part)
+_COARSE_PARTS = 16
+
 
 @dataclass(frozen=True)
 class FlowBC:
@@ -125,20 +129,13 @@ class FractionalStepSolver:
     pressure_solver:
         ``"cg"`` (default) solves the pressure Poisson system with plain
         preconditioned CG; ``"deflated"`` uses Alya-style deflated CG with
-        a subdomain coarse space (one group per RCB part).
-    pressure_groups:
-        Optional explicit (nnodes,) coarse-group assignment for the
-        deflated solver; defaults to ``rcb_partition(mesh.coords,
-        n_coarse)``.
-    n_coarse:
-        Number of RCB parts for the default coarse space.
+        a subdomain coarse space (one group per RCB part of the mesh
+        nodes).
     """
 
     def __init__(self, mesh: Mesh, bc: FlowBC, viscosity: float = 1.9e-5,
                  density: float = 1.15, dt: float = 1e-3,
-                 pressure_solver: str = "cg",
-                 pressure_groups: Optional[np.ndarray] = None,
-                 n_coarse: int = 16):
+                 pressure_solver: str = "cg"):
         if pressure_solver not in ("cg", "deflated"):
             raise ValueError("pressure_solver must be 'cg' or 'deflated', "
                              f"got {pressure_solver!r}")
@@ -194,11 +191,8 @@ class FractionalStepSolver:
         self._pressure_groups: Optional[np.ndarray] = None
         self._defl_setup: Optional[DeflationSetup] = None
         if pressure_solver == "deflated":
-            if pressure_groups is not None:
-                self._pressure_groups = np.asarray(pressure_groups)
-            else:
-                from ..partition import rcb_partition
-                self._pressure_groups = rcb_partition(mesh.coords, n_coarse)
+            from ..partition import rcb_partition
+            self._pressure_groups = rcb_partition(mesh.coords, _COARSE_PARTS)
             self._defl_setup = DeflationSetup(self._L, self._pressure_groups)
             self.counters["deflation_setups_built"] += 1
         self._store_rung_state(self._dt)

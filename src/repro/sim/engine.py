@@ -27,7 +27,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "SimulationError",
 ]
 
@@ -109,8 +108,7 @@ class Timeout(Event):
     """An event that triggers automatically after ``delay`` simulated time.
 
     The trigger state is applied when the engine's clock reaches the deadline
-    (not at construction), so timeouts compose correctly with :class:`AllOf`
-    and :class:`AnyOf`.
+    (not at construction), so timeouts compose correctly with :class:`AllOf`.
     """
 
     __slots__ = ("delay",)
@@ -212,8 +210,12 @@ class Process(Event):
             target.callbacks.append(self._resume)
 
 
-class _Condition(Event):
-    """Base for AllOf / AnyOf composite events."""
+class AllOf(Event):
+    """Triggers when *all* child events have triggered.
+
+    Value is the list of child values in construction order.  Fails as soon
+    as any child fails.
+    """
 
     __slots__ = ("events", "_n_done")
 
@@ -230,19 +232,6 @@ class _Condition(Event):
             else:
                 ev.callbacks.append(self._on_child)
 
-    def _on_child(self, event: Event) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Triggers when *all* child events have triggered.
-
-    Value is the list of child values in construction order.  Fails as soon
-    as any child fails.
-    """
-
-    __slots__ = ()
-
     def _on_child(self, event: Event) -> None:
         if self._triggered:
             return
@@ -252,20 +241,6 @@ class AllOf(_Condition):
         self._n_done += 1
         if self._n_done == len(self.events):
             self.succeed([ev.value for ev in self.events])
-
-
-class AnyOf(_Condition):
-    """Triggers when the *first* child event triggers (value = its value)."""
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if event.ok:
-            self.succeed(event.value)
-        else:
-            self.fail(event.value)
 
 
 class Engine:
@@ -336,10 +311,6 @@ class Engine:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event triggering when all ``events`` have triggered."""
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Composite event triggering at the first of ``events``."""
-        return AnyOf(self, events)
 
     def defer(self, fn: Callable[..., None], *args: Any) -> int:
         """Run ``fn(*args)`` when the engine next reaches the current time.
@@ -680,7 +651,3 @@ class Engine:
     def alive_process_count(self) -> int:
         """Number of registered processes that have not finished yet."""
         return sum(1 for p in self._procs if p.is_alive)
-
-    def blocked_processes(self) -> list["Process"]:
-        """Alive processes, for deadlock diagnostics (name + waiting_on)."""
-        return [p for p in self._procs if p.is_alive]

@@ -115,12 +115,12 @@ def _payload_nbytes(payload: Any, nbytes: Optional[float]) -> float:
 class _KeyedMailbox:
     """Per-rank message queue with O(1) keyed matching.
 
-    Observationally identical to a :class:`~repro.sim.Store` holding
-    :class:`Message` items matched by (comm_id, src, tag) predicates: puts
-    wake the oldest compatible getter, gets take the oldest compatible
-    message.  The difference is purely mechanical — a fully-specified
-    receive pops the head of a per-key deque instead of running a predicate
-    closure down the arrival queue, and only wildcard receives still scan.
+    Matching follows MPI's non-overtaking rule on (comm_id, src, tag), with
+    ``ANY_SOURCE``/``ANY_TAG`` wildcards on the receive side: a put wakes
+    the oldest blocked receive it matches, else it joins the queue; a
+    receive takes the oldest queued message it matches, else it blocks.
+    A fully-specified receive pops the head of a per-key deque; only
+    wildcard receives scan the arrival queue.
 
     A message taken through one index stays in the other as a tombstone
     (``rec[1] is True``); tombstones are skipped lazily and squeezed out
@@ -317,7 +317,7 @@ class Comm:
         world.pending_calls.pop(self.world_rank, None)
         if observed and world.hooks._hooks:
             world.hooks.exit(self.world_rank, call)
-        # inlined World.account_mpi (two calls per blocking MPI operation)
+        # blocking-MPI time and its trace record
         world.mpi_seconds[self.world_rank] += world.engine.now - t0
         if world.recorder is not None:
             world.recorder.record(self.world_rank, "mpi", call, t0,
@@ -760,13 +760,6 @@ class World:
         if dest_world_rank in self.dead_ranks:
             return
         self._mailboxes[dest_world_rank].put(msg)
-
-    def account_mpi(self, world_rank: int, call: str, t0: float,
-                    t1: float) -> None:
-        """Accumulate blocking-MPI time and notify the recorder."""
-        self.mpi_seconds[world_rank] += t1 - t0
-        if self.recorder is not None:
-            self.recorder.record(world_rank, "mpi", call, t0, t1)
 
     def account_compute(self, world_rank: int, t0: float, t1: float) -> None:
         """Accumulate useful-compute time and notify the recorder."""

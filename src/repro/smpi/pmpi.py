@@ -37,10 +37,6 @@ class HookList:
         """Add ``hook``; it will see every subsequent blocking call."""
         self._hooks.append(hook)
 
-    def unregister(self, hook: PMPIHook) -> None:
-        """Remove ``hook`` (raises ValueError if absent)."""
-        self._hooks.remove(hook)
-
     def enter(self, rank: int, call: str) -> None:
         """Notify every hook that ``rank`` entered blocking ``call``."""
         for hook in self._hooks:

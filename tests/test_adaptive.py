@@ -268,6 +268,20 @@ class TestWorkloadSchedules:
             WorkloadSpec(dt_ladder_rungs=0)
         with pytest.raises(ValueError):
             WorkloadSpec(dt_ladder_ratio=1.0)
+        # degenerate schedules are refused at construction, not partway
+        # through a run
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="n_steps must be >= 1"):
+                WorkloadSpec(n_steps=bad)
+        for bad in (0.0, -1e-4):
+            with pytest.raises(ValueError, match="dt must be > 0"):
+                WorkloadSpec(dt=bad)
+        with pytest.raises(ValueError,
+                           match="injection_interval must be >= 0"):
+            WorkloadSpec(injection_interval=-1)
+        with pytest.raises(ValueError, match="n_steps must be >= 1"):
+            WorkloadSpec(n_steps=0, adaptive="global")
+        assert WorkloadSpec(n_steps=1, injection_interval=0).n_steps == 1
 
     def test_off_mode_is_the_fixed_schedule(self):
         spec = WorkloadSpec(**self.SPEC)
@@ -433,6 +447,6 @@ class TestBatchedRepeatsOrdering:
             eng.run()
             s = out["stats"]
             return (eng.now, s.tasks_run, s.busy_seconds,
-                    s.instructions, s.overhead_seconds, s.t_end)
+                    s.instructions, s.t_end)
 
         assert run_once() == run_once(NullRecorder())

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from repro import RunConfig, WorkloadSpec, run_cfpd
 from repro.fault import FaultInjector, FaultPlan, FaultSpec, resilience_report
 from repro.machine import marenostrum4
-from repro.sim import Engine, SimulationError, Store
+from repro.sim import Engine, SimulationError
 from repro.smpi import DeadlockError, MPIError, RankDeadError, World
+from repro.smpi.comm import ANY_TAG, Message, _KeyedMailbox
 from repro.solver import SolverBreakdown, cg, jacobi_preconditioner
 from repro.solver.krylov import _cg_core
 
@@ -96,27 +97,31 @@ class TestEngineDiagnostics:
             p.interrupt(RuntimeError("late"))
 
     def test_store_fail_pending_by_meta(self):
+        """A rank mailbox fails only the blocked receives whose meta
+        matches; the others stay blocked and still take later messages."""
         eng = Engine()
-        store = Store(eng)
+        box = _KeyedMailbox(eng)
         outcomes = {}
 
-        def getter(name, meta):
+        def getter(name, source, meta):
             try:
-                item = yield store.get(meta=meta)
-                outcomes[name] = item
+                msg = yield box.get_keyed(0, source, ANY_TAG, meta)
+                outcomes[name] = msg.payload
             except RankDeadError:
                 outcomes[name] = "failed"
 
-        eng.process(getter("a", {"src": 1}))
-        eng.process(getter("b", {"src": 2}))
+        eng.process(getter("a", 1, {"src": 1}))
+        eng.process(getter("b", 2, {"src": 2}))
         eng.run()
-        n = store.fail_pending(
+        n = box.fail_pending(
             lambda meta: isinstance(meta, dict) and meta.get("src") == 1,
             RankDeadError(1))
         assert n == 1
-        store.put("payload")
+        box.put(Message(src=2, dest=0, tag=5, comm_id=0,
+                        payload="payload", nbytes=8.0))
         eng.run()
         assert outcomes == {"a": "failed", "b": "payload"}
+        assert len(box) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -231,7 +231,6 @@ class TestSharedCentroidTree:
 
 class TestExchangeTopology:
     def test_vectorized_topology_matches_nested_loop(self):
-        from repro.app.costs import DEFAULT_COSTS
         from repro.app.driver import RunConfig, _RunContext
         from repro.app.workload import WorkloadSpec, get_workload
 
@@ -239,7 +238,7 @@ class TestExchangeTopology:
                                        n_steps=2))
         config = RunConfig(cluster="thunder", num_nodes=1, nranks=8,
                            mode="coupled", fluid_ranks=6)
-        ctx = _RunContext(wl, config, DEFAULT_COSTS)
+        ctx = _RunContext(wl, config)
         fluid_n, particle_n = 6, 2
         overlap = wl.overlap_bytes(fluid_n, particle_n,
                                    method=config.partition_method)

@@ -419,6 +419,7 @@ class TestBatchedDecomposition:
 
     @staticmethod
     def assert_ranks_match(wl, dd, **kw):
+        from repro.app import DEFAULT_COSTS
         from repro.fem import element_work_meters
 
         mesh = wl.mesh
@@ -435,7 +436,7 @@ class TestBatchedDecomposition:
             assert rw.colors.dtype == colors.dtype
             assert (rw.colors == colors).all()
             instr, atomics = element_work_meters(
-                mesh, wl.costs.assembly_instr, ids)
+                mesh, DEFAULT_COSTS.assembly_instr, ids)
             assert (rw.assembly_instr == instr).all()
             assert (rw.assembly_atomics == atomics).all()
 

@@ -84,12 +84,6 @@ class TestBasicExecution:
         eng, _, stats = run_graph(g, nthreads=4)
         assert eng.now == pytest.approx(2.0)  # serialized despite 4 threads
 
-    def test_task_overhead_added(self):
-        eng, _, stats = run_graph(simple_graph(2), nthreads=1,
-                                  task_overhead_s=0.25)
-        assert eng.now == pytest.approx(2.5)
-        assert stats.overhead_seconds == pytest.approx(0.5)
-
     def test_run_while_running_rejected(self):
         eng = Engine()
         team = Team(eng, CORE, 1)
@@ -264,7 +258,7 @@ class TestPlanEquivalence:
         eng.run()
         s = out["stats"]
         return (s.tasks_run, s.instructions, s.busy_seconds,
-                s.overhead_seconds, s.t_start, s.t_end, s.max_concurrency)
+                s.t_start, s.t_end, s.max_concurrency)
 
     @pytest.mark.parametrize("script", [
         [(0.4, lambda t: t.set_slowdown(3.0)),
@@ -307,8 +301,8 @@ class TestPlanEquivalence:
         starts: each epoch's timer precedes every task finish at its
         instant, so it applies to every dispatch made at that instant."""
         eng = Engine()
-        team = Team(eng, CORE, workers, task_overhead_s=0.01,
-                    recorder=recorder, scheduler=scheduler)
+        team = Team(eng, CORE, workers, recorder=recorder,
+                    scheduler=scheduler)
         for when, action in epochs:
             eng.call_later(when, action, team)
         out = {}
@@ -320,7 +314,7 @@ class TestPlanEquivalence:
         eng.run()
         s = out["stats"]
         return (s.tasks_run, s.instructions, s.busy_seconds,
-                s.overhead_seconds, s.t_start, s.t_end, s.max_concurrency)
+                s.t_start, s.t_end, s.max_concurrency)
 
     @settings(max_examples=80, deadline=None)
     @given(spec=st.lists(
@@ -334,9 +328,10 @@ class TestPlanEquivalence:
            factor=st.sampled_from([0.5, 2.0, 3.0]),
            cap=st.integers(1, 3),
            pick=st.integers(0, 64),
-           later=st.one_of(st.none(), st.sampled_from([0.1, 0.35])))
+           later=st.one_of(st.none(), st.sampled_from([0.1, 0.35])),
+           unit=st.sampled_from([0.25, 0.2637]))
     def test_mutex_graphs_exact(self, spec, workers, scheduler, kind, factor,
-                                cap, pick, later):
+                                cap, pick, later, unit):
         """Per-task path (null recorder) vs plan path on drawn mutex graphs,
         stat for stat and bit for bit, with a capacity or slowdown epoch
         landing exactly on a dispatch instant of the unperturbed run (a
@@ -349,8 +344,8 @@ class TestPlanEquivalence:
             def record(self, rank, category, label, t0, t1):
                 instants.append(t1)
 
-        self._epoch_run(self._mutex_graph(spec), workers, scheduler, [],
-                        Finishes())
+        self._epoch_run(self._mutex_graph(spec, unit), workers, scheduler,
+                        [], Finishes())
         when = sorted(set(instants))[pick % len(set(instants))]
         if kind == "slowdown":
             apply, undo = (lambda t: t.set_slowdown(factor),
@@ -362,9 +357,9 @@ class TestPlanEquivalence:
         if later is not None:
             epochs.append((when + later, undo))
 
-        per_task = self._epoch_run(self._mutex_graph(spec), workers,
+        per_task = self._epoch_run(self._mutex_graph(spec, unit), workers,
                                    scheduler, epochs, NullRecorder())
-        planned = self._epoch_run(self._mutex_graph(spec), workers,
+        planned = self._epoch_run(self._mutex_graph(spec, unit), workers,
                                   scheduler, epochs, None)
         assert planned == per_task      # bit-exact, no approx
         assert per_task[0] == len(spec)
@@ -393,8 +388,7 @@ class TestPlanEquivalence:
            workers=st.integers(1, 4),
            scheduler=st.sampled_from(Team.SCHEDULERS),
            slowdown=st.sampled_from([1.0, 0.5, 3.0]),
-           overhead=st.sampled_from([0.01, 0.0137]),
-           unit=st.sampled_from([0.25, 0.1]),
+           unit=st.sampled_from([0.25, 0.1, 0.0137]),
            repeats=st.integers(1, 3),
            t_rec=st.sampled_from([0.0, 0.7, 123456.789]),
            t0s=st.lists(st.one_of(
@@ -403,14 +397,13 @@ class TestPlanEquivalence:
                st.sampled_from([0.1, 1.7, 98765.4321, 3.3e5 + 0.1])),
                min_size=1, max_size=6))
     def test_template_plans_exact(self, spec, workers, scheduler, slowdown,
-                                  overhead, unit, repeats, t_rec, t0s):
+                                  unit, repeats, t_rec, t0s):
         """A plan served from a graph's template — or from the fallback
         simulation when the recorded completion order fails the order
         check — equals a fresh simulation field for field, float ``==``
         (a digest rounds times and would miss an ulp of drift)."""
         graph = self._mutex_graph(spec, unit)
-        team = Team(Engine(), CORE, workers, task_overhead_s=overhead,
-                    scheduler=scheduler)
+        team = Team(Engine(), CORE, workers, scheduler=scheduler)
         team.set_slowdown(slowdown)
         first = team._plan_unperturbed(graph, t_rec, repeats)
         self._assert_plans_equal(first, self._fresh(team, graph, t_rec,
@@ -442,8 +435,7 @@ class TestPlanEquivalence:
 
     def test_order_check_failure_falls_back(self):
         graph = self._race_graph()
-        team = Team(Engine(), CORE, 2, task_overhead_s=0.0,
-                    scheduler="fifo")
+        team = Team(Engine(), CORE, 2, scheduler="fifo")
         team._plan_unperturbed(graph, 0.0)
         [[tpl]] = graph._plan_templates.values()
         t0 = next(t for t in (k * 0.1 for k in range(1, 10_000))
@@ -492,17 +484,16 @@ class TestPlanEquivalence:
 
     def test_teams_sharing_a_graph_keep_their_own_templates(self):
         """Templates are keyed by the team parameters, so two teams with
-        different overheads or schedulers running one graph each get
+        different worker counts or schedulers running one graph each get
         their own exact plan."""
         graph = self._mutex_graph([(3, frozenset("a"), None),
                                    (1, frozenset("ab"), "x"),
                                    (2, frozenset(), None),
                                    (4, frozenset("b"), "x"),
                                    (2, frozenset("c"), None)])
-        teams = [Team(Engine(), CORE, 2, task_overhead_s=ovh,
-                      scheduler=sched)
-                 for ovh, sched in [(0.01, "lpt"), (0.03, "lpt"),
-                                    (0.01, "fifo"), (0.03, "lifo")]]
+        teams = [Team(Engine(), CORE, workers, scheduler=sched)
+                 for workers, sched in [(2, "lpt"), (3, "lpt"),
+                                        (2, "fifo"), (3, "lifo")]]
         for t0 in (0.0, 2.5, 7.125):
             for team in teams:
                 self._assert_plans_equal(team._plan_unperturbed(graph, t0),

@@ -2,15 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Engine,
-    Event,
-    SimulationError,
-    Store,
-    Resource,
-)
+from repro.sim import Engine, SimulationError
 
 
 def test_timeout_advances_clock():
@@ -204,19 +196,6 @@ def test_all_of_empty_triggers_immediately():
     assert p.value == (0.0, [])
 
 
-def test_any_of_fires_at_first_child():
-    eng = Engine()
-
-    def prog():
-        value = yield eng.any_of([eng.timeout(5.0, "slow"),
-                                  eng.timeout(1.0, "fast")])
-        return (eng.now, value)
-
-    p = eng.process(prog())
-    eng.run()
-    assert p.value == (1.0, "fast")
-
-
 def test_run_until_stops_clock():
     eng = Engine()
 
@@ -240,152 +219,6 @@ def test_yield_non_event_is_error():
     eng.run()
     assert not p.ok
     assert isinstance(p.value, SimulationError)
-
-
-class TestResource:
-    def test_grants_up_to_capacity(self):
-        eng = Engine()
-        res = Resource(eng, capacity=2)
-        held = []
-
-        def holder(tag, hold_time):
-            yield res.request()
-            held.append((tag, eng.now))
-            yield eng.timeout(hold_time)
-            res.release()
-
-        eng.process(holder("a", 2.0))
-        eng.process(holder("b", 2.0))
-        eng.process(holder("c", 2.0))
-        eng.run()
-        times = dict((tag, t) for tag, t in held)
-        assert times["a"] == 0.0 and times["b"] == 0.0
-        assert times["c"] == pytest.approx(2.0)
-
-    def test_fifo_grant_order(self):
-        eng = Engine()
-        res = Resource(eng, capacity=1)
-        order = []
-
-        def holder(tag):
-            yield res.request()
-            order.append(tag)
-            yield eng.timeout(1.0)
-            res.release()
-
-        for tag in range(4):
-            eng.process(holder(tag))
-        eng.run()
-        assert order == [0, 1, 2, 3]
-
-    def test_release_without_request_rejected(self):
-        eng = Engine()
-        res = Resource(eng, capacity=1)
-        with pytest.raises(SimulationError):
-            res.release()
-
-    def test_capacity_validation(self):
-        eng = Engine()
-        with pytest.raises(SimulationError):
-            Resource(eng, capacity=0)
-
-    def test_available_accounting(self):
-        eng = Engine()
-        res = Resource(eng, capacity=3)
-
-        def prog():
-            yield res.request()
-            yield res.request()
-            assert res.available == 1
-            res.release()
-            assert res.available == 2
-
-        p = eng.process(prog())
-        eng.run()
-        assert p.ok, p.value
-
-
-class TestStore:
-    def test_put_then_get(self):
-        eng = Engine()
-        store = Store(eng)
-        store.put("x")
-
-        def prog():
-            item = yield store.get()
-            return item
-
-        p = eng.process(prog())
-        eng.run()
-        assert p.value == "x"
-
-    def test_get_blocks_until_put(self):
-        eng = Engine()
-        store = Store(eng)
-
-        def getter():
-            item = yield store.get()
-            return (eng.now, item)
-
-        def putter():
-            yield eng.timeout(3.0)
-            store.put("late")
-
-        p = eng.process(getter())
-        eng.process(putter())
-        eng.run()
-        assert p.value == (3.0, "late")
-
-    def test_fifo_item_order(self):
-        eng = Engine()
-        store = Store(eng)
-        for i in range(3):
-            store.put(i)
-
-        def prog():
-            items = []
-            for _ in range(3):
-                items.append((yield store.get()))
-            return items
-
-        p = eng.process(prog())
-        eng.run()
-        assert p.value == [0, 1, 2]
-
-    def test_predicate_matching(self):
-        eng = Engine()
-        store = Store(eng)
-        store.put({"tag": 1, "data": "one"})
-        store.put({"tag": 2, "data": "two"})
-
-        def prog():
-            item = yield store.get(lambda m: m["tag"] == 2)
-            return item["data"]
-
-        p = eng.process(prog())
-        eng.run()
-        assert p.value == "two"
-        assert len(store) == 1
-
-    def test_pending_predicate_get_matched_later(self):
-        eng = Engine()
-        store = Store(eng)
-
-        def getter():
-            item = yield store.get(lambda m: m == "wanted")
-            return (eng.now, item)
-
-        def putter():
-            yield eng.timeout(1.0)
-            store.put("other")
-            yield eng.timeout(1.0)
-            store.put("wanted")
-
-        p = eng.process(getter())
-        eng.process(putter())
-        eng.run()
-        assert p.value == (2.0, "wanted")
-        assert store.peek_all() == ["other"]
 
 
 class TestBatchEngine:
