@@ -557,6 +557,11 @@ def run_cfpd(config: RunConfig,
         raise ValueError(
             "checkpoint_path given but config.checkpoint_every is 0 — no "
             "checkpoint would ever be written; set checkpoint_every=N")
+    if spec is not None and workload is not None and spec != workload.spec:
+        raise ValueError(
+            f"spec given but the workload was built for another one — "
+            f"spec={spec!r}, workload.spec={workload.spec!r}; pass one of "
+            f"the two")
     start_step = 0
     ckpt = None
     if restart_from is not None:

@@ -29,8 +29,7 @@ same invalidation: the operator-split constant blocks of
 :mod:`repro.fem.assembly`, the pressure-velocity coupling matrix of
 :mod:`repro.fem.vector`, the centroid KD-tree shared by
 :mod:`repro.particles.interpolation`, and the node-sharing conflict graph
-shared by the particle locator and the decomposition's coloring (see
-:func:`cached_extra`).
+read by the decomposition's coloring (see :func:`cached_extra`).
 """
 
 from __future__ import annotations
@@ -46,9 +45,9 @@ from ..mesh.mesh import CSRGraph, Mesh
 from .shape import reference_element
 
 __all__ = [
-    "ElementGeometry", "ElementAdjacency", "GeometryCache",
-    "CACHE_BUDGET_BYTES", "cache_for", "geometry_blocks", "cached_extra",
-    "element_adjacency", "element_sizes", "node_sharing_graph", "drop_cache",
+    "ElementGeometry", "GeometryCache", "CACHE_BUDGET_BYTES", "cache_for",
+    "geometry_blocks", "cached_extra", "element_sizes", "node_sharing_graph",
+    "drop_cache",
 ]
 
 #: per-mesh eviction budget in bytes
@@ -234,136 +233,18 @@ def element_sizes(mesh: Mesh,
     return cached_extra(mesh, "element_sizes", build, cache=cache)
 
 
-@dataclass
-class ElementAdjacency:
-    """Element neighbourhood structure for warm-start exact location.
-
-    Built once per mesh (under the geometry-cache fingerprint) from the
-    node-sharing element adjacency.  For each element ``e`` with centroid
-    ``c_e``:
-
-    * ``candidates[e]`` — a padded row ``[e, ring(e)..., e, e, ...]`` of
-      element ids: the element itself followed by its nearest-by-centroid
-      adjacency-ring neighbours, truncated to ``max_ring`` entries (unused
-      slots repeat ``e``).  Truncation trades a slightly smaller
-      ``r_safe`` for a much narrower candidate scan — the full
-      node-sharing ring of a hybrid mesh runs to ~100 elements, far past
-      the point where scanning it beats re-querying the KD-tree;
-    * ``r_self[e]`` — half the distance from ``c_e`` to the nearest *other*
-      centroid.  A point strictly inside this ball is provably closer to
-      ``c_e`` than to any other centroid (triangle inequality), so the
-      cached host can be accepted without scanning anything;
-    * ``r_safe[e]`` — half the distance from ``c_e`` to the nearest
-      centroid *outside* ``candidates[e]``.  A point strictly inside this
-      ball has its global nearest centroid provably within the candidate
-      row, so an argmin over the row equals the global KD-tree answer.
-
-    Proof sketch (both radii): for a point ``x`` with ``d(x, c_e) = d`` and
-    any excluded centroid ``c_f``, ``d(x, c_f) >= d(c_e, c_f) - d >= 2r - d
-    > d`` whenever ``d < r`` — so no excluded centroid can beat the best
-    candidate.
-    """
-
-    candidates: np.ndarray   # (nelem, width) intp, row-padded with self
-    r_self: np.ndarray       # (nelem,) float64
-    r_safe: np.ndarray       # (nelem,) float64
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes of the adjacency arrays."""
-        return (self.candidates.nbytes + self.r_self.nbytes
-                + self.r_safe.nbytes)
-
-
 def node_sharing_graph(mesh: Mesh,
                        cache: Optional[GeometryCache] = None) -> CSRGraph:
     """Cached whole-mesh node-sharing conflict graph
     (:meth:`Mesh.node_sharing_adjacency`).
 
-    One sparse product per mesh serves both the warm-start element
-    adjacency of the particle locator and the per-rank coloring of the
-    decomposition (:meth:`CSRGraph.within_parts` of this graph).
+    One sparse product per mesh, read by the per-rank coloring of every
+    decomposition of it (:meth:`CSRGraph.within_parts` of this graph).
     """
     def build():
         graph = mesh.node_sharing_adjacency()
         return graph, graph.xadj.nbytes + graph.adjncy.nbytes
     return cached_extra(mesh, "node_sharing_graph", build, cache=cache)
-
-
-def _build_element_adjacency(mesh: Mesh,
-                             max_ring: int = 12,
-                             cache: Optional[GeometryCache] = None
-                             ) -> ElementAdjacency:
-    from scipy.spatial import cKDTree
-
-    centroids = mesh.centroids()
-    nelem = mesh.nelem
-    graph = node_sharing_graph(mesh, cache=cache)
-    xadj, adjncy = graph.xadj, graph.adjncy
-    degrees = np.diff(xadj)
-    maxdeg = int(degrees.max(initial=0))
-    # padded ring matrix, then keep the max_ring nearest-by-centroid
-    # neighbours of each row
-    ring = np.full((nelem, max(maxdeg, 1)), -1, dtype=np.int64)
-    rows = np.repeat(np.arange(nelem), degrees)
-    cols = np.concatenate([np.arange(d) for d in degrees]) \
-        if nelem else np.zeros(0, dtype=np.int64)
-    ring[rows, cols] = adjncy
-    ring_d = np.where(ring >= 0,
-                      np.linalg.norm(centroids[ring]
-                                     - centroids[:, None, :], axis=2),
-                      np.inf)
-    keep = min(max_ring, ring.shape[1])
-    order = np.argsort(ring_d, axis=1, kind="stable")[:, :keep]
-    near = np.take_along_axis(ring, order, axis=1)
-    width = keep + 1
-    candidates = np.repeat(np.arange(nelem, dtype=np.intp),
-                           width).reshape(nelem, width)
-    candidates[:, 1:] = np.where(near >= 0, near, candidates[:, 1:])
-    if nelem < 2:
-        return ElementAdjacency(candidates=candidates,
-                                r_self=np.full(nelem, np.inf),
-                                r_safe=np.full(nelem, np.inf))
-    # r_self: half distance to the nearest other centroid
-    tree = cKDTree(centroids)
-    d2, _ = tree.query(centroids, k=2)
-    r_self = 0.5 * d2[:, 1]
-    # r_safe: half distance to the nearest non-candidate centroid.  The
-    # candidate row holds at most ``width`` distinct ids, so among the
-    # ``width + 1`` nearest centroids (self included) at least one is
-    # excluded — unless the mesh is so small that every element is a
-    # candidate, in which case the row argmin *is* the global answer and
-    # the radius is unbounded.
-    k = min(nelem, width + 1)
-    dists, nbr = tree.query(centroids, k=k)
-    # row-wise membership of nbr in the sorted candidate rows, via a
-    # globally-sorted flattening (candidate ids are < nelem, so offsetting
-    # row i by i * nelem keeps rows disjoint and sorted)
-    sorted_cand = np.sort(candidates, axis=1)
-    offsets = np.arange(nelem, dtype=np.int64)[:, None] * nelem
-    flat = (sorted_cand + offsets).ravel()
-    queries = nbr + offsets
-    pos = np.searchsorted(flat, queries.ravel())
-    pos = np.clip(pos, 0, flat.size - 1)
-    in_ring = (flat[pos] == queries.ravel()).reshape(nelem, k)
-    out = ~in_ring
-    has_out = out.any(axis=1)
-    first_out = np.argmax(out, axis=1)
-    rows = np.arange(nelem)
-    r_safe = np.where(has_out, 0.5 * dists[rows, first_out], np.inf)
-    return ElementAdjacency(candidates=candidates, r_self=r_self,
-                            r_safe=r_safe)
-
-
-def element_adjacency(mesh: Mesh,
-                      cache: Optional[GeometryCache] = None
-                      ) -> ElementAdjacency:
-    """Cached :class:`ElementAdjacency` for ``mesh`` (see
-    :mod:`repro.particles.locator_fast`)."""
-    def build():
-        adj = _build_element_adjacency(mesh, cache=cache)
-        return adj, adj.nbytes
-    return cached_extra(mesh, "element_adjacency", build, cache=cache)
 
 
 def cached_extra(mesh: Mesh, name, build: Callable[[], tuple],

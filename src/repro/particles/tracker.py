@@ -382,18 +382,8 @@ class ElementLocator:
 
     def __init__(self, airway: AirwayMesh, labels: Optional[np.ndarray] = None):
         self.mesh = airway.mesh
-        self._centroids = self.mesh.centroids()
-        self._tree = cKDTree(self._centroids)
+        self._tree = cKDTree(self.mesh.centroids())
         self.labels = labels
-        self._adj = None          # ElementAdjacency, built on first warm use
-        # Per-particle element cache for population-level queries: a frozen
-        # (deposited/escaped) particle never moves again, so its element is
-        # located once and reused every subsequent step.  ``_cached_eids``
-        # doubles as the warm-start host guess for particles whose host was
-        # located on *any* earlier call (``_host_known``).
-        self._cached_eids = np.zeros(0, dtype=np.intp)
-        self._cached_valid = np.zeros(0, dtype=bool)
-        self._host_known = np.zeros(0, dtype=bool)
 
     def elements_of(self, points: np.ndarray) -> np.ndarray:
         """Nearest element id for each point."""
@@ -401,64 +391,6 @@ class ElementLocator:
             return np.zeros(0, dtype=np.intp)
         _, eids = self._tree.query(points)
         return eids.astype(np.intp, copy=False)
-
-    def elements_of_state(self, state: "ParticleState") -> np.ndarray:
-        """Nearest element id for each particle of ``state`` (any status).
-
-        Unlike :meth:`elements_of`, this only walks the KD-tree for the
-        STATUS_ACTIVE particles (plus newly frozen ones, once): deposited
-        and escaped particles are stationary, so their cached element
-        assignment from the step they froze stays valid forever.
-        """
-        eids, _ = self._locate_state(state)
-        return eids.copy()
-
-    def _locate_state(self, state: "ParticleState"):
-        """(element ids view into the cache, active mask) for ``state``.
-
-        The returned array aliases the internal cache — callers must not
-        mutate it and must copy before handing it out.
-        """
-        n = state.n
-        active = state.status == STATUS_ACTIVE
-        if len(self._cached_eids) < n:
-            # population grew (repeated injections): extend the cache
-            grow = n - len(self._cached_eids)
-            self._cached_eids = np.concatenate(
-                [self._cached_eids, np.zeros(grow, dtype=np.intp)])
-            self._cached_valid = np.concatenate(
-                [self._cached_valid, np.zeros(grow, dtype=bool)])
-            self._host_known = np.concatenate(
-                [self._host_known, np.zeros(grow, dtype=bool)])
-        eids = self._cached_eids[:n]
-        valid = self._cached_valid[:n]
-        need = active | ~valid
-        if need.any():
-            need_idx = np.nonzero(need)[0]
-            if self._adj is None:
-                from ..fem.geometry import element_adjacency
-                from .locator_fast import squared_radii
-                self._adj = element_adjacency(self.mesh)
-                self._r2 = squared_radii(self._adj)
-            # warm start from the last known host; first-seen particles
-            # take a plain KD-tree query
-            known = self._host_known[need_idx]
-            warm_idx = need_idx[known]
-            cold_idx = need_idx[~known]
-            if len(warm_idx):
-                from .locator_fast import warm_locate
-                found, _ = warm_locate(
-                    self._tree, self._centroids, self._adj,
-                    state.x[warm_idx], eids[warm_idx], r2=self._r2)
-                eids[warm_idx] = found
-            if len(cold_idx):
-                _, found = self._tree.query(state.x[cold_idx])
-                eids[cold_idx] = found
-            self._host_known[need_idx] = True
-            # frozen particles just located stay cached; active ones move
-            # and must be re-queried next call
-            valid[need] = ~active[need]
-        return eids, active
 
     def owners_of(self, points: np.ndarray) -> np.ndarray:
         """Owning MPI rank for each point (requires ``labels``)."""
@@ -469,17 +401,4 @@ class ElementLocator:
     def rank_histogram(self, points: np.ndarray, nranks: int) -> np.ndarray:
         """Particle count per rank."""
         owners = self.owners_of(points)
-        return np.bincount(owners, minlength=nranks)
-
-    def rank_histogram_state(self, state: "ParticleState",
-                             nranks: int) -> np.ndarray:
-        """Active-particle count per owning rank (requires ``labels``).
-
-        Equivalent to ``rank_histogram(state.x[state.active], nranks)`` but
-        KD-tree queries are restricted to the active particles.
-        """
-        if self.labels is None:
-            raise ValueError("locator built without a rank partition")
-        eids, active = self._locate_state(state)
-        owners = self.labels[eids[active]]
         return np.bincount(owners, minlength=nranks)

@@ -674,7 +674,7 @@ def _particle_snapshots() -> list:
         snaps = []
         # the simulation dt from the pre-rolled population: frozen
         # particles dominate and the movers drift a fraction of an
-        # element per step — the regime the warm-start locator targets
+        # element per step, as in the driver's particle load metering
         for _ in range(60):
             tracker.step(state, 1e-4)
             snaps.append((state.x.copy(), state.status.copy()))
@@ -716,26 +716,18 @@ def _interpolation_workload() -> str:
 
 
 def _particles_workload() -> str:
-    """Per-step rank-ownership histograms over a depositing trajectory
-    (the driver's particle load metering; KD-tree element location)."""
-    import numpy as np
-
-    from ..particles import ElementLocator, ParticleState
+    """Per-step rank-ownership histograms of the active particles over a
+    depositing trajectory (the driver's particle load metering; one
+    KD-tree query per snapshot)."""
+    from ..particles import STATUS_ACTIVE, ElementLocator
 
     wl = _workload()
     nranks = 96
-    labels = wl.rank_labels(nranks)
-    snaps = _particle_snapshots()
-    locator = ElementLocator(wl.airway, labels)
+    locator = ElementLocator(wl.airway, wl.rank_labels(nranks))
     digest = hashlib.sha256()
-    z = np.zeros((0, 3))
-    state = ParticleState(x=snaps[0][0], v=z, a=z, status=snaps[0][1])
     for _ in range(4):
-        for x, status in snaps:
-            # the locator reads only positions and status
-            state.x = x
-            state.status = status
-            hist = locator.rank_histogram_state(state, nranks)
+        for x, status in _particle_snapshots():
+            hist = locator.rank_histogram(x[status == STATUS_ACTIVE], nranks)
             digest.update(hist.tobytes())
     return digest.hexdigest()
 
@@ -938,7 +930,7 @@ def _benchmark_table() -> list[dict]:
          "note": "default mesh, 96 ranks, caches cleared per call: rank "
                  "RCB, all ranks' subdomains in one batched pass, one "
                  "coloring sweep, whole-mesh work meters"},
-        {"name": "particle_location", "kind": "kernel",
+        {"name": "particle_histograms", "kind": "kernel",
          "fn": _particles_workload, "units": "particles", "warmup": True,
          "setup": _particle_snapshots,
          "unit_count": lambda: 4 * 60 * 20 * _workload().n_particles},

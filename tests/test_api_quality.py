@@ -9,8 +9,6 @@ import importlib
 import inspect
 import pkgutil
 
-import pytest
-
 import repro
 
 PACKAGES = [

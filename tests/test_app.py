@@ -5,6 +5,8 @@ path — mesh, decomposition, real assembly/solvers/SGS/particles, DES
 execution — runs in well under a second per configuration.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,16 @@ class TestSyncDriver:
         with pytest.raises(ValueError):
             run_cfpd(RunConfig(cluster="thunder", num_nodes=1, nranks=96,
                                threads_per_rank=2), workload=wl)
+
+    def test_conflicting_spec_and_workload_rejected(self, wl):
+        cfg = RunConfig(cluster="thunder", num_nodes=1, nranks=4)
+        other = replace(wl.spec, n_steps=wl.spec.n_steps + 1)
+        with pytest.raises(ValueError, match="spec=.*workload.spec="):
+            run_cfpd(cfg, spec=other, workload=wl)
+        # the matching spec, or either argument alone, runs as before
+        ref = run_cfpd(cfg, workload=wl).total_time
+        assert run_cfpd(cfg, spec=wl.spec, workload=wl).total_time == ref
+        assert run_cfpd(cfg, spec=wl.spec).total_time == ref
 
     def test_ipc_reflects_strategy(self, wl):
         ipcs = {}

@@ -16,7 +16,6 @@ from repro.fem import (
     geometry_blocks,
     update_sgs,
 )
-from repro.fem import geometry as geom_mod
 from repro.mesh import AirwayConfig, MeshResolution, build_airway_mesh
 
 
@@ -253,39 +252,3 @@ class TestExchangeTopology:
         assert ctx.sends == sends
         assert ctx.recvs == recvs
         assert any(sends)  # the workload must actually exercise the path
-
-
-class TestElementAdjacency:
-    def test_radii_match_brute_force(self, mesh):
-        adj = geom_mod.element_adjacency(mesh)
-        centroids = mesh.centroids()
-        n = mesh.nelem
-        d = np.linalg.norm(centroids[:, None, :] - centroids[None, :, :],
-                           axis=2)
-        np.fill_diagonal(d, np.inf)
-        # r_self: half the distance to the nearest *other* centroid
-        assert np.allclose(adj.r_self, 0.5 * d.min(axis=1), rtol=1e-12)
-        # r_safe: half the distance to the nearest *non-candidate* centroid
-        for e in range(0, n, max(1, n // 40)):
-            cand = set(adj.candidates[e].tolist())
-            out = [d[e, j] for j in range(n) if j not in cand]
-            expect = 0.5 * min(out) if out else np.inf
-            assert adj.r_safe[e] == pytest.approx(expect, rel=1e-12)
-
-    def test_candidates_contain_self_and_are_valid(self, mesh):
-        adj = geom_mod.element_adjacency(mesh)
-        n = mesh.nelem
-        assert adj.candidates.dtype == np.intp
-        assert (adj.candidates[:, 0] == np.arange(n)).all()
-        assert (adj.candidates >= 0).all() and (adj.candidates < n).all()
-        assert (adj.r_self <= adj.r_safe + 1e-15).all()
-
-    def test_cached_under_fingerprint(self, mesh):
-        a1 = geom_mod.element_adjacency(mesh)
-        a2 = geom_mod.element_adjacency(mesh)
-        assert a1 is a2
-        # coordinate mutation invalidates (fingerprinted like every block)
-        mesh.coords[0, 0] += 1e-3
-        a3 = geom_mod.element_adjacency(mesh)
-        assert a3 is not a1
-        mesh.coords[0, 0] -= 1e-3

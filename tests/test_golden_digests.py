@@ -529,7 +529,7 @@ def _particles_locator():
     elements = []
     for _ in range(25):
         tracker.step(state, 1e-3)
-        elements.append(locator.elements_of_state(state).copy())
+        elements.append(locator.elements_of(state.x))
     return _particle_summary(state, elements)
 
 
@@ -545,7 +545,7 @@ def _particles_injection():
         tracker.step(state, 1e-3 if i < 10 else 1e-4)
         if i == 10:
             state.extend(inject_at_inlet(airway, 80, seed=13))
-        elements.append(locator.elements_of_state(state).copy())
+        elements.append(locator.elements_of(state.x))
     return _particle_summary(state, elements)
 
 

@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from repro.mesh import ElementType, MeshResolution, Segment, build_tube_mesh
+from repro.mesh import MeshResolution, Segment, build_tube_mesh
 from repro.mesh.io import read_vtk, write_vtk
 from repro.trace import PhaseLog, read_csv, write_csv, write_prv
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.machine import (
-    CoreModel,
     WorkSpec,
     InterconnectModel,
     NodeModel,

@@ -2,14 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.mesh import (
     AirwayConfig,
     ElementType,
     Mesh,
     MeshResolution,
-    NODES_PER_TYPE,
     Segment,
     build_airway_mesh,
     build_airway_tree,

@@ -1,6 +1,5 @@
 """Tests for the POP efficiency metrics and the energy model."""
 
-import numpy as np
 import pytest
 
 from repro.app import RunConfig, WorkloadSpec, get_workload, run_cfpd

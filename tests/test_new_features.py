@@ -11,7 +11,6 @@ from repro.mesh import AirwayConfig, MeshResolution, build_airway_mesh
 from repro.particles import (
     AirwayFlow,
     NewmarkTracker,
-    ParticleState,
     STATUS_DEPOSITED,
     inject_at_inlet,
     lognormal_diameters,

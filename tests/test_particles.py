@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.mesh import AirwayConfig, MeshResolution, build_airway_mesh
 from repro.partition import decompose_mesh

@@ -277,65 +277,8 @@ class TestAssemblyPatternCache:
 
 # -- tracker fast-path equivalence ----------------------------------------
 
-class TestLocatorActiveOnly:
-    def _track(self, n_steps=25):
-        airway = small_airway()
-        state = inject_at_inlet(airway, 400, seed=11)
-        from repro.particles import AirwayFlow
-
-        flow = AirwayFlow(airway.segments)
-        tracker = NewmarkTracker(flow, particles=ParticleProperties(),
-                                 fluid=FluidProperties())
-        return airway, state, tracker
-
-    def test_elements_of_state_matches_full_query(self):
-        airway, state, tracker = self._track()
-        nranks = 8
-        from repro.partition import decompose_mesh
-
-        labels = decompose_mesh(airway, nranks).labels
-        locator = ElementLocator(airway, labels)
-        for _ in range(25):
-            tracker.step(state, 1e-3)
-            got = locator.elements_of_state(state)
-            ref = locator.elements_of(state.x)
-            assert np.array_equal(got, ref)
-            assert np.array_equal(
-                locator.rank_histogram_state(state, nranks),
-                locator.rank_histogram(state.x[state.active], nranks))
-        # the run must actually exercise the frozen-particle cache
-        assert (state.status != STATUS_ACTIVE).any()
-
-    def test_deposition_and_positions_unchanged_by_fast_locator(self):
-        """Locating the population between steps only reads it: the
-        trajectory is bit-identical to an unobserved one."""
-        def run(observe):
-            airway, state, tracker = self._track()
-            locator = ElementLocator(airway)
-            for _ in range(25):
-                tracker.step(state, 1e-3)
-                if observe:
-                    locator.elements_of_state(state)
-            return state
-
-        s_ref, s_obs = run(False), run(True)
-        assert np.array_equal(s_ref.status, s_obs.status)
-        assert np.array_equal(s_ref.x, s_obs.x)
-        assert np.array_equal(s_ref.v, s_obs.v)
-        assert s_ref.counts() == s_obs.counts()
-
-    def test_cache_grows_with_repeated_injection(self):
-        airway, state, tracker = self._track()
-        locator = ElementLocator(airway)
-        locator.elements_of_state(state)
-        state.extend(inject_at_inlet(airway, 100, seed=12))
-        got = locator.elements_of_state(state)
-        assert len(got) == state.n
-        assert np.array_equal(got, locator.elements_of(state.x))
-
-
 class TestParticleFastPath:
-    """PR 4: warm-start location, active-set compaction, fused kernels."""
+    """Element location, active-set compaction, fused kernels."""
 
     def _track(self, n=400, seed=11):
         airway = small_airway()
@@ -347,93 +290,60 @@ class TestParticleFastPath:
                                  fluid=FluidProperties())
         return airway, state, tracker
 
-    def test_warm_locate_matches_brute_force_on_random_points(self):
-        from scipy.spatial import cKDTree
-
-        from repro.fem.geometry import element_adjacency
-        from repro.particles.locator_fast import warm_locate
-
+    def test_locator_matches_brute_force_on_random_points(self):
         airway = small_airway()
         mesh = airway.mesh
         centroids = mesh.centroids()
-        tree = cKDTree(centroids)
-        adj = element_adjacency(mesh)
         rng = np.random.default_rng(5)
         lo, hi = mesh.coords.min(axis=0), mesh.coords.max(axis=0)
         points = rng.uniform(lo, hi, size=(500, 3))
-        # stale and random host guesses alike must stay exact
-        hosts = rng.integers(0, mesh.nelem, size=500)
-        eids, stats = warm_locate(tree, centroids, adj, points, hosts)
+        eids = ElementLocator(airway).elements_of(points)
         brute = np.argmin(
             np.linalg.norm(points[:, None, :] - centroids[None, :, :],
                            axis=2), axis=1)
         assert eids.dtype == np.intp
-        assert np.array_equal(eids, tree.query(points)[1])
         assert np.array_equal(eids, brute)
-        assert stats.self_ball + stats.ring_ball + stats.fallback == stats.n
-
-    def test_warm_locate_accepts_near_hosts(self):
-        from scipy.spatial import cKDTree
-
-        from repro.fem.geometry import element_adjacency
-        from repro.particles.locator_fast import warm_locate
-
-        airway = small_airway()
-        mesh = airway.mesh
-        centroids = mesh.centroids()
-        tree = cKDTree(centroids)
-        adj = element_adjacency(mesh)
-        # points very near their host centroid: the self ball must fire
-        hosts = np.arange(0, mesh.nelem, 7)
-        points = centroids[hosts] + 1e-9
-        eids, stats = warm_locate(tree, centroids, adj, points, hosts)
-        assert np.array_equal(eids, tree.query(points)[1])
-        assert stats.self_ball > 0
 
     #: tracker caches of each hot spot, dropped before every step to force
-    #: the from-scratch path (the locator's reference is its full query)
+    #: the from-scratch path
     COLD = {
-        "particle_warm_start": (),
         "particle_compaction": ("_order",),
         "particle_fused_step": ("_newmark_ws", "_loc_valid"),
     }
 
     def _injection_run(self, cold=()):
         """The golden ``particles/injection`` scenario: a Δt switch and a
-        mid-run injection with a frozen/active mix.  Returns the state and,
-        per step, the warm-started and the full-query element ids."""
+        mid-run injection with a frozen/active mix.  Returns the state and
+        the per-step element ids."""
         airway, state, tracker = self._track()
         locator = ElementLocator(airway)
-        elems, full = [], []
+        elems = []
         for i in range(20):
             for attr in cold:
                 setattr(tracker, attr, None)
             tracker.step(state, 1e-3 if i < 10 else 1e-4)
             if i == 10:
                 state.extend(inject_at_inlet(airway, 80, seed=13))
-            elems.append(locator.elements_of_state(state).copy())
-            full.append(locator.elements_of(state.x))
-        return state, elems, full
+            elems.append(locator.elements_of(state.x))
+        return state, elems
 
-    @pytest.mark.parametrize("toggle", ["particle_warm_start",
-                                        "particle_compaction",
+    @pytest.mark.parametrize("toggle", ["particle_compaction",
                                         "particle_fused_step"])
     def test_single_toggle_off_tracker_bit_identical(self, toggle):
         """Each tracker hot spot against its reference, bit for bit: the
-        warm-started locator against the full KD-tree query, the compacted
-        active set and the buffered, locate-reusing step against a step
-        with that cache dropped.  The run itself matches its golden pin."""
+        compacted active set and the buffered, locate-reusing step against
+        a step with that cache dropped.  The run itself matches its golden
+        pin."""
         from tests.test_golden_digests import (_particle_summary,
                                                assert_matches, jsonable,
                                                load_golden)
 
-        warm, elems, full = self._injection_run()
+        warm, elems = self._injection_run()
         assert_matches(jsonable(_particle_summary(warm, elems)),
                        load_golden()["particles/injection"],
                        path="particles/injection")
-        cold, cold_elems, _ = self._injection_run(self.COLD[toggle])
-        reference = full if toggle == "particle_warm_start" else cold_elems
-        for a, b in zip(elems, reference):
+        cold, cold_elems = self._injection_run(self.COLD[toggle])
+        for a, b in zip(elems, cold_elems):
             assert np.array_equal(a, b)
         assert warm.x.tobytes() == cold.x.tobytes()
         assert warm.v.tobytes() == cold.v.tobytes()
@@ -459,26 +369,11 @@ class TestParticleFastPath:
         assert s_ref.v.tobytes() == s_cold.v.tobytes()
         assert np.array_equal(s_ref.status, s_cold.status)
 
-    def test_repeated_injection_keeps_locator_exact(self):
-        """Cache growth across several injections with a frozen/active
-        mix: the warm-start host cache must stay consistent."""
-        airway, state, tracker = self._track()
-        locator = ElementLocator(airway)
-        for i in range(30):
-            tracker.step(state, 1e-3)
-            if i % 10 == 9:
-                state.extend(inject_at_inlet(airway, 60, seed=100 + i))
-            got = locator.elements_of_state(state)
-            assert np.array_equal(got, locator.elements_of(state.x))
-        assert (state.status != STATUS_ACTIVE).any()
-        assert state.n > 400
-
     def test_locator_dtypes_are_intp(self):
         airway, state, _ = self._track(n=10)
         locator = ElementLocator(airway)
         assert locator.elements_of(state.x).dtype == np.intp
         assert locator.elements_of(np.zeros((0, 3))).dtype == np.intp
-        assert locator.elements_of_state(state).dtype == np.intp
 
     def test_compaction_survives_external_status_edit(self):
         """An external status write between steps invalidates the
@@ -501,7 +396,7 @@ class TestParticleFastPath:
         from repro.perf.bench import _benchmark_table
 
         rows = {r["name"]: r for r in _benchmark_table()}
-        for name in ("particle_location", "tracker_step", "interpolation"):
+        for name in ("particle_histograms", "tracker_step", "interpolation"):
             assert "before_fn" not in rows[name]
         policy = {n for n, r in rows.items() if "before_fn" in r}
         assert policy == {"time_to_endpoint", "breathing_cycle",

@@ -13,7 +13,6 @@ Invariants checked on randomly generated workloads:
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import DLB, Team, build_parallel_for_graph

@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 
 from repro.fem import assemble_operator
-from repro.solver import SolveResult, bicgstab, cg, jacobi_preconditioner
+from repro.solver import bicgstab, cg, jacobi_preconditioner
 from tests.test_fem import unit_cube_tets
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from repro.core import (
     Strategy,
-    StrategyParams,
     Team,
     build_element_loop_graph,
     build_parallel_for_graph,
