@@ -262,48 +262,48 @@ class _RunContext:
         self.solver_info = workload.solve_fluid_step()
         # Task graphs are stateless between executions (all execution state
         # lives in Team), so identical run configurations can share them
-        # across run_cfpd calls.  The cache rides in the Workload — itself
-        # process-cached per spec — and is keyed by everything the graph
-        # shapes depend on.
-        cache = workload.__dict__.setdefault("_driver_graph_cache", {})
-        cache_key = (
+        # across run_cfpd calls.  The fluid graphs and the coupled exchange
+        # topology read only the decomposition, so they ride in the mesh
+        # stage and serve every spec on that mesh, plan templates and all;
+        # the particle graphs read the histograms and ride in the particle
+        # stage.  Both caches are keyed by everything the graph shapes
+        # depend on.
+        fluid_cache = workload.mesh_stage.graphs
+        fluid_key = (
             config.mode, fluid_n, particle_n, nthreads,
             config.assembly_strategy, config.sgs_strategy,
             config.strategy_params, config.subdomains_per_rank,
-            config.subdomain_min_shared, config.partition_method,
-            particle_chunks)
-        cached = cache.get(cache_key)
-        if cached is not None:
-            (self.assembly, self.sgs, self.solver1, self.solver2,
-             self.halo_neighbors, self.particles, self.migration_bytes,
-             self.sends, self.recvs) = cached
-        else:
-            self._build_graphs(config, fluid_dd, hist, nthreads,
-                               fluid_n, particle_n, particle_chunks)
-            cache[cache_key] = (
-                self.assembly, self.sgs, self.solver1, self.solver2,
-                self.halo_neighbors, self.particles, self.migration_bytes,
-                self.sends, self.recvs)
+            config.subdomain_min_shared, config.partition_method)
+        cached = fluid_cache.get(fluid_key)
+        if cached is None:
+            cached = fluid_cache[fluid_key] = self._build_fluid_graphs(
+                config, fluid_dd, nthreads, fluid_n, particle_n)
+        (self.assembly, self.sgs, self.solver1, self.solver2,
+         self.halo_neighbors, self.sends, self.recvs) = cached
+        particle_cache = workload.particle_stage.graphs
+        particle_key = (particle_n, nthreads, config.partition_method,
+                        particle_chunks)
+        cached = particle_cache.get(particle_key)
+        if cached is None:
+            cached = particle_cache[particle_key] = \
+                self._build_particle_graphs(hist, nthreads, particle_n,
+                                            particle_chunks)
+        self.particles, self.migration_bytes = cached
         self.sub_comms: dict = {}
 
-    def _build_graphs(self, config, fluid_dd, hist, nthreads,
-                      fluid_n, particle_n, particle_chunks):
-        """Construct the per-rank task graphs and exchange topology."""
-        workload = self.workload
-        # fluid-phase graphs, indexed by fluid-local rank
-        self.assembly = []
-        self.sgs = []
-        self.solver1 = []
-        self.solver2 = []
-        self.halo_neighbors = []
+    def _build_fluid_graphs(self, config, fluid_dd, nthreads, fluid_n,
+                            particle_n) -> tuple:
+        """The per-fluid-rank task graphs and halo neighbours, and the
+        coupled-mode exchange topology."""
+        assembly, sgs, solver1, solver2, halo_neighbors = [], [], [], [], []
         for rw in fluid_dd.ranks:
-            self.assembly.append(build_element_loop_graph(
+            assembly.append(build_element_loop_graph(
                 rw.assembly_instr, rw.assembly_atomics,
                 config.assembly_strategy, nthreads,
                 colors=rw.colors, sub_labels=rw.sub_labels,
                 sub_adjacency=rw.sub_adjacency,
                 params=config.strategy_params, label="assembly"))
-            self.sgs.append(build_element_loop_graph(
+            sgs.append(build_element_loop_graph(
                 rw.sgs_instr, np.zeros_like(rw.sgs_instr),
                 config.sgs_strategy, nthreads,
                 colors=rw.colors, sub_labels=rw.sub_labels,
@@ -314,15 +314,34 @@ class _RunContext:
             s2_work = (DEFAULT_COSTS.solver2_iterations * rw.solver_nnz
                        * DEFAULT_COSTS.solver_instr_per_nnz)
             nchunks = max(DEFAULT_COSTS.min_chunks, nthreads * 4)
-            self.solver1.append(build_parallel_for_graph(
+            solver1.append(build_parallel_for_graph(
                 np.full(nchunks, s1_work / nchunks), nthreads,
                 min_chunks=DEFAULT_COSTS.min_chunks, label="solver1"))
-            self.solver2.append(build_parallel_for_graph(
+            solver2.append(build_parallel_for_graph(
                 np.full(nchunks, s2_work / nchunks), nthreads,
                 min_chunks=DEFAULT_COSTS.min_chunks, label="solver2"))
-            self.halo_neighbors.append(rw.neighbors)
-        # particle-phase graphs: [particle-local rank][step]
-        self.particles = []
+            halo_neighbors.append(rw.neighbors)
+        # coupled-mode exchange topology
+        sends = recvs = None
+        if config.mode == "coupled":
+            overlap = self.workload.overlap_bytes(
+                fluid_n, particle_n, method=config.partition_method)
+            sends = [[] for _ in range(fluid_n)]
+            recvs = [[] for _ in range(particle_n)]
+            # np.nonzero iterates row-major (fluid-major), reproducing the
+            # ordering of the former nested python loop exactly
+            fi, pj = np.nonzero(overlap > 0)
+            for i, j, nbytes in zip(fi.tolist(), pj.tolist(),
+                                    overlap[fi, pj].tolist()):
+                sends[i].append((self.particle_world_ranks[j], float(nbytes)))
+                recvs[j].append(self.fluid_world_ranks[i])
+        return assembly, sgs, solver1, solver2, halo_neighbors, sends, recvs
+
+    def _build_particle_graphs(self, hist, nthreads, particle_n,
+                               particle_chunks) -> tuple:
+        """The particle-phase graphs ``[particle-local rank][step]`` and
+        the migration volume per step."""
+        particles = []
         for pr in range(particle_n):
             per_step = []
             for s in range(self.n_steps):
@@ -330,29 +349,14 @@ class _RunContext:
                 per_step.append(build_parallel_for_graph(
                     np.full(count, DEFAULT_COSTS.particle_instr), nthreads,
                     min_chunks=particle_chunks, label="particles"))
-            self.particles.append(per_step)
+            particles.append(per_step)
         # migration volume per step (total particles in flight is an upper
         # bound for what crosses rank boundaries)
-        self.migration_bytes = [
+        migration_bytes = [
             max(1.0, hist[s].sum() * DEFAULT_COSTS.particle_bytes
                 / max(1, particle_n))
             for s in range(self.n_steps)]
-        # coupled-mode exchange topology
-        self.sends = None
-        self.recvs = None
-        if config.mode == "coupled":
-            overlap = workload.overlap_bytes(fluid_n, particle_n,
-                                             method=config.partition_method)
-            self.sends = [[] for _ in range(fluid_n)]
-            self.recvs = [[] for _ in range(particle_n)]
-            # np.nonzero iterates row-major (fluid-major), reproducing the
-            # ordering of the former nested python loop exactly
-            fi, pj = np.nonzero(overlap > 0)
-            for i, j, nbytes in zip(fi.tolist(), pj.tolist(),
-                                    overlap[fi, pj].tolist()):
-                self.sends[i].append(
-                    (self.particle_world_ranks[j], float(nbytes)))
-                self.recvs[j].append(self.fluid_world_ranks[i])
+        return particles, migration_bytes
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,12 @@
 
 The driver (see :mod:`repro.app.driver`) separates two layers:
 
-* the **numeric layer** (this module) computes the actual physics once per
-  workload — mesh, flow, FE operators (really assembled), solver runs,
-  SGS updates, particle trajectories — and derives per-rank *work meters*;
+* the **numeric layer** (this module) computes the actual physics — mesh,
+  flow, FE operators (really assembled), solver runs, SGS updates,
+  particle trajectories — and derives per-rank *work meters*, once per
+  *stage*: the mesh, flow and particle stages are each cached under the
+  spec fields they read, so workloads that differ only downstream share
+  the stages upstream of the difference;
 * the **performance layer** replays the distributed execution of that work
   on the simulated cluster (teams, MPI, DLB) for each configuration.
 
@@ -16,6 +19,8 @@ sweeps a dozen configurations over the same workload.
 
 from __future__ import annotations
 
+import functools
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,7 +70,9 @@ from ..solver import bicgstab, cg, jacobi_preconditioner
 from .costs import DEFAULT_COSTS
 
 __all__ = ["WorkloadSpec", "Workload", "RankWork", "StepPlan",
-           "get_workload", "BREATHING_WAVEFORMS", "INLET_WAVEFORMS",
+           "MeshStage", "FlowStage", "ParticleStage", "MESH_FIELDS",
+           "FLOW_FIELDS", "PARTICLE_FIELDS", "stage_key", "get_workload",
+           "BREATHING_WAVEFORMS", "INLET_WAVEFORMS",
            "SMALL_PARTICLE_RATIO", "LARGE_PARTICLE_RATIO"]
 
 #: The paper's particle:element ratios — 4e5 and 7e6 particles in a
@@ -328,8 +335,44 @@ class StepPlan:
     scale: float
 
 
-class Workload:
-    """All numeric state shared by the experiment configurations."""
+# -- stages -------------------------------------------------------------------
+#
+# The numeric workload is built in three stages.  Each reads only the spec
+# fields named here and is cached under their values, so two specs that
+# differ only in, say, ``particle_diameter`` share the mesh and flow stages
+# and build just their own particle stage.  ``tests/test_workload_stages.py``
+# derives the keys by changing one field at a time.
+
+#: Spec fields the mesh stage reads: the airway geometry and its mesh.
+MESH_FIELDS = ("generations", "points_per_ring", "rings", "mesh_seed")
+
+#: Spec fields the flow stage reads: the mesh, the carrier flow, the Δt
+#: schedule and the inlet waveform with its breathing cycle.
+FLOW_FIELDS = MESH_FIELDS + (
+    "inlet_flow_rate", "dt", "n_steps", "adaptive", "cfl_target",
+    "dt_ladder_rungs", "dt_ladder_ratio", "inlet_waveform",
+    "respiratory_rate", "tidal_volume", "inspiratory_time",
+    "inspiratory_pause", "cpap", "breathing_cycles")
+
+#: Spec fields the particle stage reads: the flow plus the injected
+#: population and its tracking.
+PARTICLE_FIELDS = FLOW_FIELDS + (
+    "particle_ratio", "injection_seed", "injection_interval",
+    "injection_phase", "particle_diameter")
+
+
+def stage_key(spec: WorkloadSpec, fields: tuple) -> tuple:
+    """The values of ``fields`` in ``spec``: a stage's cache key."""
+    return tuple(getattr(spec, name) for name in fields)
+
+
+class MeshStage:
+    """The mesh stage: everything that reads only :data:`MESH_FIELDS`.
+
+    The airway mesh, its rank labels and two-level decompositions with
+    their work meters, partition overlaps, the continuity operator, and
+    the driver's fluid task graphs (``graphs``, keyed by configuration).
+    """
 
     def __init__(self, spec: WorkloadSpec):
         self.spec = spec
@@ -338,22 +381,14 @@ class Workload:
             MeshResolution(points_per_ring=spec.points_per_ring,
                            rings=spec.rings))
         self.mesh = self.airway.mesh
-        self.flow = AirwayFlow(self.airway.segments,
-                               inlet_flow_rate=spec.inlet_flow_rate)
-        self.nodal_velocity = self.flow.nodal_velocity(self.mesh.coords)
-        self.n_particles = spec.particle_count(self.mesh.nelem)
         self._decomps: dict = {}
         self._rank_labels: dict = {}
         self._meters: Optional[tuple] = None
-        self._trajectory: Optional[list] = None
-        self._histograms: dict = {}
-        self._fluid_solution: Optional[dict] = None
-        self._sgs_norms: Optional[list] = None
-        self._schedule: Optional[list] = None
-        self._element_rates: Optional[np.ndarray] = None
-        self._subcycles: dict = {}
+        self._continuity = None
+        #: the driver's fluid task graphs and coupled exchange topology,
+        #: per run configuration (see :class:`repro.app.driver._RunContext`)
+        self.graphs: dict = {}
 
-    # -- decompositions -------------------------------------------------------
     def rank_labels(self, nranks: int, method: str = "rcb") -> np.ndarray:
         """(nelem,) owning rank of every element for ``nranks`` (cached).
 
@@ -461,11 +496,55 @@ class Workload:
         """
         from ..partition import rcb_partition
 
-        K = self.operators()["continuity"]
-        row_nnz = np.diff(K.indptr)
+        row_nnz = np.diff(self.continuity().indptr)
         owner = rcb_partition(self.mesh.coords, nranks,
                               weights=row_nnz.astype(np.float64))
         return row_nnz, owner
+
+    def continuity(self):
+        """The (cached) assembled continuity operator: unit diffusion plus
+        a 1e-3 mass shift — it reads the mesh only."""
+        if self._continuity is None:
+            stiffness = assemble_operator(self.mesh, kappa=1.0)
+            mass = assemble_operator(self.mesh, kappa=0.0,
+                                     mass_coeff=1.0).matrix
+            self._continuity = (stiffness.matrix + 1e-3 * mass).tocsr()
+        return self._continuity
+
+    def overlap_bytes(self, f: int, p: int, method: str = "rcb"
+                      ) -> np.ndarray:
+        """(f, p) matrix: bytes of velocity data fluid rank i sends particle
+        rank j each step (proportional to the element overlap of the two
+        partitions)."""
+        lf = self.rank_labels(f, method)
+        lp = self.rank_labels(p, method)
+        counts = np.zeros((f, p))
+        np.add.at(counts, (lf, lp), 1.0)
+        # ~ nodes per element x bytes per node
+        return counts * 4.5 * DEFAULT_COSTS.halo_bytes_per_node
+
+
+class FlowStage:
+    """The flow stage: everything that reads :data:`FLOW_FIELDS`.
+
+    The steady carrier flow and its nodal velocity, CFL rates, the Δt
+    schedule and subcycles, the momentum operator, the fluid solves and
+    the SGS history, over one :class:`MeshStage`.
+    """
+
+    def __init__(self, spec: WorkloadSpec, mesh_stage: MeshStage):
+        self.spec = spec
+        self.mesh_stage = mesh_stage
+        self.mesh = mesh_stage.mesh
+        self.flow = AirwayFlow(mesh_stage.airway.segments,
+                               inlet_flow_rate=spec.inlet_flow_rate)
+        self.nodal_velocity = self.flow.nodal_velocity(self.mesh.coords)
+        self._element_rates: Optional[np.ndarray] = None
+        self._schedule: Optional[list] = None
+        self._subcycles: dict = {}
+        self._operators: Optional[dict] = None
+        self._solves: Optional[dict] = None
+        self._sgs_norms: Optional[list] = None
 
     # -- adaptive Δt schedule -----------------------------------------------
     def element_rates(self) -> np.ndarray:
@@ -525,48 +604,6 @@ class Workload:
         self._schedule = plans
         return plans
 
-    @property
-    def n_sim_steps(self) -> int:
-        """Steps the schedule actually takes to reach ``t_end``."""
-        return len(self.dt_schedule())
-
-    def injection_step_set(self) -> set:
-        """Schedule indices that inject a fresh particle population.
-
-        Fixed-grid injection steps are mapped onto the schedule by
-        simulated time (the first schedule step starting at or after the
-        nominal injection time); in ``off`` mode with ungated injection
-        this is exactly ``spec.injection_steps()``.
-
-        With ``injection_phase="inhale"`` each nominal injection time is
-        first moved to the start of the next inhalation window of the
-        breathing cycle (times already inhaling stay put); injections
-        whose window begins at or beyond ``t_end`` are dropped — aerosol
-        is only released while the subject breathes in.
-        """
-        spec = self.spec
-        gated = spec.injection_phase == "inhale"
-        if spec.adaptive == "off" and not gated:
-            return set(spec.injection_steps())
-        starts = [plan.t for plan in self.dt_schedule()]
-        eps = 1e-9 * spec.t_end
-        pattern = spec.breathing_pattern() if gated else None
-        out = set()
-        for s in spec.injection_steps():
-            t_inj = s * spec.dt
-            if gated:
-                t_b = pattern.next_inhale_start(spec.breathing_time(t_inj))
-                t_inj = t_b / spec.breathing_time_scale
-                if t_inj >= spec.t_end - eps:
-                    continue
-            idx = len(starts) - 1
-            for i, t0 in enumerate(starts):
-                if t0 >= t_inj - eps:
-                    idx = i
-                    break
-            out.add(idx)
-        return out
-
     def subcycle_matrix(self, nranks: int, method: str = "rcb"
                         ) -> np.ndarray:
         """(n_sim_steps, nranks) fluid subcycles per rank per global step.
@@ -585,7 +622,7 @@ class Workload:
         schedule = self.dt_schedule()
         sub = np.ones((len(schedule), nranks), dtype=np.int64)
         if self.spec.adaptive == "local":
-            labels = self.rank_labels(nranks, method)
+            labels = self.mesh_stage.rank_labels(nranks, method)
             rates = self.element_rates()
             rank_rate = np.zeros(nranks)
             for r in range(nranks):
@@ -629,19 +666,15 @@ class Workload:
 
     # -- real numerics ------------------------------------------------------
     def operators(self) -> dict:
-        """The (cached) globally assembled momentum/continuity operators."""
-        if self._fluid_solution is None or "momentum" not in \
-                self._fluid_solution:
+        """The (cached) globally assembled momentum/continuity operators
+        (the continuity operator is the mesh stage's)."""
+        if self._operators is None:
             momentum = assemble_operator(
                 self.mesh, kappa=1.9e-5, mass_coeff=1.15 / self.spec.dt,
                 velocity=self.nodal_velocity).matrix.tocsr()
-            continuity_res = assemble_operator(self.mesh, kappa=1.0)
-            mass = assemble_operator(self.mesh, kappa=0.0,
-                                     mass_coeff=1.0).matrix
-            continuity = (continuity_res.matrix + 1e-3 * mass).tocsr()
-            self._fluid_solution = {"momentum": momentum,
-                                    "continuity": continuity}
-        return self._fluid_solution
+            self._operators = {"momentum": momentum,
+                               "continuity": self.mesh_stage.continuity()}
+        return self._operators
 
     def solve_fluid_step(self) -> dict:
         """Really run the momentum + continuity solves once (cached).
@@ -655,7 +688,7 @@ class Workload:
         from ..solver import deflated_cg
 
         ops = self.operators()
-        if "solves" not in self._fluid_solution:
+        if self._solves is None:
             rng = np.random.default_rng(0)
             b_m = ops["momentum"] @ rng.normal(size=self.mesh.nnodes)
             res_m = bicgstab(ops["momentum"], b_m, tol=1e-8, maxiter=400,
@@ -668,14 +701,14 @@ class Workload:
                                 M=jacobi_preconditioner(ops["continuity"]))
             res_c_plain = cg(ops["continuity"], b_c, tol=1e-8, maxiter=800,
                              M=jacobi_preconditioner(ops["continuity"]))
-            self._fluid_solution["solves"] = {
+            self._solves = {
                 "momentum_iterations": res_m.iterations,
                 "momentum_converged": res_m.converged,
                 "continuity_iterations": res_c.iterations,
                 "continuity_converged": res_c.converged,
                 "continuity_plain_cg_iterations": res_c_plain.iterations,
             }
-        return self._fluid_solution["solves"]
+        return self._solves
 
     def sgs_history(self) -> list:
         """Really run the SGS update each step (cached); returns the history
@@ -690,11 +723,69 @@ class Workload:
             self._sgs_norms = norms
         return self._sgs_norms
 
-    # -- particles ------------------------------------------------------------
+
+class ParticleStage:
+    """The particle stage: everything that reads :data:`PARTICLE_FIELDS`.
+
+    The injected population, its trajectory and final state, per-rank
+    histograms, the deposition and co-simulation summaries, and the
+    driver's particle task graphs (``graphs``, keyed by configuration),
+    over one :class:`FlowStage`.
+    """
+
+    def __init__(self, spec: WorkloadSpec, flow_stage: FlowStage):
+        self.spec = spec
+        self.flow_stage = flow_stage
+        self.mesh_stage = flow_stage.mesh_stage
+        self.n_particles = spec.particle_count(self.mesh_stage.mesh.nelem)
+        self._trajectory: Optional[list] = None
+        self._final_state: Optional[ParticleState] = None
+        self._histograms: dict = {}
+        #: the driver's particle task graphs and migration volumes, per run
+        #: configuration (see :class:`repro.app.driver._RunContext`)
+        self.graphs: dict = {}
+
+    def injection_step_set(self) -> set:
+        """Schedule indices that inject a fresh particle population.
+
+        Fixed-grid injection steps are mapped onto the schedule by
+        simulated time (the first schedule step starting at or after the
+        nominal injection time); in ``off`` mode with ungated injection
+        this is exactly ``spec.injection_steps()``.
+
+        With ``injection_phase="inhale"`` each nominal injection time is
+        first moved to the start of the next inhalation window of the
+        breathing cycle (times already inhaling stay put); injections
+        whose window begins at or beyond ``t_end`` are dropped — aerosol
+        is only released while the subject breathes in.
+        """
+        spec = self.spec
+        gated = spec.injection_phase == "inhale"
+        if spec.adaptive == "off" and not gated:
+            return set(spec.injection_steps())
+        starts = [plan.t for plan in self.flow_stage.dt_schedule()]
+        eps = 1e-9 * spec.t_end
+        pattern = spec.breathing_pattern() if gated else None
+        out = set()
+        for s in spec.injection_steps():
+            t_inj = s * spec.dt
+            if gated:
+                t_b = pattern.next_inhale_start(spec.breathing_time(t_inj))
+                t_inj = t_b / spec.breathing_time_scale
+                if t_inj >= spec.t_end - eps:
+                    continue
+            idx = len(starts) - 1
+            for i, t0 in enumerate(starts):
+                if t0 >= t_inj - eps:
+                    idx = i
+                    break
+            out.add(idx)
+        return out
+
     def _tracker(self) -> NewmarkTracker:
         """The spec's particle tracker (diameter from the spec)."""
         return NewmarkTracker(
-            self.flow,
+            self.flow_stage.flow,
             particles=ParticleProperties(
                 diameter=self.spec.particle_diameter),
             fluid=FluidProperties())
@@ -719,7 +810,7 @@ class Workload:
         scale = plan.scale \
             if self.spec.inlet_waveform in BREATHING_WAVEFORMS else 1.0
         state.extend(inject_at_inlet(
-            self.airway, self.n_particles,
+            self.mesh_stage.airway, self.n_particles,
             seed=self.spec.injection_seed + s,
             speed_fraction=0.5 * scale))
 
@@ -731,14 +822,14 @@ class Workload:
             state = ParticleState.empty()
             tracker = self._tracker()
             steps = []
-            for s, plan in enumerate(self.dt_schedule()):
+            for s, plan in enumerate(self.flow_stage.dt_schedule()):
                 if s in injection_steps:
                     self._inject(state, s, plan)
                 act = state.active
                 steps.append({"positions": state.x[act].copy(),
                               "counts": state.counts()})
                 self._step_particles(tracker, state, plan)
-            self._final_particle_state = state
+            self._final_state = state
             self._trajectory = steps
         return self._trajectory
 
@@ -752,7 +843,7 @@ class Workload:
         injection_steps = self.injection_step_set()
         state = ParticleState.empty()
         tracker = self._tracker()
-        for s, plan in enumerate(self.dt_schedule()[:step]):
+        for s, plan in enumerate(self.flow_stage.dt_schedule()[:step]):
             if s in injection_steps:
                 self._inject(state, s, plan)
             self._step_particles(tracker, state, plan)
@@ -766,7 +857,7 @@ class Workload:
     def deposition_summary(self) -> dict:
         """Particle status counts after the last step."""
         self.trajectory()
-        return self._final_particle_state.counts()
+        return self._final_state.counts()
 
     def cosim_summary(self) -> dict:
         """Diagnostics of a breathing-coupled run (for ``RunResult``).
@@ -781,7 +872,7 @@ class Workload:
         if spec.inlet_waveform not in BREATHING_WAVEFORMS:
             return {}
         pattern = spec.breathing_pattern()
-        schedule = self.dt_schedule()
+        schedule = self.flow_stage.dt_schedule()
         cycle_time = pattern.ventilator.cycle_time
         phases = [pattern.phase_at(spec.breathing_time(plan.t))[0]
                   for plan in schedule]
@@ -792,7 +883,7 @@ class Workload:
         # per-step deposition deltas, attributed to the phase/cycle the
         # step started in
         traj = self.trajectory()
-        final = self._final_particle_state.counts()
+        final = self._final_state.counts()
         deposited_by_phase = {name: 0 for name in BREATHING_PHASES}
         deposited_by_cycle = [0] * spec.breathing_cycles
         for s in range(len(schedule)):
@@ -839,34 +930,155 @@ class Workload:
         """(n_sim_steps, nranks) active-particle counts per owning rank."""
         key = (nranks, method)
         if key not in self._histograms:
-            locator = ElementLocator(self.airway,
-                                     self.rank_labels(nranks, method))
-            hist = np.zeros((self.n_sim_steps, nranks), dtype=np.int64)
-            for s, step in enumerate(self.trajectory()):
+            locator = ElementLocator(
+                self.mesh_stage.airway,
+                self.mesh_stage.rank_labels(nranks, method))
+            trajectory = self.trajectory()
+            hist = np.zeros((len(trajectory), nranks), dtype=np.int64)
+            for s, step in enumerate(trajectory):
                 pos = step["positions"]
                 if len(pos):
                     hist[s] = locator.rank_histogram(pos, nranks)
             self._histograms[key] = hist
         return self._histograms[key]
 
-    def overlap_bytes(self, f: int, p: int, method: str = "rcb"
-                      ) -> np.ndarray:
-        """(f, p) matrix: bytes of velocity data fluid rank i sends particle
-        rank j each step (proportional to the element overlap of the two
-        partitions)."""
-        lf = self.rank_labels(f, method)
-        lp = self.rank_labels(p, method)
-        counts = np.zeros((f, p))
-        np.add.at(counts, (lf, lp), 1.0)
-        # ~ nodes per element x bytes per node
-        return counts * 4.5 * DEFAULT_COSTS.halo_bytes_per_node
+
+# -- the workload view --------------------------------------------------------
+
+def _forward(stage: str, method):
+    """A :class:`Workload` method that calls the stage method ``method`` on
+    the view's ``stage`` attribute."""
+    @functools.wraps(method)
+    def forward(self, *args, **kwargs):
+        return method(getattr(self, stage), *args, **kwargs)
+    forward.__qualname__ = f"Workload.{method.__name__}"
+    return forward
 
 
-_WORKLOADS: dict = {}
+class Workload:
+    """All numeric state shared by the experiment configurations.
+
+    A thin view over one :class:`MeshStage`, one :class:`FlowStage` and
+    one :class:`ParticleStage`; every product lives on its stage.
+    ``Workload(spec)`` builds three fresh stages of its own and never
+    touches the process-wide stage caches (a cold build measures the whole
+    build); :func:`get_workload` assembles the view from those caches.
+    """
+
+    def __init__(self, spec: WorkloadSpec):
+        flow_stage = FlowStage(spec, MeshStage(spec))
+        self._view(spec, ParticleStage(spec, flow_stage))
+
+    @classmethod
+    def _over(cls, spec: WorkloadSpec, particle_stage: ParticleStage
+              ) -> "Workload":
+        """The view of ``spec`` over already built stages."""
+        wl = cls.__new__(cls)
+        wl._view(spec, particle_stage)
+        return wl
+
+    def _view(self, spec: WorkloadSpec, particle_stage: ParticleStage):
+        self.spec = spec
+        self.particle_stage = particle_stage
+        self.flow_stage = particle_stage.flow_stage
+        self.mesh_stage = particle_stage.mesh_stage
+        self.airway: AirwayMesh = self.mesh_stage.airway
+        self.mesh = self.mesh_stage.mesh
+        self.flow = self.flow_stage.flow
+        self.nodal_velocity = self.flow_stage.nodal_velocity
+        self.n_particles = particle_stage.n_particles
+
+    # mesh stage
+    rank_labels = _forward("mesh_stage", MeshStage.rank_labels)
+    decomposition = _forward("mesh_stage", MeshStage.decomposition)
+    overlap_bytes = _forward("mesh_stage", MeshStage.overlap_bytes)
+    # flow stage
+    element_rates = _forward("flow_stage", FlowStage.element_rates)
+    dt_schedule = _forward("flow_stage", FlowStage.dt_schedule)
+    subcycle_matrix = _forward("flow_stage", FlowStage.subcycle_matrix)
+    schedule_summary = _forward("flow_stage", FlowStage.schedule_summary)
+    operators = _forward("flow_stage", FlowStage.operators)
+    solve_fluid_step = _forward("flow_stage", FlowStage.solve_fluid_step)
+    sgs_history = _forward("flow_stage", FlowStage.sgs_history)
+    # particle stage
+    injection_step_set = _forward("particle_stage",
+                                  ParticleStage.injection_step_set)
+    trajectory = _forward("particle_stage", ParticleStage.trajectory)
+    particle_state_at = _forward("particle_stage",
+                                 ParticleStage.particle_state_at)
+    deposition_summary = _forward("particle_stage",
+                                  ParticleStage.deposition_summary)
+    cosim_summary = _forward("particle_stage", ParticleStage.cosim_summary)
+    particle_histograms = _forward("particle_stage",
+                                   ParticleStage.particle_histograms)
+
+    @property
+    def n_sim_steps(self) -> int:
+        """Steps the schedule actually takes to reach ``t_end``."""
+        return len(self.dt_schedule())
+
+    @property
+    def total_injected(self) -> int:
+        """Particles injected over the whole run (all injections)."""
+        return self.particle_stage.total_injected
+
+
+# -- process-wide stage caches -------------------------------------------------
+
+#: Stage cache bounds (least recently used evicted first).  A campaign
+#: sweep over runtime settings and particle fields shares one mesh and a
+#: few flows among many particle stages, so the particle bound is the
+#: largest; a flow stage (~30 MB, mostly its locate workspace) is the
+#: costliest entry, and meshes are few per study.
+MESH_CACHE_SIZE = 4
+FLOW_CACHE_SIZE = 8
+PARTICLE_CACHE_SIZE = 32
+
+
+class _StageCache(OrderedDict):
+    """A process-wide LRU of built stages, holding at most ``size``."""
+
+    def __init__(self, size: int):
+        super().__init__()
+        self.size = size
+
+    def put(self, key: tuple, stage) -> None:
+        """File ``stage`` under ``key`` as the most recently used entry and
+        evict the least recently used beyond ``size``."""
+        self[key] = stage
+        self.move_to_end(key)
+        while len(self) > self.size:
+            self.popitem(last=False)
+
+
+_MESH_STAGES = _StageCache(MESH_CACHE_SIZE)
+_FLOW_STAGES = _StageCache(FLOW_CACHE_SIZE)
+_PARTICLE_STAGES = _StageCache(PARTICLE_CACHE_SIZE)
 
 
 def get_workload(spec: WorkloadSpec) -> Workload:
-    """Process-wide workload cache (one numeric precompute per spec)."""
-    if spec not in _WORKLOADS:
-        _WORKLOADS[spec] = Workload(spec)
-    return _WORKLOADS[spec]
+    """The workload of ``spec``, assembled from the process-wide stage
+    caches: only the stages no cached spec shares with ``spec`` are built.
+
+    A spec that differs from a cached one only in particle fields builds
+    its particle stage alone; one that differs in flow fields also builds
+    a flow stage.  Each cache is an LRU bounded by its ``*_CACHE_SIZE``.
+    """
+    mesh_key = stage_key(spec, MESH_FIELDS)
+    flow_key = stage_key(spec, FLOW_FIELDS)
+    particle_key = stage_key(spec, PARTICLE_FIELDS)
+    particle_stage = _PARTICLE_STAGES.get(particle_key)
+    if particle_stage is None:
+        flow_stage = _FLOW_STAGES.get(flow_key)
+        if flow_stage is None:
+            mesh_stage = _MESH_STAGES.get(mesh_key) or MeshStage(spec)
+            flow_stage = FlowStage(spec, mesh_stage)
+        particle_stage = ParticleStage(spec, flow_stage)
+    # all three become the most recently used: a hit keeps the stages
+    # under it warm for neighbours, and a stage evicted from its cache
+    # while a cached stage above it still holds it is filed again, not
+    # rebuilt
+    _MESH_STAGES.put(mesh_key, particle_stage.mesh_stage)
+    _FLOW_STAGES.put(flow_key, particle_stage.flow_stage)
+    _PARTICLE_STAGES.put(particle_key, particle_stage)
+    return Workload._over(spec, particle_stage)

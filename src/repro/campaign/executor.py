@@ -194,7 +194,7 @@ class _KillGate:
 
 
 def _default_mp_context():
-    """Fork where available (workers inherit the warm workload cache),
+    """Fork where available (workers inherit the warm stage caches),
     spawn otherwise."""
     try:
         return multiprocessing.get_context("fork")
@@ -317,8 +317,10 @@ def _execute_supervised(pending, run, store, journal, gate, *, workers,
 
     ctx = _default_mp_context()
     if ctx.get_start_method() == "fork":
-        # workers inherit these precomputes through the fork
-        for spec in {o.job.spec for o in pending}:
+        # workers inherit these precomputes through the fork; first
+        # appearance order keeps the builds (and the stage caches'
+        # eviction order) independent of the string hash seed
+        for spec in dict.fromkeys(o.job.spec for o in pending):
             warm_workload(spec)
     sup = Supervisor(pending, store, journal, gate, workers=workers,
                      mp_context=ctx, config=supervision, clock=clock,

@@ -90,8 +90,10 @@ def run_job(job: Job) -> dict:
     """Run one cell end to end and return its record.
 
     Module-level (picklable) so worker processes can execute it; the
-    process-wide workload cache makes same-spec jobs within one worker
-    share the numeric precompute.
+    process-wide stage caches of :func:`repro.app.get_workload` make jobs
+    within one worker share every numeric stage their specs share (all
+    three for the same spec, the mesh and flow for a particle-only
+    neighbour).
     """
     workload = get_workload(job.spec)
     result = run_cfpd(job.config, workload=workload,
@@ -100,13 +102,18 @@ def run_job(job: Job) -> dict:
 
 
 def warm_workload(spec) -> None:
-    """Precompute the numeric workload for ``spec`` in this process.
+    """Precompute what :func:`run_job` reads of ``spec``'s workload in this
+    process: the operators, the fluid solves, the Δt schedule and the
+    particle trajectory.
 
     Called by the executor before forking a pool so every worker inherits
-    the warm cache instead of redoing the physics once per process.
+    the warm stages instead of redoing the physics once per process.  It
+    goes through :func:`repro.app.get_workload`, so stages a cached spec
+    already shares are not rebuilt.  The SGS history is left lazy: only
+    checkpoint writing and restart checks read it.
     """
     wl = get_workload(spec)
     wl.operators()
     wl.solve_fluid_step()
-    wl.sgs_history()
+    wl.dt_schedule()
     wl.trajectory()

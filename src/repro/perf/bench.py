@@ -749,15 +749,16 @@ def _decomposition_setup():
 
 def _decomposition_workload():
     """The two-level decomposition of the default mesh for 96 ranks, from
-    cold: the workload's rank labels, decompositions and work meters and
+    cold: the mesh stage's rank labels, decompositions and work meters and
     the mesh's geometry cache (which holds the conflict graph) are cleared
     first, so every call partitions, colors and meters from scratch."""
     from ..fem import drop_cache
 
     wl = _decomposition_setup()
-    wl._decomps.clear()
-    wl._rank_labels.clear()
-    wl._meters = None
+    stage = wl.mesh_stage
+    stage._decomps.clear()
+    stage._rank_labels.clear()
+    stage._meters = None
     drop_cache(wl.mesh)
     return wl.decomposition(96)
 
@@ -834,7 +835,7 @@ def _campaign_warm_pool() -> str:
 
 
 def _campaign_setup() -> None:
-    """Warm the parent-side workload cache (forked into pool workers);
+    """Warm the parent-side stage caches (forked into pool workers);
     kept out of the timings like every other setup."""
     from ..campaign.runner import warm_workload
 
@@ -951,7 +952,7 @@ def _benchmark_table() -> list[dict]:
          "unit_count": lambda: 8, "min_speedup": 1.67,
          "note": "before = one cold spawned process per job (the ad-hoc "
                  "script model); after = campaign executor, 4-worker "
-                 "fork pool sharing the warm workload cache"},
+                 "fork pool sharing the warm stage caches"},
     ]
 
 

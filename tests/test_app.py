@@ -180,8 +180,8 @@ class TestCoupledDriver:
         cfg = RunConfig(cluster="thunder", num_nodes=1, nranks=8,
                         mode="coupled", fluid_ranks=5)
         run_cfpd(cfg, workload=fresh)
-        assert [key[0] for key in fresh._decomps] == [5]
-        assert set(fresh._rank_labels) == {(5, "rcb"), (3, "rcb")}
+        assert [key[0] for key in fresh.mesh_stage._decomps] == [5]
+        assert set(fresh.mesh_stage._rank_labels) == {(5, "rcb"), (3, "rcb")}
         assert fresh.decomposition(5).labels is fresh.rank_labels(5)
 
     def test_invalid_split_rejected(self, wl):

@@ -536,6 +536,67 @@ class TestWorkerPool:
         assert cross_run_identity(serial, pooled)["identical"]
         assert tree_digest(serial) == tree_digest(pooled)
 
+    def test_extended_sweep_matches_fresh_serial_runs(self, tmp_path):
+        """A breathing sweep extended by a diameter in a second pooled run
+        on the same store, as the benchmark's campaign passes do: the new
+        cells reuse the flow stage the parent warmed for the first run,
+        and every digest equals a serial run over a fresh ``Workload``
+        (no state leaks through a shared stage)."""
+        from repro.app import Workload, run_cfpd
+        from repro.campaign.runner import simulated_digest
+
+        def sweep(diameters):
+            return CampaignSpec(
+                name="breathing",
+                base_config=RunConfig(cluster="thunder", num_nodes=1,
+                                      nranks=4, threads_per_rank=1),
+                base_spec=WorkloadSpec(generations=2, points_per_ring=6,
+                                       n_steps=4, inlet_waveform="ventilator",
+                                       injection_phase="inhale"),
+                grid=[("spec.particle_diameter", diameters),
+                      ("config.dlb", [False, True])])
+        store = ResultStore(str(tmp_path / "store"))
+        first = run_campaign(sweep([4e-6]), store=store, workers=2)
+        second = run_campaign(sweep([4e-6, 5.5e-6]), store=store, workers=2)
+        assert first.executed == 2 and first.ok
+        assert second.executed == 2 and second.cached == 2 and second.ok
+        for job in sweep([4e-6, 5.5e-6]).expand():
+            fresh = run_cfpd(job.config, workload=Workload(job.spec))
+            assert store.get(job.fingerprint)["simulated_digest"] == \
+                simulated_digest(fresh), job.label()
+
+    def test_prefork_warms_specs_in_first_appearance_order(self,
+                                                           monkeypatch):
+        """The parent warms each pending spec once, in campaign order —
+        never in set order, which follows the string hash seed."""
+        import repro.campaign.executor as executor
+        import repro.campaign.supervisor as supervisor
+
+        class NoPool:
+            stats: dict = {}
+
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def run(self):
+                pass
+
+        warmed = []
+        monkeypatch.setattr(executor, "warm_workload", warmed.append)
+        monkeypatch.setattr(supervisor, "Supervisor", NoPool)
+        campaign = CampaignSpec(
+            name="order",
+            base_config=RunConfig(cluster="thunder", num_nodes=1, nranks=2,
+                                  threads_per_rank=1),
+            base_spec=TINY,
+            grid=[("spec.particle_diameter",
+                   [6e-6, 4e-6, 5e-6, 7e-6, 4.5e-6, 5.5e-6]),
+                  ("config.dlb", [False, True])])
+        run_campaign(campaign, workers=2)
+        assert warmed == list(dict.fromkeys(
+            job.spec for job in campaign.expand()))
+        assert len(warmed) == 6
+
 
 class TestKillAndResume:
     def test_kill_gate_journals_and_raises(self, tmp_path):

@@ -74,6 +74,29 @@ class TestBench:
         assert rows["decomposition"]["warmup"]
         assert "post" in rows["decomposition"]
 
+    def test_decomposition_row_runs_cold(self, monkeypatch):
+        """Each call of the decomposition row partitions from scratch: it
+        clears the mesh stage's decompositions, rank labels and meters, so
+        it never times a cache hit."""
+        import repro.app.workload as workload
+        import repro.perf.bench as bench
+
+        monkeypatch.setattr(bench, "_DECOMP_WORKLOAD", workload.Workload(
+            workload.WorkloadSpec(generations=3, points_per_ring=6)))
+        first = bench._decomposition_workload()
+        calls = []
+        decompose = workload.decompose_mesh
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return decompose(*args, **kwargs)
+        monkeypatch.setattr(workload, "decompose_mesh", counted)
+        again = bench._decomposition_workload()
+        assert calls == [96]
+        assert again is not first
+        assert bench._decomposition_digest(again) == \
+            bench._decomposition_digest(first)
+
     def test_default_out_is_not_a_committed_report(self):
         """A bare ``python -m repro.perf.bench`` must never overwrite a
         committed ``BENCH_prN.json``."""

@@ -141,13 +141,15 @@ class TestPerToggleBisection:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_single_toggle_off_is_identical(self, toggle, name, tmp_path,
                                             golden, default_digests):
-        graphs = get_workload(SPEC).__dict__.get("_driver_graph_cache", {})
-        n_graphs = len(graphs)
+        wl = get_workload(SPEC)
+        graphs = (wl.mesh_stage.graphs, wl.particle_stage.graphs)
+        n_graphs = [len(cache) for cache in graphs]
         d_run, c_run, pinned = _run(CONFIGS[name], tmp_path / "run.ckpt")
         if toggle == "driver_graph_cache":
             # the defaults run built this configuration's task graphs
-            assert n_graphs and len(graphs) == n_graphs, (
-                f"{name}: the run rebuilt its task graphs")
+            assert all(n_graphs) and \
+                [len(cache) for cache in graphs] == n_graphs, (
+                    f"{name}: the run rebuilt its task graphs")
         assert_matches(pinned, golden[f"e2e/spec/{name}"], path=name)
         d_ref, c_ref = default_digests[name]
         assert d_run == d_ref, (
