@@ -20,6 +20,7 @@ sweeps a dozen configurations over the same workload.
 from __future__ import annotations
 
 import functools
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Optional
@@ -945,11 +946,19 @@ class ParticleStage:
 
 # -- the workload view --------------------------------------------------------
 
-def _forward(stage: str, method):
+def _forward(stage: str, method, *first: str):
     """A :class:`Workload` method that calls the stage method ``method`` on
-    the view's ``stage`` attribute."""
+    the view's ``stage`` attribute.
+
+    The view methods named in ``first`` run before it: they build the
+    products ``method`` reads through the view's own methods, so each is
+    computed (and timed, when a tracer wraps the view) under its own name
+    rather than inside ``method``.
+    """
     @functools.wraps(method)
     def forward(self, *args, **kwargs):
+        for name in first:
+            getattr(self, name)()
         return method(getattr(self, stage), *args, **kwargs)
     forward.__qualname__ = f"Workload.{method.__name__}"
     return forward
@@ -966,27 +975,21 @@ class Workload:
     """
 
     def __init__(self, spec: WorkloadSpec):
-        flow_stage = FlowStage(spec, MeshStage(spec))
-        self._view(spec, ParticleStage(spec, flow_stage))
-
-    @classmethod
-    def _over(cls, spec: WorkloadSpec, particle_stage: ParticleStage
-              ) -> "Workload":
-        """The view of ``spec`` over already built stages."""
-        wl = cls.__new__(cls)
-        wl._view(spec, particle_stage)
-        return wl
-
-    def _view(self, spec: WorkloadSpec, particle_stage: ParticleStage):
         self.spec = spec
-        self.particle_stage = particle_stage
-        self.flow_stage = particle_stage.flow_stage
-        self.mesh_stage = particle_stage.mesh_stage
+        self.particle_stage = self._particle_stage(spec)
+        self.flow_stage = self.particle_stage.flow_stage
+        self.mesh_stage = self.particle_stage.mesh_stage
         self.airway: AirwayMesh = self.mesh_stage.airway
         self.mesh = self.mesh_stage.mesh
         self.flow = self.flow_stage.flow
         self.nodal_velocity = self.flow_stage.nodal_velocity
-        self.n_particles = particle_stage.n_particles
+        self.n_particles = self.particle_stage.n_particles
+
+    @staticmethod
+    def _particle_stage(spec: WorkloadSpec) -> ParticleStage:
+        """Three fresh stages of ``spec``, as the particle stage that holds
+        the other two."""
+        return ParticleStage(spec, FlowStage(spec, MeshStage(spec)))
 
     # mesh stage
     rank_labels = _forward("mesh_stage", MeshStage.rank_labels)
@@ -995,22 +998,32 @@ class Workload:
     # flow stage
     element_rates = _forward("flow_stage", FlowStage.element_rates)
     dt_schedule = _forward("flow_stage", FlowStage.dt_schedule)
-    subcycle_matrix = _forward("flow_stage", FlowStage.subcycle_matrix)
-    schedule_summary = _forward("flow_stage", FlowStage.schedule_summary)
+    subcycle_matrix = _forward("flow_stage", FlowStage.subcycle_matrix,
+                               "dt_schedule")
+    schedule_summary = _forward("flow_stage", FlowStage.schedule_summary,
+                                "dt_schedule")
     operators = _forward("flow_stage", FlowStage.operators)
-    solve_fluid_step = _forward("flow_stage", FlowStage.solve_fluid_step)
-    sgs_history = _forward("flow_stage", FlowStage.sgs_history)
+    solve_fluid_step = _forward("flow_stage", FlowStage.solve_fluid_step,
+                                "operators")
+    sgs_history = _forward("flow_stage", FlowStage.sgs_history,
+                           "dt_schedule")
     # particle stage
     injection_step_set = _forward("particle_stage",
-                                  ParticleStage.injection_step_set)
-    trajectory = _forward("particle_stage", ParticleStage.trajectory)
+                                  ParticleStage.injection_step_set,
+                                  "dt_schedule")
+    trajectory = _forward("particle_stage", ParticleStage.trajectory,
+                          "dt_schedule")
     particle_state_at = _forward("particle_stage",
-                                 ParticleStage.particle_state_at)
+                                 ParticleStage.particle_state_at,
+                                 "dt_schedule")
     deposition_summary = _forward("particle_stage",
-                                  ParticleStage.deposition_summary)
-    cosim_summary = _forward("particle_stage", ParticleStage.cosim_summary)
+                                  ParticleStage.deposition_summary,
+                                  "trajectory")
+    cosim_summary = _forward("particle_stage", ParticleStage.cosim_summary,
+                             "trajectory")
     particle_histograms = _forward("particle_stage",
-                                   ParticleStage.particle_histograms)
+                                   ParticleStage.particle_histograms,
+                                   "trajectory")
 
     @property
     def n_sim_steps(self) -> int:
@@ -1025,60 +1038,57 @@ class Workload:
 
 # -- process-wide stage caches -------------------------------------------------
 
-#: Stage cache bounds (least recently used evicted first).  A campaign
-#: sweep over runtime settings and particle fields shares one mesh and a
-#: few flows among many particle stages, so the particle bound is the
-#: largest; a flow stage (~30 MB, mostly its locate workspace) is the
-#: costliest entry, and meshes are few per study.
-MESH_CACHE_SIZE = 4
-FLOW_CACHE_SIZE = 8
+#: Particle stages :func:`get_workload` keeps alive, least recently used
+#: evicted first.  A campaign pass adds one per cell it has not built
+#: before, and a rebuilt one costs only its tracking.  Mesh and flow
+#: stages are not counted: they live as long as a particle stage (or a
+#: view) holds them.
 PARTICLE_CACHE_SIZE = 32
 
-
-class _StageCache(OrderedDict):
-    """A process-wide LRU of built stages, holding at most ``size``."""
-
-    def __init__(self, size: int):
-        super().__init__()
-        self.size = size
-
-    def put(self, key: tuple, stage) -> None:
-        """File ``stage`` under ``key`` as the most recently used entry and
-        evict the least recently used beyond ``size``."""
-        self[key] = stage
-        self.move_to_end(key)
-        while len(self) > self.size:
-            self.popitem(last=False)
+_PARTICLE_STAGES: OrderedDict = OrderedDict()
+#: every mesh and flow stage still alive, by key: found while anything
+#: holds it, freed with its last holder
+_MESH_STAGES = weakref.WeakValueDictionary()
+_FLOW_STAGES = weakref.WeakValueDictionary()
 
 
-_MESH_STAGES = _StageCache(MESH_CACHE_SIZE)
-_FLOW_STAGES = _StageCache(FLOW_CACHE_SIZE)
-_PARTICLE_STAGES = _StageCache(PARTICLE_CACHE_SIZE)
+def _cached_particle_stage(spec: WorkloadSpec) -> ParticleStage:
+    """The particle stage of ``spec`` from the process-wide caches,
+    building only the stages no live stage shares with ``spec``."""
+    key = stage_key(spec, PARTICLE_FIELDS)
+    stage = _PARTICLE_STAGES.get(key)
+    if stage is None:
+        flow_key = stage_key(spec, FLOW_FIELDS)
+        flow_stage = _FLOW_STAGES.get(flow_key)
+        if flow_stage is None:
+            mesh_key = stage_key(spec, MESH_FIELDS)
+            mesh_stage = _MESH_STAGES.get(mesh_key)
+            if mesh_stage is None:
+                mesh_stage = _MESH_STAGES[mesh_key] = MeshStage(spec)
+            flow_stage = _FLOW_STAGES[flow_key] = FlowStage(spec,
+                                                            mesh_stage)
+        stage = _PARTICLE_STAGES[key] = ParticleStage(spec, flow_stage)
+    _PARTICLE_STAGES.move_to_end(key)
+    while len(_PARTICLE_STAGES) > PARTICLE_CACHE_SIZE:
+        _PARTICLE_STAGES.popitem(last=False)
+    return stage
+
+
+class _CachedWorkload(Workload):
+    """The view :func:`get_workload` returns: its stages come from the
+    process-wide caches."""
+
+    _particle_stage = staticmethod(_cached_particle_stage)
 
 
 def get_workload(spec: WorkloadSpec) -> Workload:
     """The workload of ``spec``, assembled from the process-wide stage
-    caches: only the stages no cached spec shares with ``spec`` are built.
+    caches: only the stages no live stage shares with ``spec`` are built.
 
     A spec that differs from a cached one only in particle fields builds
     its particle stage alone; one that differs in flow fields also builds
-    a flow stage.  Each cache is an LRU bounded by its ``*_CACHE_SIZE``.
+    a flow stage.  The last :data:`PARTICLE_CACHE_SIZE` particle stages
+    stay cached; a mesh or flow stage is reused as long as any of them (or
+    any view) still holds it.
     """
-    mesh_key = stage_key(spec, MESH_FIELDS)
-    flow_key = stage_key(spec, FLOW_FIELDS)
-    particle_key = stage_key(spec, PARTICLE_FIELDS)
-    particle_stage = _PARTICLE_STAGES.get(particle_key)
-    if particle_stage is None:
-        flow_stage = _FLOW_STAGES.get(flow_key)
-        if flow_stage is None:
-            mesh_stage = _MESH_STAGES.get(mesh_key) or MeshStage(spec)
-            flow_stage = FlowStage(spec, mesh_stage)
-        particle_stage = ParticleStage(spec, flow_stage)
-    # all three become the most recently used: a hit keeps the stages
-    # under it warm for neighbours, and a stage evicted from its cache
-    # while a cached stage above it still holds it is filed again, not
-    # rebuilt
-    _MESH_STAGES.put(mesh_key, particle_stage.mesh_stage)
-    _FLOW_STAGES.put(flow_key, particle_stage.flow_stage)
-    _PARTICLE_STAGES.put(particle_key, particle_stage)
-    return Workload._over(spec, particle_stage)
+    return _CachedWorkload(spec)

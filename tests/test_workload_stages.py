@@ -9,6 +9,7 @@ stage and fail; a field no stage reads would not move its stage and fail.
 """
 
 import dataclasses
+import gc
 import hashlib
 
 import numpy as np
@@ -16,9 +17,7 @@ import pytest
 
 import repro.app.workload as workload_mod
 from repro.app.workload import (
-    FLOW_CACHE_SIZE,
     FLOW_FIELDS,
-    MESH_CACHE_SIZE,
     MESH_FIELDS,
     PARTICLE_CACHE_SIZE,
     PARTICLE_FIELDS,
@@ -114,9 +113,8 @@ def base():
 def empty_caches(monkeypatch):
     """Fresh, empty stage caches for one test (the process-wide ones are
     restored afterwards)."""
-    caches = {name: workload_mod._StageCache(size) for name, size in (
-        ("_MESH_STAGES", MESH_CACHE_SIZE), ("_FLOW_STAGES", FLOW_CACHE_SIZE),
-        ("_PARTICLE_STAGES", PARTICLE_CACHE_SIZE))}
+    caches = {name: type(getattr(workload_mod, name))() for name in
+              ("_MESH_STAGES", "_FLOW_STAGES", "_PARTICLE_STAGES")}
     for name, cache in caches.items():
         monkeypatch.setattr(workload_mod, name, cache)
     return caches
@@ -166,26 +164,64 @@ def test_fresh_workload_shares_nothing(empty_caches, base):
     assert all(len(cache) == 0 for cache in empty_caches.values())
 
 
-def test_each_stage_cache_stays_within_its_bound(empty_caches):
-    specs = [dataclasses.replace(BASE, mesh_seed=seed, inlet_flow_rate=q,
-                                 particle_diameter=d)
-             for seed in range(MESH_CACHE_SIZE + 1)
-             for q in (1e-3, 2e-3)
-             for d in (4e-6, 5e-6, 6e-6, 7e-6)]
+def test_particle_cache_stays_within_its_bound(empty_caches):
+    specs = [dataclasses.replace(BASE, particle_diameter=(4 + k) * 1e-6)
+             for k in range(PARTICLE_CACHE_SIZE + 2)]
     for spec in specs:
         get_workload(spec)
-    meshes, flows, particles = (
-        empty_caches[name] for name in
-        ("_MESH_STAGES", "_FLOW_STAGES", "_PARTICLE_STAGES"))
-    assert len(meshes) == MESH_CACHE_SIZE
-    assert len(flows) == FLOW_CACHE_SIZE
+    particles = empty_caches["_PARTICLE_STAGES"]
     assert len(particles) == PARTICLE_CACHE_SIZE
     # least recently used first out: the newest specs are the ones kept
     newest = specs[-PARTICLE_CACHE_SIZE:]
     assert list(particles) == [workload_mod.stage_key(s, PARTICLE_FIELDS)
                                for s in newest]
-    # a hit refiles the stages under it as most recently used
-    first_kept = newest[0]
-    get_workload(first_kept)
-    assert next(reversed(meshes)) == workload_mod.stage_key(first_kept,
-                                                            MESH_FIELDS)
+    # a hit makes its stage the most recently used
+    get_workload(newest[0])
+    assert next(reversed(particles)) == workload_mod.stage_key(
+        newest[0], PARTICLE_FIELDS)
+
+
+def test_live_flow_stage_is_reused_not_rebuilt(empty_caches):
+    # more distinct flows than any fixed flow bound would hold, each
+    # still held by its cached particle stage
+    flows = [dataclasses.replace(BASE, inlet_flow_rate=q * 1e-4)
+             for q in range(1, 11)]
+    first = get_workload(flows[0]).particle_stage
+    for spec in flows[1:]:
+        get_workload(spec)
+    neighbour = get_workload(dataclasses.replace(
+        flows[0], particle_diameter=9e-6))
+    assert neighbour.flow_stage is first.flow_stage
+    assert neighbour.mesh_stage is first.mesh_stage
+    assert len(empty_caches["_MESH_STAGES"]) == 1
+
+
+def test_evicted_particle_stages_free_their_flow_stage(empty_caches):
+    old = dataclasses.replace(BASE, inlet_flow_rate=2e-3)
+    get_workload(old)
+    for k in range(PARTICLE_CACHE_SIZE):
+        get_workload(dataclasses.replace(BASE,
+                                         particle_diameter=(4 + k) * 1e-6))
+    gc.collect()
+    flows = empty_caches["_FLOW_STAGES"]
+    assert workload_mod.stage_key(old, FLOW_FIELDS) not in flows
+    assert list(flows) == [workload_mod.stage_key(BASE, FLOW_FIELDS)]
+    assert len(empty_caches["_MESH_STAGES"]) == 1
+
+
+def test_view_builds_what_a_stage_method_reads_through_the_view(
+        monkeypatch, empty_caches):
+    # a tracer wraps the view's methods: each product must be built under
+    # its own name, not inside the stage method that reads it, and a cached
+    # view must be made by ``Workload.__init__`` like a fresh one
+    calls = []
+    for name in ("__init__", "dt_schedule", "operators", "trajectory"):
+        def traced(self, *args, _method=getattr(Workload, name), _name=name,
+                   **kwargs):
+            calls.append(_name)
+            return _method(self, *args, **kwargs)
+        monkeypatch.setattr(Workload, name, traced)
+    wl = get_workload(BASE)
+    wl.particle_histograms(NRANKS)
+    wl.solve_fluid_step()
+    assert calls == ["__init__", "trajectory", "dt_schedule", "operators"]
