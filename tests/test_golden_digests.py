@@ -354,6 +354,21 @@ for _mode in ("plain", "adaptive", "hub"):
             lambda _mode=_mode, _ps=_ps: _tube_run(_mode, _ps))
 
 
+# -- mesh export ---------------------------------------------------------------
+
+@entry("mesh/vtk")
+def _mesh_vtk():
+    """SHA-256 of the legacy-VTK text of the small spec's mesh."""
+    import io
+
+    from repro.app.workload import MeshStage, WorkloadSpec
+    from repro.mesh import write_vtk
+
+    buf = io.StringIO()
+    write_vtk(MeshStage(WorkloadSpec(**SPEC_KW)).mesh, buf)
+    return {"sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()}
+
+
 # -- simulated MPI -----------------------------------------------------------
 
 def _collective_round(world):
