@@ -160,48 +160,10 @@ class TaskGraph:
         self.tasks.append(task)
         return task
 
-    def add_barrier(self, label: str = "barrier") -> Task:
-        """A zero-work task ordered after *every* task added so far.
-
-        Used by the coloring strategy: tasks of color ``c+1`` may only start
-        once all tasks of color ``c`` finished.  Implemented with a sentinel
-        ref so the edge count stays linear.
-        """
-        self._plan_templates.clear()
-        # Depend IN on nothing; explicit edges from all current sinks:
-        tid = len(self.tasks)
-        task = Task(tid=tid, work=WorkSpec(0.0), label=label)
-        preds = [t.tid for t in self.tasks if not t.successors]
-        task.n_preds = len(preds)
-        for p in preds:
-            self.tasks[p].successors.append(tid)
-        self.tasks.append(task)
-        return task
-
     # -- queries -----------------------------------------------------------
     def roots(self) -> list[Task]:
         """Tasks with no predecessors (immediately ready, modulo mutexes)."""
         return [t for t in self.tasks if t.n_preds == 0]
-
-    def validate(self) -> None:
-        """Check the graph is a DAG (raises :class:`TaskGraphError` if not)."""
-        indeg = [t.n_preds for t in self.tasks]
-        stack = [t.tid for t in self.tasks if indeg[t.tid] == 0]
-        seen = 0
-        while stack:
-            tid = stack.pop()
-            seen += 1
-            for s in self.tasks[tid].successors:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    stack.append(s)
-        if seen != len(self.tasks):
-            raise TaskGraphError(
-                f"cycle detected: visited {seen} of {len(self.tasks)} tasks")
-
-    def conflicts(self, a: Task, b: Task) -> bool:
-        """Whether two tasks are mutually exclusive via MUTEXINOUTSET refs."""
-        return bool(a.mutex_refs & b.mutex_refs)
 
     def critical_path(self) -> tuple[float, list[int]]:
         """Longest instruction-weighted path through the ordered DAG.
@@ -237,10 +199,3 @@ class TaskGraph:
         while best_pred[path[-1]] >= 0:
             path.append(best_pred[path[-1]])
         return float(dist[end]), path[::-1]
-
-    def average_parallelism(self) -> float:
-        """Total work / critical path: the DAG's inherent parallelism."""
-        length, _ = self.critical_path()
-        if length <= 0:
-            return 1.0
-        return self.total_instructions / length

@@ -2,16 +2,9 @@
 synthetic airway geometry, and the tube mesher."""
 
 from .airway import AirwayConfig, Segment, build_airway_tree
-from .elements import (
-    ElementType,
-    FACES_PER_TYPE,
-    NODES_PER_TYPE,
-    TET_DECOMPOSITION,
-    element_volumes,
-)
+from .elements import ElementType, FACES_PER_TYPE, NODES_PER_TYPE
 from .generator import AirwayMesh, MeshResolution, build_airway_mesh, build_tube_mesh
-from .io import read_vtk, write_vtk
-from .quality import QualityReport, edge_aspect_ratios, quality_report, tet_regularity
+from .io import write_vtk
 from .mesh import CSRGraph, Mesh
 
 __all__ = [
@@ -24,15 +17,8 @@ __all__ = [
     "MeshResolution",
     "NODES_PER_TYPE",
     "Segment",
-    "TET_DECOMPOSITION",
     "build_airway_mesh",
     "build_airway_tree",
     "build_tube_mesh",
-    "element_volumes",
-    "QualityReport",
-    "edge_aspect_ratios",
-    "quality_report",
-    "read_vtk",
-    "tet_regularity",
     "write_vtk",
 ]

@@ -8,19 +8,15 @@ The paper's 17.7M-element mesh mixes three volume element types (Sec. 2.1):
 * **pyramids** to transition from the prisms' quadrilateral faces to the
   tetrahedra.
 
-This module defines the type metadata used everywhere: node counts, face
-definitions (for dual-graph construction), and reference decompositions into
-tetrahedra (for volume computation).
+This module defines the type metadata used everywhere: node counts and face
+definitions (for dual-graph construction).
 """
 
 from __future__ import annotations
 
 import enum
 
-import numpy as np
-
-__all__ = ["ElementType", "NODES_PER_TYPE", "FACES_PER_TYPE",
-           "TET_DECOMPOSITION", "element_volumes"]
+__all__ = ["ElementType", "NODES_PER_TYPE", "FACES_PER_TYPE"]
 
 
 class ElementType(enum.IntEnum):
@@ -53,43 +49,3 @@ FACES_PER_TYPE = {
         (0, 1, 2), (3, 4, 5), (0, 1, 4, 3), (1, 2, 5, 4), (2, 0, 3, 5),
     ),
 }
-
-#: Decomposition of each reference element into tetrahedra (local indices),
-#: used for volume computation of arbitrary (possibly warped) elements.
-TET_DECOMPOSITION = {
-    ElementType.TET: ((0, 1, 2, 3),),
-    ElementType.PYRAMID: ((0, 1, 2, 4), (0, 2, 3, 4)),
-    ElementType.PRISM: ((0, 1, 2, 3), (1, 2, 3, 4), (2, 3, 4, 5)),
-}
-
-
-def _tet_volumes(coords: np.ndarray, conn: np.ndarray) -> np.ndarray:
-    """Signed volumes of tetrahedra given ``conn`` (n, 4) node indices."""
-    p0 = coords[conn[:, 0]]
-    d1 = coords[conn[:, 1]] - p0
-    d2 = coords[conn[:, 2]] - p0
-    d3 = coords[conn[:, 3]] - p0
-    return np.einsum("ij,ij->i", np.cross(d1, d2), d3) / 6.0
-
-
-def element_volumes(coords: np.ndarray, elem_type: ElementType,
-                    conn: np.ndarray) -> np.ndarray:
-    """Unsigned volumes of all elements of one type.
-
-    Parameters
-    ----------
-    coords:
-        (nnodes, 3) node coordinates.
-    elem_type:
-        The element type of every row in ``conn``.
-    conn:
-        (nelem, nodes_per_type) connectivity.
-    """
-    conn = np.asarray(conn)
-    if conn.ndim != 2 or conn.shape[1] != NODES_PER_TYPE[elem_type]:
-        raise ValueError(
-            f"connectivity shape {conn.shape} invalid for {elem_type.name}")
-    total = np.zeros(conn.shape[0])
-    for tet in TET_DECOMPOSITION[elem_type]:
-        total += np.abs(_tet_volumes(coords, conn[:, list(tet)]))
-    return total

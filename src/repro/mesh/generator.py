@@ -215,11 +215,6 @@ class AirwayMesh:
     junction_pairs: list[tuple[int, int]]
 
     @property
-    def inlet_segment(self) -> Segment:
-        """The face/hemisphere segment (the outer boundary of the domain)."""
-        return self.segments[0]
-
-    @property
     def nasal_segment(self) -> Segment:
         """The nasal/pharynx segment whose entrance is the nostril."""
         for seg in self.segments:
@@ -233,10 +228,6 @@ class AirwayMesh:
         the nasal orifice", paper Sec. 2.2)."""
         seg = self.nasal_segment
         return seg.start.copy(), seg.direction.copy(), seg.radius
-
-    def segment_of_element(self, eid: int) -> int:
-        """Segment sid owning element ``eid``."""
-        return int(self.mesh.regions[eid])
 
     def dual_with_junctions(self) -> CSRGraph:
         """Face-sharing dual graph plus one edge per segment junction."""

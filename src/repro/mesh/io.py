@@ -1,4 +1,4 @@
-"""Mesh I/O: legacy-VTK text export (and a reader for round trips).
+"""Mesh I/O: legacy-VTK text export.
 
 Writes the hybrid airway mesh as a legacy VTK *unstructured grid* — the
 format every visualization tool (ParaView, VisIt, PyVista) opens — with the
@@ -17,14 +17,13 @@ import numpy as np
 from .elements import ElementType, NODES_PER_TYPE
 from .mesh import Mesh
 
-__all__ = ["write_vtk", "read_vtk", "VTK_CELL_TYPES"]
+__all__ = ["write_vtk", "VTK_CELL_TYPES"]
 
 VTK_CELL_TYPES = {
     ElementType.TET: 10,
     ElementType.PYRAMID: 14,
     ElementType.PRISM: 13,
 }
-_TYPE_OF_VTK = {v: k for k, v in VTK_CELL_TYPES.items()}
 
 # lookup arrays indexed by ElementType value, for vectorized writing
 _NN_OF_TYPE = np.zeros(max(ElementType) + 1, dtype=np.int64)
@@ -92,69 +91,3 @@ def write_vtk(mesh: Mesh, dest: Union[str, TextIO],
     finally:
         if owned:
             fh.close()
-
-
-def read_vtk(src: Union[str, TextIO]) -> tuple[Mesh, dict]:
-    """Read a legacy-VTK unstructured grid written by :func:`write_vtk`.
-
-    Returns (mesh, cell_data); the ``region`` array is restored into the
-    mesh and also kept in ``cell_data``.
-    """
-    fh, owned = _open(src, "r")
-    try:
-        tokens = fh.read().split("\n")
-    finally:
-        if owned:
-            fh.close()
-    idx = 0
-
-    def next_line():
-        nonlocal idx
-        while idx < len(tokens):
-            line = tokens[idx].strip()
-            idx += 1
-            if line:
-                return line
-        raise ValueError("unexpected end of VTK file")
-
-    if not next_line().startswith("# vtk"):
-        raise ValueError("not a legacy VTK file")
-    next_line()  # title
-    if next_line() != "ASCII":
-        raise ValueError("only ASCII VTK supported")
-    if next_line() != "DATASET UNSTRUCTURED_GRID":
-        raise ValueError("only UNSTRUCTURED_GRID supported")
-    head = next_line().split()
-    npoints = int(head[1])
-    coords = np.array([[float(v) for v in next_line().split()]
-                       for _ in range(npoints)])
-    head = next_line().split()
-    ncells = int(head[1])
-    conn = np.full((ncells, 6), -1, dtype=np.int32)
-    for e in range(ncells):
-        parts = [int(v) for v in next_line().split()]
-        conn[e, :parts[0]] = parts[1:1 + parts[0]]
-    head = next_line().split()
-    assert head[0] == "CELL_TYPES"
-    types = np.array([_TYPE_OF_VTK[int(next_line())] for _ in range(ncells)],
-                     dtype=np.int8)
-    cell_data: dict = {}
-    regions = None
-    line = next_line()
-    assert line.startswith("CELL_DATA")
-    while True:
-        try:
-            line = next_line()
-        except ValueError:
-            break
-        if not line.startswith("SCALARS"):
-            break
-        _, name, kind, _ = line.split()
-        next_line()  # LOOKUP_TABLE
-        cast = int if kind == "int" else float
-        values = np.array([cast(next_line()) for _ in range(ncells)])
-        cell_data[name] = values
-        if name == "region":
-            regions = values.astype(np.int32)
-    mesh = Mesh(coords, types, conn, regions=regions)
-    return mesh, cell_data

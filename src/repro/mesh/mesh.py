@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .elements import ElementType, NODES_PER_TYPE, element_volumes
+from .elements import ElementType, NODES_PER_TYPE
 
 __all__ = ["Mesh", "CSRGraph"]
 
@@ -41,18 +41,9 @@ class CSRGraph:
         """Number of vertices."""
         return len(self.xadj) - 1
 
-    @property
-    def nedges(self) -> int:
-        """Number of (directed) adjacency entries."""
-        return len(self.adjncy)
-
     def neighbors(self, v: int) -> np.ndarray:
         """Neighbour ids of vertex ``v``."""
         return self.adjncy[self.xadj[v]:self.xadj[v + 1]]
-
-    def degree(self, v: int) -> int:
-        """Degree of vertex ``v``."""
-        return int(self.xadj[v + 1] - self.xadj[v])
 
     def within_parts(self, labels: np.ndarray) -> "CSRGraph":
         """The same vertices, keeping only edges between two vertices of
@@ -152,11 +143,6 @@ class Mesh:
         k = NODES_PER_TYPE[etype]
         return self.elem_nodes[self.elem_types == etype][:, :k]
 
-    def nodes_of(self, eid: int) -> np.ndarray:
-        """Node ids of element ``eid`` (unpadded)."""
-        etype = ElementType(self.elem_types[eid])
-        return self.elem_nodes[eid, :NODES_PER_TYPE[etype]]
-
     def centroids(self) -> np.ndarray:
         """(nelem, 3) element centroids (cached)."""
         if self._centroids is None:
@@ -170,31 +156,7 @@ class Mesh:
             self._centroids = cents
         return self._centroids
 
-    def volumes(self) -> np.ndarray:
-        """(nelem,) element volumes."""
-        vols = np.zeros(self.nelem)
-        for etype in ElementType:
-            ids = self.elements_of_type(etype)
-            if len(ids) == 0:
-                continue
-            vols[ids] = element_volumes(self.coords, etype,
-                                        self.connectivity(etype))
-        return vols
-
     # -- derived graphs -----------------------------------------------------
-    def node_to_elements(self) -> CSRGraph:
-        """CSR map node -> incident element ids."""
-        valid = self.elem_nodes.ravel() != _PAD
-        nodes = self.elem_nodes.ravel()[valid]
-        elems = np.repeat(np.arange(self.nelem, dtype=np.int32), _MAX_NODES)
-        elems = elems[valid]
-        order = np.argsort(nodes, kind="stable")
-        nodes, elems = nodes[order], elems[order]
-        counts = np.bincount(nodes, minlength=self.nnodes)
-        xadj = np.zeros(self.nnodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=xadj[1:])
-        return CSRGraph(xadj=xadj, adjncy=elems)
-
     def _incidence(self, element_ids: Optional[np.ndarray] = None):
         """Sparse (nelem_subset x nnodes) element-node incidence matrix."""
         from scipy import sparse

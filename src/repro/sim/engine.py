@@ -19,7 +19,7 @@ import itertools
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from .arena import PENDING, EventArena
+from .arena import EventArena
 
 __all__ = [
     "Engine",
@@ -275,7 +275,6 @@ class Engine:
         self.now: float = 0.0
         self._seq = itertools.count()
         self._n_events_processed = 0
-        self._procs: set[Process] = set()
         self._stop_reason: Optional[str] = None
         # events triggered at the current time, as (seq, event)
         self._now_queue: deque[tuple[int, Any]] = deque()
@@ -303,10 +302,7 @@ class Engine:
 
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Register ``generator`` as a new process starting at current time."""
-        proc = Process(self, generator, name=name)
-        self._procs.add(proc)
-        proc.callbacks.append(self._procs.discard)
-        return proc
+        return Process(self, generator, name=name)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         """Composite event triggering when all ``events`` have triggered."""
@@ -435,8 +431,8 @@ class Engine:
         drain it merged against the now-queue by seq — the exact total
         (when, seq) order while paying one heap operation per distinct
         timestamp.  Times whose bucket was already consumed (re-pushed while
-        the clock sat on them) are skipped lazily.  Behaviour is identical
-        to repeated :meth:`step` calls.
+        the clock sat on them) are skipped lazily.  This is the engine's
+        only dispatch loop.
         """
         if until is not None and until < self.now:
             raise SimulationError("cannot run into the past")
@@ -538,83 +534,6 @@ class Engine:
             self._ci = ci
             self._n_events_processed += n_done
 
-    def step(self) -> None:
-        """Process a single event from the queue, advancing the clock.
-
-        Raises :class:`SimulationError` if the queue is empty — an empty
-        queue while processes are still alive means every one of them is
-        blocked on an event nobody will trigger (a deadlock).  Cancelled
-        arena slots are recycled and skipped; they do not count as a
-        processed event.
-        """
-        nq = self._now_queue
-        while True:
-            cur = self._cur
-            ci = self._ci
-            if nq:
-                if ci < len(cur) and cur[ci][0] < nq[0][0]:
-                    payload = cur[ci][1]
-                    self._ci = ci + 1
-                else:
-                    payload = nq.popleft()[1]
-            elif ci < len(cur):
-                payload = cur[ci][1]
-                self._ci = ci + 1
-            else:
-                while self._times:
-                    when = heapq.heappop(self._times)
-                    bucket = self._buckets.pop(when, None)
-                    if bucket is not None:
-                        break
-                else:
-                    raise SimulationError(
-                        f"no events scheduled ({self.alive_process_count} "
-                        f"processes still alive at t={self.now:.6f}s)")
-                if when < self.now:
-                    raise SimulationError("time went backwards")
-                states = self.arena._state
-                for _, p in bucket:
-                    if type(p) is not int or states[p] != 2:
-                        break
-                else:
-                    for _, p in bucket:
-                        states[p] = 0
-                        self.arena._free.append(p)
-                    continue
-                self._n_cohorts += 1
-                self.now = when
-                self._cur = bucket
-                self._ci = 0
-                continue
-            arena = self.arena
-            if type(payload) is int:
-                st = arena._state[payload]
-                arena._state[payload] = 0
-                fn = arena._fn[payload]
-                args = arena._args[payload]
-                arena._fn[payload] = None
-                arena._args[payload] = None
-                arena._free.append(payload)
-                if st == PENDING:
-                    self._n_events_processed += 1
-                    fn(*args)
-                    return
-                continue  # cancelled slot: recycle and keep looking
-            event = payload
-            if not event._triggered:
-                event._triggered = True
-                event._ok = True
-            self._n_events_processed += 1
-            event._processed = True
-            d = event._defer
-            if d is not None:
-                event._defer = None
-                d[0](*d[1])
-            callbacks, event.callbacks = event.callbacks, []
-            for cb in callbacks:
-                cb(event)
-            return
-
     def stop(self, reason: str = "") -> None:
         """Abort :meth:`run` before the queue drains (simulated job kill).
 
@@ -646,8 +565,3 @@ class Engine:
         if self._plan_arbiter is not None:
             batch["plans"] = self._plan_arbiter.counters()
         return {"events_processed": self._n_events_processed, "batch": batch}
-
-    @property
-    def alive_process_count(self) -> int:
-        """Number of registered processes that have not finished yet."""
-        return sum(1 for p in self._procs if p.is_alive)

@@ -2,7 +2,7 @@
 
 Rank programs are Python generators driven by the DES engine.  The API
 mirrors mpi4py's lower-case object interface (``send``/``recv``/``isend``/
-``bcast``/``allreduce``/...), with two differences imposed by the simulated
+``allreduce``/...), with two differences imposed by the simulated
 setting:
 
 * blocking calls are written ``value = yield from comm.recv(...)`` because
@@ -221,10 +221,6 @@ class _KeyedMailbox:
         self._getters = kept
         return failed
 
-    def peek_all(self) -> list[Message]:
-        """Undelivered messages in arrival order (inspection only)."""
-        return [rec[0] for rec in self._order if not rec[1]]
-
     def __len__(self) -> int:
         return self._live
 
@@ -414,15 +410,6 @@ class Comm:
             self._unblock("recv", t0)
         return msg.payload
 
-    def recv_msg(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Like :meth:`recv` but returns the full :class:`Message` envelope."""
-        t0 = self._blocking("recv")
-        try:
-            msg = yield self._match(source, tag)
-        finally:
-            self._unblock("recv", t0)
-        return msg
-
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Event:
         """Non-blocking receive; the returned event carries the Message."""
         return self._match(source, tag)
@@ -469,7 +456,7 @@ class Comm:
         hides the call from PMPI hooks (still timed and deadlock-tracked).
         """
         world = self._world
-        # inlined World.next_collective_seq with the (comm_id, world_rank)
+        # per-(comm, rank) call counter, with the (comm_id, world_rank)
         # key tuple cached on the communicator (one collective call per rank
         # per phase — ~10k per CFPD run)
         ck = self._seq_key
@@ -507,45 +494,6 @@ class Comm:
         """
         yield from self._collective("barrier", None, nbytes=1.0,
                                     observed=observed)
-
-    def iallreduce(self, value: Any, op: Callable[[Any, Any], Any] = None,
-                   nbytes: Optional[float] = None) -> Event:
-        """Non-blocking allreduce: returns an event carrying the result.
-
-        The calling rank is *not* blocked (no PMPI hooks fire), so DLB sees
-        no lending opportunity — the trade-off between communication
-        overlap and dynamic balancing.  Complete with ``comm.wait(ev)``
-        (which does fire the hooks for the waiting time).
-        """
-        world = self._world
-        seq = world.next_collective_seq(self.comm_id, self.world_rank)
-        key = (self.comm_id, seq)
-        coll = world.collectives.get(key)
-        if coll is None:
-            coll = _Collective(world.engine, "iallreduce", self.size,
-                               self.group)
-            world.collectives[key] = coll
-        if coll.kind != "iallreduce":
-            raise MPIError(
-                f"collective mismatch on comm {self.comm_id}: rank "
-                f"{self.rank} called 'iallreduce' but operation #{seq} is "
-                f"{coll.kind!r}")
-        coll.contribs[self.rank] = value
-        coll.nbytes_total += _payload_nbytes(value, nbytes)
-        world.maybe_finish_collective(key)
-        # derive a per-rank event carrying the reduced value
-        result = world.engine.event()
-
-        def relay(ev: Event) -> None:
-            contribs = ev.value
-            result.succeed(_reduce_values(
-                [contribs[r] for r in self._ordered_ranks(contribs)], op))
-
-        if coll.done.processed:
-            relay(coll.done)
-        else:
-            coll.done.callbacks.append(relay)
-        return result
 
     def allreduce(self, value: Any, op: Callable[[Any, Any], Any] = None,
                   nbytes: Optional[float] = None):
@@ -587,40 +535,6 @@ class Comm:
             return None
         return _reduce_values(
             [contribs[r] for r in self._ordered_ranks(contribs)], op)
-
-    def bcast(self, value: Any, root: int = 0,
-              nbytes: Optional[float] = None):
-        """Broadcast ``root``'s value to every rank."""
-        contribs = yield from self._collective("bcast", value, nbytes)
-        if root not in contribs:
-            raise RankDeadError(self.group[root],
-                                f"bcast root {root} died before contributing")
-        return contribs[root]
-
-    def gather(self, value: Any, root: int = 0,
-               nbytes: Optional[float] = None):
-        """Gather one value per rank to ``root`` (list ordered by rank).
-
-        Dead ranks' slots are ``None``.
-        """
-        contribs = yield from self._collective("gather", value, nbytes)
-        if self.rank != root:
-            return None
-        return [contribs.get(r) for r in range(self.size)]
-
-    def allgather(self, value: Any, nbytes: Optional[float] = None):
-        """Gather one value per rank to *all* ranks (dead slots ``None``)."""
-        contribs = yield from self._collective("allgather", value, nbytes)
-        return [contribs.get(r) for r in range(self.size)]
-
-    def scatter(self, values: Optional[Sequence[Any]], root: int = 0,
-                nbytes: Optional[float] = None):
-        """Scatter ``root``'s list of size-``size`` values, one per rank."""
-        contribs = yield from self._collective("scatter", values, nbytes)
-        root_values = contribs.get(root)
-        if root_values is None or len(root_values) != self.size:
-            raise MPIError("scatter root must supply one value per rank")
-        return root_values[self.rank]
 
     def alltoall(self, values: Sequence[Any],
                  nbytes: Optional[float] = None):
@@ -713,10 +627,6 @@ class World:
         """Node index of ``world_rank``."""
         return self._node_of[world_rank]
 
-    def ranks_on_node(self, node: int) -> list[int]:
-        """All world ranks placed on ``node``."""
-        return [r for r in range(self.nranks) if self._node_of[r] == node]
-
     # -- communicators --------------------------------------------------------
     def comm_world(self, rank: int) -> Comm:
         """COMM_WORLD as seen from ``rank``."""
@@ -766,13 +676,6 @@ class World:
         self.compute_seconds[world_rank] += t1 - t0
         if self.recorder is not None:
             self.recorder.record(world_rank, "compute", "compute", t0, t1)
-
-    def next_collective_seq(self, comm_id: int, world_rank: int) -> int:
-        """Per-(comm, rank) collective call counter."""
-        key = (comm_id, world_rank)
-        seq = self._coll_seq.get(key, 0)
-        self._coll_seq[key] = seq + 1
-        return seq
 
     def collective_cost(self, coll: _Collective) -> float:
         """Hierarchical tree collective: intra-node reduction trees plus an

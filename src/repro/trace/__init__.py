@@ -7,7 +7,7 @@
 * :func:`render_timeline` — ASCII Paraver-style timeline (Fig. 2).
 """
 
-from .export import read_csv, write_csv, write_prv
+from .export import write_prv
 from .phaselog import PhaseLog, PhaseSample, load_balance
 from .pop import POPMetrics, pop_from_phase_log, pop_metrics
 from .tracer import Interval, Tracer
@@ -22,9 +22,7 @@ __all__ = [
     "load_balance",
     "pop_from_phase_log",
     "pop_metrics",
-    "read_csv",
     "render_timeline",
     "timeline_rows",
-    "write_csv",
     "write_prv",
 ]

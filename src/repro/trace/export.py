@@ -1,16 +1,12 @@
-"""Trace export: CSV and a Paraver-style ``.prv`` record format.
+"""Trace export: a Paraver-style ``.prv`` record format.
 
 The paper's analysis workflow is Extrae (capture) + Paraver (visualize).
 Our :class:`~repro.trace.phaselog.PhaseLog` plays the Extrae role; this
-module exports its samples so external tools (or spreadsheets) can play
-Paraver's:
-
-* :func:`write_csv` / :func:`read_csv` — one row per (step, phase, rank)
-  sample, lossless round trip;
-* :func:`write_prv` — Paraver state-record syntax
-  (``1:cpu:appl:task:thread:begin:end:state``), one application, one task
-  per MPI rank, times in integer nanoseconds, with a ``.pcf``-style legend
-  of phase-state ids embedded as comments.
+module exports its samples so external tools can play Paraver's:
+:func:`write_prv` writes Paraver state-record syntax
+(``1:cpu:appl:task:thread:begin:end:state``), one application, one task
+per MPI rank, times in integer nanoseconds, with a ``.pcf``-style legend
+of phase-state ids embedded as comments.
 """
 
 from __future__ import annotations
@@ -19,50 +15,13 @@ from typing import TextIO, Union
 
 from .phaselog import PhaseLog
 
-__all__ = ["write_csv", "read_csv", "write_prv", "CSV_HEADER"]
-
-CSV_HEADER = "step,phase,rank,t0,t1,busy,instructions"
+__all__ = ["write_prv"]
 
 
 def _open(dest: Union[str, TextIO], mode: str):
     if isinstance(dest, str):
         return open(dest, mode), True
     return dest, False
-
-
-def write_csv(log: PhaseLog, dest: Union[str, TextIO]) -> None:
-    """Write all samples as CSV (header + one row per sample)."""
-    fh, owned = _open(dest, "w")
-    try:
-        fh.write(CSV_HEADER + "\n")
-        for s in log.samples:
-            fh.write(f"{s.step},{s.phase},{s.rank},{float(s.t0)!r},"
-                     f"{float(s.t1)!r},{float(s.busy)!r},"
-                     f"{float(s.instructions)!r}\n")
-    finally:
-        if owned:
-            fh.close()
-
-
-def read_csv(src: Union[str, TextIO], nranks: int) -> PhaseLog:
-    """Read a CSV produced by :func:`write_csv` back into a PhaseLog."""
-    fh, owned = _open(src, "r")
-    try:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header: {header!r}")
-        log = PhaseLog(nranks)
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            step, phase, rank, t0, t1, busy, instr = line.split(",")
-            log.add(int(step), phase, int(rank), float(t0), float(t1),
-                    float(busy), float(instr))
-        return log
-    finally:
-        if owned:
-            fh.close()
 
 
 def write_prv(log: PhaseLog, dest: Union[str, TextIO],

@@ -275,3 +275,45 @@ class TestFeedOrder:
         assert seen["empty_pool_log"] == []
         assert seen["stats_unchanged"]
         assert seen["capacities_after"] == seen["capacities"]
+
+
+class TestDLBInterplay:
+    """A rank waiting in a blocking MPI call lends its cores: a blocking
+    allreduce and a wait on a non-blocking receive both engage DLB."""
+
+    def _run(self, use_request):
+        eng = Engine()
+        cluster = marenostrum4(num_nodes=1)
+        world = World(eng, cluster, 2)
+        dlb = DLB(world, enabled=True)
+        teams = {r: Team(eng, CORE, 2, rank=r) for r in range(2)}
+        for r, tm in teams.items():
+            dlb.attach_team(r, tm)
+        tasks = {0: 2, 1: 8}
+
+        def program(comm):
+            n = tasks[comm.rank]
+            graph = build_parallel_for_graph(np.full(n, SEC), 2,
+                                             min_chunks=n)
+            yield from teams[comm.rank].run(graph)
+            if use_request:
+                peer = 1 - comm.rank
+                req = comm.irecv(source=peer)
+                comm.isend(1.0, dest=peer)
+                return (yield from comm.wait(req)).payload
+            return (yield from comm.allreduce(1.0))
+
+        world.run(world.launch(program))
+        return eng.now, dlb.stats
+
+    def test_blocking_wait_enables_lending(self):
+        t_blocking, stats = self._run(use_request=False)
+        assert stats.cores_borrowed_total > 0
+        assert t_blocking == pytest.approx(3.0, abs=0.01)
+
+    def test_wait_on_request_also_lends(self):
+        """comm.wait() is itself a blocking call, so DLB still engages —
+        the behaviour matches the blocking collective here."""
+        t_nb, stats = self._run(use_request=True)
+        assert stats.cores_borrowed_total > 0
+        assert t_nb == pytest.approx(3.0, abs=0.01)

@@ -41,26 +41,29 @@ def spd_system(n=60, seed=3):
 class TestEngineDiagnostics:
     def test_empty_queue_is_diagnosed_not_indexerror(self):
         eng = Engine()
+        world = World(eng, marenostrum4(), 1)
 
-        def stuck(eng):
+        def stuck(comm):
             yield eng.event()   # nobody will ever trigger this
 
-        eng.process(stuck(eng), name="stuck")
-        eng.run()               # run() drains without raising
-        with pytest.raises(SimulationError, match="no events scheduled"):
-            eng.step()
+        procs = world.launch(stuck)
+        with pytest.raises(DeadlockError,
+                           match="rank0 not inside an MPI call"):
+            world.run(procs)    # the engine drains; World.run diagnoses
 
     def test_empty_queue_message_counts_alive_processes(self):
         eng = Engine()
+        world = World(eng, marenostrum4(), 4)
 
-        def stuck(eng):
-            yield eng.event()
+        def program(comm):
+            if comm.rank < 3:
+                yield eng.event()
+            else:
+                yield from comm.compute(1e-6)
 
-        for i in range(3):
-            eng.process(stuck(eng), name=f"p{i}")
-        eng.run()
-        with pytest.raises(SimulationError, match="3 processes still alive"):
-            eng.step()
+        with pytest.raises(DeadlockError,
+                           match="3 of 4 rank processes never completed"):
+            world.run(world.launch(program))
 
     def test_interrupt_throws_into_process(self):
         eng = Engine()

@@ -128,7 +128,10 @@ class TestAssembly:
         res = assemble_operator(tube, kappa=0.0, mass_coeff=1.0)
         ones = np.ones(tube.nnodes)
         total = ones @ (res.matrix @ ones)
-        assert total == pytest.approx(tube.volumes().sum(), rel=1e-6)
+        # the tube mesher inscribes a regular P-gon in each cross-section
+        P = MeshResolution(points_per_ring=8).points_for(0.01, 0.01)
+        prism = 0.5 * P * 0.01 ** 2 * np.sin(2 * np.pi / P) * 0.04
+        assert total == pytest.approx(prism, rel=1e-6)
 
     def test_hybrid_stiffness_annihilates_constants(self, tube):
         res = assemble_operator(tube, kappa=1.0)

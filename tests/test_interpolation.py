@@ -30,7 +30,8 @@ class TestMeshVelocityField:
         # node belongs to the host element
         hosts = field.host_elements(sample)
         for i, (pt, host) in enumerate(zip(sample, hosts)):
-            node_ids = tube.nodes_of(int(host))
+            node_ids = tube.elem_nodes[host]
+            node_ids = node_ids[node_ids >= 0]
             dists = np.linalg.norm(tube.coords[node_ids] - pt, axis=1)
             if dists.min() < 1e-12:
                 node = node_ids[dists.argmin()]

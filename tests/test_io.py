@@ -1,4 +1,8 @@
-"""Tests for trace export (CSV / Paraver) and mesh I/O (legacy VTK)."""
+"""Tests for trace export (Paraver) and mesh export (legacy VTK).
+
+The exact bytes of the VTK export are pinned by the ``mesh/vtk`` entry of
+``tests/golden_digests.json``.
+"""
 
 import io
 
@@ -6,8 +10,8 @@ import numpy as np
 import pytest
 
 from repro.mesh import MeshResolution, Segment, build_tube_mesh
-from repro.mesh.io import read_vtk, write_vtk
-from repro.trace import PhaseLog, read_csv, write_csv, write_prv
+from repro.mesh.io import write_vtk
+from repro.trace import PhaseLog, write_prv
 
 
 def sample_log():
@@ -18,39 +22,6 @@ def sample_log():
             instructions=5e4)
     log.add(1, "assembly", 0, 3.0e-3, 4.0e-3, busy=0.9e-3, instructions=9e5)
     return log
-
-
-class TestCSVRoundTrip:
-    def test_lossless(self):
-        log = sample_log()
-        buf = io.StringIO()
-        write_csv(log, buf)
-        buf.seek(0)
-        back = read_csv(buf, nranks=2)
-        assert len(back.samples) == len(log.samples)
-        for a, b in zip(log.samples, back.samples):
-            assert a == b
-
-    def test_metrics_survive(self):
-        log = sample_log()
-        buf = io.StringIO()
-        write_csv(log, buf)
-        buf.seek(0)
-        back = read_csv(buf, nranks=2)
-        assert back.load_balance("assembly") == pytest.approx(
-            log.load_balance("assembly"))
-        assert back.percent_time("particles") == pytest.approx(
-            log.percent_time("particles"))
-
-    def test_file_paths(self, tmp_path):
-        path = str(tmp_path / "trace.csv")
-        write_csv(sample_log(), path)
-        back = read_csv(path, nranks=2)
-        assert len(back.samples) == 4
-
-    def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
-            read_csv(io.StringIO("nope\n"), nranks=2)
 
 
 class TestPrvExport:
@@ -97,32 +68,16 @@ def tube():
 
 
 class TestVTKRoundTrip:
-    def test_mesh_survives(self, tube, tmp_path):
-        path = str(tmp_path / "tube.vtk")
-        write_vtk(tube, path)
-        back, data = read_vtk(path)
-        assert back.nnodes == tube.nnodes
-        assert back.nelem == tube.nelem
-        np.testing.assert_allclose(back.coords, tube.coords)
-        np.testing.assert_array_equal(back.elem_types, tube.elem_types)
-        np.testing.assert_array_equal(back.elem_nodes, tube.elem_nodes)
-        np.testing.assert_array_equal(back.regions, tube.regions)
-
-    def test_volumes_preserved(self, tube):
-        buf = io.StringIO()
-        write_vtk(tube, buf)
-        buf.seek(0)
-        back, _ = read_vtk(buf)
-        assert back.volumes().sum() == pytest.approx(tube.volumes().sum())
+    """What ``write_vtk`` writes, read back from its text."""
 
     def test_extra_cell_data(self, tube):
         buf = io.StringIO()
         partition = np.arange(tube.nelem) % 4
         write_vtk(tube, buf, cell_data={"part": partition})
-        buf.seek(0)
-        _, data = read_vtk(buf)
-        np.testing.assert_array_equal(data["part"], partition)
-        assert "region" in data
+        lines = buf.getvalue().splitlines()
+        for name, values in (("region", tube.regions), ("part", partition)):
+            at = lines.index(f"SCALARS {name} int 1") + 2
+            assert lines[at:at + tube.nelem] == [str(v) for v in values]
 
     def test_wrong_cell_data_shape_rejected(self, tube):
         with pytest.raises(ValueError):
@@ -134,7 +89,3 @@ class TestVTKRoundTrip:
         text = buf.getvalue()
         assert "10" in text.split("CELL_TYPES")[1]  # tets present
         assert "13" in text.split("CELL_TYPES")[1]  # prisms present
-
-    def test_rejects_non_vtk(self):
-        with pytest.raises(ValueError):
-            read_vtk(io.StringIO("hello\nworld\n"))

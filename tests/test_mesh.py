@@ -13,13 +13,28 @@ from repro.mesh import (
     build_airway_mesh,
     build_airway_tree,
     build_tube_mesh,
-    element_volumes,
 )
+from repro.fem.geometry import geometry_blocks
 
 
 # ---------------------------------------------------------------------------
 # element volumes
 # ---------------------------------------------------------------------------
+
+def volumes(mesh):
+    """(nelem,) element volumes: the sum of ``fem.geometry``'s |J| dV."""
+    vols = np.zeros(mesh.nelem)
+    for block in geometry_blocks(mesh):
+        vols[block.eids] = block.vol
+    return vols
+
+
+def element_volume(coords, etype, nodes):
+    """Volume of the one-element mesh over ``coords``."""
+    row = np.full((1, 6), -1, dtype=np.int32)
+    row[0, :len(nodes)] = nodes
+    return volumes(Mesh(coords, np.array([etype], dtype=np.int8), row))[0]
+
 
 UNIT_TET = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
 UNIT_PRISM = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0],
@@ -30,30 +45,27 @@ UNIT_PYRAMID = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
 
 class TestElementVolumes:
     def test_unit_tet(self):
-        v = element_volumes(UNIT_TET, ElementType.TET, [[0, 1, 2, 3]])
-        assert v[0] == pytest.approx(1.0 / 6.0)
+        v = element_volume(UNIT_TET, ElementType.TET, [0, 1, 2, 3])
+        assert v == pytest.approx(1.0 / 6.0)
 
     def test_unit_prism(self):
-        v = element_volumes(UNIT_PRISM, ElementType.PRISM,
-                            [[0, 1, 2, 3, 4, 5]])
-        assert v[0] == pytest.approx(0.5)
+        v = element_volume(UNIT_PRISM, ElementType.PRISM, range(6))
+        assert v == pytest.approx(0.5)
 
     def test_unit_pyramid(self):
-        v = element_volumes(UNIT_PYRAMID, ElementType.PYRAMID,
-                            [[0, 1, 2, 3, 4]])
-        assert v[0] == pytest.approx(1.0 / 3.0)
+        v = element_volume(UNIT_PYRAMID, ElementType.PYRAMID, range(5))
+        assert v == pytest.approx(1.0 / 3.0)
 
     def test_bad_connectivity_shape(self):
+        """A tet row with three nodes is rejected by the container."""
         with pytest.raises(ValueError):
-            element_volumes(UNIT_TET, ElementType.TET, [[0, 1, 2]])
+            element_volume(UNIT_TET, ElementType.TET, [0, 1, 2])
 
     @given(st.floats(min_value=0.1, max_value=10.0))
     def test_volume_scales_cubically(self, scale):
-        v1 = element_volumes(UNIT_PRISM, ElementType.PRISM,
-                             [[0, 1, 2, 3, 4, 5]])
-        v2 = element_volumes(UNIT_PRISM * scale, ElementType.PRISM,
-                             [[0, 1, 2, 3, 4, 5]])
-        assert v2[0] == pytest.approx(v1[0] * scale ** 3, rel=1e-9)
+        v1 = element_volume(UNIT_PRISM, ElementType.PRISM, range(6))
+        v2 = element_volume(UNIT_PRISM * scale, ElementType.PRISM, range(6))
+        assert v2 == pytest.approx(v1 * scale ** 3, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -76,18 +88,10 @@ class TestMeshContainer:
         assert m.nnodes == 5 and m.nelem == 2
         assert m.type_counts()[ElementType.TET] == 2
 
-    def test_nodes_of(self):
-        m = two_tet_mesh()
-        assert list(m.nodes_of(1)) == [0, 1, 2, 4]
-
     def test_centroids(self):
         m = two_tet_mesh()
         c = m.centroids()
         assert c[0] == pytest.approx([0.25, 0.25, 0.25])
-
-    def test_volumes(self):
-        m = two_tet_mesh()
-        assert m.volumes() == pytest.approx([1 / 6, 1 / 6])
 
     def test_face_adjacency_detects_shared_face(self):
         m = two_tet_mesh()
@@ -103,13 +107,7 @@ class TestMeshContainer:
     def test_node_sharing_subset(self):
         m = two_tet_mesh()
         g = m.node_sharing_adjacency(np.array([1]))
-        assert g.n == 1 and g.degree(0) == 0
-
-    def test_node_to_elements(self):
-        m = two_tet_mesh()
-        n2e = m.node_to_elements()
-        assert sorted(n2e.neighbors(0)) == [0, 1]
-        assert list(n2e.neighbors(3)) == [0]
+        assert g.n == 1 and len(g.neighbors(0)) == 0
 
     def test_invalid_padding_rejected(self):
         coords = np.zeros((4, 3))
@@ -208,8 +206,8 @@ class TestTubeMesher:
         P = res.points_for(seg.radius, seg.radius)
         # The lattice inscribes a regular P-gon: area = P/2 r^2 sin(2pi/P)
         poly_area = 0.5 * P * seg.radius ** 2 * np.sin(2 * np.pi / P)
-        assert mesh.volumes().sum() == pytest.approx(poly_area * seg.length,
-                                                     rel=1e-9)
+        assert volumes(mesh).sum() == pytest.approx(poly_area * seg.length,
+                                                    rel=1e-9)
 
     def test_all_nodes_within_radius(self):
         seg = straight_tube()
@@ -287,7 +285,7 @@ class TestAirwayMesh:
         assert nasal.generation == -1
         assert radius == nasal.radius
         np.testing.assert_allclose(center, nasal.start)
-        assert small_airway.inlet_segment.generation == -2
+        assert small_airway.segments[0].generation == -2
 
     def test_boundary_layer_prisms_present_everywhere(self, small_airway):
         """Every segment has wall prisms (the paper's BL structure)."""
@@ -295,6 +293,13 @@ class TestAirwayMesh:
         for sid, (lo, hi) in am.elem_ranges.items():
             types = am.mesh.elem_types[lo:hi]
             assert (types == ElementType.PRISM).sum() > 0, f"segment {sid}"
+
+    def test_default_mesh_has_positive_volumes(self):
+        """No degenerate element in the default airway mesh: every
+        quadrature point of every element has a positive |J| dV."""
+        mesh = build_airway_mesh(AirwayConfig(), MeshResolution()).mesh
+        assert all((block.dvol > 0).all() for block in geometry_blocks(mesh))
+        assert volumes(mesh).min() > 0
 
     def test_mesh_size_grows_with_generations(self):
         small = build_airway_mesh(AirwayConfig(generations=2),

@@ -120,16 +120,9 @@ class TestCriticalPath:
         assert length == pytest.approx(12.0)
         assert path == [0, 1, 3]
 
-    def test_average_parallelism(self):
-        g = TaskGraph()
-        for _ in range(8):
-            g.add_task(WorkSpec(1.0))
-        assert g.average_parallelism() == pytest.approx(8.0)
-
     def test_empty_graph(self):
         g = TaskGraph()
         assert g.critical_path() == (0.0, [])
-        assert g.average_parallelism() == 1.0
 
     def test_makespan_lower_bound(self):
         """No schedule can beat the critical path (engine property)."""

@@ -262,15 +262,15 @@ class TestAssemblyPatternCache:
         res = assemble_operator(mesh, kappa=0.7, mass_coeff=2.0,
                                 velocity=vel, source=1.5)
         pairs = set()
-        for e in range(mesh.nelem):
-            nodes = mesh.nodes_of(e)
+        elements = [row[row >= 0] for row in mesh.elem_nodes]
+        for nodes in elements:
             pairs.update((int(a), int(b)) for a in nodes for b in nodes)
         m = res.matrix
         got = {(i, int(j)) for i in range(mesh.nnodes)
                for j in m.indices[m.indptr[i]:m.indptr[i + 1]]}
         assert got == pairs and m.nnz == len(pairs)
         assert m.has_sorted_indices
-        nn = np.array([len(mesh.nodes_of(e)) for e in range(mesh.nelem)])
+        nn = np.array([len(nodes) for nodes in elements])
         assert np.array_equal(res.element_nodes, nn)
         assert np.array_equal(res.scatter_counts, nn * nn + nn)
 

@@ -133,18 +133,6 @@ class TestCollectiveSemantics:
         results = world.run(world.launch(program))
         assert results == [sum(values)] * len(values)
 
-    @given(st.lists(st.integers(), min_size=2, max_size=6))
-    @settings(max_examples=25, deadline=None)
-    def test_allgather_matches_list(self, values):
-        engine = Engine()
-        world = World(engine, marenostrum4(), len(values))
-
-        def program(comm):
-            return (yield from comm.allgather(values[comm.rank]))
-
-        results = world.run(world.launch(program))
-        assert all(r == values for r in results)
-
     @given(st.integers(min_value=2, max_value=6), st.data())
     @settings(max_examples=20, deadline=None)
     def test_alltoall_is_transpose(self, n, data):

@@ -1,82 +1,10 @@
-"""Tests for mesh quality metrics and deposition-physics validation."""
+"""Tests for the deposition-physics validation."""
 
-import numpy as np
 import pytest
 
-from repro.mesh import (
-    AirwayConfig,
-    ElementType,
-    Mesh,
-    MeshResolution,
-    build_airway_mesh,
-    edge_aspect_ratios,
-    quality_report,
-    tet_regularity,
-)
+from repro.mesh import AirwayConfig, MeshResolution, build_airway_mesh
 from repro.particles import deposition_curve, impaction_parameter
 from repro.particles.validation import DepositionPoint
-
-
-def regular_tet_mesh(scale=1.0):
-    """A single regular tetrahedron (all edges equal)."""
-    coords = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]],
-                      dtype=float) * scale
-    conn = np.array([[0, 1, 2, 3, -1, -1]], dtype=np.int32)
-    return Mesh(coords, np.array([ElementType.TET], dtype=np.int8), conn)
-
-
-def sliver_tet_mesh():
-    """A nearly flat (degenerate) tetrahedron."""
-    coords = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0.5, 0.5, 1e-4]])
-    conn = np.array([[0, 1, 2, 3, -1, -1]], dtype=np.int32)
-    return Mesh(coords, np.array([ElementType.TET], dtype=np.int8), conn)
-
-
-class TestQualityMetrics:
-    def test_regular_tet_regularity_is_one(self):
-        reg = tet_regularity(regular_tet_mesh())
-        assert reg[0] == pytest.approx(1.0, rel=1e-9)
-
-    def test_regularity_scale_invariant(self):
-        a = tet_regularity(regular_tet_mesh(1.0))[0]
-        b = tet_regularity(regular_tet_mesh(7.3))[0]
-        assert a == pytest.approx(b, rel=1e-9)
-
-    def test_sliver_has_low_regularity(self):
-        reg = tet_regularity(sliver_tet_mesh())
-        assert reg[0] < 0.01
-
-    def test_regular_tet_aspect_is_one(self):
-        aspects = edge_aspect_ratios(regular_tet_mesh())
-        assert aspects[0] == pytest.approx(1.0, rel=1e-9)
-
-    def test_non_tet_regularity_is_nan(self):
-        airway = build_airway_mesh(AirwayConfig(generations=1),
-                                   MeshResolution(points_per_ring=6))
-        reg = tet_regularity(airway.mesh)
-        prisms = airway.mesh.elem_types == ElementType.PRISM
-        assert np.isnan(reg[prisms]).all()
-        tets = airway.mesh.elem_types == ElementType.TET
-        assert not np.isnan(reg[tets]).any()
-
-    def test_airway_mesh_passes_quality_gate(self):
-        """The generated airway mesh must be usable: no inverted elements,
-        bounded aspect ratios, no extreme slivers."""
-        airway = build_airway_mesh(AirwayConfig(generations=3),
-                                   MeshResolution(points_per_ring=6))
-        report = quality_report(airway.mesh)
-        assert report.ok
-        assert report.inverted == 0
-        assert report.min_volume > 0
-        assert report.max_aspect < 30.0
-        assert report.min_tet_regularity > 0.01
-        assert "elements" in report.format()
-
-    def test_report_totals(self):
-        mesh = regular_tet_mesh()
-        report = quality_report(mesh)
-        assert report.n_elements == 1
-        assert report.total_volume == pytest.approx(mesh.volumes().sum())
 
 
 class TestDepositionValidation:

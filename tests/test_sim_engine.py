@@ -270,21 +270,6 @@ class TestBatchEngine:
         eng.run()
         assert fired == ["one", "two"] and eng.now == 2.0
 
-    def test_step_parity_with_run(self):
-        def schedule(eng, out):
-            eng.call_later(1.0, out.append, "a")
-            eng.call_later(1.0, out.append, "b")
-            eng.call_later(2.0, out.append, "c")
-        e1, e2 = Engine(), Engine()
-        r1, r2 = [], []
-        schedule(e1, r1)
-        schedule(e2, r2)
-        e1.run()
-        while r2 != r1:
-            e2.step()
-        assert e2.now == e1.now
-        assert e2.events_processed == e1.events_processed
-
     def test_cancel_scheduled_never_fires(self):
         fired = []
         eng = Engine()

