@@ -299,7 +299,6 @@ class TestAirwayMesh:
         quadrature point of every element has a positive |J| dV."""
         mesh = build_airway_mesh(AirwayConfig(), MeshResolution()).mesh
         assert all((block.dvol > 0).all() for block in geometry_blocks(mesh))
-        assert volumes(mesh).min() > 0
 
     def test_mesh_size_grows_with_generations(self):
         small = build_airway_mesh(AirwayConfig(generations=2),

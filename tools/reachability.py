@@ -7,15 +7,15 @@ per module.  Code that only tests reach shows up here.
 
 Usage (from the repository root, standard library only)::
 
-    python tools/reachability.py audit [--root DIR] [--out DIR]
-    python tools/reachability.py run --out DIR -- CMD [ARG ...]
+    python tools/reachability.py audit [--root DIR] [--out DIR] [--names]
     python tools/reachability.py report DIR [--root DIR] [--names]
 
-``audit`` runs the default entry-point set below and prints the report;
-``run`` records one command into ``DIR``; ``report`` summarises the
-records in ``DIR`` against the functions of ``ROOT/src/repro``.  ``--root``
-selects the checkout to audit (default: the one holding this script), so
-two checkouts can be compared.
+``audit`` runs the default entry-point set (see ``default_commands``),
+keeps the records in ``--out`` and prints the report; ``report``
+summarises the records in ``DIR`` against the functions of
+``ROOT/src/repro`` again.  ``--root`` selects the checkout to audit
+(default: the one holding this script), so two checkouts can be
+compared; ``--names`` lists every unreached function.
 
 The hook is installed through a generated ``sitecustomize`` module put
 first on ``PYTHONPATH``, so every Python process a command starts is
@@ -60,8 +60,8 @@ def _dump() -> None:
             for c in list(_seen.values()) if c.co_filename.startswith(src)}
     if not rows:
         return
-    path = os.path.join(out, f"calls-{os.getpid()}-{id(rows)}.tsv")
-    with open(path, "w") as fh:
+    fd, _ = tempfile.mkstemp(prefix="calls-", suffix=".tsv", dir=out)
+    with os.fdopen(fd, "w") as fh:
         for filename, line, name in sorted(rows):
             fh.write(f"{filename}\t{line}\t{name}\n")
 
@@ -93,7 +93,7 @@ reachability.install()
 
 # -- running commands ---------------------------------------------------------
 
-def run(cmd: list, out: str, root: str, cwd=None) -> int:
+def run(cmd: list, out: str, root: str, cwd: str) -> int:
     """Run ``cmd`` with the hook installed; records go to ``out``."""
     out = os.path.abspath(out)
     os.makedirs(out, exist_ok=True)
@@ -109,7 +109,7 @@ def run(cmd: list, out: str, root: str, cwd=None) -> int:
                        if p])
     env[ENV_OUT] = out
     env[ENV_SRC] = os.path.join(src, "repro")
-    return subprocess.call(cmd, cwd=cwd or root, env=env,
+    return subprocess.call(cmd, cwd=cwd, env=env,
                            stdout=subprocess.DEVNULL)
 
 
@@ -148,8 +148,9 @@ def default_commands(root: str, scratch: str) -> list:
                       "--seconds", "2", "--trace", trace], root))
     cmds.append(([py, "-m", "repro.perf.bench", "--quick", "--out",
                   os.path.join(scratch, "BENCH_audit.json")], root))
+    # pytest-benchmark pauses profile hooks while it times a test
     cmds.append(([py, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                  "benchmarks"], root))
+                  "--benchmark-disable", "benchmarks"], root))
     return cmds
 
 
@@ -237,19 +238,12 @@ def main(argv=None) -> int:
                    help="records directory (default: a temporary one)")
     p.add_argument("--names", action="store_true",
                    help="list every unreached function")
-    p = sub.add_parser("run", help="record one command")
-    p.add_argument("--out", required=True)
-    p.add_argument("--root", default=here)
-    p.add_argument("cmd", nargs=argparse.REMAINDER)
     p = sub.add_parser("report", help="summarise recorded calls")
     p.add_argument("out")
     p.add_argument("--root", default=here)
     p.add_argument("--names", action="store_true")
     args = parser.parse_args(argv)
     root = os.path.abspath(args.root)
-    if args.command == "run":
-        cmd = args.cmd[1:] if args.cmd[:1] == ["--"] else args.cmd
-        return run(cmd, args.out, root, cwd=os.getcwd())
     if args.command == "report":
         report(args.out, root, args.names)
         return 0
