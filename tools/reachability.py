@@ -198,8 +198,8 @@ def called(out: str) -> set:
     return seen
 
 
-def report(out: str, root: str, names: bool = True) -> dict:
-    """Print the unreached functions per module; returns the totals."""
+def report(out: str, root: str, names: bool) -> None:
+    """Print the unreached functions per module, then the totals."""
     src = os.path.join(os.path.abspath(root), "src", "repro")
     defs = functions(src)
     seen = called(out)
@@ -216,16 +216,10 @@ def report(out: str, root: str, names: bool = True) -> dict:
         if names:
             for lines, first, qual in sorted(rows, key=lambda r: r[1]):
                 print(f"    {first:5d}  {qual} ({lines} lines)")
-    totals = {
-        "unreached_functions": sum(len(r) for r in per_module.values()),
-        "functions": len(defs),
-        "unreached_lines": sum(f[0] for r in per_module.values() for f in r),
-        "lines": sum(lines for _, lines in defs.values()),
-    }
-    print(f"unreached: {totals['unreached_functions']} of "
-          f"{totals['functions']} functions ({totals['unreached_lines']} of "
-          f"{totals['lines']} function lines)")
-    return totals
+    unreached = [f for rows in per_module.values() for f in rows]
+    print(f"unreached: {len(unreached)} of {len(defs)} functions "
+          f"({sum(f[0] for f in unreached)} of "
+          f"{sum(lines for _, lines in defs.values())} function lines)")
 
 
 def main(argv=None) -> int:
