@@ -213,9 +213,7 @@ class _RunContext:
 
     def __init__(self, workload: Workload, config: RunConfig,
                  start_step: int = 0, fault_tolerant: bool = False):
-        self.workload = workload
         self.config = config
-        self.spec = workload.spec
         self.log = PhaseLog(config.nranks)
         self.teams: dict[int, Team] = {}
         self.start_step = start_step
@@ -235,128 +233,152 @@ class _RunContext:
         self.degraded_halos: list[tuple[int, int, int]] = []
         #: set by run_cfpd: callback(world_rank, step) after the barrier
         self.on_checkpoint = None
-        nthreads = config.threads_per_rank
-        if config.mode == "sync":
-            fluid_n = config.nranks
-            self.fluid_world_ranks = list(range(config.nranks))
-            self.particle_world_ranks = list(range(config.nranks))
-            particle_n = config.nranks
-        else:
-            f = config.fluid_ranks  # bounds checked by RunConfig
-            fluid_n = f
-            particle_n = config.nranks - f
-            self.fluid_world_ranks = list(range(f))
-            self.particle_world_ranks = list(range(f, config.nranks))
-        fluid_dd = workload.decomposition(
-            fluid_n, subdomains_per_rank=config.subdomains_per_rank,
-            method=config.partition_method,
-            min_shared_nodes=config.subdomain_min_shared)
-        hist = workload.particle_histograms(particle_n,
-                                            method=config.partition_method)
-        #: (n_steps, fluid ranks) fluid subcycles — all ones unless the
-        #: spec runs in local adaptive mode
-        self.subcycles = workload.subcycle_matrix(
-            fluid_n, method=config.partition_method)
-        cluster = get_cluster(config.cluster, config.num_nodes)
-        particle_chunks = 2 * cluster.node.cores
-        self.solver_info = workload.solve_fluid_step()
-        # Task graphs are stateless between executions (all execution state
-        # lives in Team), so identical run configurations can share them
-        # across run_cfpd calls.  The fluid graphs and the coupled exchange
-        # topology read only the decomposition, so they ride in the mesh
-        # stage and serve every spec on that mesh, plan templates and all;
-        # the particle graphs read the histograms and ride in the particle
-        # stage.  Both caches are keyed by everything the graph shapes
-        # depend on.
-        fluid_cache = workload.mesh_stage.graphs
-        fluid_key = (
-            config.mode, fluid_n, particle_n, nthreads,
-            config.assembly_strategy, config.sgs_strategy,
-            config.strategy_params, config.subdomains_per_rank,
-            config.subdomain_min_shared, config.partition_method)
-        cached = fluid_cache.get(fluid_key)
-        if cached is None:
-            cached = fluid_cache[fluid_key] = self._build_fluid_graphs(
-                config, fluid_dd, nthreads, fluid_n, particle_n)
+        self.fluid_world_ranks, self.particle_world_ranks = \
+            _world_ranks(config)
+        # subcycles: (n_steps, fluid ranks) fluid subcycles — all ones
+        # unless the spec runs in local adaptive mode
+        self.subcycles, fluid, particles = run_graphs(workload, config)
         (self.assembly, self.sgs, self.solver1, self.solver2,
-         self.halo_neighbors, self.sends, self.recvs) = cached
-        particle_cache = workload.particle_stage.graphs
-        particle_key = (particle_n, nthreads, config.partition_method,
-                        particle_chunks)
-        cached = particle_cache.get(particle_key)
-        if cached is None:
-            cached = particle_cache[particle_key] = \
-                self._build_particle_graphs(hist, nthreads, particle_n,
-                                            particle_chunks)
-        self.particles, self.migration_bytes = cached
-        self.sub_comms: dict = {}
+         self.halo_neighbors, self.sends, self.recvs) = fluid
+        self.particles, self.migration_bytes = particles
+        self.solver_info = workload.solve_fluid_step()
 
-    def _build_fluid_graphs(self, config, fluid_dd, nthreads, fluid_n,
-                            particle_n) -> tuple:
-        """The per-fluid-rank task graphs and halo neighbours, and the
-        coupled-mode exchange topology."""
-        assembly, sgs, solver1, solver2, halo_neighbors = [], [], [], [], []
-        for rw in fluid_dd.ranks:
-            assembly.append(build_element_loop_graph(
-                rw.assembly_instr, rw.assembly_atomics,
-                config.assembly_strategy, nthreads,
-                colors=rw.colors, sub_labels=rw.sub_labels,
-                sub_adjacency=rw.sub_adjacency,
-                params=config.strategy_params, label="assembly"))
-            sgs.append(build_element_loop_graph(
-                rw.sgs_instr, np.zeros_like(rw.sgs_instr),
-                config.sgs_strategy, nthreads,
-                colors=rw.colors, sub_labels=rw.sub_labels,
-                sub_adjacency=rw.sub_adjacency, race_free=True,
-                params=config.strategy_params, label="sgs"))
-            s1_work = (DEFAULT_COSTS.solver1_iterations * rw.solver_nnz
-                       * DEFAULT_COSTS.solver_instr_per_nnz)
-            s2_work = (DEFAULT_COSTS.solver2_iterations * rw.solver_nnz
-                       * DEFAULT_COSTS.solver_instr_per_nnz)
-            nchunks = max(DEFAULT_COSTS.min_chunks, nthreads * 4)
-            solver1.append(build_parallel_for_graph(
-                np.full(nchunks, s1_work / nchunks), nthreads,
-                min_chunks=DEFAULT_COSTS.min_chunks, label="solver1"))
-            solver2.append(build_parallel_for_graph(
-                np.full(nchunks, s2_work / nchunks), nthreads,
-                min_chunks=DEFAULT_COSTS.min_chunks, label="solver2"))
-            halo_neighbors.append(rw.neighbors)
-        # coupled-mode exchange topology
-        sends = recvs = None
-        if config.mode == "coupled":
-            overlap = self.workload.overlap_bytes(
-                fluid_n, particle_n, method=config.partition_method)
-            sends = [[] for _ in range(fluid_n)]
-            recvs = [[] for _ in range(particle_n)]
-            # np.nonzero iterates row-major (fluid-major), reproducing the
-            # ordering of the former nested python loop exactly
-            fi, pj = np.nonzero(overlap > 0)
-            for i, j, nbytes in zip(fi.tolist(), pj.tolist(),
-                                    overlap[fi, pj].tolist()):
-                sends[i].append((self.particle_world_ranks[j], float(nbytes)))
-                recvs[j].append(self.fluid_world_ranks[i])
-        return assembly, sgs, solver1, solver2, halo_neighbors, sends, recvs
 
-    def _build_particle_graphs(self, hist, nthreads, particle_n,
-                               particle_chunks) -> tuple:
-        """The particle-phase graphs ``[particle-local rank][step]`` and
-        the migration volume per step."""
-        particles = []
-        for pr in range(particle_n):
-            per_step = []
-            for s in range(self.n_steps):
-                count = int(hist[s, pr])
-                per_step.append(build_parallel_for_graph(
+def _world_ranks(config: RunConfig) -> tuple[list, list]:
+    """The world ranks that run the fluid phases and the particle phase."""
+    if config.mode == "sync":
+        return list(range(config.nranks)), list(range(config.nranks))
+    f = config.fluid_ranks  # bounds checked by RunConfig
+    return list(range(f)), list(range(f, config.nranks))
+
+
+def run_graphs(workload: Workload, config: RunConfig) -> tuple:
+    """``(subcycles, fluid graphs, particle graphs)`` of a run of
+    ``config`` over ``workload``, built on first use.
+
+    Looks up the decomposition, the particle histograms and the subcycle
+    matrix, then the task graphs.  Task graphs are stateless between
+    executions (all execution state lives in Team), so identical run
+    configurations share them across run_cfpd calls.  The fluid graphs and
+    the coupled exchange topology read only the decomposition, so they
+    ride in the mesh stage and serve every spec on that mesh, plan
+    templates and all; the particle graphs read the histograms and ride in
+    the particle stage.  Both caches are keyed by everything the graph
+    shapes depend on.  :func:`repro.campaign.runner.warm_workload` calls
+    this before a pool forks, so the workers inherit what a job reads.
+
+    Raises ``ValueError`` when the configuration needs more cores than its
+    cluster has.
+    """
+    cluster = get_cluster(config.cluster, config.num_nodes)
+    needed = config.nranks * config.threads_per_rank
+    if needed > cluster.total_cores:
+        raise ValueError(
+            f"{config.nranks} ranks x {config.threads_per_rank} threads "
+            f"exceed the {cluster.total_cores} cores of {cluster.name}")
+    fluid_ranks, particle_ranks = _world_ranks(config)
+    fluid_n, particle_n = len(fluid_ranks), len(particle_ranks)
+    nthreads = config.threads_per_rank
+    method = config.partition_method
+    fluid_dd = workload.decomposition(
+        fluid_n, subdomains_per_rank=config.subdomains_per_rank,
+        method=method, min_shared_nodes=config.subdomain_min_shared)
+    hist = workload.particle_histograms(particle_n, method=method)
+    subcycles = workload.subcycle_matrix(fluid_n, method=method)
+    particle_chunks = 2 * cluster.node.cores
+    fluid_cache = workload.mesh_stage.graphs
+    fluid_key = (
+        config.mode, fluid_n, particle_n, nthreads,
+        config.assembly_strategy, config.sgs_strategy,
+        config.strategy_params, config.subdomains_per_rank,
+        config.subdomain_min_shared, method)
+    fluid = fluid_cache.get(fluid_key)
+    if fluid is None:
+        fluid = fluid_cache[fluid_key] = _build_fluid_graphs(
+            workload, config, fluid_dd, fluid_ranks, particle_ranks)
+    particle_cache = workload.particle_stage.graphs
+    particle_key = (particle_n, nthreads, method, particle_chunks)
+    particles = particle_cache.get(particle_key)
+    if particles is None:
+        particles = particle_cache[particle_key] = _build_particle_graphs(
+            hist, nthreads, particle_chunks)
+    return subcycles, fluid, particles
+
+
+def _build_fluid_graphs(workload, config, fluid_dd, fluid_ranks,
+                        particle_ranks) -> tuple:
+    """The per-fluid-rank task graphs and halo neighbours, and the
+    coupled-mode exchange topology."""
+    nthreads = config.threads_per_rank
+    assembly, sgs, solver1, solver2, halo_neighbors = [], [], [], [], []
+    for rw in fluid_dd.ranks:
+        assembly.append(build_element_loop_graph(
+            rw.assembly_instr, rw.assembly_atomics,
+            config.assembly_strategy, nthreads,
+            colors=rw.colors, sub_labels=rw.sub_labels,
+            sub_adjacency=rw.sub_adjacency,
+            params=config.strategy_params, label="assembly"))
+        sgs.append(build_element_loop_graph(
+            rw.sgs_instr, np.zeros_like(rw.sgs_instr),
+            config.sgs_strategy, nthreads,
+            colors=rw.colors, sub_labels=rw.sub_labels,
+            sub_adjacency=rw.sub_adjacency, race_free=True,
+            params=config.strategy_params, label="sgs"))
+        s1_work = (DEFAULT_COSTS.solver1_iterations * rw.solver_nnz
+                   * DEFAULT_COSTS.solver_instr_per_nnz)
+        s2_work = (DEFAULT_COSTS.solver2_iterations * rw.solver_nnz
+                   * DEFAULT_COSTS.solver_instr_per_nnz)
+        nchunks = max(DEFAULT_COSTS.min_chunks, nthreads * 4)
+        solver1.append(build_parallel_for_graph(
+            np.full(nchunks, s1_work / nchunks), nthreads,
+            min_chunks=DEFAULT_COSTS.min_chunks, label="solver1"))
+        solver2.append(build_parallel_for_graph(
+            np.full(nchunks, s2_work / nchunks), nthreads,
+            min_chunks=DEFAULT_COSTS.min_chunks, label="solver2"))
+        halo_neighbors.append(rw.neighbors)
+    # coupled-mode exchange topology
+    sends = recvs = None
+    if config.mode == "coupled":
+        fluid_n, particle_n = len(fluid_ranks), len(particle_ranks)
+        overlap = workload.overlap_bytes(
+            fluid_n, particle_n, method=config.partition_method)
+        sends = [[] for _ in range(fluid_n)]
+        recvs = [[] for _ in range(particle_n)]
+        # np.nonzero iterates row-major (fluid-major), reproducing the
+        # ordering of the former nested python loop exactly
+        fi, pj = np.nonzero(overlap > 0)
+        for i, j, nbytes in zip(fi.tolist(), pj.tolist(),
+                                overlap[fi, pj].tolist()):
+            sends[i].append((particle_ranks[j], float(nbytes)))
+            recvs[j].append(fluid_ranks[i])
+    return assembly, sgs, solver1, solver2, halo_neighbors, sends, recvs
+
+
+def _build_particle_graphs(hist, nthreads, particle_chunks) -> tuple:
+    """The particle-phase graphs ``[particle-local rank][step]`` and the
+    migration volume per step, from the ``(n_steps, particle ranks)``
+    particle counts ``hist``.
+
+    A particle-phase graph depends only on its particle count, so each
+    distinct count is built once and every ``(rank, step)`` with that
+    count holds the same graph: a run has a handful of counts but ranks x
+    steps slots.  Teams sharing a graph keep their own execution state,
+    and its plan templates are keyed by the team's parameters.
+    """
+    by_count = {count: build_parallel_for_graph(
                     np.full(count, DEFAULT_COSTS.particle_instr), nthreads,
-                    min_chunks=particle_chunks, label="particles"))
-            particles.append(per_step)
-        # migration volume per step (total particles in flight is an upper
-        # bound for what crosses rank boundaries)
-        migration_bytes = [
-            max(1.0, hist[s].sum() * DEFAULT_COSTS.particle_bytes
-                / max(1, particle_n))
-            for s in range(self.n_steps)]
-        return particles, migration_bytes
+                    min_chunks=particle_chunks, label="particles")
+                for count in np.unique(hist).tolist()}
+    particles = [[by_count[count] for count in counts]
+                 for counts in hist.T.tolist()]
+    # migration volume per step (total particles in flight is an upper
+    # bound for what crosses rank boundaries)
+    particle_n = hist.shape[1]
+    migration_bytes = [
+        max(1.0, row.sum() * DEFAULT_COSTS.particle_bytes
+            / max(1, particle_n))
+        for row in hist]
+    return particles, migration_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -589,15 +611,10 @@ def run_cfpd(config: RunConfig,
             raise CheckpointError(
                 "checkpoint workload spec does not match the requested one")
         _verify_restart_state(wl, ckpt)
-    cluster = get_cluster(config.cluster, config.num_nodes)
-    needed = config.nranks * config.threads_per_rank
-    if needed > cluster.total_cores:
-        raise ValueError(
-            f"{config.nranks} ranks x {config.threads_per_rank} threads "
-            f"exceed the {cluster.total_cores} cores of {cluster.name}")
     ctx = _RunContext(wl, config, start_step=start_step,
                       fault_tolerant=fault_plan is not None)
     engine = Engine()
+    cluster = get_cluster(config.cluster, config.num_nodes)
     world = World(engine, cluster, config.nranks,
                   mapping=config.resolved_mapping())
     if ckpt is not None:

@@ -320,8 +320,9 @@ def _execute_supervised(pending, run, store, journal, gate, *, workers,
         # workers inherit these precomputes through the fork; first
         # appearance order keeps the builds (and the stage caches'
         # eviction order) independent of the string hash seed
-        for spec in dict.fromkeys(o.job.spec for o in pending):
-            warm_workload(spec)
+        for spec, config in dict.fromkeys((o.job.spec, o.job.config)
+                                          for o in pending):
+            warm_workload(spec, config)
     sup = Supervisor(pending, store, journal, gate, workers=workers,
                      mp_context=ctx, config=supervision, clock=clock,
                      max_retries=max_retries, backoff_base=backoff_base,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 
 from ..app import get_workload, run_cfpd
+from ..app.driver import run_graphs
 from . import serialize
 from .spec import Job
 
@@ -101,19 +102,30 @@ def run_job(job: Job) -> dict:
     return job_record(job, result)
 
 
-def warm_workload(spec) -> None:
+def warm_workload(spec, config=None) -> None:
     """Precompute what :func:`run_job` reads of ``spec``'s workload in this
     process: the operators, the fluid solves, the Δt schedule and the
-    particle trajectory.
+    particle trajectory, and with a ``config`` also the decomposition, the
+    histograms and the task graphs a run of it reads
+    (:func:`repro.app.driver.run_graphs`).
 
-    Called by the executor before forking a pool so every worker inherits
-    the warm stages instead of redoing the physics once per process.  It
-    goes through :func:`repro.app.get_workload`, so stages a cached spec
-    already shares are not rebuilt.  The SGS history is left lazy: only
-    checkpoint writing and restart checks read it.
+    Called by the executor before forking a pool, once per pending job, so
+    every worker inherits the warm stages and graphs instead of rebuilding
+    them once per process.  It goes through :func:`repro.app.get_workload`,
+    so stages a cached spec already shares are not rebuilt, and graphs a
+    job with an equal graph key already built are looked up.  The SGS
+    history is left lazy: only checkpoint writing and restart checks read
+    it.  A configuration the run rejects with ``ValueError`` (more cores
+    than its cluster has) is skipped here: its job meets the same error in
+    its own run, where the failure taxonomy records it.
     """
     wl = get_workload(spec)
     wl.operators()
     wl.solve_fluid_step()
     wl.dt_schedule()
     wl.trajectory()
+    if config is not None:
+        try:
+            run_graphs(wl, config)
+        except ValueError:
+            pass  # the job raises it again and records its failure

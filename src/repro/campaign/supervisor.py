@@ -240,11 +240,21 @@ class Supervisor:
                       job_id=outcome.job.job_id, worker=worker.wid,
                       attempt=attempt,
                       duration=self.config.lease_duration)
+        if fault == "worker_kill":
+            # deterministic chaos: the grantee dies holding the lease.  The
+            # kill precedes the send, because a worker woken by the send
+            # can run a job of a few milliseconds and send its result
+            # before a kill issued after the send lands: no crash at all
+            try:
+                os.kill(worker.proc.pid, signal.SIGKILL)
+            except OSError:  # pragma: no cover
+                pass
         try:
             worker.conn.send({"job": outcome.job, "flags": flags})
         except (OSError, ValueError, BrokenPipeError):
-            # the worker died between scheduling and the send: treat it as
-            # a crash of this lease — requeue and respawn
+            # the worker died between scheduling and the send (or the chaos
+            # kill above already closed its pipe): treat it as a crash of
+            # this lease — requeue and respawn
             worker.lease = _Lease(outcome=outcome, granted_at=now,
                                   deadline=now, grant_seq=self.grant_seq)
             self._lose_worker(worker, "worker_death")
@@ -254,12 +264,6 @@ class Supervisor:
             deadline=now + self.config.lease_duration,
             grant_seq=self.grant_seq)
         worker.last_beat = now
-        if fault == "worker_kill":
-            # deterministic chaos: the grantee dies with the job in flight
-            try:
-                os.kill(worker.proc.pid, signal.SIGKILL)
-            except OSError:  # pragma: no cover
-                pass
 
     # -- pipe draining ------------------------------------------------------
 

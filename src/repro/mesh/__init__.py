@@ -2,7 +2,7 @@
 synthetic airway geometry, and the tube mesher."""
 
 from .airway import AirwayConfig, Segment, build_airway_tree
-from .elements import ElementType, FACES_PER_TYPE, NODES_PER_TYPE
+from .elements import ElementType, NODES_PER_TYPE
 from .generator import AirwayMesh, MeshResolution, build_airway_mesh, build_tube_mesh
 from .io import write_vtk
 from .mesh import CSRGraph, Mesh
@@ -12,7 +12,6 @@ __all__ = [
     "AirwayMesh",
     "CSRGraph",
     "ElementType",
-    "FACES_PER_TYPE",
     "Mesh",
     "MeshResolution",
     "NODES_PER_TYPE",

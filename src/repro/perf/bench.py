@@ -835,11 +835,15 @@ def _campaign_warm_pool() -> str:
 
 
 def _campaign_setup() -> None:
-    """Warm the parent-side stage caches (forked into pool workers);
-    kept out of the timings like every other setup."""
+    """Warm the parent-side stage caches and task graphs (forked into pool
+    workers) for the same (spec, config) pairs the executor warms, so the
+    timed pool pays no prefork build; kept out of the timings like every
+    other setup."""
     from ..campaign.runner import warm_workload
 
-    warm_workload(_campaign_bench_spec().base_spec)
+    jobs = _campaign_bench_spec().expand()
+    for spec, config in dict.fromkeys((job.spec, job.config) for job in jobs):
+        warm_workload(spec, config)
 
 
 # -- benchmark table ---------------------------------------------------------

@@ -209,6 +209,24 @@ class TestCoupledDriver:
                          dlb=True).label() == "64+32 +DLB"
 
 
+class TestRunGraphs:
+    def test_equal_particle_counts_share_one_graph(self, wl):
+        from repro.app.driver import _RunContext
+
+        config = RunConfig(cluster="thunder", num_nodes=1, nranks=4,
+                           threads_per_rank=2)
+        ctx = _RunContext(wl, config)
+        hist = wl.particle_histograms(config.nranks)
+        by_count: dict = {}
+        for pr, per_step in enumerate(ctx.particles):
+            for s, graph in enumerate(per_step):
+                by_count.setdefault(int(hist[s, pr]), set()).add(id(graph))
+        # some count fills several slots, and there are several counts
+        assert len(by_count) > 1 and hist.size > len(by_count)
+        assert all(len(ids) == 1 for ids in by_count.values())
+        assert len(set.union(*by_count.values())) == len(by_count)
+
+
 class TestDLBInApp:
     def test_dlb_never_slower_sync(self, wl):
         for nranks in (8, 16):

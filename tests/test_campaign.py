@@ -565,10 +565,49 @@ class TestWorkerPool:
             assert store.get(job.fingerprint)["simulated_digest"] == \
                 simulated_digest(fresh), job.label()
 
+    @pytest.mark.parametrize("config", [
+        RunConfig(cluster="thunder", num_nodes=1, nranks=4,
+                  threads_per_rank=2),
+        RunConfig(cluster="thunder", num_nodes=1, nranks=4, mode="coupled",
+                  fluid_ranks=3, dlb=True)], ids=["sync", "coupled"])
+    def test_warmed_job_builds_no_decomposition_or_graph(self, config,
+                                                         monkeypatch):
+        """After ``warm_workload(spec, config)`` a run of that job only
+        looks up the decomposition and the task graphs the warm built, and
+        its digest equals a run over a fresh ``Workload``."""
+        import repro.app.driver as driver
+        import repro.app.workload as workload
+        from repro.app import Workload, get_workload, run_cfpd
+        from repro.campaign.runner import simulated_digest, warm_workload
+
+        spec = dataclasses.replace(TINY, mesh_seed=4242)  # a mesh of its own
+        fresh = simulated_digest(run_cfpd(config, workload=Workload(spec)))
+        warm_workload(spec, config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built after the warm")
+        monkeypatch.setattr(driver, "build_element_loop_graph", refuse)
+        monkeypatch.setattr(driver, "build_parallel_for_graph", refuse)
+        monkeypatch.setattr(workload, "decompose_mesh", refuse)
+        warmed = run_cfpd(config, workload=get_workload(spec))
+        assert simulated_digest(warmed) == fresh
+
+    def test_warm_leaves_a_rejected_config_to_its_job(self):
+        """A configuration the run rejects does not stop the prefork: the
+        job reports the error itself."""
+        from repro.campaign.runner import warm_workload
+
+        config = RunConfig(cluster="thunder", num_nodes=1, nranks=1000)
+        warm_workload(TINY, config)
+        with pytest.raises(ValueError, match="exceed the"):
+            run_job(Job(index=0, campaign="reject", config=config,
+                        spec=TINY))
+
     def test_prefork_warms_specs_in_first_appearance_order(self,
                                                            monkeypatch):
-        """The parent warms each pending spec once, in campaign order —
-        never in set order, which follows the string hash seed."""
+        """The parent warms each pending job's (spec, config) pair once, in
+        campaign order — never in set order, which follows the string hash
+        seed."""
         import repro.campaign.executor as executor
         import repro.campaign.supervisor as supervisor
 
@@ -582,7 +621,8 @@ class TestWorkerPool:
                 pass
 
         warmed = []
-        monkeypatch.setattr(executor, "warm_workload", warmed.append)
+        monkeypatch.setattr(executor, "warm_workload",
+                            lambda spec, config: warmed.append((spec, config)))
         monkeypatch.setattr(supervisor, "Supervisor", NoPool)
         campaign = CampaignSpec(
             name="order",
@@ -594,8 +634,8 @@ class TestWorkerPool:
                   ("config.dlb", [False, True])])
         run_campaign(campaign, workers=2)
         assert warmed == list(dict.fromkeys(
-            job.spec for job in campaign.expand()))
-        assert len(warmed) == 6
+            (job.spec, job.config) for job in campaign.expand()))
+        assert len(warmed) == 12
 
 
 class TestKillAndResume:

@@ -120,6 +120,33 @@ class TestCrashConsistency:
         assert state.finished and not state.dangling_leases
         assert state.lease_grants == 5 and state.lease_expiries == 1
 
+    def test_killed_grantee_never_finishes_its_job(self, tmp_path,
+                                                   monkeypatch):
+        """The chaos kill lands before the job reaches the worker, so a job
+        that runs faster than the supervisor's next step cannot finish and
+        skip the crash."""
+        import time
+
+        from repro.campaign import supervisor
+
+        class SlowLease(supervisor._Lease):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                time.sleep(0.3)  # the supervisor stalls mid-grant
+
+        monkeypatch.setattr(supervisor, "_Lease", SlowLease)
+        # liveness windows far beyond the stall: only a death loses a lease
+        cfg = dataclasses.replace(FAST, heartbeat_timeout=30.0,
+                                  lease_duration=30.0)
+        root = str(tmp_path / "chaos")
+        run = run_campaign(tiny_campaign(), ResultStore(root), workers=1,
+                           supervision=cfg, backoff_base=0.0,
+                           kill_plan=chaos_plan("worker_kill", 1))
+        assert run.ok and run.executed == 4
+        assert run.supervision["worker_losses"] == 1
+        assert [e["reason"] for e in journal_events(root, "lease_expired")] \
+            == ["worker_death"]
+
 
 class TestLiveness:
     def test_silent_worker_detected_by_heartbeat_loss(self, tmp_path):
