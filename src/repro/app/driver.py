@@ -144,7 +144,7 @@ class RunResult:
     #: (step, sim_time) of every checkpoint written during the run
     checkpoints: list = field(default_factory=list)
     #: host-side engine diagnostics (Engine.counters): events processed and
-    #: the cohort/arena/plan counters.  Wall-clock instrumentation only —
+    #: the cohort/plan counters.  Wall-clock instrumentation only —
     #: never part of the simulated digest or the checkpoint bytes.
     engine_diag: dict = field(default_factory=dict)
     #: adaptive-Δt schedule diagnostics (Workload.schedule_summary): mode,

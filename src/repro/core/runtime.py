@@ -87,7 +87,7 @@ class _Plan:
     """
 
     __slots__ = ("d_tids", "d_start", "d_finish", "d_dur", "c_finish",
-                 "sums", "n_total", "t_end", "chain", "slot", "stalled",
+                 "sums", "n_total", "t_end", "chain", "handle", "stalled",
                  "d_parent", "c_order")
 
     def __init__(self, d_tids, d_start, d_finish, d_dur, c_finish, sums,
@@ -104,14 +104,14 @@ class _Plan:
         #: dispatch-time genealogy of the last-finishing task as flattened
         #: ``(time, hop)`` pairs: its own dispatch time, then its
         #: dispatcher's, ... up to a root — the simulated times at which the
-        #: per-task path would assign the seq numbers that break
+        #: per-task path would schedule the completions whose order breaks
         #: completion-time ties (see _PlanArbiter).  ``hop`` is 0.0 for a
         #: plain dispatch (synchronous in ``run()`` or inside a task-finish
         #: callback) and 1.0 for a repeat-boundary root, which the per-task
         #: path dispatches one event hop later (inside the previous
         #: repeat's done callback) than any same-time plain dispatch.
         self.chain = chain
-        self.slot = None            # engine handle of the pending plan event
+        self.handle = None          # engine handle of the pending plan event
         self.stalled = stalled      # capacity 0 with work left
         #: discrete trajectory of a single run (None on a merged repeat
         #: plan): each dispatch's parent — the dispatch index whose
@@ -216,10 +216,10 @@ MAX_PLAN_TEMPLATES = 8
 class _PlanArbiter:
     """Gives same-cohort plan completions the per-task path's tie order.
 
-    Events at equal simulated times fire in seq order, and the per-task
-    path assigns a completion's seq at the *dispatch* of the finishing
-    task — inside the finish callback of the task that unblocked it, whose
-    own seq was assigned at *its* dispatch, and so on down to the root
+    Events at equal simulated times fire in scheduling order, and the
+    per-task path schedules a completion at the *dispatch* of the finishing
+    task — inside the finish callback of the task that unblocked it, which
+    was itself scheduled at *its* dispatch, and so on down to the root
     dispatched synchronously in ``run()``.  Two teams finishing at the same
     instant therefore order by the lexicographic comparison of those
     dispatch-time chains, with ``run()``-call order as the final tie-break.
@@ -228,11 +228,12 @@ class _PlanArbiter:
     must be reproduced explicitly: teams submit their plans as they start,
     a deferred flush (running after every submission of the current event
     cohort) sorts them by ``(t_end, *chain)`` plus submission order, and
-    arms the completion events in that order — consecutive seqs, so
-    same-time completions fire exactly as the per-task path would.  Ties
-    *across* cohorts resolve by cohort order, which matches the per-task
-    root-dispatch order for plans with identical chains (the only ties
-    observed in practice: lockstep ranks running identical graphs).
+    arms the completion events in that order — consecutive queue
+    positions, so same-time completions fire exactly as the per-task path
+    would.  Ties *across* cohorts resolve by cohort order, which matches
+    the per-task root-dispatch order for plans with identical chains (the
+    only ties observed in practice: lockstep ranks running identical
+    graphs).
     """
 
     __slots__ = ("engine", "_pending", "planned_graphs", "planned_tasks",
@@ -674,13 +675,13 @@ class Team:
     def _arm_plan(self, plan: _Plan) -> None:
         """Schedule the plan's completion (called by the arbiter's flush).
 
-        Completions armed by one flush in chain order receive consecutive
-        seq numbers, so same-time completions fire in the per-task tie-break
-        order (see :class:`_PlanArbiter`).
+        Completions armed by one flush in chain order take consecutive
+        queue positions, so same-time completions fire in the per-task
+        tie-break order (see :class:`_PlanArbiter`).
         """
         if plan is not self._plan:
             return              # superseded by a replan before the flush
-        plan.slot = self.engine.schedule_fn_at(plan.t_end,
+        plan.handle = self.engine.schedule_fn_at(plan.t_end,
                                                self._plan_complete)
 
     def _replan(self) -> None:
@@ -693,9 +694,9 @@ class Team:
         starting from now on see the new capacity/slowdown.
         """
         plan = self._plan
-        if plan.slot is not None:
-            self.engine.cancel_scheduled(plan.slot)
-            plan.slot = None
+        if plan.handle is not None:
+            self.engine.cancel_scheduled(plan.handle)
+            plan.handle = None
         self._arbiter.plan_replans += 1
         t0 = self._stats.t_start
         new = self._plan_sim_repeated(
@@ -746,7 +747,7 @@ class Team:
         of start/finish arithmetic.  Time-varying capacity and slowdown
         arrive as ``(time, value)`` epochs; an epoch at time T applies
         before any completion at T, and so to every dispatch at T,
-        matching the per-task seq order (the perturbing timeout was
+        matching the per-task scheduling order (the perturbing timeout was
         scheduled before the finish that dispatches).
         """
         tasks = graph.tasks
@@ -785,7 +786,7 @@ class Team:
         c_order: list = []
         # d_parent[i]: dispatch index of the task whose completion dispatched
         # task i (-1: dispatched at t0 or after an external capacity epoch) —
-        # the seq-assignment genealogy the per-task path creates implicitly
+        # the scheduling genealogy the per-task path creates implicitly
         d_parent: list = []
         cur_parent = -1
         last_di = -1

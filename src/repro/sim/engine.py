@@ -15,11 +15,7 @@ exactly reproducible.
 from __future__ import annotations
 
 import heapq
-import itertools
-from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
-
-from .arena import EventArena
 
 __all__ = [
     "Engine",
@@ -44,7 +40,7 @@ class Event:
     """
 
     __slots__ = ("engine", "callbacks", "_triggered", "_processed", "_ok",
-                 "_value", "_defer")
+                 "_value")
 
     def __init__(self, engine: "Engine"):
         self.engine = engine
@@ -53,9 +49,6 @@ class Event:
         self._processed = False
         self._ok: Optional[bool] = None
         self._value: Any = None
-        # (fn, args) invoked directly by the run loop when this event pops —
-        # the frame-free form of a single callback (see Engine.defer).
-        self._defer: Optional[tuple] = None
 
     # -- state ------------------------------------------------------------
     @property
@@ -86,9 +79,7 @@ class Event:
         self._triggered = True
         self._ok = True
         self._value = value
-        # inlined Engine._post — this is the hottest trigger path
-        eng = self.engine
-        eng._now_queue.append((next(eng._seq), self))
+        self.engine._cur.append(self)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -100,7 +91,7 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exc
-        self.engine._post(self)
+        self.engine._cur.append(self)
         return self
 
 
@@ -119,7 +110,7 @@ class Timeout(Event):
         super().__init__(engine)
         self.delay = delay
         self._value = value
-        engine._schedule_at(engine.now + delay, self)
+        engine._bucket_insert(engine.now + delay, self)
 
 
 ProcessGenerator = Generator[Event, Any, Any]
@@ -258,31 +249,25 @@ class Engine:
         eng.run()
         assert eng.now == 1.5 and p.value == "done"
 
-    Events dispatch in the total ``(when, seq)`` order: by simulated time,
-    then FIFO by the sequence number assigned when they were scheduled.
-    Instead of one global heap of entries, the engine keeps a calendar of
-    per-timestamp *buckets* plus a heap of the distinct populated times.
-    The run loop drains the cohort at the current timestamp (merged by seq
-    against a FIFO now-queue of events triggered at the current time) and
-    then jumps the clock directly to the next populated time — one heap
-    operation per *timestamp* instead of one per event.  Deferred callbacks
-    live in a recycled :class:`~repro.sim.arena.EventArena` slot instead of
-    an :class:`Event` object; queue payloads are either an int (arena slot)
-    or an Event, distinguished by type at dispatch.
+    Events dispatch by simulated time, then in the order they were
+    scheduled.  The engine keeps a calendar of per-timestamp *buckets*
+    (lists of entries in scheduling order) plus a heap of the distinct
+    populated times.  The run loop drains the bucket at the current
+    timestamp — anything scheduled for the current time while it drains
+    is appended to that same bucket — and then jumps the clock directly to
+    the next populated time: one heap operation per *timestamp* instead of
+    one per event.  An entry is the payload itself: an :class:`Event`, or
+    the ``[fn, args]`` record of a deferred callback.
     """
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._seq = itertools.count()
         self._n_events_processed = 0
         self._stop_reason: Optional[str] = None
-        # events triggered at the current time, as (seq, event)
-        self._now_queue: deque[tuple[int, Any]] = deque()
-        self.arena = EventArena()
         self._buckets: dict[float, list] = {}
         self._times: list[float] = []
-        # cohort at the current timestamp + its drain cursor; same-time
-        # schedules append here (monotonic seqs keep it sorted)
+        # bucket at the current timestamp + its drain cursor; everything
+        # scheduled for the current time appends here
         self._cur: list = []
         self._ci = 0
         # timestamps dispatched (see counters)
@@ -308,119 +293,80 @@ class Engine:
         """Composite event triggering when all ``events`` have triggered."""
         return AllOf(self, events)
 
-    def defer(self, fn: Callable[..., None], *args: Any) -> int:
+    def defer(self, fn: Callable[..., None], *args: Any) -> list:
         """Run ``fn(*args)`` when the engine next reaches the current time.
 
         Equivalent to a :class:`Process` whose generator would execute
         ``fn`` before its first yield (the bootstrap event is posted at the
         same queue position), without the generator/Process allocation.
         Nonblocking sends, collective completion and the task runtime's
-        plan arbiter are built on this.  Returns an opaque handle (an arena slot); callers that
-        need cancellation use :meth:`cancel_scheduled`.
+        plan arbiter are built on this.  Returns the callback's
+        ``[fn, args]`` record as its handle for :meth:`cancel_scheduled`.
         """
-        # the hot path allocates no object at all: the callback rides in
-        # a recycled arena slot, the queue entry is (seq, slot).  The
-        # arena free-list claim is inlined (see EventArena.alloc) — this
-        # and call_later together run ~15k times per CFPD run.
-        seq = next(self._seq)
-        arena = self.arena
-        free = arena._free
-        if free:
-            slot = free.pop()
-            arena._fn[slot] = fn
-            arena._args[slot] = args
-            arena._state[slot] = 1
-        else:
-            slot = arena._grow(fn, args)
-        arena.allocated += 1
-        self._now_queue.append((seq, slot))
-        return slot
+        rec = [fn, args]
+        self._cur.append(rec)
+        return rec
 
     def call_later(self, delay: float, fn: Callable[..., None],
-                   *args: Any) -> int:
+                   *args: Any) -> list:
         """Run ``fn(*args)`` after ``delay`` simulated time.
 
         Equivalent to a :class:`Timeout` with ``fn`` as its only callback —
-        same queue entry, same seq — without the Timeout construction or the
+        same queue position — without the Timeout construction or the
         callback closure.  The callback-based task runtime schedules each
-        task's finish timer with it, at dispatch.  Returns an opaque handle (see
+        task's finish timer with it, at dispatch.  Returns a handle (see
         :meth:`defer`).
         """
-        when = self.now + delay
-        seq = next(self._seq)
-        # inlined arena alloc + bucket insert (hot: one call per message
-        # delivery, collective completion and plan timer)
-        arena = self.arena
-        free = arena._free
-        if free:
-            slot = free.pop()
-            arena._fn[slot] = fn
-            arena._args[slot] = args
-            arena._state[slot] = 1
-        else:
-            slot = arena._grow(fn, args)
-        arena.allocated += 1
-        if when == self.now:
-            self._cur.append((seq, slot))
-        else:
-            b = self._buckets.get(when)
-            if b is None:
-                self._buckets[when] = [(seq, slot)]
-                heapq.heappush(self._times, when)
-            else:
-                b.append((seq, slot))
-        return slot
+        rec = [fn, args]
+        self._bucket_insert(self.now + delay, rec)
+        return rec
 
     def schedule_fn_at(self, when: float, fn: Callable[..., None],
-                       *args: Any) -> int:
+                       *args: Any) -> list:
         """Run ``fn(*args)`` at the *absolute* simulated time ``when``.
 
         Unlike ``call_later(when - now, ...)`` — which schedules at
         ``now + (when - now)``, a float that can differ from ``when`` in the
         last ulp — the deadline is the exact float given, so precomputed
         execution plans (Team plan mode) land their completion events on
-        bit-exact timestamps.  Returns a handle for :meth:`cancel_scheduled`.
+        bit-exact timestamps.  Returns a handle (see :meth:`defer`).
         """
         if when < self.now:
             raise SimulationError(f"cannot schedule into the past "
                                   f"({when} < {self.now})")
-        seq = next(self._seq)
-        slot = self.arena.alloc(fn, args)
-        self._bucket_insert(when, seq, slot)
-        return slot
+        rec = [fn, args]
+        self._bucket_insert(when, rec)
+        return rec
 
-    def cancel_scheduled(self, handle: int) -> None:
-        """Cancel a pending :meth:`call_later`/:meth:`schedule_fn_at` call.
+    def cancel_scheduled(self, handle: list) -> None:
+        """Cancel a pending :meth:`defer`/:meth:`call_later`/
+        :meth:`schedule_fn_at` call.
 
-        The queue entry stays where it is and is skipped (and its arena slot
-        recycled) when it surfaces; the callback is guaranteed not to run.
+        The queue entry stays where it is and is skipped when it surfaces;
+        the callback is guaranteed not to run.  The handle of a callback
+        that already ran cancels nothing; cancelling a handle twice raises
+        :class:`ValueError`.
         """
-        self.arena.cancel(handle)
+        if handle[0] is None:
+            raise ValueError("callback already cancelled")
+        handle[0] = handle[1] = None
 
     # -- scheduling (internal) ----------------------------------------------
-    def _schedule_at(self, when: float, event: Event) -> None:
-        self._bucket_insert(when, next(self._seq), event)
+    def _bucket_insert(self, when: float, entry) -> None:
+        """Append an entry to its timestamp's bucket.
 
-    def _bucket_insert(self, when: float, seq: int, payload) -> None:
-        """File a (seq, payload) entry under its timestamp's bucket.
-
-        An entry at the *current* time joins the live cohort directly —
-        monotonic seqs keep the cohort list sorted, and the run loop's merge
-        against the now-queue preserves the global (when, seq) order.
+        An entry at the *current* time joins the live bucket directly, so
+        it runs after everything already scheduled for now.
         """
         if when == self.now:
-            self._cur.append((seq, payload))
+            self._cur.append(entry)
             return
         b = self._buckets.get(when)
         if b is None:
-            self._buckets[when] = [(seq, payload)]
+            self._buckets[when] = [entry]
             heapq.heappush(self._times, when)
         else:
-            b.append((seq, payload))
-
-    def _post(self, event: Event) -> None:
-        """Schedule a just-triggered event's callbacks at the current time."""
-        self._now_queue.append((next(self._seq), event))
+            b.append(entry)
 
     # -- running --------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> None:
@@ -428,22 +374,15 @@ class Engine:
 
         Per *timestamp* (not per event): pop the next populated time off the
         ``_times`` heap, take its whole bucket as the current cohort, and
-        drain it merged against the now-queue by seq — the exact total
-        (when, seq) order while paying one heap operation per distinct
-        timestamp.  Times whose bucket was already consumed (re-pushed while
-        the clock sat on them) are skipped lazily.  This is the engine's
-        only dispatch loop.
+        drain it in order, including the entries appended to it while it
+        drains — one heap operation per distinct timestamp.  Times whose
+        bucket was already consumed (re-pushed while the clock sat on them)
+        are skipped lazily.  This is the engine's only dispatch loop.
         """
         if until is not None and until < self.now:
             raise SimulationError("cannot run into the past")
-        nq = self._now_queue
         buckets = self._buckets
         times = self._times
-        arena = self.arena
-        a_state = arena._state
-        a_fn = arena._fn
-        a_args = arena._args
-        a_free = arena._free
         heappop = heapq.heappop
         cur = self._cur
         ci = self._ci
@@ -452,14 +391,8 @@ class Engine:
             while True:
                 if self._stop_reason is not None:
                     return
-                if nq:
-                    if ci < len(cur) and cur[ci][0] < nq[0][0]:
-                        payload = cur[ci][1]
-                        ci += 1
-                    else:
-                        payload = nq.popleft()[1]
-                elif ci < len(cur):
-                    payload = cur[ci][1]
+                if ci < len(cur):
+                    payload = cur[ci]
                     ci += 1
                 else:
                     # timestamp fully drained: bulk-advance the clock to the
@@ -480,16 +413,13 @@ class Engine:
                         return
                     if when < self.now:
                         raise SimulationError("time went backwards")
-                    for _, p in bucket:
-                        if type(p) is not int or a_state[p] != 2:
+                    for p in bucket:
+                        if type(p) is not list or p[0] is not None:
                             break
                     else:
-                        # only cancelled slots: recycle them without moving
-                        # the clock (a cancelled tail entry must not drag
-                        # the simulation end time forward)
-                        for _, p in bucket:
-                            a_state[p] = 0
-                            a_free.append(p)
+                        # only cancelled callbacks: pass over them without
+                        # moving the clock (a cancelled tail entry must not
+                        # drag the simulation end time forward)
                         continue
                     self._n_cohorts += 1
                     self.now = when
@@ -499,18 +429,12 @@ class Engine:
                     # during dispatch append to this cohort
                     self._cur = cur
                     continue
-                if type(payload) is int:
-                    # arena slot: free it, then invoke unless cancelled
-                    st = a_state[payload]
-                    a_state[payload] = 0
-                    fn = a_fn[payload]
-                    args = a_args[payload]
-                    a_fn[payload] = None
-                    a_args[payload] = None
-                    a_free.append(payload)
-                    if st == 1:  # PENDING
+                if type(payload) is list:
+                    # deferred callback record; a cancelled one has no fn
+                    fn = payload[0]
+                    if fn is not None:
                         n_done += 1
-                        fn(*args)
+                        fn(*payload[1])
                     continue
                 event = payload
                 if not event._triggered:
@@ -518,10 +442,6 @@ class Engine:
                     event._ok = True
                 n_done += 1
                 event._processed = True
-                d = event._defer
-                if d is not None:
-                    event._defer = None
-                    d[0](*d[1])
                 callbacks = event.callbacks
                 if callbacks:
                     event.callbacks = []
@@ -557,11 +477,11 @@ class Engine:
         """Host-side progress counters (never part of a simulated result).
 
         ``events_processed`` plus a ``"batch"`` block: the number of
-        dispatched timestamps (``cohorts``), the event arena's allocation
-        counters and — once a :class:`~repro.core.runtime.Team` attached
-        its plan arbiter — the whole-graph plan counters (``plans``).
+        dispatched timestamps (``cohorts``) and — once a
+        :class:`~repro.core.runtime.Team` attached its plan arbiter — the
+        whole-graph plan counters (``plans``).
         """
-        batch = {"cohorts": self._n_cohorts, "arena": self.arena.counters()}
+        batch = {"cohorts": self._n_cohorts}
         if self._plan_arbiter is not None:
             batch["plans"] = self._plan_arbiter.counters()
         return {"events_processed": self._n_events_processed, "batch": batch}

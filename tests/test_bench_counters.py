@@ -37,4 +37,4 @@ def test_run_counters_has_no_absent_counter(layers, name):
 def test_engine_diag_holds_only_what_is_read():
     diag = run_cfpd(RunConfig(**CONFIGS["sync"]), spec=SPEC).engine_diag
     assert set(diag) == {"events_processed", "batch"}
-    assert set(diag["batch"]) == {"cohorts", "arena", "plans"}
+    assert set(diag["batch"]) == {"cohorts", "plans"}

@@ -42,8 +42,7 @@ class TestInstrument:
         snap = eng.counters()
         assert snap["events_processed"] > 0
         assert set(snap) == {"events_processed", "batch"}
-        assert set(snap["batch"]) == {"cohorts", "arena"}
-        assert snap["batch"]["arena"]["live"] == 0
+        assert set(snap["batch"]) == {"cohorts"}
 
 
 # -- benchmark runner ------------------------------------------------------

@@ -13,8 +13,8 @@
   that once had a slower twin, the configuration's end-to-end pin and the
   hot spot's own pins hold together, so an end-to-end drift bisects to the
   hot spot whose pins moved;
-* **arena recycling** — the event arena serves steady-state allocations
-  from its free list and leaks nothing between runs.
+* **no residue** — two identical runs leak no simulation objects between
+  them.
 """
 
 import hashlib
@@ -161,22 +161,8 @@ class TestPerToggleBisection:
                            entry)
 
 
-class TestArenaRecycling:
-    """``defer``/``call_later`` recycle arena slots: no per-step growth.
-
-    Steady state must serve allocations from the free list (capacity a
-    tiny fraction of total allocations) and two identical runs must not
-    leak simulation objects between them.
-    """
-
-    def test_arena_steady_state(self):
-        result = run_cfpd(RunConfig(**CONFIGS["sync"]), spec=SPEC)
-        arena = result.engine_diag["batch"]["arena"]
-        assert arena["live"] == 0, "slots leaked past the end of the run"
-        assert arena["recycled"] > 0
-        # steady-state table size is bounded by peak concurrency, not by
-        # the number of events: orders of magnitude below total allocations
-        assert arena["capacity"] < arena["allocated"] / 10
+class TestRunResidue:
+    """Two identical runs must not leak simulation objects between them."""
 
     def test_no_object_growth_between_runs(self):
         import gc
