@@ -174,8 +174,9 @@ def _adaptive_default():
     return {"digest": _digest(_run({}, ADAPTIVE_SPEC_KW))}
 
 
-#: hybrid MPI+OpenMP (48 ranks x 2 threads): the only pins whose teams run
-#: more than one worker, so graph plans compare in-flight finish times
+#: hybrid MPI+OpenMP (48 ranks x 2 threads): the default-size pins whose
+#: teams run more than one worker, so graph plans compare in-flight finish
+#: times
 HYBRID_KW = dict(nranks=48, threads_per_rank=2)
 
 
@@ -192,6 +193,28 @@ def _hybrid_dlb():
 @entry("e2e/mn4/adaptive_local_hybrid")
 def _adaptive_hybrid():
     return {"digest": _digest(_run(HYBRID_KW, ADAPTIVE_SPEC_KW))}
+
+
+#: the non-default team schedulers on 8 ranks x 4 threads with multidep
+#: assembly and SGS: mutexinoutset tasks keep mutex refs held while other
+#: ready tasks are picked, on the plan path (DLB off) and the per-task path
+#: (DLB on) alike
+SCHEDULER_KW = dict(num_nodes=1, nranks=8, threads_per_rank=4)
+
+
+def _scheduler_run(scheduler: str, dlb: bool) -> dict:
+    from repro.core import Strategy
+
+    result = _run(dict(SCHEDULER_KW, assembly_strategy=Strategy.MULTIDEP,
+                       sgs_strategy=Strategy.MULTIDEP, scheduler=scheduler,
+                       dlb=dlb), SPEC_KW)
+    return {"digest": _digest(result)}
+
+
+for _sched in ("fifo", "lifo"):
+    for _suffix, _dlb in (("", False), ("_dlb", True)):
+        entry(f"e2e/mn4/scheduler/{_sched}{_suffix}")(
+            lambda _sched=_sched, _dlb=_dlb: _scheduler_run(_sched, _dlb))
 
 
 @entry("e2e/mn4/breathing_ventilator")
