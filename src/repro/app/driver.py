@@ -157,16 +157,6 @@ class RunResult:
     #: breathing-family inlet waveform.
     cosim_diag: dict = field(default_factory=dict)
 
-    def mpi_seconds_by_rank(self):
-        """Blocking-MPI time per rank (needs collect_mpi_trace=True)."""
-        if self.tracer is None:
-            raise ValueError("run with collect_mpi_trace=True")
-        import numpy as np
-        out = np.zeros(self.config.nranks)
-        for iv in self.tracer.by_category("mpi"):
-            out[iv.rank] += iv.duration
-        return out
-
     def phase_summary(self) -> list[dict]:
         """Table-1 rows."""
         return self.phase_log.summary()

@@ -13,12 +13,15 @@ Scheduling semantics:
 * a ready task is *runnable* when none of its ``MUTEXINOUTSET`` refs is held
   by a running task; the scheduler acquires all refs atomically (the DES
   scheduler is a single logical lock, so no deadlock is possible);
-* ready tasks are dispatched runnable-first under the team's policy:
-  largest task first (``lpt``, the default, FIFO among ties — the classic
+* ready tasks wait in one heap of ``(key, seq, task)`` entries, and the
+  pick (:func:`_pop_ready`) is its smallest *runnable* entry.  The team's
+  policy is only the key: largest task first (``lpt``, the default, key
+  ``-instr`` with seqs counting up, so FIFO among ties — the classic
   makespan heuristic, approximating priority-aware task runtimes such as
-  Nanos), oldest first (``fifo``, which keeps consecutive memory-contiguous
-  chunks on the same worker — the locality property the paper attributes
-  to multidependences) or newest first (``lifo``);
+  Nanos), oldest first (``fifo``, key 0 with seqs counting up, which keeps
+  consecutive memory-contiguous chunks on the same worker — the locality
+  property the paper attributes to multidependences) or newest first
+  (``lifo``, key 0 with seqs counting down);
 * dispatching a task schedules its completion directly: one timer per task.
 """
 
@@ -26,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Protocol
 
@@ -146,7 +148,7 @@ class _PlanTemplate:
 
     Without epochs, every scheduling decision of :meth:`Team._plan_sim`
     depends only on the order in which in-flight tasks complete: the pick
-    helpers read instruction counts, FIFO seqs and held mutex refs, never a
+    reads instruction counts, push seqs and held mutex refs, never a
     time.  A template keeps that trajectory — dispatch order, per-task
     durations, each dispatch's parent, the completion order and the stats
     sums — and :meth:`instantiate` rebuilds the absolute times from a new
@@ -165,8 +167,8 @@ class _PlanTemplate:
 
     Templates live on the graph (``TaskGraph._plan_templates``), keyed by
     everything the trajectory depends on besides the graph — core, worker
-    count, slowdown and scheduler — so they outlive the team that recorded
-    them; the graph drops them when it gains a task.
+    count, slowdown and the scheduler's heap factors — so they outlive the
+    team that recorded them; the graph drops them when it gains a task.
     """
 
     __slots__ = ("d_tids", "d_dur", "d_parent", "c_order", "checks",
@@ -272,15 +274,16 @@ class _PlanArbiter:
             team._arm_plan(plan)
 
 
-def _pop_lpt(heap: list, held: set) -> Optional[Task]:
-    """Remove and return the best runnable task of an LPT ready heap.
+def _pop_ready(heap: list, held: set) -> Optional[Task]:
+    """Remove and return the best runnable task of a ready heap.
 
-    Entries are ``(-instr, seq, task)``; the pick is the smallest entry
-    whose task holds none of the ``held`` mutex refs, or ``None`` when
-    every ready task is blocked.  Seqs are unique, so the smallest runnable
-    entry is the one repeated pops would reach first: one scan plus an
-    O(log n) removal picks the same task without popping blocked entries
-    aside and pushing them back.  The caller guarantees a non-empty heap.
+    Entries are ``(key, seq, task)`` (see :class:`Team`); the pick is the
+    smallest entry whose task holds none of the ``held`` mutex refs, or
+    ``None`` when every ready task is blocked.  Seqs are unique, so the
+    smallest runnable entry is the one repeated pops would reach first: one
+    scan plus an O(log n) removal picks the same task without popping
+    blocked entries aside and pushing them back.  The caller guarantees a
+    non-empty heap.
     """
     if not held or heap[0][2].mutex_refs.isdisjoint(held):
         return heapq.heappop(heap)[2]
@@ -303,30 +306,6 @@ def _pop_lpt(heap: list, held: set) -> Optional[Task]:
     return best[2]
 
 
-def _pop_deque(ready: deque, held: set, lifo: bool) -> Optional[Task]:
-    """Remove and return the next runnable task of a fifo/lifo ready deque.
-
-    ``fifo`` takes the oldest runnable task (breadth-first, best locality
-    across a chunked traversal); ``lifo`` the newest (depth-first,
-    cache-hot dependents first).  ``None`` when every ready task is
-    blocked by a held mutex.  The caller guarantees a non-empty deque.
-    """
-    if not held:
-        return ready.pop() if lifo else ready.popleft()
-    if lifo:
-        for i in range(len(ready) - 1, -1, -1):
-            task = ready[i]
-            if task.mutex_refs.isdisjoint(held):
-                del ready[i]
-                return task
-        return None
-    for i, task in enumerate(ready):
-        if task.mutex_refs.isdisjoint(held):
-            del ready[i]
-            return task
-    return None
-
-
 class Team:
     """A rank's thread team: a malleable pool of simulated cores.
 
@@ -342,6 +321,13 @@ class Team:
         Optional object with ``record(rank, category, label, t0, t1)``.
     listener:
         Optional :class:`TeamListener` (DLB).
+    scheduler:
+        Ready-task policy, one of :attr:`SCHEDULERS`.  It is read here
+        only, as the two factors of a ready-heap entry ``(instr_factor *
+        instr, seq, task)``: ``lpt`` is ``(-instr, +seq)``, ``fifo``
+        ``(0, +seq)`` and ``lifo`` ``(0, -seq)``, where seqs count push
+        order up or down.  Both execution paths pick through
+        :func:`_pop_ready`.
     """
 
     SCHEDULERS = ("lpt", "fifo", "lifo")
@@ -363,7 +349,6 @@ class Team:
         self.name = name or f"team{rank}"
         self.recorder = recorder
         self.listener = listener
-        self.scheduler = scheduler
         self._max_workers = nthreads
         #: execution-time multiplier (> 1 under an injected DVFS throttle)
         self.slowdown = 1.0
@@ -375,13 +360,11 @@ class Team:
         self._done: Optional[Event] = None
         self._stats: Optional[GraphStats] = None
         self._hungry_notified = False
-        # Ready queue.  LPT keeps a heap of (-instr, seq, task) entries, so
-        # the heap min is the largest-instruction task, earliest arrival
-        # first (FIFO tie-break), in O(log n) per dispatch; fifo/lifo keep
-        # a deque of tasks.
-        self._use_heap = scheduler == "lpt"
-        self._lifo = scheduler == "lifo"
-        self._ready: list | deque = [] if self._use_heap else deque()
+        # Ready heap of (instr_factor * instr, seq, task) entries; the
+        # policy factors are fixed here, so a push never branches on it
+        self._instr_factor = -1.0 if scheduler == "lpt" else 0.0
+        self._seq_step = -1 if scheduler == "lifo" else 1
+        self._ready: list = []
         self._seq = 0
         # Plan mode: simulate the whole graph execution up front and
         # schedule one completion event, instead of 2 DES events per task.
@@ -469,10 +452,7 @@ class Team:
             # no mutexes held: any ready task is runnable
             return bool(ready)
         # existence check only — no need for the *best* runnable task
-        if self._use_heap:
-            return any(entry[2].mutex_refs.isdisjoint(held)
-                       for entry in ready)
-        return any(task.mutex_refs.isdisjoint(held) for task in ready)
+        return any(entry[2].mutex_refs.isdisjoint(held) for entry in ready)
 
     def set_capacity(self, n: int) -> None:
         """Change the worker ceiling; growth dispatches immediately, shrink
@@ -537,11 +517,20 @@ class Team:
             if self._graph is not None:
                 raise RuntimeError_(
                     f"{self.name}: run() while a graph is active")
-            stats = GraphStats(t_start=self.engine.now)
+            arb = self._arbiter
+            arb.planned_graphs += repeats
+            arb.planned_tasks += repeats * len(graph.tasks)
+            t0 = self.engine.now
             self._graph = graph
-            self._stats = stats
+            self._stats = GraphStats(t_start=t0)
             self._done = Event(self.engine)
-            self._plan_start(graph, stats, repeats)
+            self._plan_repeats = repeats
+            # the plan is armed through the arbiter, which sorts every plan
+            # submitted in the current event cohort by the per-task
+            # tie-break key before scheduling the completion events
+            plan = self._plan = self._plan_unperturbed(graph, t0, repeats)
+            if not plan.stalled:
+                arb.submit(self, plan)
             result = yield self._done
             return result
         stats = yield from self._run_once(graph)
@@ -567,11 +556,8 @@ class Team:
         self._stats = stats
         self._remaining = len(graph.tasks)
         self._preds_left = [t.n_preds for t in graph.tasks]
-        if self._use_heap:
-            for task in graph.roots():
-                self._push_ready(task)
-        else:
-            self._ready.extend(graph.roots())
+        for task in graph.roots():
+            self._push_ready(task)
         self._done = Event(self.engine)
         self._hungry_notified = False
         self._dispatch()
@@ -579,23 +565,13 @@ class Team:
         return result
 
     # -- plan mode ----------------------------------------------------------
-    def _plan_start(self, graph: TaskGraph, stats: GraphStats,
-                    repeats: int) -> None:
-        """Materialize the whole run (all ``repeats``) as one plan + one
-        completion event."""
-        arb = self._arbiter
-        arb.planned_graphs += repeats
-        arb.planned_tasks += repeats * len(graph.tasks)
-        self._plan_repeats = repeats
-        self._install_plan(self._plan_unperturbed(graph, stats.t_start,
-                                                  repeats))
-
     def _plan_unperturbed(self, graph: TaskGraph, t0: float,
                           repeats: int = 1) -> _Plan:
         """The plan of ``repeats`` runs of ``graph`` from ``t0`` at the
         team's current capacity and slowdown, one segment per repeat served
         by :meth:`_plan_templated`."""
-        key = (self.core, self._max_workers, self.slowdown, self.scheduler)
+        key = (self.core, self._max_workers, self.slowdown,
+               self._instr_factor, self._seq_step)
         return self._plan_repeated(
             lambda t: self._plan_templated(graph, key, t), t0, repeats)
 
@@ -659,18 +635,6 @@ class Team:
         return self._plan_repeated(
             lambda t: self._plan_sim(graph, t, slow_epochs, cap_epochs),
             t0, repeats)
-
-    def _install_plan(self, plan: _Plan) -> None:
-        """Adopt a freshly simulated plan and queue it for arming.
-
-        Arming goes through the per-engine :class:`_PlanArbiter`, which
-        sorts every plan submitted in the current event cohort by the
-        per-task tie-break key before scheduling the completion events.
-        """
-        self._plan = plan
-        if plan.stalled:
-            return
-        self._arbiter.submit(self, plan)
 
     def _arm_plan(self, plan: _Plan) -> None:
         """Schedule the plan's completion (called by the arbiter's flush).
@@ -740,33 +704,29 @@ class Team:
         """Simulate one graph execution in plain Python, event-for-event
         equivalent to the per-task path's trajectory.
 
-        Replicates `_dispatch`/`_finish_task` exactly: the scheduling
-        policy through the same pick helpers (:func:`_pop_lpt`,
-        :func:`_pop_deque`), dispatch-while-capacity-remains after every
-        completion, cached task durations, and the float expression order
-        of start/finish arithmetic.  Time-varying capacity and slowdown
-        arrive as ``(time, value)`` epochs; an epoch at time T applies
-        before any completion at T, and so to every dispatch at T,
-        matching the per-task scheduling order (the perturbing timeout was
-        scheduled before the finish that dispatches).
+        Replicates `_dispatch`/`_finish_task` exactly: the same ready-heap
+        entries and pick helper (:func:`_pop_ready`), dispatch while
+        capacity remains after every completion, cached task durations, and
+        the float expression order of start/finish arithmetic.
+        Time-varying capacity and slowdown arrive as ``(time, value)``
+        epochs; an epoch at time T applies before any completion at T, and
+        so to every dispatch at T, matching the per-task scheduling order
+        (the perturbing timeout was scheduled before the finish that
+        dispatches).
         """
         tasks = graph.tasks
         n = len(tasks)
         core = self.core
-        lpt = self._use_heap
-        lifo = self._lifo
         preds_left = [t.n_preds for t in tasks]
         held: set = set()
-        # ready structure: the per-task path's (seq = FIFO tie-break,
-        # matches _push_ready)
-        ready: list | deque = [] if lpt else deque()
+        # the per-task path's ready heap (entries as in _push_ready)
+        factor = self._instr_factor
+        step = self._seq_step
+        ready: list = []
         seqc = 0
-        if lpt:
-            for task in graph.roots():
-                seqc += 1
-                heapq.heappush(ready, (-task._instr, seqc, task))
-        else:
-            ready.extend(graph.roots())
+        for task in graph.roots():
+            seqc += step
+            heapq.heappush(ready, (factor * task._instr, seqc, task))
 
         slow = slow_epochs[0][1]
         si = 1
@@ -804,8 +764,7 @@ class Team:
                 slow = slow_epochs[si][1]
                 si += 1
             while active < W and ready:
-                task = (_pop_lpt(ready, held) if lpt
-                        else _pop_deque(ready, held, lifo))
+                task = _pop_ready(ready, held)
                 if task is None:
                     break
                 tid = task.tid
@@ -846,18 +805,12 @@ class Team:
                 completed += 1
                 c_finish.append(finish)
                 c_order.append(di)
-                if lpt:
-                    for succ in task.successors:
-                        preds_left[succ] -= 1
-                        if preds_left[succ] == 0:
-                            seqc += 1
-                            nxt = tasks[succ]
-                            heapq.heappush(ready, (-nxt._instr, seqc, nxt))
-                else:
-                    for succ in task.successors:
-                        preds_left[succ] -= 1
-                        if preds_left[succ] == 0:
-                            ready.append(tasks[succ])
+                for succ in task.successors:
+                    preds_left[succ] -= 1
+                    if preds_left[succ] == 0:
+                        seqc += step
+                        nxt = tasks[succ]
+                        heapq.heappush(ready, (factor * nxt._instr, seqc, nxt))
             elif next_ep is not None:
                 t = next_ep
                 cur_parent = -1
@@ -875,9 +828,10 @@ class Team:
 
     # -- internals --------------------------------------------------------
     def _push_ready(self, task: Task) -> None:
-        """Add ``task`` to the LPT heap (seq = FIFO tie-break on equal work)."""
-        self._seq += 1
-        heapq.heappush(self._ready, (-task._instr, self._seq, task))
+        """Add ``task`` to the ready heap under the team's policy key."""
+        self._seq += self._seq_step
+        heapq.heappush(self._ready,
+                       (self._instr_factor * task._instr, self._seq, task))
 
     def _dispatch(self) -> None:
         """Start runnable tasks while workers are free.
@@ -886,7 +840,7 @@ class Team:
         (``slowdown`` included, so an epoch at time T applies to every
         dispatch made after it at T, the plan path's rule) and one
         ``call_later`` carries the task to :meth:`_finish_task`.  The pick
-        helpers are the plan simulator's; with the default one-thread teams
+        helper is the plan simulator's; with the default one-thread teams
         of the paper's configurations no mutex is held here and a pick is a
         single heappop.
         """
@@ -898,8 +852,7 @@ class Team:
         active = self._active
         cap = self._max_workers
         while active < cap and ready:
-            task = (_pop_lpt(ready, held) if self._use_heap
-                    else _pop_deque(ready, held, self._lifo))
+            task = _pop_ready(ready, held)
             if task is None:
                 break
             if task.mutex_refs:
@@ -941,16 +894,10 @@ class Team:
         self._remaining -= 1
         tasks = self._graph.tasks
         preds_left = self._preds_left
-        if self._use_heap:
-            for succ in task.successors:
-                preds_left[succ] -= 1
-                if preds_left[succ] == 0:
-                    self._push_ready(tasks[succ])
-        else:
-            for succ in task.successors:
-                preds_left[succ] -= 1
-                if preds_left[succ] == 0:
-                    self._ready.append(tasks[succ])
+        for succ in task.successors:
+            preds_left[succ] -= 1
+            if preds_left[succ] == 0:
+                self._push_ready(tasks[succ])
         self._hungry_notified = False
         if self._remaining:
             self._dispatch()

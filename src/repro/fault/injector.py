@@ -152,7 +152,7 @@ class FaultInjector:
         self._record(spec, f"NaN injected into {spec.phase} residual "
                            f"at iteration {max(1, spec.count)}: {outcome}")
 
-    # -- message-path hook (called from Comm._transfer) ---------------------
+    # -- message-path hook (called from Comm._isend_start) -----------------
     def on_message(self, src: int, dest: int,
                    nbytes: float) -> tuple[bool, float]:
         """Decide the fate of one message leaving ``src``.

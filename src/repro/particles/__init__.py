@@ -7,7 +7,6 @@ from .forces import (
     GRAVITY,
     ParticleProperties,
     drag_force,
-    drag_linear_coefficient,
     drag_linear_coefficient_d,
     ganser_cd,
     gravity_buoyancy_acceleration,
@@ -42,7 +41,6 @@ __all__ = [
     "DepositionPoint",
     "deposition_curve",
     "drag_force",
-    "drag_linear_coefficient",
     "drag_linear_coefficient_d",
     "ganser_cd",
     "gravity_buoyancy_acceleration",

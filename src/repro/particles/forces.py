@@ -101,19 +101,6 @@ def drag_force(u_fluid: np.ndarray, u_particle: np.ndarray,
     return coeff[..., None] * rel
 
 
-def drag_linear_coefficient(u_fluid: np.ndarray, u_particle: np.ndarray,
-                            particles: ParticleProperties,
-                            fluid: FluidProperties) -> np.ndarray:
-    """Coefficient ``k`` (n,) such that F_D = k (u_f - u_p), evaluated at the
-    current relative velocity — the semi-implicit linearization used by the
-    Newmark integrator."""
-    rel = u_fluid - u_particle
-    speed = np.linalg.norm(rel, axis=-1)
-    re = reynolds(speed, particles, fluid)
-    cdre = drag_coefficient_times_re(re)
-    return (np.pi / 8.0) * fluid.viscosity * particles.diameter * cdre
-
-
 def gravity_buoyancy_acceleration(particles: ParticleProperties,
                                   fluid: FluidProperties) -> np.ndarray:
     """Combined gravity + buoyancy acceleration (Eqs. 4-5): g (1 - rho_f/rho_p)."""

@@ -313,8 +313,6 @@ class Comm:
         world.pending_calls.pop(self.world_rank, None)
         if observed and world.hooks._hooks:
             world.hooks.exit(self.world_rank, call)
-        # blocking-MPI time and its trace record
-        world.mpi_seconds[self.world_rank] += world.engine.now - t0
         if world.recorder is not None:
             world.recorder.record(self.world_rank, "mpi", call, t0,
                                   world.engine.now)
@@ -322,12 +320,13 @@ class Comm:
     # -- point to point -------------------------------------------------------
     def send(self, payload: Any, dest: int, tag: int = 0,
              nbytes: Optional[float] = None):
-        """Blocking send to local rank ``dest`` (generator; use yield from)."""
+        """Blocking send to local rank ``dest``: an :meth:`isend` blocked on
+        until delivery (generator; use yield from)."""
         if not 0 <= dest < self.size:
             raise MPIError(f"dest {dest} out of range for comm size {self.size}")
         t0 = self._blocking("send")
         try:
-            yield from self._transfer(payload, dest, tag, nbytes)
+            yield self.isend(payload, dest, tag, nbytes)
         finally:
             self._unblock("send", t0)
 
@@ -378,24 +377,6 @@ class Comm:
                       req: Event) -> None:
         self._world.deliver(msg, dest_world)
         req.succeed(None)
-
-    def _transfer(self, payload: Any, dest: int, tag: int,
-                  nbytes: Optional[float]):
-        world = self._world
-        size = _payload_nbytes(payload, nbytes)
-        dest_world = self.group[dest]
-        delay = world.cluster.message_seconds(
-            world.node_of(self.world_rank), world.node_of(dest_world), size)
-        dropped = False
-        if world.fault_controller is not None:
-            dropped, extra = world.fault_controller.on_message(
-                self.world_rank, dest_world, size)
-            delay += extra
-        yield world.engine.timeout(delay)
-        if not dropped:
-            world.deliver(Message(src=self.rank, dest=dest, tag=tag,
-                                  comm_id=self.comm_id, payload=payload,
-                                  nbytes=size), dest_world)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Blocking receive; returns the matching payload (yield from).
@@ -606,9 +587,6 @@ class World:
         self._next_comm_id = 1
         self._node_of = [rank_to_node(r, nranks, cluster.num_nodes, mapping)
                          for r in range(nranks)]
-        #: accumulated (mpi_seconds, compute_seconds) per world rank
-        self.mpi_seconds = [0.0] * nranks
-        self.compute_seconds = [0.0] * nranks
         #: optional recorder with record(rank, category, name, t0, t1)
         self.recorder: Optional[Any] = None
         #: world ranks that have been killed (failure injection)
@@ -672,8 +650,7 @@ class World:
         self._mailboxes[dest_world_rank].put(msg)
 
     def account_compute(self, world_rank: int, t0: float, t1: float) -> None:
-        """Accumulate useful-compute time and notify the recorder."""
-        self.compute_seconds[world_rank] += t1 - t0
+        """Report useful-compute time to the recorder."""
         if self.recorder is not None:
             self.recorder.record(world_rank, "compute", "compute", t0, t1)
 

@@ -6,6 +6,7 @@ import pytest
 from repro.machine import marenostrum4, thunder
 from repro.sim import Engine
 from repro.smpi import ANY_SOURCE, ANY_TAG, MPIError, World
+from repro.trace import Tracer
 
 
 def make_world(nranks=4, cluster=None, mapping="block"):
@@ -284,6 +285,7 @@ class TestSubCommunicators:
 class TestAccounting:
     def test_mpi_time_accounted_for_waiting_rank(self):
         world = make_world(2)
+        world.recorder = tracer = Tracer()
 
         def program(comm):
             if comm.rank == 0:
@@ -293,8 +295,8 @@ class TestAccounting:
                 yield from comm.recv(source=0)
 
         world.run(world.launch(program))
-        assert world.mpi_seconds[1] >= 5.0
-        assert world.compute_seconds[0] == pytest.approx(5.0)
+        assert tracer.total_time(1, "mpi") >= 5.0
+        assert tracer.total_time(0, "compute") == pytest.approx(5.0)
 
     def test_hooks_see_blocking_calls(self):
         world = make_world(2)
