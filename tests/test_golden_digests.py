@@ -174,6 +174,13 @@ def _adaptive_default():
     return {"digest": _digest(_run({}, ADAPTIVE_SPEC_KW))}
 
 
+@entry("e2e/mn4/adaptive_local_sine_dlb")
+def _adaptive_default_dlb():
+    """Subcycle repeats under DLB: teams on finer rungs replay their graphs
+    several times per global step while LeWI moves cores."""
+    return {"digest": _digest(_run(dict(dlb=True), ADAPTIVE_SPEC_KW))}
+
+
 #: hybrid MPI+OpenMP (48 ranks x 2 threads): the default-size pins whose
 #: teams run more than one worker, so graph plans compare in-flight finish
 #: times
@@ -232,6 +239,17 @@ def _adaptive_small():
             "n_sim_steps": result.adaptive_diag["n_sim_steps"]}
 
 
+#: the benchmark's ``replay_thunder_coupled`` configuration: 64 + 32 ranks
+#: on one Arm Thunder node, where LeWI lends across all 96 ranks
+THUNDER_COUPLED_KW = dict(cluster="thunder", num_nodes=1, mode="coupled",
+                          nranks=96, fluid_ranks=64)
+
+
+@entry("e2e/thunder/coupled_dlb")
+def _thunder_coupled_dlb():
+    return {"digest": _digest(_run(dict(THUNDER_COUPLED_KW, dlb=True)))}
+
+
 @entry("e2e/thunder/ventilator")
 def _ventilator_small():
     result = _run(dict(cluster="thunder", num_nodes=1, nranks=4),
@@ -272,7 +290,7 @@ def _fault_run(name: str) -> dict:
             "digest": _digest(result)}
 
 
-for _name in ("sync", "coupled"):
+for _name in SPEC_CONFIGS:
     entry(f"faults/{_name}")(lambda _name=_name: _fault_run(_name))
 
 
@@ -700,7 +718,8 @@ class TestGolden:
         assert set(golden) == set(ENTRIES)
 
     def test_default_digests_equal_bench_reference(self, golden):
-        """The MN4 pins equal the benchmark's own pins of the same runs:
+        """The MN4 pins and the Thunder coupled DLB pin equal the benchmark's own
+        pins of the same runs:
         ``e2e/mn4/<mode>[_dlb]`` is ``replay_mn4_<mode>`` at ``dlb=off|on``
         in ``bench/golden.json``."""
         with open(BENCH_GOLDEN) as fh:
@@ -709,6 +728,8 @@ class TestGolden:
             for suffix, dlb in (("", "off"), ("_dlb", "on")):
                 assert golden[f"e2e/mn4/{mode}{suffix}"]["digest"] == \
                     bench[f"replay_mn4_{mode}"][f"dlb={dlb}"]
+        assert golden["e2e/thunder/coupled_dlb"]["digest"] == \
+            bench["replay_thunder_coupled"]["dlb=on"]
 
 
 def record(path: Path = GOLDEN_PATH) -> dict:
