@@ -847,6 +847,7 @@ class Team:
         ready = self._ready
         held = self._held_refs
         engine = self.engine
+        now = engine.now
         core = self.core
         stats = self._stats
         active = self._active
@@ -870,8 +871,10 @@ class Team:
                 task._dur = base
                 task._dur_core = core
             exec_seconds = base * self.slowdown
-            engine.call_later(exec_seconds, self._finish_task, task,
-                              engine.now, exec_seconds)
+            engine.schedule_completion(now + exec_seconds,
+                                       engine.completion_key(),
+                                       self._finish_task, task, now,
+                                       exec_seconds)
         self._active = active
         # Appetite signalling for DLB: hungry if capacity-bound work remains.
         if (active >= cap and ready and self.listener is not None

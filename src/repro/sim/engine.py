@@ -15,6 +15,7 @@ exactly reproducible.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right, insort
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -234,6 +235,17 @@ class AllOf(Event):
             self.succeed([ev.value for ev in self.events])
 
 
+def _all_cancelled(bucket: Optional[list], fins: Optional[list]) -> bool:
+    """Whether a timestamp holds nothing but cancelled callbacks."""
+    for p in bucket or ():
+        if type(p) is not list or p[0] is not None:
+            return False
+    for _key, rec in fins or ():
+        if rec[0] is not None:
+            return False
+    return True
+
+
 class Engine:
     """The event loop: a calendar of per-timestamp event buckets.
 
@@ -249,15 +261,39 @@ class Engine:
         eng.run()
         assert eng.now == 1.5 and p.value == "done"
 
-    Events dispatch by simulated time, then in the order they were
-    scheduled.  The engine keeps a calendar of per-timestamp *buckets*
-    (lists of entries in scheduling order) plus a heap of the distinct
-    populated times.  The run loop drains the bucket at the current
-    timestamp — anything scheduled for the current time while it drains
-    is appended to that same bucket — and then jumps the clock directly to
-    the next populated time: one heap operation per *timestamp* instead of
-    one per event.  An entry is the payload itself: an :class:`Event`, or
-    the ``[fn, args]`` record of a deferred callback.
+    Entries dispatch by simulated time.  Within a timestamp there are two
+    kinds of entry:
+
+    * *plain* entries — events, :meth:`defer`/:meth:`call_later`/
+      :meth:`schedule_fn_at` callbacks — run in the order they were
+      scheduled;
+    * *task completions* (:meth:`schedule_completion`) run after the plain
+      entries, in the order of their *dispatch key*, not of their
+      insertion.
+
+    A timestamp alternates *segments*: plain entries (segment 0), then every
+    pending completion (segment 1), then the plain entries those
+    completions scheduled (segment 2), then any completion those scheduled
+    at the same time (segment 3), and so on.  A completion segment runs to
+    its end before the plain entries it schedules.
+
+    A dispatch key is ``(dispatch time, segment, origin, index)``.  The
+    segment is the one the dispatching entry ran in.  ``origin`` is
+    ``None`` in a plain segment and the dispatching completion's own key in
+    a completion segment.  ``index`` counts insertions.
+    :meth:`completion_key` hands out the key of a dispatch made now.
+    Keys compare in the order the insertions happen, so a task runtime
+    can compute the key of a completion it has not inserted yet, and insert
+    it later, at its place.
+
+    The engine keeps a calendar of per-timestamp *buckets* of plain entries
+    (lists in scheduling order) and sorted completion lists, plus a heap of
+    the distinct populated times.  The run loop drains the current
+    timestamp, including everything scheduled for it while it drains, and
+    then jumps the clock directly to the next populated time: one heap
+    operation per *timestamp* instead of one per event.  A plain entry is
+    the payload itself: an :class:`Event`, or the ``[fn, args]`` record of
+    a deferred callback.  A completion is a ``(key, [fn, args])`` pair.
     """
 
     def __init__(self) -> None:
@@ -265,11 +301,21 @@ class Engine:
         self._n_events_processed = 0
         self._stop_reason: Optional[str] = None
         self._buckets: dict[float, list] = {}
+        self._completions: dict[float, list] = {}
         self._times: list[float] = []
-        # bucket at the current timestamp + its drain cursor; everything
-        # scheduled for the current time appends here
+        # plain entries at the current timestamp + their drain cursor;
+        # everything scheduled for the current time appends here
         self._cur: list = []
         self._ci = 0
+        # completions at the current timestamp (sorted by key) + cursor
+        self._fcur: list = []
+        self._fi = 0
+        # segment of the current timestamp, the key of the completion
+        # being run (None in a plain segment) and the insertion counter
+        # of completion_key
+        self._seg = 0
+        self._fkey = None
+        self._kseq = 0
         # timestamps dispatched (see counters)
         self._n_cohorts = 0
         # the task runtime's plan arbiter, attached by the first Team
@@ -313,9 +359,7 @@ class Engine:
 
         Equivalent to a :class:`Timeout` with ``fn`` as its only callback —
         same queue position — without the Timeout construction or the
-        callback closure.  The callback-based task runtime schedules each
-        task's finish timer with it, at dispatch.  Returns a handle (see
-        :meth:`defer`).
+        callback closure.  Returns a handle (see :meth:`defer`).
         """
         rec = [fn, args]
         self._bucket_insert(self.now + delay, rec)
@@ -338,9 +382,55 @@ class Engine:
         self._bucket_insert(when, rec)
         return rec
 
+    def completion_key(self) -> tuple:
+        """The dispatch key of a task dispatched now (see the class
+        docstring); each call takes the next insertion index."""
+        k = self._kseq
+        self._kseq = k + 1
+        return (self.now, self._seg, self._fkey, k)
+
+    def schedule_completion(self, when: float, key: tuple,
+                            fn: Callable[..., None], *args: Any) -> list:
+        """Run ``fn(*args)`` at the absolute time ``when`` as a task
+        completion ordered by ``key`` (see the class docstring).
+
+        A key taken from :meth:`completion_key` at dispatch, or computed
+        the same way, places the completion where inserting it at dispatch
+        would have: completions may be inserted in any order.  A key that
+        sorts before a completion already run at ``when`` is an error.
+        Returns a handle (see :meth:`defer`).
+        """
+        if when < self.now:
+            raise SimulationError(f"cannot schedule into the past "
+                                  f"({when} < {self.now})")
+        rec = [fn, args]
+        entry = (key, rec)
+        if when == self.now:
+            fl = self._fcur
+            if fl and not key > fl[-1][0]:
+                pos = bisect_right(fl, (key,))
+                if pos < self._fi:
+                    raise SimulationError(
+                        f"completion key {key!r} precedes a completion "
+                        f"already run at t={when}")
+                fl.insert(pos, entry)
+            else:
+                fl.append(entry)
+            return rec
+        fl = self._completions.get(when)
+        if fl is None:
+            self._completions[when] = [entry]
+            if when not in self._buckets:
+                heapq.heappush(self._times, when)
+        elif key > fl[-1][0]:
+            fl.append(entry)
+        else:
+            insort(fl, entry)
+        return rec
+
     def cancel_scheduled(self, handle: list) -> None:
         """Cancel a pending :meth:`defer`/:meth:`call_later`/
-        :meth:`schedule_fn_at` call.
+        :meth:`schedule_fn_at`/:meth:`schedule_completion` call.
 
         The queue entry stays where it is and is skipped when it surfaces;
         the callback is guaranteed not to run.  The handle of a callback
@@ -353,7 +443,7 @@ class Engine:
 
     # -- scheduling (internal) ----------------------------------------------
     def _bucket_insert(self, when: float, entry) -> None:
-        """Append an entry to its timestamp's bucket.
+        """Append a plain entry to its timestamp's bucket.
 
         An entry at the *current* time joins the live bucket directly, so
         it runs after everything already scheduled for now.
@@ -364,7 +454,8 @@ class Engine:
         b = self._buckets.get(when)
         if b is None:
             self._buckets[when] = [entry]
-            heapq.heappush(self._times, when)
+            if when not in self._completions:
+                heapq.heappush(self._times, when)
         else:
             b.append(entry)
 
@@ -373,61 +464,92 @@ class Engine:
         """Run until the queue drains or the clock would pass ``until``.
 
         Per *timestamp* (not per event): pop the next populated time off the
-        ``_times`` heap, take its whole bucket as the current cohort, and
-        drain it in order, including the entries appended to it while it
-        drains — one heap operation per distinct timestamp.  Times whose
-        bucket was already consumed (re-pushed while the clock sat on them)
-        are skipped lazily.  This is the engine's only dispatch loop.
+        ``_times`` heap and take its bucket and completion list as the
+        current ones.  Drain the bucket, including the entries appended to
+        it while it drains; then run every completion of the timestamp in
+        key order; then the plain entries those appended; and so on until
+        both are empty.  One heap operation per distinct timestamp.  This
+        is the engine's only dispatch loop.
         """
         if until is not None and until < self.now:
             raise SimulationError("cannot run into the past")
         buckets = self._buckets
+        completions = self._completions
         times = self._times
         heappop = heapq.heappop
         cur = self._cur
         ci = self._ci
+        # odd segment: inside a completion segment
+        in_fin = self._seg & 1
         n_done = 0
         try:
             while True:
                 if self._stop_reason is not None:
                     return
+                if in_fin:
+                    fcur = self._fcur
+                    fi = self._fi
+                    if fi < len(fcur):
+                        key, rec = fcur[fi]
+                        self._fi = fi + 1
+                        fn = rec[0]
+                        if fn is not None:
+                            self._fkey = key
+                            n_done += 1
+                            fn(*rec[1])
+                        continue
+                    # completion segment drained: back to plain entries
+                    in_fin = 0
+                    self._seg += 1
+                    self._fkey = None
+                    continue
                 if ci < len(cur):
                     payload = cur[ci]
                     ci += 1
+                elif self._fi < len(self._fcur):
+                    in_fin = 1
+                    self._seg += 1
+                    continue
                 else:
                     # timestamp fully drained: bulk-advance the clock to the
                     # next populated time
                     while times:
                         when = heappop(times)
                         bucket = buckets.pop(when, None)
-                        if bucket is not None:
+                        fins = completions.pop(when, None)
+                        if bucket is not None or fins is not None:
                             break
                     else:
                         if until is not None:
                             self.now = until
                         return
                     if until is not None and when > until:
-                        buckets[when] = bucket
+                        if bucket is not None:
+                            buckets[when] = bucket
+                        if fins is not None:
+                            completions[when] = fins
                         heapq.heappush(times, when)
                         self.now = until
                         return
                     if when < self.now:
                         raise SimulationError("time went backwards")
-                    for p in bucket:
-                        if type(p) is not list or p[0] is not None:
-                            break
-                    else:
+                    p = bucket[0] if bucket is not None else fins[0][1]
+                    if type(p) is list and p[0] is None \
+                            and _all_cancelled(bucket, fins):
                         # only cancelled callbacks: pass over them without
                         # moving the clock (a cancelled tail entry must not
                         # drag the simulation end time forward)
                         continue
                     self._n_cohorts += 1
                     self.now = when
-                    cur = bucket
+                    cur = bucket if bucket is not None else []
                     ci = 0
                     # visible before callbacks run: same-time schedules made
                     # during dispatch append to this cohort
                     self._cur = cur
+                    self._fcur = fins if fins is not None else []
+                    self._fi = 0
+                    self._seg = 0
                     continue
                 if type(payload) is list:
                     # deferred callback record; a cancelled one has no fn
