@@ -89,8 +89,14 @@ class DLB:
         # notifies on_team_hungry, or through a DLB shrink when a reclaim
         # pulls cores back from it; both add the rank here, and _feed drops
         # the ranks it finds sated.  So _feed visits the hungry teams
-        # without asking every team of the node.
+        # without asking every team of the node.  A team running a plan
+        # notifies nothing at its task boundaries, so it stays a candidate
+        # while its plan runs.
         self._candidates: Dict[int, set] = {}
+        # node -> attach indices of the ranks holding borrowed cores (the
+        # reclaim scan), and node -> ranks admitted to plan their graph
+        self._borrowers: Dict[int, set] = {}
+        self._planned: Dict[int, set] = {}
         self.stats = DLBStats()
         if enabled:
             world.hooks.register(self)
@@ -115,6 +121,8 @@ class DLB:
         self._team_pos[rank] = len(ranks)
         ranks.append(rank)
         self._candidates.setdefault(node, set())
+        self._borrowers.setdefault(node, set())
+        self._planned.setdefault(node, set())
         self._pool.setdefault(node, 0)
         if self.enabled:
             team.listener = self
@@ -139,13 +147,14 @@ class DLB:
         give = self._borrowed[rank] + own_lend
         if give <= 0:
             return
-        self._borrowed[rank] = 0
+        self._set_borrowed(rank, 0)
         self._lent[rank] += own_lend
         team.set_capacity(team.base_threads - self._lent[rank])
         self._pool[node] += give
         self.stats.lend_events += 1
         self.stats.cores_lent_total += give
         self._feed(node)
+        self._settle(node)
 
     def on_mpi_exit(self, rank: int, call: str) -> None:
         """PMPI hook: ``rank`` resumed — reclaim its lent cores."""
@@ -161,17 +170,21 @@ class DLB:
         self._pool[node] -= taken
         need -= taken
         if need > 0:
-            # Pull back from borrowers (largest borrowers first).
-            for other in sorted(self._borrowers_on(node),
-                                key=lambda r: -self._borrowed[r]):
+            # Pull back from borrowers: largest borrowers first, attach
+            # order on ties
+            ranks = self._node_teams[node]
+            borrowed = self._borrowed
+            for pos in sorted(self._borrowers[node],
+                              key=lambda p: (-borrowed[ranks[p]], p)):
                 if need <= 0:
                     break
-                k = min(need, self._borrowed[other])
-                self._borrowed[other] -= k
+                other = ranks[pos]
+                k = min(need, borrowed[other])
+                self._set_borrowed(other, borrowed[other] - k)
                 other_team = self.teams[other]
                 other_team.set_capacity(other_team.capacity - k)
                 # the shrink may leave runnable tasks without a worker
-                self._candidates[node].add(self._team_pos[other])
+                self._candidates[node].add(pos)
                 need -= k
         if need > 0:  # pragma: no cover - accounting invariant
             raise RuntimeError(
@@ -195,20 +208,41 @@ class DLB:
         if self._pool[node] <= 0 or self._in_mpi[rank]:
             return
         self._grant(node, rank)
+        self._settle(node)
 
     def on_team_idle(self, team: Team) -> None:
         """Team listener: return a finished team's borrowed cores."""
         rank = team.rank
         if rank not in self.teams or rank in self._dead:
             return
+        node = self._team_node[rank]
+        self._planned[node].discard(rank)
         extra = self._borrowed[rank]
         if extra <= 0:
             return
-        node = self._team_node[rank]
-        self._borrowed[rank] = 0
+        self._set_borrowed(rank, 0)
         team.set_capacity(team.base_threads - self._lent[rank])
         self._pool[node] += extra
         self._feed(node)
+        self._settle(node)
+
+    def admit_plan(self, team: Team) -> bool:
+        """Team listener: whether ``team`` may plan the graph it starts.
+
+        Only while its node pools no cores: LeWI then grants nothing at
+        the team's own task boundaries, and the DLB calls that read the
+        team get their answers from its plan.  A capacity change moves it
+        to the per-task path, and so does :meth:`_settle` once cores are
+        pooled on the node.  An admitted team stays a feed candidate while
+        its plan runs.
+        """
+        rank = team.rank
+        node = self._team_node.get(rank)
+        if node is None or rank in self._dead or self._pool[node] > 0:
+            return False
+        self._planned[node].add(rank)
+        self._candidates[node].add(self._team_pos[rank])
+        return True
 
     # -- fault reaction (graceful degradation) ------------------------------
     def on_rank_death(self, rank: int) -> None:
@@ -227,13 +261,14 @@ class DLB:
         if inherited > 0:
             self._pool[node] = self._pool.get(node, 0) + inherited
         # Freeze the dead team's books so reclaim math stays conserved.
-        self._borrowed[rank] = 0
+        self._set_borrowed(rank, 0)
         self._lent[rank] = team.base_threads
         team.set_capacity(0)
         self.stats.rank_death_events += 1
         self.stats.cores_inherited += inherited
         if self.enabled:
             self._feed(node)
+            self._settle(node)
 
     def on_rank_throttle(self, rank: int, factor: float) -> None:
         """Record an injected throttle on ``rank`` (cores keep their count;
@@ -245,9 +280,23 @@ class DLB:
         self.stats.throttle_events += 1
 
     # -- internals --------------------------------------------------------
-    def _borrowers_on(self, node: int):
-        return [r for r in self._node_teams.get(node, ())
-                if self._borrowed[r] > 0 and r not in self._dead]
+    def _set_borrowed(self, rank: int, k: int) -> None:
+        """Set ``rank``'s borrowed cores, keeping its node's borrower set."""
+        self._borrowed[rank] = k
+        borrowers = self._borrowers[self._team_node[rank]]
+        if k > 0:
+            borrowers.add(self._team_pos[rank])
+        else:
+            borrowers.discard(self._team_pos[rank])
+
+    def _settle(self, node: int) -> None:
+        """With cores pooled on ``node``, LeWI grants at task boundaries:
+        every team there that runs a plan continues task by task."""
+        planned = self._planned[node]
+        if planned and self._pool[node] > 0:
+            for rank in planned:
+                self.teams[rank].leave_plan()
+            planned.clear()
 
     def _grant(self, node: int, rank: int) -> None:
         """Give pool cores to ``rank``'s team, bounded by its appetite."""
@@ -260,7 +309,7 @@ class DLB:
         if k <= 0:
             return
         self._pool[node] = pool - k
-        self._borrowed[rank] += k
+        self._set_borrowed(rank, self._borrowed[rank] + k)
         team.set_capacity(team.capacity + k)
         self.stats.borrow_events += 1
         self.stats.cores_borrowed_total += k
@@ -285,8 +334,10 @@ class DLB:
             rank = ranks[pos]
             if self._in_mpi[rank]:
                 continue
-            if rank in self._dead or not self.teams[rank].wants_cores:
-                cands.discard(pos)
+            team = self.teams[rank]
+            if rank in self._dead or not team.wants_cores:
+                if not team.planned:
+                    cands.discard(pos)
                 continue
             self._grant(node, rank)
 

@@ -22,14 +22,18 @@ Scheduling semantics:
   consecutive memory-contiguous chunks on the same worker — the locality
   property the paper attributes to multidependences) or newest first
   (``lifo``, key 0 with seqs counting down);
-* dispatching a task schedules its completion directly: one timer per task.
+* on the per-task path, dispatching a task schedules its completion
+  directly, one keyed engine completion per task; a *planned* run simulates
+  the whole graph up front and the engine carries one completion for it
+  (see :class:`Team`).
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Protocol
 
 from ..machine import CoreModel
@@ -51,6 +55,12 @@ class TeamListener(Protocol):
 
     def on_team_idle(self, team: "Team") -> None:
         """``team`` finished its graph (borrowed cores can be returned)."""
+
+    def admit_plan(self, team: "Team") -> bool:
+        """Whether ``team`` may plan the graph it starts: the listener is
+        then told nothing at the run's task boundaries until the team
+        leaves the plan (:meth:`Team.leave_plan`) or a capacity or
+        slowdown change moves it to the per-task path."""
 
 
 @dataclass
@@ -79,48 +89,138 @@ class GraphStats:
 
 
 class _Plan:
-    """A fully materialized execution schedule of one graph run.
+    """The execution schedule of one graph run, resumable at any completion.
 
     Produced by :meth:`Team._plan_sim` (or instantiated from a cached
-    :class:`_PlanTemplate`): per-task start/finish times in dispatch order,
-    finish times in completion order, and the final stats sums — everything
-    the per-task path would compute task by task, computed up front so the
-    DES carries a *single* completion event for the whole graph.
+    :class:`_PlanTemplate`): per-dispatch task ids, start/finish times,
+    durations, parents and positions within the parent's dispatches, the
+    completions in order, and one *step* record per completion count ``k``
+    (``k = 0`` is the state right after the run's first dispatches) —
+    everything the per-task path would compute task by task, computed up
+    front so the DES carries a *single* completion event for the whole run.
+
+    A step record is ``(dispatched, ready, wants, busy, instructions,
+    max_concurrency, seq)`` after ``k`` completions and the dispatches they
+    triggered: the team's reads (:attr:`Team.ready_count`, ...) index it,
+    and :meth:`Team._rewind` rebuilds the in-flight state from it to replan
+    or to continue task by task.  A plan resumed from such a state lists
+    the running tasks it inherited first (``d_parent`` -1, keyed as in
+    ``base``), and ``done0`` counts the completions before it.
     """
 
-    __slots__ = ("d_tids", "d_start", "d_finish", "d_dur", "c_finish",
-                 "sums", "n_total", "t_end", "chain", "handle", "stalled",
-                 "d_parent", "c_order")
+    __slots__ = ("d_tids", "d_start", "d_finish", "d_dur", "d_parent",
+                 "d_idx", "c_finish", "c_order", "steps", "t_seq",
+                 "unstarted", "sums", "n_total", "done0", "W", "t_end", "t0",
+                 "gen", "_chain", "stalled", "keys", "root", "base",
+                 "carried", "hungry0", "tpl")
 
-    def __init__(self, d_tids, d_start, d_finish, d_dur, c_finish, sums,
-                 n_total, t_end, chain, stalled, d_parent=None,
-                 c_order=None):
+    def __init__(self, d_tids, d_start, d_finish, d_dur, d_parent, d_idx,
+                 c_finish, c_order, steps, t_seq, unstarted, sums, n_total,
+                 done0, W, t_end, t0, gen, stalled, hungry0):
         self.d_tids = d_tids
-        self.d_start = d_start      # non-decreasing (dispatch order)
+        self.d_start = d_start
         self.d_finish = d_finish
         self.d_dur = d_dur          # exec seconds * slowdown, one float
+        #: dispatch index of the task whose completion dispatched task i
+        #: (-1: dispatched in the entry that started or resumed the plan)
+        #: and i's position among the dispatches of that entry
+        self.d_parent = d_parent
+        self.d_idx = d_idx
         self.c_finish = c_finish    # non-decreasing (completion order)
+        self.c_order = c_order      # dispatch indices in completion order
+        self.steps = steps
+        self.t_seq = t_seq          # ready-heap seq of each pushed task
+        self.unstarted = unstarted  # tids never dispatched (stalled plan)
         self.sums = sums            # (busy, instructions, max_conc)
         self.n_total = n_total
+        self.done0 = done0
+        self.W = W                  # the worker count it was planned for
         self.t_end = t_end
-        #: dispatch-time genealogy of the last-finishing task as flattened
-        #: ``(time, hop)`` pairs: its own dispatch time, then its
-        #: dispatcher's, ... up to a root — the simulated times at which the
-        #: per-task path would schedule the completions whose order breaks
-        #: completion-time ties (see _PlanArbiter).  ``hop`` is 0.0 for a
-        #: plain dispatch (synchronous in ``run()`` or inside a task-finish
-        #: callback) and 1.0 for a repeat-boundary root, which the per-task
-        #: path dispatches one event hop later (inside the previous
-        #: repeat's done callback) than any same-time plain dispatch.
-        self.chain = chain
-        self.handle = None          # engine handle of the pending plan event
+        self.t0 = t0
+        #: the last-finishing task's genealogy (see :attr:`chain`), when a
+        #: template knows it
+        self.gen = gen
+        self._chain = None
         self.stalled = stalled      # capacity 0 with work left
-        #: discrete trajectory of a single run (None on a merged repeat
-        #: plan): each dispatch's parent — the dispatch index whose
-        #: completion triggered it, -1 at t0 — and the dispatch indices in
-        #: completion order
-        self.d_parent = d_parent
-        self.c_order = c_order
+        #: engine dispatch keys per dispatch index: explicit for the
+        #: dispatches made in engine entries, derived on demand (:func:`_key`)
+        #: for the others; ``root`` is the key context ``(time, segment,
+        #: origin, first index)`` of the first dispatches until ``keys``
+        #: is built
+        self.keys = None
+        self.root = None
+        #: a resumed plan's predecessor and the dispatch indices there of
+        #: the running tasks it inherited (its first dispatches)
+        self.base = None
+        self.carried = ()
+        #: whether the per-task path's hunger flag is set after step 0
+        self.hungry0 = hungry0
+        #: the template the plan instantiates or recorded, if any
+        self.tpl = None
+
+    @property
+    def chain(self) -> tuple:
+        """Dispatch-time genealogy of the last-finishing task as flattened
+        ``(time, hop)`` pairs: its own dispatch time, then its
+        dispatcher's, ... up to a root — the simulated times at which the
+        per-task path would schedule the completions whose order breaks
+        completion-time ties (see _PlanArbiter).  ``hop`` is 0.0 for a
+        plain dispatch (synchronous in ``run()`` or inside a task-finish
+        callback) and 1.0 for a repeat-boundary root, which the per-task
+        path dispatches one event hop later (inside the previous repeat's
+        done callback) than any same-time plain dispatch."""
+        chain = self._chain
+        if chain is None:
+            gen = self.gen
+            if gen is None:
+                gen = _genealogy(self.d_parent,
+                                 self.c_order[-1] if self.c_order else -1)
+            chain = self._chain = _chain(self.d_start, gen, self.t0)
+        return chain
+
+
+def _key(plan: _Plan, i: int) -> tuple:
+    """The engine dispatch key of ``plan``'s dispatch ``i``.
+
+    A dispatch inside the completion of dispatch ``p`` at time ``t`` has
+    key ``(t, segment, key(p), position)``: the completion ran in segment 1
+    of ``t`` when it was dispatched before ``t``, else in the first
+    completion segment after the one it was dispatched in.  The walk up the
+    parents ends at a dispatch with an explicit key; keys are memoized.
+    """
+    keys = plan.keys
+    if keys is None:
+        keys = _root_key_list(plan)
+    k = keys[i]
+    if k is not None:
+        return k
+    d_parent = plan.d_parent
+    path = []
+    while k is None:
+        path.append(i)
+        i = d_parent[i]
+        k = keys[i]
+    d_start = plan.d_start
+    d_idx = plan.d_idx
+    for j in reversed(path):
+        t = d_start[j]
+        k = keys[j] = (t, 1 if k[0] < t else k[1] | 1, k, d_idx[j])
+    return k
+
+
+def _root_key_list(plan: _Plan) -> list:
+    """Build ``plan.keys``: the inherited running tasks keyed as in
+    ``plan.base``, the first dispatches from ``plan.root``, the others to be
+    derived."""
+    keys = plan.keys = [None] * len(plan.d_tids)
+    base = plan.base
+    for j, i in enumerate(plan.carried):
+        keys[j] = _key(base, i)
+    t, seg, origin, k = plan.root
+    for i in range(len(plan.carried), plan.steps[0][0]):
+        keys[i] = (t, seg, origin, k)
+        k += 1
+    return keys
 
 
 def _genealogy(d_parent: list, last: int) -> list:
@@ -146,14 +246,14 @@ def _chain(d_start: list, genealogy: list, t0: float) -> tuple:
 class _PlanTemplate:
     """The start-time-independent trajectory of one graph run.
 
-    Without epochs, every scheduling decision of :meth:`Team._plan_sim`
-    depends only on the order in which in-flight tasks complete: the pick
-    reads instruction counts, push seqs and held mutex refs, never a
-    time.  A template keeps that trajectory — dispatch order, per-task
-    durations, each dispatch's parent, the completion order and the stats
-    sums — and :meth:`instantiate` rebuilds the absolute times from a new
-    ``t0`` by the simulator's own float chain (``start = finish[parent]``
-    or ``t0``, ``finish = start + dur``).
+    Every scheduling decision of :meth:`Team._plan_sim` depends only on the
+    order in which in-flight tasks complete: the pick reads instruction
+    counts, push seqs and held mutex refs, never a time.  A template keeps
+    that trajectory — dispatch order, per-task durations, each dispatch's
+    parent, the completion order, the step records and the stats sums —
+    and :meth:`instantiate` rebuilds the absolute times from a new ``t0``
+    by the simulator's own float chain (``start = finish[parent]`` or
+    ``t0``, ``finish = start + dur``).
 
     The rebuilt times reproduce the same trajectory exactly when the
     completion order is still the in-flight heap's pop order: non-decreasing
@@ -171,44 +271,74 @@ class _PlanTemplate:
     team that recorded them; the graph drops them when it gains a task.
     """
 
-    __slots__ = ("d_tids", "d_dur", "d_parent", "c_order", "checks",
-                 "chain_idx", "sums", "n_total", "stalled")
+    __slots__ = ("plan", "checks", "chain_idx", "linear")
 
     def __init__(self, plan: _Plan):
-        self.d_tids = plan.d_tids
-        self.d_dur = plan.d_dur
-        self.d_parent = parent = plan.d_parent
-        self.c_order = order = plan.c_order
+        # the recorded plan's start-time independent fields (trajectory,
+        # step records, seqs, sums), which instantiate shares; not its
+        # times, keys or predecessor
+        self.plan = _Plan(plan.d_tids, None, None, plan.d_dur, plan.d_parent,
+                          plan.d_idx, None, plan.c_order, plan.steps,
+                          plan.t_seq, plan.unstarted, plan.sums,
+                          plan.n_total, plan.done0, plan.W, 0.0, 0.0, None,
+                          plan.stalled, plan.hungry0)
+        parent = plan.d_parent
+        order = plan.c_order
         self.checks = [k for k in range(1, len(order))
                        if parent[order[k]] != order[k - 1]
                        or plan.d_dur[order[k]] < 0.0]
         self.chain_idx = _genealogy(parent, order[-1] if order else -1)
-        self.sums = plan.sums
-        self.n_total = plan.n_total
-        self.stalled = plan.stalled
+        #: one task after another (a one-worker run): each dispatch is the
+        #: previous one's child and completes in dispatch order, so the
+        #: float chain is a running sum
+        self.linear = (order == list(range(len(parent)))
+                       and parent == list(range(-1, len(parent) - 1)))
+        plan.tpl = self
+
+    @property
+    def c_order(self) -> list:
+        """The recorded completion order (dispatch indices)."""
+        return self.plan.c_order
 
     def instantiate(self, t0: float) -> Optional[_Plan]:
         """The plan of a run starting at ``t0``, or ``None`` when the
         recorded completion order is not the heap order at ``t0``."""
+        rec = self.plan
+        if self.linear:
+            d_finish = list(accumulate(rec.d_dur, initial=t0))
+            d_start = d_finish[:-1]
+            del d_finish[0]
+            plan = _Plan(rec.d_tids, d_start, d_finish, rec.d_dur,
+                         rec.d_parent, rec.d_idx, d_finish, rec.c_order,
+                         rec.steps, rec.t_seq, rec.unstarted, rec.sums,
+                         rec.n_total, rec.done0, rec.W,
+                         0.0 if rec.stalled else d_finish[-1], t0,
+                         self.chain_idx, rec.stalled, rec.hungry0)
+            plan.tpl = self
+            return plan
         d_start = []
         d_finish = []
-        for p, dur in zip(self.d_parent, self.d_dur):
+        for p, dur in zip(rec.d_parent, rec.d_dur):
             t = t0 if p < 0 else d_finish[p]
             d_start.append(t)
             d_finish.append(t + dur)
-        order = self.c_order
+        order = rec.c_order
         for k in self.checks:
             a = order[k - 1]
             b = order[k]
             if (d_finish[b], b) < (d_finish[a], a):
                 return None
         c_finish = [d_finish[i] for i in order]
-        return _Plan(self.d_tids, d_start, d_finish, self.d_dur, c_finish,
-                     self.sums, self.n_total,
-                     0.0 if self.stalled else c_finish[-1],
-                     _chain(d_start, self.chain_idx, t0),
-                     self.stalled, self.d_parent, order)
+        plan = _Plan(rec.d_tids, d_start, d_finish, rec.d_dur, rec.d_parent,
+                     rec.d_idx, c_finish, order, rec.steps, rec.t_seq,
+                     rec.unstarted, rec.sums, rec.n_total, rec.done0, rec.W,
+                     0.0 if rec.stalled else c_finish[-1], t0,
+                     self.chain_idx, rec.stalled, rec.hungry0)
+        plan.tpl = self
+        return plan
 
+
+_INF = float("inf")
 
 #: trajectories a graph keeps per team-parameter key (see
 #: :meth:`Team._plan_templated`); the default replays need at most five
@@ -217,6 +347,9 @@ MAX_PLAN_TEMPLATES = 8
 
 class _PlanArbiter:
     """Gives same-cohort plan completions the per-task path's tie order.
+
+    This applies to teams without a listener; a DLB team's plan places its
+    completion by its dispatch key instead (see :class:`Team`).
 
     Events at equal simulated times fire in scheduling order, and the
     per-task path schedules a completion at the *dispatch* of the finishing
@@ -260,18 +393,23 @@ class _PlanArbiter:
                 "plan_template_misses": self.plan_template_misses,
                 "plan_replans": self.plan_replans}
 
-    def submit(self, team: "Team", plan: _Plan) -> None:
+    def submit(self, team: "Team", parts: list) -> None:
+        """Queue the completion of ``parts`` (one plan per repeat) for the
+        cohort's sorted arming."""
+        chain = parts[0].chain
+        for part in parts[1:]:
+            chain = part.chain[:-1] + (1.0,) + chain
         if not self._pending:
             self.engine.defer(self._flush)
-        self._pending.append(((plan.t_end,) + plan.chain,
-                              len(self._pending), team, plan))
+        self._pending.append(((parts[-1].t_end,) + chain,
+                              len(self._pending), team, parts))
 
     def _flush(self) -> None:
         pending = self._pending
         self._pending = []
         pending.sort(key=lambda e: (e[0], e[1]))
-        for _key, _idx, team, plan in pending:
-            team._arm_plan(plan)
+        for _key, _idx, team, parts in pending:
+            team._arm_plan(parts)
 
 
 def _pop_ready(heap: list, held: set) -> Optional[Task]:
@@ -328,6 +466,24 @@ class Team:
         ``(0, +seq)`` and ``lifo`` ``(0, -seq)``, where seqs count push
         order up or down.  Both execution paths pick through
         :func:`_pop_ready`.
+
+    A run takes one of three paths:
+
+    * no recorder, no listener: the run is *planned* — simulated up front
+      (:meth:`_plan_sim`) with one completion event for all its repeats,
+      armed through the engine's :class:`_PlanArbiter`.  A capacity or
+      slowdown change replans from the in-flight state (:meth:`_replan`);
+    * a listener that admits the run (:meth:`TeamListener.admit_plan`;
+      DLB does while its node pools no cores): planned as well, one repeat
+      at a time, with its completion placed by the dispatch key of its last
+      task (:meth:`~repro.sim.Engine.schedule_completion`).  A capacity or
+      slowdown change — and :meth:`leave_plan` — continues the run task by
+      task from the in-flight state;
+    * otherwise the *per-task* path: one keyed completion per task.
+
+    Reads (:attr:`active_workers`, :attr:`ready_count`,
+    :attr:`wants_cores`) on a planned run answer from the plan's in-flight
+    state at the entry being run.
     """
 
     SCHEDULERS = ("lpt", "fifo", "lifo")
@@ -366,18 +522,15 @@ class Team:
         self._seq_step = -1 if scheduler == "lifo" else 1
         self._ready: list = []
         self._seq = 0
-        # Plan mode: simulate the whole graph execution up front and
-        # schedule one completion event, instead of 2 DES events per task.
-        # Engages per run() and only when nobody observes per-task
-        # execution (no recorder, no listener — see run()).  Mid-run
-        # set_capacity/set_slowdown append a timestamped epoch and
-        # re-simulate the plan from the start — the already-executed prefix
-        # replays float-identically, so the revised plan agrees with
-        # history and the future reflects the change.
-        self._plan: Optional[_Plan] = None
+        # Plan mode: the plans of the running graph, one per repeat (None
+        # on the per-task path), whether the completion is keyed (a
+        # listener's run) or armed by the arbiter, and its engine handle
+        self._parts: Optional[list] = None
+        self._keyed = False
+        self._handle = None
         self._plan_repeats = 1
-        self._slow_epochs: list[tuple[float, float]] = []
-        self._cap_epochs: list[tuple[float, int]] = []
+        # wants_cores of a plan is False before this time (see there)
+        self._sated_until = -_INF
         arb = engine._plan_arbiter
         if arb is None:
             arb = engine._plan_arbiter = _PlanArbiter(engine)
@@ -392,12 +545,16 @@ class Team:
     @property
     def active_workers(self) -> int:
         """Workers currently executing a task."""
-        if self._plan is not None:
-            now = self.engine.now
-            plan = self._plan
-            return (bisect_right(plan.d_start, now)
-                    - bisect_right(plan.c_finish, now))
+        if self._parts is not None:
+            plan, m = self._plan_now()
+            return plan.steps[m][0] - m
         return self._active
+
+    @property
+    def planned(self) -> bool:
+        """Whether the running graph is planned for the team's listener
+        (see :meth:`TeamListener.admit_plan`)."""
+        return self._keyed
 
     @property
     def is_running(self) -> bool:
@@ -407,43 +564,34 @@ class Team:
     @property
     def ready_count(self) -> int:
         """Tasks currently ready (waiting for a worker)."""
-        if self._plan is not None:
-            return self._plan_ready_count()
+        if self._parts is not None:
+            plan, m = self._plan_now()
+            return plan.steps[m][1]
         return len(self._ready)
-
-    def _plan_ready_count(self) -> int:
-        """Ready-task count derived from the plan arrays (diagnostics)."""
-        plan = self._plan
-        graph = self._graph
-        now = self.engine.now
-        n = len(graph.tasks)
-        started = [False] * n
-        preds_done = [0] * n
-        for i, tid in enumerate(plan.d_tids):
-            if plan.d_start[i] > now:
-                break
-            started[tid] = True
-            if plan.d_finish[i] <= now:
-                for succ in graph.tasks[tid].successors:
-                    preds_done[succ] += 1
-        return sum(1 for tid, task in enumerate(graph.tasks)
-                   if not started[tid] and preds_done[tid] == task.n_preds)
 
     @property
     def wants_cores(self) -> bool:
         """Whether extra capacity would be used right now."""
         if self._graph is None:
             return False
-        if self._plan is not None:
-            # derived from the plan arrays; mutex-blocked backlog counts as
-            # appetite (diagnostic only — DLB runs the per-task path)
-            plan = self._plan
+        if self._parts is not None:
             now = self.engine.now
-            started = bisect_right(plan.d_start, now)
-            active = started - bisect_right(plan.c_finish, now)
-            if active < self._max_workers:
+            if now < self._sated_until:
                 return False
-            return (plan.n_total - started) > 0
+            plan, m = self._plan_now()
+            steps = plan.steps
+            if steps[m][2]:
+                return True
+            # no read can say yes before the next step that wants cores
+            # (at its instant the key order decides, so read again then)
+            for k in range(m + 1, len(steps)):
+                if steps[k][2]:
+                    self._sated_until = plan.c_finish[k - 1]
+                    break
+            else:
+                self._sated_until = (plan.t_end if plan is not self._parts[-1]
+                                     else _INF)
+            return False
         if self._active < self._max_workers:
             return False
         held = self._held_refs
@@ -459,15 +607,12 @@ class Team:
         takes effect as running tasks complete."""
         if n < 0:
             raise RuntimeError_(f"capacity must be >= 0, got {n}")
-        if self._plan is not None:
-            # epoch lists are built lazily: the common unperturbed run never
-            # touches them, and the baseline (t0, value) entry records the
-            # value in force when the run started
-            if not self._cap_epochs:
-                self._cap_epochs.append((self._stats.t_start,
-                                         self._max_workers))
+        if n == self._max_workers:
+            return
+        if self._keyed:
+            self.leave_plan()
+        elif self._parts is not None:
             self._max_workers = n
-            self._cap_epochs.append((self.engine.now, n))
             self._replan()
             return
         grew = n > self._max_workers
@@ -481,12 +626,12 @@ class Team:
         already running finish at the speed they started with."""
         if factor <= 0:
             raise RuntimeError_(f"slowdown must be > 0, got {factor}")
-        if self._plan is not None:
-            if not self._slow_epochs:
-                self._slow_epochs.append((self._stats.t_start,
-                                          self.slowdown))
+        if factor == self.slowdown:
+            return
+        if self._keyed:
+            self.leave_plan()
+        elif self._parts is not None:
             self.slowdown = factor
-            self._slow_epochs.append((self.engine.now, factor))
             self._replan()
             return
         self.slowdown = factor
@@ -504,10 +649,7 @@ class Team:
         """
         if repeats < 1:
             raise RuntimeError_(f"repeats must be >= 1, got {repeats}")
-        # plan mode is re-checked per run: a recorder needs per-task
-        # records and a listener (DLB attaches itself after construction)
-        # needs task-boundary callbacks, so those runs take the per-task
-        # callback path of _run_once.  One plan covers every repeat,
+        # Without a recorder or listener one plan covers every repeat,
         # submitted in the same arbiter cohort as a single-run plan.
         # Per-repeat plans would arm each team's *final* completion in a
         # cohort determined by its repeat count, and same-time completions
@@ -525,12 +667,14 @@ class Team:
             self._stats = GraphStats(t_start=t0)
             self._done = Event(self.engine)
             self._plan_repeats = repeats
-            # the plan is armed through the arbiter, which sorts every plan
-            # submitted in the current event cohort by the per-task
-            # tie-break key before scheduling the completion events
-            plan = self._plan = self._plan_unperturbed(graph, t0, repeats)
-            if not plan.stalled:
-                arb.submit(self, plan)
+            self._keyed = False
+            self._sated_until = -_INF
+            parts = self._parts = self._plan_unperturbed(graph, t0, repeats)
+            self._root_keys(parts[0])
+            # the arbiter sorts every plan submitted in the current event
+            # cohort by the per-task tie-break key before arming
+            if not parts[-1].stalled:
+                arb.submit(self, parts)
             result = yield self._done
             return result
         stats = yield from self._run_once(graph)
@@ -545,7 +689,8 @@ class Team:
         return stats
 
     def _run_once(self, graph: TaskGraph):
-        """One per-task execution of ``graph`` (two DES events per task)."""
+        """One execution of ``graph``: planned when the listener admits it,
+        else per task (one keyed completion per task)."""
         if self._graph is not None:
             raise RuntimeError_(f"{self.name}: run() while a graph is active")
         stats = GraphStats(t_start=self.engine.now)
@@ -554,24 +699,48 @@ class Team:
             return stats
         self._graph = graph
         self._stats = stats
-        self._remaining = len(graph.tasks)
-        self._preds_left = [t.n_preds for t in graph.tasks]
-        for task in graph.roots():
-            self._push_ready(task)
         self._done = Event(self.engine)
-        self._hungry_notified = False
-        self._dispatch()
+        # a listener without admit_plan observes every task boundary
+        admit = (getattr(self.listener, "admit_plan", None)
+                 if self.recorder is None else None)
+        if admit is not None and admit(self):
+            arb = self._arbiter
+            arb.planned_graphs += 1
+            arb.planned_tasks += len(graph.tasks)
+            plan = self._plan_templated(graph, self._template_key(),
+                                        stats.t_start)
+            self._root_keys(plan)
+            self._parts = [plan]
+            self._keyed = True
+            self._sated_until = -_INF
+            self._plan_repeats = 1
+            self._arm()
+        else:
+            self._remaining = len(graph.tasks)
+            self._preds_left = [t.n_preds for t in graph.tasks]
+            for task in graph.roots():
+                self._push_ready(task)
+            self._hungry_notified = False
+            self._dispatch()
         result = yield self._done
         return result
 
     # -- plan mode ----------------------------------------------------------
+    def _template_key(self) -> tuple:
+        """Everything a plan's trajectory depends on besides the graph."""
+        return (self.core, self._max_workers, self.slowdown,
+                self._instr_factor, self._seq_step)
+
     def _plan_unperturbed(self, graph: TaskGraph, t0: float,
-                          repeats: int = 1) -> _Plan:
-        """The plan of ``repeats`` runs of ``graph`` from ``t0`` at the
-        team's current capacity and slowdown, one segment per repeat served
-        by :meth:`_plan_templated`."""
-        key = (self.core, self._max_workers, self.slowdown,
-               self._instr_factor, self._seq_step)
+                          repeats: int = 1) -> list:
+        """The plans of ``repeats`` runs of ``graph`` from ``t0`` at the
+        team's current capacity and slowdown, one per repeat, served by
+        :meth:`_plan_templated`."""
+        key = self._template_key()
+        if repeats == 1:
+            plan = self._plan_templated(graph, key, t0)
+            plan.root = (t0, 2, None, 0)
+            return [plan]
         return self._plan_repeated(
             lambda t: self._plan_templated(graph, key, t), t0, repeats)
 
@@ -595,94 +764,240 @@ class Team:
                     self._arbiter.plan_cache_hits += 1
                     return plan
             self._arbiter.plan_template_misses += 1
-        plan = self._plan_sim(graph, t0, [(t0, self.slowdown)],
-                              [(t0, self._max_workers)])
+        plan = self._plan_sim(graph, t0)
         if len(templates) < MAX_PLAN_TEMPLATES:
             templates.append(_PlanTemplate(plan))
         return plan
 
     @staticmethod
-    def _plan_repeated(segment, t0: float, repeats: int) -> _Plan:
-        """``repeats`` back-to-back runs merged into one plan, each
-        ``segment(start)`` starting at the previous segment's end (the
-        per-task loop re-enters ``_run_once`` inside the previous
-        completion).  The stats sums fold left like the per-task per-repeat
-        aggregation, and the dispatch-genealogy chain concatenates through
-        the repeat boundary — repeat ``j``'s roots are dispatched inside
-        repeat ``j-1``'s *done* callback, one event hop after any same-time
-        task-finish dispatch, so the boundary root carries hop tag 1.0."""
-        plan = segment(t0)
-        for _ in range(repeats - 1):
-            if plan.stalled:
+    def _plan_repeated(segment, t0: float, repeats: int) -> list:
+        """``repeats`` back-to-back runs, each ``segment(start)`` starting
+        at the previous one's end (the per-task loop re-enters
+        ``_run_once`` inside the previous completion), until one stalls.
+
+        A later repeat's roots are dispatched inside the previous repeat's
+        *done* callback, in the plain segment after the completion
+        segment, so its key context is segment 2 of its start time (its
+        dispatch-genealogy chain carries hop tag 1.0, see
+        :meth:`_PlanArbiter.submit`)."""
+        parts = []
+        t = t0
+        for _ in range(repeats):
+            part = segment(t)
+            part.root = (t, 2, None, 0)
+            parts.append(part)
+            if part.stalled:
                 break
-            nxt = segment(plan.t_end)
-            sums = (plan.sums[0] + nxt.sums[0], plan.sums[1] + nxt.sums[1],
-                    max(plan.sums[2], nxt.sums[2]))
-            plan = _Plan(plan.d_tids + nxt.d_tids,
-                         plan.d_start + nxt.d_start,
-                         plan.d_finish + nxt.d_finish,
-                         plan.d_dur + nxt.d_dur,
-                         plan.c_finish + nxt.c_finish, sums,
-                         plan.n_total + nxt.n_total, nxt.t_end,
-                         nxt.chain[:-1] + (1.0,) + plan.chain, nxt.stalled)
-        return plan
+            t = part.t_end
+        return parts
 
-    def _plan_sim_repeated(self, graph: TaskGraph, t0: float,
-                           slow_epochs: list, cap_epochs: list,
-                           repeats: int) -> _Plan:
-        """``repeats`` back-to-back :meth:`_plan_sim` runs merged into one
-        plan (see :meth:`_plan_repeated`)."""
-        return self._plan_repeated(
-            lambda t: self._plan_sim(graph, t, slow_epochs, cap_epochs),
-            t0, repeats)
+    def _root_keys(self, plan: _Plan) -> None:
+        """Key ``plan``'s first dispatches — made in the entry being run,
+        after any it inherited running — with the engine's next dispatch
+        keys (built lazily, see :func:`_root_key_list`)."""
+        engine = self.engine
+        k = engine._kseq
+        engine._kseq = k + plan.steps[0][0] - len(plan.carried)
+        plan.root = (engine.now, engine._seg, engine._fkey, k)
 
-    def _arm_plan(self, plan: _Plan) -> None:
-        """Schedule the plan's completion (called by the arbiter's flush).
+    def _arm(self) -> None:
+        """Schedule the completion of the running plans, unless stalled.
+
+        A listener's plan completes at the key of its last task's
+        completion, where that task's per-task completion would run;
+        otherwise the plans are armed directly (a replan happens inside the
+        perturbing call itself, the same cascade position where the
+        per-task path reacts — no cohort sort)."""
+        last = self._parts[-1]
+        if last.stalled:
+            return
+        if self._keyed:
+            self._handle = self.engine.schedule_completion(
+                last.t_end, _key(last, last.c_order[-1]),
+                self._plan_complete)
+        else:
+            self._handle = self.engine.schedule_fn_at(last.t_end,
+                                                      self._plan_complete)
+
+    def _arm_plan(self, parts: list) -> None:
+        """Arm the submitted plans (called by the arbiter's flush).
 
         Completions armed by one flush in chain order take consecutive
         queue positions, so same-time completions fire in the per-task
         tie-break order (see :class:`_PlanArbiter`).
         """
-        if plan is not self._plan:
-            return              # superseded by a replan before the flush
-        plan.handle = self.engine.schedule_fn_at(plan.t_end,
-                                               self._plan_complete)
+        if parts is self._parts and not parts[-1].stalled:
+            # else superseded by a replan (which armed its own)
+            self._handle = self.engine.schedule_fn_at(parts[-1].t_end,
+                                                      self._plan_complete)
+
+    def _plan_step(self, plan: _Plan) -> int:
+        """How many of ``plan``'s completions the per-task path would have
+        run before the entry being run: those before ``now``, and those at
+        ``now`` whose key precedes that entry's place (an earlier segment,
+        or an earlier key in the same completion segment)."""
+        engine = self.engine
+        now = engine.now
+        c_finish = plan.c_finish
+        m = bisect_left(c_finish, now)
+        n = len(c_finish)
+        while m < n and c_finish[m] == now:
+            key = _key(plan, plan.c_order[m])
+            seg = 1 if key[0] < now else key[1] | 1
+            if seg < engine._seg or (seg == engine._seg
+                                     and key < engine._fkey):
+                m += 1
+            else:
+                break
+        return m
+
+    def _plan_now(self) -> tuple:
+        """The plan in flight at the entry being run and its number of
+        completions done: the first repeat not yet through its last
+        completion, or the last one."""
+        now = self.engine.now
+        for plan in self._parts:
+            c_finish = plan.c_finish
+            m = bisect_left(c_finish, now)
+            if m < len(c_finish) and c_finish[m] == now:
+                m = self._plan_step(plan)
+            if m < len(c_finish) or plan.stalled:
+                break
+        return plan, m
+
+    def _rewind(self, plan: _Plan, m: int) -> tuple:
+        """The in-flight state of ``plan`` after ``m`` completions, in
+        O(remaining tasks): the running tasks' dispatch indices in order,
+        the ready heap, the push seq counter, a copy of the tasks' seqs, the
+        pending predecessor counts, the held mutex refs, the completions so
+        far and the partial stats sums (in completion order)."""
+        tasks = self._graph.tasks
+        D, _ready, _wants, busy, instr, conc, seqc = plan.steps[m]
+        d_tids = plan.d_tids
+        preds_left = [0] * len(tasks)
+        running = []
+        for i in plan.c_order[m:]:
+            if i < D:
+                running.append(i)
+            for succ in tasks[d_tids[i]].successors:
+                preds_left[succ] += 1
+        unstarted = plan.unstarted
+        for tid in unstarted:
+            for succ in tasks[tid].successors:
+                preds_left[succ] += 1
+        factor = self._instr_factor
+        t_seq = plan.t_seq
+        ready = []
+        for tids in (d_tids[D:], unstarted):
+            for tid in tids:
+                if preds_left[tid] == 0:
+                    task = tasks[tid]
+                    ready.append((factor * task._instr, t_seq[tid], task))
+        heapq.heapify(ready)
+        running.sort()
+        held: set = set()
+        for i in running:
+            refs = tasks[d_tids[i]].mutex_refs
+            if refs:
+                held |= refs
+        return (running, ready, seqc, list(t_seq), preds_left, held,
+                plan.done0 + m, busy, instr, conc)
+
+    @staticmethod
+    def _hungry_at(plan: _Plan, m: int) -> bool:
+        """The per-task path's hunger flag after ``m`` of ``plan``'s
+        completions: set by the dispatches after each completion when the
+        team stays capacity-bound with tasks ready."""
+        if m == 0:
+            return plan.hungry0
+        D, ready = plan.steps[m][:2]
+        return D - m >= plan.W and ready > 0
 
     def _replan(self) -> None:
-        """Re-simulate the active plan against the updated epoch lists.
+        """Resume the running graph from its in-flight state at the entry
+        being run, after a capacity or slowdown change.
 
-        The already-executed prefix depends only on epochs that precede the
-        perturbation, so it replays float-identically; tasks still in flight
-        keep their planned finish (their start predates the newest epoch and
-        ``slowdown_at(start)`` yields the speed they started with); tasks
-        starting from now on see the new capacity/slowdown.
+        Running tasks keep their finish times (they started at the speed
+        they started with); dispatches from now on see the new capacity and
+        slowdown.  The state is rewound from the plan and the rest of the
+        run simulated from it, in O(remaining tasks); later repeats are
+        planned afresh from the resumed repeat's end.
         """
-        plan = self._plan
-        if plan.handle is not None:
-            self.engine.cancel_scheduled(plan.handle)
-            plan.handle = None
         self._arbiter.plan_replans += 1
-        t0 = self._stats.t_start
-        new = self._plan_sim_repeated(
-            self._graph, t0,
-            self._slow_epochs or [(t0, self.slowdown)],
-            self._cap_epochs or [(t0, self._max_workers)],
-            self._plan_repeats)
-        self._plan = new
-        # a replan happens inside the perturbing call itself (set_capacity /
-        # set_slowdown), the same cascade position where the per-task path
-        # reacts — arm directly, no cohort sort
-        if not new.stalled:
-            self._arm_plan(new)
+        if self._handle is not None:
+            self.engine.cancel_scheduled(self._handle)
+            self._handle = None
+        plan, m = self._plan_now()
+        graph = self._graph
+        state = self._rewind(plan, m)
+        new = self._plan_sim(graph, self.engine.now, state, plan)
+        new.base = plan
+        new.carried = tuple(state[0])
+        self._root_keys(new)
+        parts = self._parts
+        parts = parts[:parts.index(plan)] + [new]
+        more = self._plan_repeats - len(parts)
+        if more > 0 and not new.stalled:
+            parts += self._plan_unperturbed(graph, new.t_end, more)
+        self._parts = parts
+        self._arm()
+
+    def leave_plan(self) -> None:
+        """Continue the running planned graph task by task.
+
+        DLB calls this when cores are pooled on the team's node, where LeWI
+        acts at the team's own task boundaries.  The plan's state at the
+        entry being run becomes the per-task state — ready heap, held
+        mutexes, pending predecessors, partial stats summed in completion
+        order, hunger flag — and each running task's completion is
+        inserted under the dispatch key the per-task path gave it.  A team
+        not running a listener's plan is left as it is.
+        """
+        if self._parts is None or not self._keyed:
+            return
+        if self._handle is not None:
+            self.engine.cancel_scheduled(self._handle)
+            self._handle = None
+        plan, m = self._plan_now()
+        (running, ready, seqc, _seqs, preds_left, held, done, busy, instr,
+         conc) = self._rewind(plan, m)
+        self._hungry_notified = self._hungry_at(plan, m)
+        self._parts = None
+        self._keyed = False
+        self._ready = ready
+        self._seq = seqc
+        self._held_refs = held
+        self._active = len(running)
+        self._remaining = len(self._graph.tasks) - done
+        self._preds_left = preds_left
+        stats = self._stats
+        stats.tasks_run = done
+        stats.instructions = instr
+        stats.busy_seconds = busy
+        stats.max_concurrency = conc
+        tasks = self._graph.tasks
+        schedule = self.engine.schedule_completion
+        for i in running:
+            schedule(plan.d_finish[i], _key(plan, i), self._finish_task,
+                     tasks[plan.d_tids[i]], plan.d_start[i], plan.d_dur[i])
 
     def _plan_complete(self) -> None:
-        """Fires at the plan's end time: apply the precomputed stats sums
-        (accumulated in completion order — the per-task summation order) and
-        release the graph, exactly as `_finish_task` does for the last task."""
+        """Fires at the plans' end time: apply the precomputed stats sums
+        (accumulated in completion order — the per-task summation order —
+        and folded over the repeats like the per-task loop) and release
+        the graph, exactly as `_finish_task` does for the last task."""
         stats = self._stats
-        plan = self._plan
-        busy, instr, max_conc = plan.sums
-        stats.tasks_run = plan.n_total
+        parts = self._parts
+        first = parts[0]
+        busy, instr, max_conc = first.sums
+        tasks_run = first.n_total
+        if len(parts) > 1:
+            for part in parts[1:]:
+                busy += part.sums[0]
+                instr += part.sums[1]
+                max_conc = max(max_conc, part.sums[2])
+                tasks_run += part.n_total
+        stats.tasks_run = tasks_run
         stats.instructions = instr
         stats.busy_seconds = busy
         stats.max_concurrency = max_conc
@@ -691,78 +1006,83 @@ class Team:
         self._graph = None
         self._stats = None
         self._done = None
-        self._plan = None
+        self._parts = None
+        self._handle = None
         self._plan_repeats = 1
-        if self._slow_epochs:
-            self._slow_epochs.clear()
-        if self._cap_epochs:
-            self._cap_epochs.clear()
+        if self._keyed:
+            self._keyed = False
+            self.listener.on_team_idle(self)
         done.succeed(stats)
 
     def _plan_sim(self, graph: TaskGraph, t0: float,
-                  slow_epochs: list, cap_epochs: list) -> _Plan:
+                  start: Optional[tuple] = None,
+                  base: Optional[_Plan] = None) -> _Plan:
         """Simulate one graph execution in plain Python, event-for-event
-        equivalent to the per-task path's trajectory.
+        equivalent to the per-task path's trajectory, at the team's current
+        capacity and slowdown.
 
         Replicates `_dispatch`/`_finish_task` exactly: the same ready-heap
         entries and pick helper (:func:`_pop_ready`), dispatch while
         capacity remains after every completion, cached task durations, and
-        the float expression order of start/finish arithmetic.
-        Time-varying capacity and slowdown arrive as ``(time, value)``
-        epochs; an epoch at time T applies before any completion at T, and
-        so to every dispatch at T, matching the per-task scheduling order
-        (the perturbing timeout was scheduled before the finish that
-        dispatches).
+        the float expression order of start/finish arithmetic.  ``start``
+        is None for a run from the graph's roots, or the :meth:`_rewind`
+        state of ``base`` to resume at ``t0``; the tasks running there come
+        first in the dispatch arrays.
         """
         tasks = graph.tasks
         n = len(tasks)
         core = self.core
-        preds_left = [t.n_preds for t in tasks]
-        held: set = set()
-        # the per-task path's ready heap (entries as in _push_ready)
+        W = self._max_workers
+        slow = self.slowdown
         factor = self._instr_factor
         step = self._seq_step
-        ready: list = []
-        seqc = 0
-        for task in graph.roots():
-            seqc += step
-            heapq.heappush(ready, (factor * task._instr, seqc, task))
-
-        slow = slow_epochs[0][1]
-        si = 1
-        n_slow = len(slow_epochs)
-        W = cap_epochs[0][1]
-        ei = 1
-        n_cap = len(cap_epochs)
-        t = t0
-        active = 0
-        fseq = 0
-        inflight: list = []         # (finish, dispatch index, tid)
         d_tids: list = []
         d_start: list = []
         d_finish: list = []
         d_dur: list = []
+        # d_parent[i]: dispatch index of the task whose completion dispatched
+        # task i (-1: dispatched at t0, or inherited running) — the
+        # scheduling genealogy the per-task path creates implicitly;
+        # d_idx[i]: i's position among that completion's dispatches
+        d_parent: list = []
+        d_idx: list = []
+        inflight: list = []         # (finish, dispatch index, tid)
+        if start is None:
+            preds_left = [t.n_preds for t in tasks]
+            t_seq = [0] * n
+            ready: list = []
+            seqc = 0
+            for task in graph.roots():
+                seqc += step
+                t_seq[task.tid] = seqc
+                heapq.heappush(ready, (factor * task._instr, seqc, task))
+            held: set = set()
+            completed = 0
+            busy = 0.0
+            instr = 0.0
+            max_conc = 0
+        else:
+            (running, ready, seqc, t_seq, preds_left, held, completed, busy,
+             instr, max_conc) = start
+            for i in running:
+                inflight.append((base.d_finish[i], len(d_tids),
+                                 base.d_tids[i]))
+                d_tids.append(base.d_tids[i])
+                d_start.append(base.d_start[i])
+                d_finish.append(base.d_finish[i])
+                d_dur.append(base.d_dur[i])
+                d_parent.append(-1)
+                d_idx.append(-1)
+            heapq.heapify(inflight)
+        done0 = completed
+        active = len(inflight)
+        t = t0
         c_finish: list = []
         c_order: list = []
-        # d_parent[i]: dispatch index of the task whose completion dispatched
-        # task i (-1: dispatched at t0 or after an external capacity epoch) —
-        # the scheduling genealogy the per-task path creates implicitly
-        d_parent: list = []
+        steps: list = []
         cur_parent = -1
-        last_di = -1
-        busy = 0.0
-        instr = 0.0
-        max_conc = 0
-        completed = 0
-        stalled = False
         while True:
-            # epochs at time <= t apply before dispatch and completions at t
-            while ei < n_cap and cap_epochs[ei][0] <= t:
-                W = cap_epochs[ei][1]
-                ei += 1
-            while si < n_slow and slow_epochs[si][0] <= t:
-                slow = slow_epochs[si][1]
-                si += 1
+            idx = 0
             while active < W and ready:
                 task = _pop_ready(ready, held)
                 if task is None:
@@ -774,57 +1094,64 @@ class Team:
                 if active > max_conc:
                     max_conc = active
                 if task._dur_core is core:
-                    base = task._dur
+                    base_dur = task._dur
                 else:
-                    base = core.seconds(task.work)
-                    task._dur = base
+                    base_dur = core.seconds(task.work)
+                    task._dur = base_dur
                     task._dur_core = core
-                dur = base * slow
+                dur = base_dur * slow
                 finish = t + dur
+                heapq.heappush(inflight, (finish, len(d_tids), tid))
                 d_tids.append(tid)
                 d_start.append(t)
                 d_finish.append(finish)
                 d_dur.append(dur)
                 d_parent.append(cur_parent)
-                heapq.heappush(inflight, (finish, fseq, tid))
-                fseq += 1
-            if completed == n:
-                break
-            next_ep = cap_epochs[ei][0] if ei < n_cap else None
-            if inflight and (next_ep is None or inflight[0][0] < next_ep):
-                finish, di, tid = heapq.heappop(inflight)
-                t = finish
-                cur_parent = last_di = di
-                task = tasks[tid]
-                # stats accumulation order matches _finish_task
-                instr += task._instr
-                busy += d_dur[di]
-                if task.mutex_refs:
-                    held -= task.mutex_refs
-                active -= 1
-                completed += 1
-                c_finish.append(finish)
-                c_order.append(di)
-                for succ in task.successors:
-                    preds_left[succ] -= 1
-                    if preds_left[succ] == 0:
-                        seqc += step
-                        nxt = tasks[succ]
-                        heapq.heappush(ready, (factor * nxt._instr, seqc, nxt))
-            elif next_ep is not None:
-                t = next_ep
-                cur_parent = -1
+                d_idx.append(idx)
+                idx += 1
+            if active < W or not ready:
+                wants = False
+            elif not held or ready[0][2].mutex_refs.isdisjoint(held):
+                wants = True
             else:
-                # zero capacity with work left and no scheduled growth: the
-                # plan stalls here; a later set_capacity re-simulates with
-                # the new epoch and completes the schedule
-                stalled = True
+                wants = any(e[2].mutex_refs.isdisjoint(held) for e in ready)
+            steps.append((len(d_tids), len(ready), wants, busy, instr,
+                          max_conc, seqc))
+            if not inflight:
                 break
-        t_end = c_finish[-1] if completed == n else 0.0
-        return _Plan(d_tids, d_start, d_finish, d_dur, c_finish,
-                     (busy, instr, max_conc), n, t_end,
-                     _chain(d_start, _genealogy(d_parent, last_di), t0),
-                     stalled, d_parent, c_order)
+            finish, di, tid = heapq.heappop(inflight)
+            t = finish
+            cur_parent = di
+            task = tasks[tid]
+            # stats accumulation order matches _finish_task
+            instr += task._instr
+            busy += d_dur[di]
+            if task.mutex_refs:
+                held -= task.mutex_refs
+            active -= 1
+            completed += 1
+            c_finish.append(finish)
+            c_order.append(di)
+            for succ in task.successors:
+                preds_left[succ] -= 1
+                if preds_left[succ] == 0:
+                    seqc += step
+                    t_seq[succ] = seqc
+                    nxt = tasks[succ]
+                    heapq.heappush(ready, (factor * nxt._instr, seqc, nxt))
+        # zero capacity with work left: the plan stalls here; a later
+        # set_capacity resumes it from this state
+        stalled = completed < n
+        unstarted = ()
+        if stalled:
+            unstarted = [e[2].tid for e in ready] + \
+                [tid for tid in range(n) if preds_left[tid] > 0]
+        return _Plan(d_tids, d_start, d_finish, d_dur, d_parent, d_idx,
+                     c_finish, c_order, steps, t_seq, unstarted,
+                     (busy, instr, max_conc), n, done0, W,
+                     0.0 if stalled else (c_finish[-1] if c_finish else t0),
+                     t0, None, stalled,
+                     steps[0][0] >= W and steps[0][1] > 0)
 
     # -- internals --------------------------------------------------------
     def _push_ready(self, task: Task) -> None:
@@ -836,13 +1163,13 @@ class Team:
     def _dispatch(self) -> None:
         """Start runnable tasks while workers are free.
 
-        A start is the task's finish timer: the duration is read here
-        (``slowdown`` included, so an epoch at time T applies to every
-        dispatch made after it at T, the plan path's rule) and one
-        ``call_later`` carries the task to :meth:`_finish_task`.  The pick
-        helper is the plan simulator's; with the default one-thread teams
-        of the paper's configurations no mutex is held here and a pick is a
-        single heappop.
+        A start is the task's completion: the duration is read here
+        (``slowdown`` included, so a change at time T applies to every
+        dispatch made after it at T, the plan path's rule) and one keyed
+        :meth:`~repro.sim.Engine.schedule_completion` carries the task to
+        :meth:`_finish_task`.  The pick helper is the plan simulator's;
+        with the default one-thread teams of the paper's configurations no
+        mutex is held here and a pick is a single heappop.
         """
         ready = self._ready
         held = self._held_refs
@@ -871,8 +1198,11 @@ class Team:
                 task._dur = base
                 task._dur_core = core
             exec_seconds = base * self.slowdown
+            # the dispatch key (Engine.completion_key, inlined)
+            k = engine._kseq
+            engine._kseq = k + 1
             engine.schedule_completion(now + exec_seconds,
-                                       engine.completion_key(),
+                                       (now, engine._seg, engine._fkey, k),
                                        self._finish_task, task, now,
                                        exec_seconds)
         self._active = active
@@ -895,12 +1225,14 @@ class Team:
             self._held_refs -= task.mutex_refs
         self._active -= 1
         self._remaining -= 1
-        tasks = self._graph.tasks
-        preds_left = self._preds_left
-        for succ in task.successors:
-            preds_left[succ] -= 1
-            if preds_left[succ] == 0:
-                self._push_ready(tasks[succ])
+        successors = task.successors
+        if successors:
+            tasks = self._graph.tasks
+            preds_left = self._preds_left
+            for succ in successors:
+                preds_left[succ] -= 1
+                if preds_left[succ] == 0:
+                    self._push_ready(tasks[succ])
         self._hungry_notified = False
         if self._remaining:
             self._dispatch()

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_right, insort
+from operator import itemgetter
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -235,6 +236,14 @@ class AllOf(Event):
             self.succeed([ev.value for ev in self.events])
 
 
+#: the completion list of a timestamp that has none (shared, never
+#: appended to: a completion scheduled for the current time replaces it)
+_NO_COMPLETIONS: list = []
+
+#: the key of a ``(key, [fn, args])`` completion entry
+_entry_key = itemgetter(0)
+
+
 def _all_cancelled(bucket: Optional[list], fins: Optional[list]) -> bool:
     """Whether a timestamp holds nothing but cancelled callbacks."""
     for p in bucket or ():
@@ -308,7 +317,7 @@ class Engine:
         self._cur: list = []
         self._ci = 0
         # completions at the current timestamp (sorted by key) + cursor
-        self._fcur: list = []
+        self._fcur: list = _NO_COMPLETIONS
         self._fi = 0
         # segment of the current timestamp, the key of the completion
         # being run (None in a plain segment) and the insertion counter
@@ -407,8 +416,10 @@ class Engine:
         entry = (key, rec)
         if when == self.now:
             fl = self._fcur
+            if fl is _NO_COMPLETIONS:
+                fl = self._fcur = []
             if fl and not key > fl[-1][0]:
-                pos = bisect_right(fl, (key,))
+                pos = bisect_right(fl, key, key=_entry_key)
                 if pos < self._fi:
                     raise SimulationError(
                         f"completion key {key!r} precedes a completion "
@@ -425,7 +436,9 @@ class Engine:
         elif key > fl[-1][0]:
             fl.append(entry)
         else:
-            insort(fl, entry)
+            # equal keys: a task's completion after the cancelled plan
+            # completion it takes over (Team.leave_plan)
+            insort(fl, entry, key=_entry_key)
         return rec
 
     def cancel_scheduled(self, handle: list) -> None:
@@ -547,7 +560,8 @@ class Engine:
                     # visible before callbacks run: same-time schedules made
                     # during dispatch append to this cohort
                     self._cur = cur
-                    self._fcur = fins if fins is not None else []
+                    self._fcur = fins if fins is not None \
+                        else _NO_COMPLETIONS
                     self._fi = 0
                     self._seg = 0
                     continue

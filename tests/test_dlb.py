@@ -317,3 +317,93 @@ class TestDLBInterplay:
         t_nb, stats = self._run(use_request=True)
         assert stats.cores_borrowed_total > 0
         assert t_nb == pytest.approx(3.0, abs=0.01)
+
+
+class _NullRecorder:
+    """Keeps nothing; attached, it makes a team run every graph task by
+    task."""
+
+    def record(self, rank, category, label, t0, t1):
+        pass
+
+
+class TestPlanParity:
+    """DLB runs with every team on the per-task path and with teams
+    planning their graphs while their node pools no cores: the same
+    simulated results, the same LeWI activity and the same capacity
+    changes, team by team."""
+
+    SPEC = dict(generations=3, points_per_ring=6, n_steps=4)
+    THUNDER8 = dict(cluster="thunder", num_nodes=1, nranks=8, dlb=True)
+
+    @staticmethod
+    def _run(config_kw, spec_kw, per_task, fault_plan=None):
+        from repro.app import driver
+        from repro.app.driver import RunConfig, run_cfpd
+        from repro.app.workload import WorkloadSpec
+        from repro.campaign import simulated_digest
+
+        calls = {}
+
+        class CountingTeam(Team):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                if per_task:
+                    self.recorder = _NullRecorder()
+
+            def set_capacity(self, n):
+                calls[self.rank] = calls.get(self.rank, 0) + 1
+                super().set_capacity(n)
+
+        saved = driver.Team
+        driver.Team = CountingTeam
+        try:
+            result = run_cfpd(RunConfig(**config_kw),
+                              spec=WorkloadSpec(**spec_kw),
+                              fault_plan=fault_plan)
+        finally:
+            driver.Team = saved
+        plans = result.engine_diag["batch"]["plans"]
+        observed = (simulated_digest(result),
+                    dataclasses.asdict(result.dlb_stats), calls)
+        return observed, plans["planned_graphs"]
+
+    def _assert_parity(self, config_kw, spec_kw=None, fault_plan=None):
+        spec_kw = self.SPEC if spec_kw is None else spec_kw
+        per_task, none = self._run(config_kw, spec_kw, True, fault_plan)
+        planned, n_planned = self._run(config_kw, spec_kw, False, fault_plan)
+        assert none == 0 and n_planned > 0
+        assert planned == per_task
+        assert per_task[1]["borrow_events"] > 0
+
+    def test_small_sync(self):
+        self._assert_parity(self.THUNDER8)
+
+    def test_small_coupled(self):
+        self._assert_parity(dict(self.THUNDER8, mode="coupled",
+                                 fluid_ranks=6))
+
+    def test_hybrid_two_threads(self):
+        self._assert_parity(dict(cluster="thunder", num_nodes=1, nranks=8,
+                                 threads_per_rank=2, dlb=True))
+
+    @pytest.mark.parametrize("scheduler", ["fifo", "lifo"])
+    def test_multidep_four_threads(self, scheduler):
+        from repro.core import Strategy
+
+        self._assert_parity(dict(num_nodes=1, nranks=8, threads_per_rank=4,
+                                 assembly_strategy=Strategy.MULTIDEP,
+                                 sgs_strategy=Strategy.MULTIDEP,
+                                 scheduler=scheduler, dlb=True))
+
+    def test_fault_plan(self):
+        from repro.fault import FaultPlan, FaultSpec
+
+        plan = FaultPlan(specs=(
+            FaultSpec(kind="straggler", time=1e-5, rank=0, factor=6.0,
+                      duration=2e-4),
+            FaultSpec(kind="rank_death", time=3e-4, rank=5),
+            FaultSpec(kind="msg_delay", time=0.0, rank=2, delay=1e-5,
+                      duration=5e-4),
+        ))
+        self._assert_parity(self.THUNDER8, fault_plan=plan)

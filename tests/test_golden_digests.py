@@ -718,10 +718,10 @@ class TestGolden:
         assert set(golden) == set(ENTRIES)
 
     def test_default_digests_equal_bench_reference(self, golden):
-        """The MN4 pins and the Thunder coupled DLB pin equal the benchmark's own
-        pins of the same runs:
+        """The MN4 pins equal the benchmark's own pins of the same runs:
         ``e2e/mn4/<mode>[_dlb]`` is ``replay_mn4_<mode>`` at ``dlb=off|on``
-        in ``bench/golden.json``."""
+        in ``bench/golden.json``, and ``e2e/thunder/coupled_dlb`` is
+        ``replay_thunder_coupled`` at ``dlb=on``."""
         with open(BENCH_GOLDEN) as fh:
             bench = json.load(fh)
         for mode in ("sync", "coupled", "hybrid"):

@@ -1,7 +1,7 @@
 """Unit tests for the malleable task-execution team."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import DepType, Team, TaskGraph
@@ -371,13 +371,17 @@ class TestPlanEquivalence:
 
     @classmethod
     def _assert_plans_equal(cls, got, want):
-        for name in cls.PLAN_FIELDS:
-            assert getattr(got, name) == getattr(want, name), name
+        """Two lists of per-repeat plans, field for field."""
+        assert len(got) == len(want)
+        for got_part, want_part in zip(got, want):
+            for name in cls.PLAN_FIELDS:
+                assert getattr(got_part, name) == getattr(want_part, name), \
+                    name
 
     @staticmethod
     def _fresh(team, graph, t0, repeats=1):
-        return team._plan_sim_repeated(graph, t0, [(t0, team.slowdown)],
-                                       [(t0, team.capacity)], repeats)
+        return team._plan_repeated(lambda t: team._plan_sim(graph, t), t0,
+                                   repeats)
 
     @settings(max_examples=200, deadline=None)
     @given(spec=st.lists(
@@ -447,7 +451,7 @@ class TestPlanEquivalence:
         self._assert_plans_equal(plan, self._fresh(team, graph, t0))
         # the fallback took the other completion order and recorded it:
         # the same start time is now served, and so is the first one
-        assert plan.c_order != tpl.c_order
+        assert plan[0].c_order != tpl.c_order
         [templates] = graph._plan_templates.values()
         assert len(templates) == 2
         hits = arb.plan_cache_hits
@@ -496,3 +500,139 @@ class TestPlanEquivalence:
                 self._assert_plans_equal(team._plan_unperturbed(graph, t0),
                                          self._fresh(team, graph, t0))
         assert len(graph._plan_templates) == len(teams)
+
+
+class _Admit:
+    """A listener that admits every run to plan mode and ignores hunger."""
+
+    def admit_plan(self, team):
+        return True
+
+    def on_team_hungry(self, team):
+        pass
+
+    def on_team_idle(self, team):
+        pass
+
+
+class _Observe:
+    """A listener without ``admit_plan``: it sees every task boundary."""
+
+    def on_team_hungry(self, team):
+        pass
+
+    def on_team_idle(self, team):
+        pass
+
+
+class _ActAt:
+    """A recorder that calls ``action`` at the first finish at ``when``."""
+
+    def __init__(self, when, action):
+        self.when = when
+        self.action = action
+
+    def record(self, rank, category, label, t0, t1):
+        if t1 == self.when and self.action is not None:
+            action, self.action = self.action, None
+            action()
+
+
+class TestPlanReadsAtFinishInstants:
+    """A capacity change landing exactly on a finish instant of the team it
+    changes — from a plain entry, or from another team's completion at the
+    same instant, which orders against the team's own finishes by dispatch
+    key.  A planned team and its per-task twin must read the same
+    ``wants_cores``, ``ready_count`` and ``active_workers`` before and
+    after the change and end with the same stats, bit for bit.
+
+    A team planned for a listener completes at its last task's key; a
+    team without a listener completes through the arbiter, as a plain
+    entry, so another team's same-time completion can follow its own, and
+    only plain-entry changes compare for it."""
+
+    @staticmethod
+    def _scenario(spec, unit, workers, scheduler, cap, when, trigger,
+                  other_first, mode):
+        graph = TestPlanEquivalence._mutex_graph(spec, unit)
+        eng = Engine()
+        if mode == "listener":
+            team = Team(eng, CORE, workers, scheduler=scheduler,
+                        listener=_Admit())
+        elif mode == "plain":
+            team = Team(eng, CORE, workers, scheduler=scheduler)
+        else:
+            team = Team(eng, CORE, workers, scheduler=scheduler,
+                        listener=_Observe(), recorder=NullRecorder())
+        reads = []
+
+        def act():
+            reads.append((team.wants_cores, team.ready_count,
+                          team.active_workers))
+            team.set_capacity(cap)
+            reads.append((team.wants_cores, team.ready_count,
+                          team.active_workers))
+
+        out = {}
+
+        def prog():
+            out["stats"] = yield from team.run(graph)
+
+        if trigger == "entry":
+            eng.call_later(when, act)
+            eng.process(prog())
+        else:
+            # a per-task clone of the unperturbed run finishes at the same
+            # instants; it acts at its finish at ``when``
+            twin = Team(eng, CORE, workers, scheduler=scheduler,
+                        recorder=_ActAt(when, act))
+            twin_graph = TestPlanEquivalence._mutex_graph(spec, unit)
+
+            def other():
+                yield from twin.run(twin_graph)
+
+            if other_first:
+                eng.process(other())
+                eng.process(prog())
+            else:
+                eng.process(prog())
+                eng.process(other())
+        eng.run()
+        s = out["stats"]
+        return reads, (s.tasks_run, s.instructions, s.busy_seconds,
+                       s.t_start, s.t_end, s.max_concurrency)
+
+    @settings(max_examples=80, deadline=None)
+    @given(spec=st.lists(
+               st.tuples(st.integers(1, 4),
+                         st.frozensets(st.sampled_from("abcd"), max_size=2),
+                         st.one_of(st.none(), st.sampled_from("xy"))),
+               min_size=1, max_size=10),
+           workers=st.integers(1, 3),
+           scheduler=st.sampled_from(Team.SCHEDULERS),
+           cap=st.integers(1, 4),
+           pick=st.integers(0, 64),
+           trigger=st.sampled_from(["entry", "completion"]),
+           other_first=st.booleans(),
+           mode=st.sampled_from(["listener", "plain"]),
+           unit=st.sampled_from([0.25, 0.2637]))
+    def test_same_reads_and_stats_as_per_task(self, spec, workers, scheduler,
+                                              cap, pick, trigger,
+                                              other_first, mode, unit):
+        assume(mode == "listener" or trigger == "entry")
+        instants = []
+
+        class Finishes:
+            def record(self, rank, category, label, t0, t1):
+                instants.append(t1)
+
+        TestPlanEquivalence._epoch_run(
+            TestPlanEquivalence._mutex_graph(spec, unit), workers,
+            scheduler, [], Finishes())
+        when = sorted(set(instants))[pick % len(set(instants))]
+        args = (spec, unit, workers, scheduler, cap, when, trigger,
+                other_first)
+        per_task = self._scenario(*args, "per_task")
+        planned = self._scenario(*args, mode)
+        assert len(per_task[0]) == 2          # the change did land
+        assert planned == per_task

@@ -311,3 +311,79 @@ class TestBatchEngine:
         assert c["events_processed"] == 5
         assert c["batch"]["cohorts"] == 2
         assert "plans" not in c["batch"]     # no Team attached an arbiter
+
+
+class TestCompletionOrder:
+    """Task completions run after a timestamp's plain entries, in dispatch
+    key order, whatever order they were inserted in."""
+
+    def test_completion_runs_after_later_plain_entries(self):
+        eng = Engine()
+        order = []
+        eng.schedule_completion(1.0, eng.completion_key(), order.append,
+                                "completion")
+
+        def prog():
+            yield eng.timeout(1.0)
+            order.append("process")
+
+        eng.process(prog())
+        eng.call_later(1.0, order.append, "timer")
+        eng.run()
+        assert order == ["timer", "process", "completion"]
+
+    def test_out_of_order_insertions_run_in_key_order(self):
+        eng = Engine()
+        keys = [eng.completion_key() for _ in range(6)]
+        order = []
+        for i in (3, 0, 5, 1, 4, 2):
+            eng.schedule_completion(2.0, keys[i], order.append, i)
+        eng.run()
+        assert order == list(range(6))
+
+    def test_plain_entries_wait_for_the_completion_segment(self):
+        """Plain entries a completion schedules run after every completion
+        of the timestamp; a completion it schedules for now joins the
+        running segment."""
+        eng = Engine()
+        order = []
+
+        def first():
+            order.append("c1")
+            eng.defer(order.append, "plain from c1")
+            eng.schedule_completion(eng.now, eng.completion_key(),
+                                    order.append, "c3 from c1")
+
+        eng.schedule_completion(1.0, eng.completion_key(), first)
+        eng.schedule_completion(1.0, eng.completion_key(), order.append,
+                                "c2")
+        eng.run()
+        assert order == ["c1", "c2", "c3 from c1", "plain from c1"]
+
+    def test_key_taken_in_a_completion_sorts_after_it(self):
+        eng = Engine()
+        seen = {}
+
+        def first():
+            seen["key"] = eng.completion_key()
+
+        k1 = eng.completion_key()
+        eng.schedule_completion(1.0, k1, first)
+        eng.run()
+        key = seen["key"]
+        assert key[:3] == (1.0, 1, k1) and key > k1
+
+    def test_key_before_a_completion_already_run_is_rejected(self):
+        eng = Engine()
+        early, late = eng.completion_key(), eng.completion_key()
+        raised = []
+
+        def run_late():
+            try:
+                eng.schedule_completion(1.0, early, lambda: None)
+            except SimulationError:
+                raised.append(True)
+
+        eng.schedule_completion(1.0, late, run_late)
+        eng.run()
+        assert raised == [True]
