@@ -112,7 +112,7 @@ class _Plan:
                  "d_idx", "c_finish", "c_order", "steps", "t_seq",
                  "unstarted", "sums", "n_total", "done0", "W", "t_end", "t0",
                  "gen", "_chain", "stalled", "keys", "root", "base",
-                 "carried", "hungry0", "tpl")
+                 "carried", "hungry0")
 
     def __init__(self, d_tids, d_start, d_finish, d_dur, d_parent, d_idx,
                  c_finish, c_order, steps, t_seq, unstarted, sums, n_total,
@@ -155,8 +155,6 @@ class _Plan:
         self.carried = ()
         #: whether the per-task path's hunger flag is set after step 0
         self.hungry0 = hungry0
-        #: the template the plan instantiates or recorded, if any
-        self.tpl = None
 
     @property
     def chain(self) -> tuple:
@@ -293,7 +291,6 @@ class _PlanTemplate:
         #: float chain is a running sum
         self.linear = (order == list(range(len(parent)))
                        and parent == list(range(-1, len(parent) - 1)))
-        plan.tpl = self
 
     @property
     def c_order(self) -> list:
@@ -308,14 +305,12 @@ class _PlanTemplate:
             d_finish = list(accumulate(rec.d_dur, initial=t0))
             d_start = d_finish[:-1]
             del d_finish[0]
-            plan = _Plan(rec.d_tids, d_start, d_finish, rec.d_dur,
+            return _Plan(rec.d_tids, d_start, d_finish, rec.d_dur,
                          rec.d_parent, rec.d_idx, d_finish, rec.c_order,
                          rec.steps, rec.t_seq, rec.unstarted, rec.sums,
                          rec.n_total, rec.done0, rec.W,
                          0.0 if rec.stalled else d_finish[-1], t0,
                          self.chain_idx, rec.stalled, rec.hungry0)
-            plan.tpl = self
-            return plan
         d_start = []
         d_finish = []
         for p, dur in zip(rec.d_parent, rec.d_dur):
@@ -329,13 +324,11 @@ class _PlanTemplate:
             if (d_finish[b], b) < (d_finish[a], a):
                 return None
         c_finish = [d_finish[i] for i in order]
-        plan = _Plan(rec.d_tids, d_start, d_finish, rec.d_dur, rec.d_parent,
+        return _Plan(rec.d_tids, d_start, d_finish, rec.d_dur, rec.d_parent,
                      rec.d_idx, c_finish, order, rec.steps, rec.t_seq,
                      rec.unstarted, rec.sums, rec.n_total, rec.done0, rec.W,
                      0.0 if rec.stalled else c_finish[-1], t0,
                      self.chain_idx, rec.stalled, rec.hungry0)
-        plan.tpl = self
-        return plan
 
 
 _INF = float("inf")
