@@ -300,18 +300,25 @@ def _build_fluid_graphs(workload, config, fluid_dd, fluid_ranks,
     """The per-fluid-rank task graphs and halo neighbours, and the
     coupled-mode exchange topology."""
     nthreads = config.threads_per_rank
+
+    def colors(rw, strategy):
+        # colors are computed on demand: only COLORING graphs read them
+        return rw.colors if strategy is Strategy.COLORING else None
+
     assembly, sgs, solver1, solver2, halo_neighbors = [], [], [], [], []
     for rw in fluid_dd.ranks:
         assembly.append(build_element_loop_graph(
             rw.assembly_instr, rw.assembly_atomics,
             config.assembly_strategy, nthreads,
-            colors=rw.colors, sub_labels=rw.sub_labels,
+            colors=colors(rw, config.assembly_strategy),
+            sub_labels=rw.sub_labels,
             sub_adjacency=rw.sub_adjacency,
             params=config.strategy_params, label="assembly"))
         sgs.append(build_element_loop_graph(
             rw.sgs_instr, np.zeros_like(rw.sgs_instr),
             config.sgs_strategy, nthreads,
-            colors=rw.colors, sub_labels=rw.sub_labels,
+            colors=colors(rw, config.sgs_strategy),
+            sub_labels=rw.sub_labels,
             sub_adjacency=rw.sub_adjacency, race_free=True,
             params=config.strategy_params, label="sgs"))
         s1_work = (DEFAULT_COSTS.solver1_iterations * rw.solver_nnz

@@ -22,8 +22,8 @@ from __future__ import annotations
 import functools
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -301,13 +301,24 @@ class RankWork:
     assembly_instr: np.ndarray       # per local element
     assembly_atomics: np.ndarray     # per local element (scatter updates)
     sgs_instr: np.ndarray            # per local element
-    colors: np.ndarray               # per local element (node-sharing)
     sub_labels: np.ndarray
     sub_adjacency: list
     solver_nnz: float                # nonzeros of locally-owned matrix rows
     halo_bytes: float
     #: (neighbor_rank, bytes) pairs for the halo exchange
     neighbors: list
+    #: the decomposition's whole-mesh colors, shared by its ranks and
+    #: computed on the first call (see :attr:`colors`)
+    mesh_colors: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def colors(self) -> np.ndarray:
+        """Per local element node-sharing colors, computed on demand.
+
+        Only COLORING-strategy graphs read them, so a run that reads
+        none never colors; the first read of any rank's colors runs the
+        decomposition's one whole-mesh sweep."""
+        return self.mesh_colors()[self.element_ids]
 
 
 @dataclass
@@ -415,11 +426,11 @@ class MeshStage:
         :func:`repro.partition.subdomain_decomposition` and EXPERIMENTS.md.
 
         Every rank is handled at once: the subdomains in one batched pass
-        (:func:`repro.partition.decompose_mesh`), the coloring as one
-        first-fit sweep over the mesh's conflict graph restricted to
-        intra-rank edges (each rank's elements ascend, so this equals a
-        per-rank sweep), and the work meters as one whole-mesh array each,
-        sliced per rank.
+        (:func:`repro.partition.decompose_mesh`), the work meters as one
+        whole-mesh array each, sliced per rank, and the coloring, on the
+        first read of :attr:`RankWork.colors`, as one first-fit sweep over
+        the mesh's conflict graph restricted to intra-rank edges (each
+        rank's elements ascend, so this equals a per-rank sweep).
         """
         key = (nranks, subdomains_per_rank, method, min_shared_nodes,
                min_elements_per_subdomain)
@@ -437,20 +448,21 @@ class MeshStage:
                                  minlength=nranks)
         neighbor_bytes = self._neighbor_bytes(labels, nranks)
         a_instr, atomics, s_instr = self._element_meters()
-        colors = greedy_coloring(
-            node_sharing_graph(self.mesh).within_parts(labels))
+        mesh = self.mesh
+        mesh_colors = functools.cache(lambda: greedy_coloring(
+            node_sharing_graph(mesh).within_parts(labels)))
         ranks = [RankWork(
             rank=dom.rank,
             element_ids=dom.element_ids,
             assembly_instr=a_instr[dom.element_ids],
             assembly_atomics=atomics[dom.element_ids],
             sgs_instr=s_instr[dom.element_ids],
-            colors=colors[dom.element_ids],
             sub_labels=dom.sub_labels,
             sub_adjacency=dom.sub_adjacency,
             solver_nnz=float(solver_nnz[dom.rank]),
             halo_bytes=dom.halo_nodes * DEFAULT_COSTS.halo_bytes_per_node,
-            neighbors=neighbor_bytes[dom.rank]) for dom in dec.domains]
+            neighbors=neighbor_bytes[dom.rank],
+            mesh_colors=mesh_colors) for dom in dec.domains]
         data = DecompData(decomposition=dec, ranks=ranks, labels=labels)
         self._decomps[key] = data
         return data

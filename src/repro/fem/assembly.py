@@ -147,7 +147,10 @@ def assemble_operator(mesh: Mesh,
     assembled once per (mesh, element set, coefficients) and cached, and
     each call recomputes only the convection + stabilization values, which
     scatter through the cached CSR sparsity pattern (see
-    :func:`_assemble_split`).
+    :func:`_assemble_split`).  The constant blocks of every coefficient
+    pair scale one cached unit stiffness and one unit mass contraction per
+    (mesh, element set), so assembling several constant operators of one
+    mesh contracts each element block once.
     """
     n = mesh.nnodes
     if element_ids is None:
@@ -164,9 +167,12 @@ class _SplitConst:
 
     Holds the velocity-independent ``mass_coeff*M + kappa*K`` CSR data
     (deduplicated through the shared :class:`_CSRPattern`), the constant
-    source RHS and the work meters.  Stored in the mesh's geometry cache
-    (:mod:`repro.fem.geometry`), so mesh mutation invalidates it; the
-    pattern itself stays in ``mesh._asm_pattern_cache``.
+    source RHS and the work meters.  Its element matrices are
+    ``kappa*K1 + mass_coeff*M1`` over the element set's unit blocks, which
+    the geometry cache holds once for all coefficients.  Stored in the
+    mesh's geometry cache (:mod:`repro.fem.geometry`), so mesh mutation
+    invalidates it; the pattern itself stays in
+    ``mesh._asm_pattern_cache``.
     """
 
     pattern: Optional[_CSRPattern]   # None for an empty element set
@@ -187,7 +193,13 @@ class _SplitConst:
 def _build_split_const(mesh: Mesh, element_ids: np.ndarray, kappa: float,
                        mass_coeff: float, source: float, n: int,
                        ids_key: bytes, gcache) -> _SplitConst:
-    """Assemble the constant blocks once for a (mesh, element set, coeffs)."""
+    """Assemble the constant blocks once for a (mesh, element set, coeffs).
+
+    The element matrices scale the element set's cached unit blocks
+    (:func:`repro.fem.geometry.unit_stiffness` and ``unit_mass``), so the
+    operators of one element set share one stiffness and one mass
+    contraction per element type.
+    """
     rows_all, cols_all, vals_all = [], [], []
     rhs = np.zeros(n)
     scatter = np.zeros(len(element_ids), dtype=np.int64)
@@ -196,11 +208,14 @@ def _build_split_const(mesh: Mesh, element_ids: np.ndarray, kappa: float,
     sorted_ids = element_ids[id_order]
     pattern_cache = mesh.__dict__.setdefault("_asm_pattern_cache", {})
     pattern = pattern_cache.get((n, ids_key))
-    for nn, ref, eids, conn, grads, dvol, _h, _Ndvol in _type_blocks(
-            mesh, element_ids, cache=gcache):
-        Ke = kappa * np.einsum("eqaj,eqbj,eq->eab", grads, grads, dvol)
-        if mass_coeff != 0.0:
-            Ke += mass_coeff * np.einsum("qa,qb,eq->eab", ref.N, ref.N, dvol)
+    stiffness = _geom.unit_stiffness(mesh, element_ids, cache=gcache)
+    mass = (_geom.unit_mass(mesh, element_ids, cache=gcache)
+            if mass_coeff != 0.0 else None)
+    for i, (nn, ref, eids, conn, _grads, dvol, _h, _Ndvol) in enumerate(
+            _type_blocks(mesh, element_ids, cache=gcache)):
+        Ke = kappa * stiffness[i]
+        if mass is not None:
+            Ke += mass_coeff * mass[i]
         if pattern is None:
             rows_all.append(np.repeat(conn, nn, axis=1).ravel())
             cols_all.append(np.tile(conn, (1, nn)).ravel())

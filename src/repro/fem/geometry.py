@@ -25,11 +25,16 @@ Cache management:
   set still works — it just won't persist a second set alongside it).
 
 Besides raw geometry blocks the cache stores *derived extras* under the
-same invalidation: the operator-split constant blocks of
-:mod:`repro.fem.assembly`, the pressure-velocity coupling matrix of
-:mod:`repro.fem.vector`, the centroid KD-tree shared by
-:mod:`repro.particles.interpolation`, and the node-sharing conflict graph
-read by the decomposition's coloring (see :func:`cached_extra`).
+same invalidation (see :func:`cached_extra`):
+
+* the per-type unit stiffness and unit mass element matrices of an
+  element set (:func:`unit_stiffness`, :func:`unit_mass`), contracted
+  once and scaled by every constant operator built from them;
+* the operator-split constant blocks of :mod:`repro.fem.assembly`;
+* the pressure-velocity coupling matrix of :mod:`repro.fem.vector`;
+* the centroid KD-tree shared by :mod:`repro.particles.interpolation`;
+* the node-sharing conflict graph read by a decomposition's coloring,
+  built the first time a run reads colors.
 """
 
 from __future__ import annotations
@@ -47,7 +52,7 @@ from .shape import reference_element
 __all__ = [
     "ElementGeometry", "GeometryCache", "CACHE_BUDGET_BYTES", "cache_for",
     "geometry_blocks", "cached_extra", "element_sizes", "node_sharing_graph",
-    "drop_cache",
+    "drop_cache", "unit_stiffness", "unit_mass",
 ]
 
 #: per-mesh eviction budget in bytes
@@ -214,6 +219,46 @@ def geometry_blocks(mesh: Mesh,
     return blocks
 
 
+def _unit_blocks(mesh: Mesh, name: str, contract: Callable,
+                 element_ids: np.ndarray,
+                 cache: Optional[GeometryCache]) -> list:
+    """Per-type ``contract(block)`` of an element set, cached as one extra
+    per (element set, ``name``)."""
+    def build():
+        mats = [contract(blk) for blk in geometry_blocks(mesh, element_ids,
+                                                         cache=cache)]
+        return mats, sum(m.nbytes for m in mats)
+    return cached_extra(mesh, (name, element_ids.tobytes()), build,
+                        cache=cache)
+
+
+def unit_stiffness(mesh: Mesh, element_ids: np.ndarray,
+                   cache: Optional[GeometryCache] = None) -> list:
+    """Cached unit stiffness matrices ``K1[e,a,b] = sum_q grad N_a .
+    grad N_b |J| dV``, one (ne, nn, nn) array per block of
+    :func:`geometry_blocks` and in its order.
+
+    Every constant operator ``kappa*K + m*M`` of one element set scales
+    these, so the contraction runs once per (mesh, element set).
+    """
+    return _unit_blocks(
+        mesh, "unit_stiffness",
+        lambda blk: np.einsum("eqaj,eqbj,eq->eab", blk.grads, blk.grads,
+                              blk.dvol),
+        element_ids, cache)
+
+
+def unit_mass(mesh: Mesh, element_ids: np.ndarray,
+              cache: Optional[GeometryCache] = None) -> list:
+    """Cached unit (consistent) mass matrices ``M1[e,a,b] = sum_q N_a N_b
+    |J| dV``, one (ne, nn, nn) array per block of :func:`geometry_blocks`
+    and in its order (the mass counterpart of :func:`unit_stiffness`)."""
+    def contract(blk):
+        N = reference_element(blk.etype).N
+        return np.einsum("qa,qb,eq->eab", N, N, blk.dvol)
+    return _unit_blocks(mesh, "unit_mass", contract, element_ids, cache)
+
+
 def element_sizes(mesh: Mesh,
                   cache: Optional[GeometryCache] = None) -> np.ndarray:
     """Cached (nelem,) element sizes ``h`` indexed by global element id.
@@ -240,6 +285,8 @@ def node_sharing_graph(mesh: Mesh,
 
     One sparse product per mesh, read by the per-rank coloring of every
     decomposition of it (:meth:`CSRGraph.within_parts` of this graph).
+    The coloring runs only when a run reads colors (COLORING-strategy
+    graphs), so a run that reads none never builds this graph.
     """
     def build():
         graph = mesh.node_sharing_adjacency()
@@ -252,9 +299,9 @@ def cached_extra(mesh: Mesh, name, build: Callable[[], tuple],
     """A derived object cached under the mesh's geometry invalidation.
 
     ``build`` is called on a miss and must return ``(value, nbytes)``.
-    Used for the operator-split constant blocks, the pressure-velocity
-    coupling matrix, the shared centroid KD-tree and the node-sharing
-    conflict graph.
+    Used for the unit element matrices, the operator-split constant
+    blocks, the pressure-velocity coupling matrix, the shared centroid
+    KD-tree and the node-sharing conflict graph.
     """
     if cache is None:
         cache = cache_for(mesh)

@@ -61,6 +61,33 @@ class TestWorkload:
             graph = wl.mesh.node_sharing_adjacency(rw.element_ids)
             assert verify_coloring(graph, rw.colors)
 
+    def test_colors_computed_on_demand(self, monkeypatch):
+        """A default-strategy run never colors nor builds the conflict
+        graph; a COLORING run does both once, for all its ranks."""
+        import repro.app.workload as workload_mod
+        from repro.mesh import Mesh
+
+        calls = []
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(workload_mod, "greedy_coloring", counted(
+            "sweep", workload_mod.greedy_coloring))
+        monkeypatch.setattr(Mesh, "node_sharing_adjacency", counted(
+            "graph", Mesh.node_sharing_adjacency))
+        fresh = Workload(SMALL)
+        cfg = RunConfig(cluster="thunder", num_nodes=1, nranks=4,
+                        threads_per_rank=2)
+        run_cfpd(cfg, workload=fresh)
+        assert calls == []
+        run_cfpd(replace(cfg, assembly_strategy=Strategy.COLORING,
+                         sgs_strategy=Strategy.COLORING), workload=fresh)
+        assert calls == ["graph", "sweep"]
+
     def test_real_solves_converge(self, wl):
         info = wl.solve_fluid_step()
         assert info["momentum_converged"]

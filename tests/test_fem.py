@@ -173,6 +173,46 @@ class TestAssembly:
             sel = tube.elem_types == etype
             assert (res.scatter_counts[sel] == nn * nn + nn).all()
 
+    def test_constant_operators_share_unit_blocks(self, monkeypatch):
+        """The continuity, mass-shift and momentum constant operators of
+        one mesh scale one stiffness and one mass contraction per element
+        block, in any order, and each reads bit for bit as if assembled
+        first on a fresh mesh."""
+        seg = Segment(sid=0, parent=-1, generation=0, start=np.zeros(3),
+                      direction=np.array([0.0, 0.0, -1.0]), length=0.04,
+                      radius=0.01)
+
+        def fresh_mesh():
+            return build_tube_mesh(seg, MeshResolution(points_per_ring=8))
+
+        ops = {"continuity": dict(kappa=1.0),
+               "mass": dict(kappa=0.0, mass_coeff=1.0),
+               "momentum": dict(kappa=1.9e-5, mass_coeff=1.15 / 1e-3)}
+        alone = {name: assemble_operator(fresh_mesh(), **kw).matrix
+                 for name, kw in ops.items()}
+        nblocks = len(np.unique(fresh_mesh().elem_types))
+        assert nblocks == 3
+
+        counts = {}
+        einsum = np.einsum
+
+        def counting(subscripts, *operands, **kwargs):
+            counts[subscripts] = counts.get(subscripts, 0) + 1
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting)
+        for order in (["continuity", "mass", "momentum"],
+                      ["momentum", "mass", "continuity"]):
+            counts.clear()
+            mesh = fresh_mesh()
+            for name in order:
+                matrix = assemble_operator(mesh, **ops[name]).matrix
+                for attr in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(matrix, attr),
+                                          getattr(alone[name], attr))
+            assert counts["eqaj,eqbj,eq->eab"] == nblocks
+            assert counts["qa,qb,eq->eab"] == nblocks
+
     def test_work_meters(self, tube):
         instr_per_type = {ElementType.TET: 1000.0, ElementType.PYRAMID: 1800.0,
                           ElementType.PRISM: 3000.0}
