@@ -143,9 +143,12 @@ class RunResult:
     faults: object = None              # FaultInjector if a plan was injected
     #: (step, sim_time) of every checkpoint written during the run
     checkpoints: list = field(default_factory=list)
-    #: host-side engine diagnostics (Engine.counters): events processed and
-    #: the cohort/plan counters.  Wall-clock instrumentation only —
-    #: never part of the simulated digest or the checkpoint bytes.
+    #: host-side engine diagnostics (Engine.counters): events processed,
+    #: dispatched timestamps (cohorts) and the teams' plan counters
+    #: (planned graphs and tasks, template hits and misses; plan_replans
+    #: reads 0, since a perturbed plan continues per task).  Wall-clock
+    #: instrumentation only — never part of the simulated digest or the
+    #: checkpoint bytes.
     engine_diag: dict = field(default_factory=dict)
     #: adaptive-Δt schedule diagnostics (Workload.schedule_summary): mode,
     #: steps taken vs the fixed grid, Δt values, max CFL, and — in local

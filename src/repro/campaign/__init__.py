@@ -79,6 +79,7 @@ __all__ = [
     "SupervisorConfig",
     "VirtualClock",
     "WallClock",
+    "adaptive_dlb_campaign",
     "breathing_campaign",
     "build_report",
     "ci_smoke_campaign",

@@ -24,8 +24,8 @@ Scheduling semantics:
   (``lifo``, key 0 with seqs counting down);
 * on the per-task path, dispatching a task schedules its completion
   directly, one keyed engine completion per task; a *planned* run simulates
-  the whole graph up front and the engine carries one completion for it
-  (see :class:`Team`).
+  the whole graph up front and the engine carries one completion for it,
+  under its last task's dispatch key (see :class:`Team`).
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class GraphStats:
 
 
 class _Plan:
-    """The execution schedule of one graph run, resumable at any completion.
+    """The execution schedule of one graph run, continuable at any completion.
 
     Produced by :meth:`Team._plan_sim` (or instantiated from a cached
     :class:`_PlanTemplate`): per-dispatch task ids, start/finish times,
@@ -102,79 +102,44 @@ class _Plan:
     A step record is ``(dispatched, ready, wants, busy, instructions,
     max_concurrency, seq)`` after ``k`` completions and the dispatches they
     triggered: the team's reads (:attr:`Team.ready_count`, ...) index it,
-    and :meth:`Team._rewind` rebuilds the in-flight state from it to replan
-    or to continue task by task.  A plan resumed from such a state lists
-    the running tasks it inherited first (``d_parent`` -1, keyed as in
-    ``base``), and ``done0`` counts the completions before it.
+    and :meth:`Team._rewind` rebuilds the in-flight state from it to
+    continue task by task.
     """
 
     __slots__ = ("d_tids", "d_start", "d_finish", "d_dur", "d_parent",
-                 "d_idx", "c_finish", "c_order", "steps", "t_seq",
-                 "unstarted", "sums", "n_total", "done0", "W", "t_end", "t0",
-                 "gen", "_chain", "stalled", "keys", "root", "base",
-                 "carried", "hungry0")
+                 "d_idx", "c_finish", "c_order", "steps", "t_seq", "sums",
+                 "n_total", "W", "t_end", "gen", "keys", "root", "hungry0")
 
     def __init__(self, d_tids, d_start, d_finish, d_dur, d_parent, d_idx,
-                 c_finish, c_order, steps, t_seq, unstarted, sums, n_total,
-                 done0, W, t_end, t0, gen, stalled, hungry0):
+                 c_finish, c_order, steps, t_seq, sums, n_total, W, t_end,
+                 gen, hungry0):
         self.d_tids = d_tids
         self.d_start = d_start
         self.d_finish = d_finish
         self.d_dur = d_dur          # exec seconds * slowdown, one float
         #: dispatch index of the task whose completion dispatched task i
-        #: (-1: dispatched in the entry that started or resumed the plan)
-        #: and i's position among the dispatches of that entry
+        #: (-1: dispatched in the entry that started the plan) and i's
+        #: position among the dispatches of that entry
         self.d_parent = d_parent
         self.d_idx = d_idx
         self.c_finish = c_finish    # non-decreasing (completion order)
         self.c_order = c_order      # dispatch indices in completion order
         self.steps = steps
         self.t_seq = t_seq          # ready-heap seq of each pushed task
-        self.unstarted = unstarted  # tids never dispatched (stalled plan)
         self.sums = sums            # (busy, instructions, max_conc)
         self.n_total = n_total
-        self.done0 = done0
         self.W = W                  # the worker count it was planned for
         self.t_end = t_end
-        self.t0 = t0
-        #: the last-finishing task's genealogy (see :attr:`chain`), when a
-        #: template knows it
+        #: the last-finishing task's genealogy: dispatch indices from a
+        #: first dispatch down the parent links to it (see :func:`_last_key`)
         self.gen = gen
-        self._chain = None
-        self.stalled = stalled      # capacity 0 with work left
-        #: engine dispatch keys per dispatch index: explicit for the
-        #: dispatches made in engine entries, derived on demand (:func:`_key`)
-        #: for the others; ``root`` is the key context ``(time, segment,
-        #: origin, first index)`` of the first dispatches until ``keys``
-        #: is built
+        #: engine dispatch keys per dispatch index, derived on demand
+        #: (:func:`_key`); ``root`` is the key context ``(time, segment,
+        #: origin, first index)`` of the first dispatches
         self.keys = None
         self.root = None
-        #: a resumed plan's predecessor and the dispatch indices there of
-        #: the running tasks it inherited (its first dispatches)
-        self.base = None
-        self.carried = ()
         #: whether the per-task path's hunger flag is set after step 0
         self.hungry0 = hungry0
-
-    @property
-    def chain(self) -> tuple:
-        """Dispatch-time genealogy of the last-finishing task as flattened
-        ``(time, hop)`` pairs: its own dispatch time, then its
-        dispatcher's, ... up to a root — the simulated times at which the
-        per-task path would schedule the completions whose order breaks
-        completion-time ties (see _PlanArbiter).  ``hop`` is 0.0 for a
-        plain dispatch (synchronous in ``run()`` or inside a task-finish
-        callback) and 1.0 for a repeat-boundary root, which the per-task
-        path dispatches one event hop later (inside the previous repeat's
-        done callback) than any same-time plain dispatch."""
-        chain = self._chain
-        if chain is None:
-            gen = self.gen
-            if gen is None:
-                gen = _genealogy(self.d_parent,
-                                 self.c_order[-1] if self.c_order else -1)
-            chain = self._chain = _chain(self.d_start, gen, self.t0)
-        return chain
 
 
 def _key(plan: _Plan, i: int) -> tuple:
@@ -184,11 +149,15 @@ def _key(plan: _Plan, i: int) -> tuple:
     key ``(t, segment, key(p), position)``: the completion ran in segment 1
     of ``t`` when it was dispatched before ``t``, else in the first
     completion segment after the one it was dispatched in.  The walk up the
-    parents ends at a dispatch with an explicit key; keys are memoized.
+    parents ends at a dispatch with a known key — the first dispatches are
+    keyed from ``plan.root`` — and keys are memoized.
     """
     keys = plan.keys
     if keys is None:
-        keys = _root_key_list(plan)
+        keys = plan.keys = [None] * len(plan.d_tids)
+        t, seg, origin, k = plan.root
+        for j in range(plan.steps[0][0]):
+            keys[j] = (t, seg, origin, k + j)
     k = keys[i]
     if k is not None:
         return k
@@ -206,39 +175,30 @@ def _key(plan: _Plan, i: int) -> tuple:
     return k
 
 
-def _root_key_list(plan: _Plan) -> list:
-    """Build ``plan.keys``: the inherited running tasks keyed as in
-    ``plan.base``, the first dispatches from ``plan.root``, the others to be
-    derived."""
-    keys = plan.keys = [None] * len(plan.d_tids)
-    base = plan.base
-    for j, i in enumerate(plan.carried):
-        keys[j] = _key(base, i)
+def _last_key(plan: _Plan) -> tuple:
+    """The dispatch key of ``plan``'s last completion — :func:`_key` of
+    its last-finishing task — built in one pass down its genealogy,
+    without the memo (most plans complete unread)."""
+    gen = iter(plan.gen)
     t, seg, origin, k = plan.root
-    for i in range(len(plan.carried), plan.steps[0][0]):
-        keys[i] = (t, seg, origin, k)
-        k += 1
-    return keys
+    k = (t, seg, origin, k + next(gen))
+    d_start = plan.d_start
+    d_idx = plan.d_idx
+    for j in gen:
+        t = d_start[j]
+        k = (t, 1 if k[0] < t else k[1] | 1, k, d_idx[j])
+    return k
 
 
 def _genealogy(d_parent: list, last: int) -> list:
-    """Dispatch indices from ``last`` up its parent links to a root
-    (empty when ``last`` is -1: nothing completed)."""
+    """Dispatch indices from a first dispatch (parent -1) down the parent
+    links to ``last``."""
     idx = []
     while last >= 0:
         idx.append(last)
         last = d_parent[last]
+    idx.reverse()
     return idx
-
-
-def _chain(d_start: list, genealogy: list, t0: float) -> tuple:
-    """A plan's ``chain``: the dispatch times along ``genealogy``, each
-    with hop tag 0.0, or ``(t0, 0.0)`` for an empty genealogy."""
-    if not genealogy:
-        return (t0, 0.0)
-    chain = [0.0] * (2 * len(genealogy))
-    chain[0::2] = [d_start[i] for i in genealogy]
-    return tuple(chain)
 
 
 class _PlanTemplate:
@@ -250,8 +210,8 @@ class _PlanTemplate:
     that trajectory — dispatch order, per-task durations, each dispatch's
     parent, the completion order, the step records and the stats sums —
     and :meth:`instantiate` rebuilds the absolute times from a new ``t0``
-    by the simulator's own float chain (``start = finish[parent]`` or
-    ``t0``, ``finish = start + dur``).
+    by the simulator's own float expressions (``start = finish[parent]``
+    or ``t0``, ``finish = start + dur``).
 
     The rebuilt times reproduce the same trajectory exactly when the
     completion order is still the in-flight heap's pop order: non-decreasing
@@ -269,33 +229,26 @@ class _PlanTemplate:
     team that recorded them; the graph drops them when it gains a task.
     """
 
-    __slots__ = ("plan", "checks", "chain_idx", "linear")
+    __slots__ = ("plan", "checks", "linear")
 
     def __init__(self, plan: _Plan):
         # the recorded plan's start-time independent fields (trajectory,
         # step records, seqs, sums), which instantiate shares; not its
-        # times, keys or predecessor
+        # times or keys
         self.plan = _Plan(plan.d_tids, None, None, plan.d_dur, plan.d_parent,
                           plan.d_idx, None, plan.c_order, plan.steps,
-                          plan.t_seq, plan.unstarted, plan.sums,
-                          plan.n_total, plan.done0, plan.W, 0.0, 0.0, None,
-                          plan.stalled, plan.hungry0)
+                          plan.t_seq, plan.sums, plan.n_total, plan.W, 0.0,
+                          plan.gen, plan.hungry0)
         parent = plan.d_parent
         order = plan.c_order
         self.checks = [k for k in range(1, len(order))
                        if parent[order[k]] != order[k - 1]
                        or plan.d_dur[order[k]] < 0.0]
-        self.chain_idx = _genealogy(parent, order[-1] if order else -1)
         #: one task after another (a one-worker run): each dispatch is the
         #: previous one's child and completes in dispatch order, so the
-        #: float chain is a running sum
+        #: finish times are a running sum
         self.linear = (order == list(range(len(parent)))
                        and parent == list(range(-1, len(parent) - 1)))
-
-    @property
-    def c_order(self) -> list:
-        """The recorded completion order (dispatch indices)."""
-        return self.plan.c_order
 
     def instantiate(self, t0: float) -> Optional[_Plan]:
         """The plan of a run starting at ``t0``, or ``None`` when the
@@ -307,10 +260,8 @@ class _PlanTemplate:
             del d_finish[0]
             return _Plan(rec.d_tids, d_start, d_finish, rec.d_dur,
                          rec.d_parent, rec.d_idx, d_finish, rec.c_order,
-                         rec.steps, rec.t_seq, rec.unstarted, rec.sums,
-                         rec.n_total, rec.done0, rec.W,
-                         0.0 if rec.stalled else d_finish[-1], t0,
-                         self.chain_idx, rec.stalled, rec.hungry0)
+                         rec.steps, rec.t_seq, rec.sums, rec.n_total, rec.W,
+                         d_finish[-1], rec.gen, rec.hungry0)
         d_start = []
         d_finish = []
         for p, dur in zip(rec.d_parent, rec.d_dur):
@@ -326,9 +277,8 @@ class _PlanTemplate:
         c_finish = [d_finish[i] for i in order]
         return _Plan(rec.d_tids, d_start, d_finish, rec.d_dur, rec.d_parent,
                      rec.d_idx, c_finish, order, rec.steps, rec.t_seq,
-                     rec.unstarted, rec.sums, rec.n_total, rec.done0, rec.W,
-                     0.0 if rec.stalled else c_finish[-1], t0,
-                     self.chain_idx, rec.stalled, rec.hungry0)
+                     rec.sums, rec.n_total, rec.W, c_finish[-1], rec.gen,
+                     rec.hungry0)
 
 
 _INF = float("inf")
@@ -338,71 +288,29 @@ _INF = float("inf")
 MAX_PLAN_TEMPLATES = 8
 
 
-class _PlanArbiter:
-    """Gives same-cohort plan completions the per-task path's tie order.
+class _PlanCounters:
+    """The whole-graph plan counters of one engine, shared by its teams:
+    the ``plans`` block of :meth:`~repro.sim.Engine.counters`.  Plain
+    attributes, because the hot path bumps them once per graph run."""
 
-    This applies to teams without a listener; a DLB team's plan places its
-    completion by its dispatch key instead (see :class:`Team`).
+    __slots__ = ("planned_graphs", "planned_tasks", "plan_cache_hits",
+                 "plan_template_misses")
 
-    Events at equal simulated times fire in scheduling order, and the
-    per-task path schedules a completion at the *dispatch* of the finishing
-    task — inside the finish callback of the task that unblocked it, which
-    was itself scheduled at *its* dispatch, and so on down to the root
-    dispatched synchronously in ``run()``.  Two teams finishing at the same
-    instant therefore order by the lexicographic comparison of those
-    dispatch-time chains, with ``run()``-call order as the final tie-break.
-
-    Plan mode collapses a graph to one completion event, so that genealogy
-    must be reproduced explicitly: teams submit their plans as they start,
-    a deferred flush (running after every submission of the current event
-    cohort) sorts them by ``(t_end, *chain)`` plus submission order, and
-    arms the completion events in that order — consecutive queue
-    positions, so same-time completions fire exactly as the per-task path
-    would.  Ties *across* cohorts resolve by cohort order, which matches
-    the per-task root-dispatch order for plans with identical chains (the
-    only ties observed in practice: lockstep ranks running identical
-    graphs).
-    """
-
-    __slots__ = ("engine", "_pending", "planned_graphs", "planned_tasks",
-                 "plan_cache_hits", "plan_template_misses", "plan_replans")
-
-    def __init__(self, engine: Engine):
-        self.engine = engine
-        self._pending: list = []
-        # plan-mode counters (see counters()); plain attributes because
-        # the hot path bumps them once per graph run
+    def __init__(self):
         self.planned_graphs = 0
         self.planned_tasks = 0
         self.plan_cache_hits = 0        # runs served by a template
         self.plan_template_misses = 0   # order-check fallbacks
-        self.plan_replans = 0
 
     def counters(self) -> dict:
-        """The plan block of :meth:`Engine.counters`."""
+        """The plan block of :meth:`~repro.sim.Engine.counters`."""
         return {"planned_graphs": self.planned_graphs,
                 "planned_tasks": self.planned_tasks,
                 "plan_cache_hits": self.plan_cache_hits,
                 "plan_template_misses": self.plan_template_misses,
-                "plan_replans": self.plan_replans}
-
-    def submit(self, team: "Team", parts: list) -> None:
-        """Queue the completion of ``parts`` (one plan per repeat) for the
-        cohort's sorted arming."""
-        chain = parts[0].chain
-        for part in parts[1:]:
-            chain = part.chain[:-1] + (1.0,) + chain
-        if not self._pending:
-            self.engine.defer(self._flush)
-        self._pending.append(((parts[-1].t_end,) + chain,
-                              len(self._pending), team, parts))
-
-    def _flush(self) -> None:
-        pending = self._pending
-        self._pending = []
-        pending.sort(key=lambda e: (e[0], e[1]))
-        for _key, _idx, team, parts in pending:
-            team._arm_plan(parts)
+                # a perturbed plan continues per task and is never
+                # re-simulated; the key stays for the block's readers
+                "plan_replans": 0}
 
 
 def _pop_ready(heap: list, held: set) -> Optional[Task]:
@@ -447,9 +355,7 @@ class Team:
     nthreads:
         Base worker count (the rank's own cores).
     rank / name:
-        Identity used in traces.
-    recorder:
-        Optional object with ``record(rank, category, label, t0, t1)``.
+        The team's MPI rank and a label for error messages.
     listener:
         Optional :class:`TeamListener` (DLB).
     scheduler:
@@ -460,29 +366,28 @@ class Team:
         order up or down.  Both execution paths pick through
         :func:`_pop_ready`.
 
-    A run takes one of three paths:
+    A run takes one of two paths:
 
-    * no recorder, no listener: the run is *planned* — simulated up front
-      (:meth:`_plan_sim`) with one completion event for all its repeats,
-      armed through the engine's :class:`_PlanArbiter`.  A capacity or
-      slowdown change replans from the in-flight state (:meth:`_replan`);
-    * a listener that admits the run (:meth:`TeamListener.admit_plan`;
-      DLB does while its node pools no cores): planned as well, one repeat
-      at a time, with its completion placed by the dispatch key of its last
-      task (:meth:`~repro.sim.Engine.schedule_completion`).  A capacity or
-      slowdown change — and :meth:`leave_plan` — continues the run task by
-      task from the in-flight state;
+    * *planned*, when the team has capacity and either no listener or a
+      listener that admits the run (:meth:`TeamListener.admit_plan`; DLB
+      does while its node pools no cores): the run is simulated up front
+      (:meth:`_plan_sim`) and its completion placed by the dispatch key of
+      its last task (:meth:`~repro.sim.Engine.schedule_completion`), where
+      that task's per-task completion would run.  A capacity or slowdown
+      change — and :meth:`leave_plan` — continues the run task by task
+      from the in-flight state;
     * otherwise the *per-task* path: one keyed completion per task.
 
-    Reads (:attr:`active_workers`, :attr:`ready_count`,
-    :attr:`wants_cores`) on a planned run answer from the plan's in-flight
-    state at the entry being run.
+    Repeats run one at a time, each taking its own path.  Reads
+    (:attr:`active_workers`, :attr:`ready_count`, :attr:`wants_cores`) on
+    a planned run answer from the plan's in-flight state at the entry
+    being run.
     """
 
     SCHEDULERS = ("lpt", "fifo", "lifo")
 
     def __init__(self, engine: Engine, core: CoreModel, nthreads: int,
-                 rank: int = 0, name: str = "", recorder=None,
+                 rank: int = 0, name: str = "",
                  listener: Optional[TeamListener] = None,
                  scheduler: str = "lpt"):
         if nthreads < 0:
@@ -496,7 +401,6 @@ class Team:
         self.base_threads = nthreads
         self.rank = rank
         self.name = name or f"team{rank}"
-        self.recorder = recorder
         self.listener = listener
         self._max_workers = nthreads
         #: execution-time multiplier (> 1 under an injected DVFS throttle)
@@ -515,19 +419,16 @@ class Team:
         self._seq_step = -1 if scheduler == "lifo" else 1
         self._ready: list = []
         self._seq = 0
-        # Plan mode: the plans of the running graph, one per repeat (None
-        # on the per-task path), whether the completion is keyed (a
-        # listener's run) or armed by the arbiter, and its engine handle
-        self._parts: Optional[list] = None
-        self._keyed = False
+        # Plan mode: the plan of the running graph (None on the per-task
+        # path) and its completion's engine handle
+        self._plan: Optional[_Plan] = None
         self._handle = None
-        self._plan_repeats = 1
         # wants_cores of a plan is False before this time (see there)
         self._sated_until = -_INF
-        arb = engine._plan_arbiter
-        if arb is None:
-            arb = engine._plan_arbiter = _PlanArbiter(engine)
-        self._arbiter: _PlanArbiter = arb
+        counters = engine._plan_counters
+        if counters is None:
+            counters = engine._plan_counters = _PlanCounters()
+        self._plan_counters: _PlanCounters = counters
 
     # -- capacity (the DLB surface) -----------------------------------------
     @property
@@ -538,16 +439,15 @@ class Team:
     @property
     def active_workers(self) -> int:
         """Workers currently executing a task."""
-        if self._parts is not None:
-            plan, m = self._plan_now()
-            return plan.steps[m][0] - m
+        if self._plan is not None:
+            m = self._plan_step()
+            return self._plan.steps[m][0] - m
         return self._active
 
     @property
     def planned(self) -> bool:
-        """Whether the running graph is planned for the team's listener
-        (see :meth:`TeamListener.admit_plan`)."""
-        return self._keyed
+        """Whether the running graph is planned."""
+        return self._plan is not None
 
     @property
     def is_running(self) -> bool:
@@ -557,9 +457,8 @@ class Team:
     @property
     def ready_count(self) -> int:
         """Tasks currently ready (waiting for a worker)."""
-        if self._parts is not None:
-            plan, m = self._plan_now()
-            return plan.steps[m][1]
+        if self._plan is not None:
+            return self._plan.steps[self._plan_step()][1]
         return len(self._ready)
 
     @property
@@ -567,11 +466,11 @@ class Team:
         """Whether extra capacity would be used right now."""
         if self._graph is None:
             return False
-        if self._parts is not None:
-            now = self.engine.now
-            if now < self._sated_until:
+        plan = self._plan
+        if plan is not None:
+            if self.engine.now < self._sated_until:
                 return False
-            plan, m = self._plan_now()
+            m = self._plan_step()
             steps = plan.steps
             if steps[m][2]:
                 return True
@@ -582,8 +481,7 @@ class Team:
                     self._sated_until = plan.c_finish[k - 1]
                     break
             else:
-                self._sated_until = (plan.t_end if plan is not self._parts[-1]
-                                     else _INF)
+                self._sated_until = _INF
             return False
         if self._active < self._max_workers:
             return False
@@ -602,12 +500,8 @@ class Team:
             raise RuntimeError_(f"capacity must be >= 0, got {n}")
         if n == self._max_workers:
             return
-        if self._keyed:
+        if self._plan is not None:
             self.leave_plan()
-        elif self._parts is not None:
-            self._max_workers = n
-            self._replan()
-            return
         grew = n > self._max_workers
         self._max_workers = n
         if grew and self._graph is not None:
@@ -621,12 +515,8 @@ class Team:
             raise RuntimeError_(f"slowdown must be > 0, got {factor}")
         if factor == self.slowdown:
             return
-        if self._keyed:
+        if self._plan is not None:
             self.leave_plan()
-        elif self._parts is not None:
-            self.slowdown = factor
-            self._replan()
-            return
         self.slowdown = factor
 
     # -- execution ------------------------------------------------------------
@@ -642,37 +532,13 @@ class Team:
         """
         if repeats < 1:
             raise RuntimeError_(f"repeats must be >= 1, got {repeats}")
-        # Without a recorder or listener one plan covers every repeat,
-        # submitted in the same arbiter cohort as a single-run plan.
-        # Per-repeat plans would arm each team's *final* completion in a
-        # cohort determined by its repeat count, and same-time completions
-        # across different cohorts order by cohort instead of the per-task
-        # dispatch genealogy — the one tie class the arbiter cannot see.
-        if len(graph) > 0 and self.recorder is None and self.listener is None:
-            if self._graph is not None:
-                raise RuntimeError_(
-                    f"{self.name}: run() while a graph is active")
-            arb = self._arbiter
-            arb.planned_graphs += repeats
-            arb.planned_tasks += repeats * len(graph.tasks)
-            t0 = self.engine.now
-            self._graph = graph
-            self._stats = GraphStats(t_start=t0)
-            self._done = Event(self.engine)
-            self._plan_repeats = repeats
-            self._keyed = False
-            self._sated_until = -_INF
-            parts = self._parts = self._plan_unperturbed(graph, t0, repeats)
-            self._root_keys(parts[0])
-            # the arbiter sorts every plan submitted in the current event
-            # cohort by the per-task tie-break key before arming
-            if not parts[-1].stalled:
-                arb.submit(self, parts)
-            result = yield self._done
-            return result
-        stats = yield from self._run_once(graph)
+        stats = self._start(graph)
+        if stats is None:
+            stats = yield self._done
         for _ in range(repeats - 1):
-            more = yield from self._run_once(graph)
+            more = self._start(graph)
+            if more is None:
+                more = yield self._done
             stats.tasks_run += more.tasks_run
             stats.instructions += more.instructions
             stats.busy_seconds += more.busy_seconds
@@ -681,33 +547,42 @@ class Team:
                                         more.max_concurrency)
         return stats
 
-    def _run_once(self, graph: TaskGraph):
-        """One execution of ``graph``: planned when the listener admits it,
-        else per task (one keyed completion per task)."""
+    def _start(self, graph: TaskGraph) -> Optional[GraphStats]:
+        """Start one execution of ``graph`` on the path the class docstring
+        names.  An empty graph finishes at once: its stats are returned.
+        Otherwise returns ``None``, and ``_done`` carries the stats."""
         if self._graph is not None:
             raise RuntimeError_(f"{self.name}: run() while a graph is active")
-        stats = GraphStats(t_start=self.engine.now)
+        engine = self.engine
+        now = engine.now
+        stats = GraphStats(t_start=now)
         if len(graph) == 0:
-            stats.t_end = self.engine.now
+            stats.t_end = now
             return stats
         self._graph = graph
         self._stats = stats
-        self._done = Event(self.engine)
-        # a listener without admit_plan observes every task boundary
-        admit = (getattr(self.listener, "admit_plan", None)
-                 if self.recorder is None else None)
-        if admit is not None and admit(self):
-            arb = self._arbiter
-            arb.planned_graphs += 1
-            arb.planned_tasks += len(graph.tasks)
-            plan = self._plan_templated(graph, self._template_key(),
-                                        stats.t_start)
-            self._root_keys(plan)
-            self._parts = [plan]
-            self._keyed = True
+        self._done = Event(engine)
+        listener = self.listener
+        if self._max_workers <= 0:
+            planned = False
+        elif listener is None:
+            planned = True
+        else:
+            # a listener without admit_plan observes every task boundary
+            admit = getattr(listener, "admit_plan", None)
+            planned = admit is not None and admit(self)
+        if planned:
+            counters = self._plan_counters
+            counters.planned_graphs += 1
+            counters.planned_tasks += len(graph.tasks)
+            plan = self._plan = self._plan_templated(graph, now)
+            # the first dispatches take the engine's next dispatch keys
+            k = engine._kseq
+            engine._kseq = k + plan.steps[0][0]
+            plan.root = (now, engine._seg, engine._fkey, k)
             self._sated_until = -_INF
-            self._plan_repeats = 1
-            self._arm()
+            self._handle = engine.schedule_completion(
+                plan.t_end, _last_key(plan), self._plan_complete)
         else:
             self._remaining = len(graph.tasks)
             self._preds_left = [t.n_preds for t in graph.tasks]
@@ -715,38 +590,21 @@ class Team:
                 self._push_ready(task)
             self._hungry_notified = False
             self._dispatch()
-        result = yield self._done
-        return result
+        return None
 
     # -- plan mode ----------------------------------------------------------
-    def _template_key(self) -> tuple:
-        """Everything a plan's trajectory depends on besides the graph."""
-        return (self.core, self._max_workers, self.slowdown,
-                self._instr_factor, self._seq_step)
-
-    def _plan_unperturbed(self, graph: TaskGraph, t0: float,
-                          repeats: int = 1) -> list:
-        """The plans of ``repeats`` runs of ``graph`` from ``t0`` at the
-        team's current capacity and slowdown, one per repeat, served by
-        :meth:`_plan_templated`."""
-        key = self._template_key()
-        if repeats == 1:
-            plan = self._plan_templated(graph, key, t0)
-            plan.root = (t0, 2, None, 0)
-            return [plan]
-        return self._plan_repeated(
-            lambda t: self._plan_templated(graph, key, t), t0, repeats)
-
-    def _plan_templated(self, graph: TaskGraph, key: tuple,
-                        t0: float) -> _Plan:
-        """One unperturbed run of ``graph`` at ``t0``: instantiated from the
-        first of the graph's templates for ``key`` whose completion order
-        holds at ``t0``, simulated otherwise.  A simulated run records its
+    def _plan_templated(self, graph: TaskGraph, t0: float) -> _Plan:
+        """One unperturbed run of ``graph`` at ``t0`` at the team's current
+        capacity and slowdown: instantiated from the first of the graph's
+        templates for the team's parameters whose completion order holds
+        at ``t0``, simulated otherwise.  A simulated run records its
         trajectory as a further template (up to :data:`MAX_PLAN_TEMPLATES`
         per key): near-tied finishes can order differently at different
         start times, and a deterministic replay meets the same start times
         again.  Two templates that both pass are the same trajectory — the
         order check admits only the one the simulation would take."""
+        key = (self.core, self._max_workers, self.slowdown,
+               self._instr_factor, self._seq_step)
         templates = graph._plan_templates.get(key)
         if templates is None:
             templates = graph._plan_templates[key] = []
@@ -754,81 +612,21 @@ class Team:
             for tpl in templates:
                 plan = tpl.instantiate(t0)
                 if plan is not None:
-                    self._arbiter.plan_cache_hits += 1
+                    self._plan_counters.plan_cache_hits += 1
                     return plan
-            self._arbiter.plan_template_misses += 1
+            self._plan_counters.plan_template_misses += 1
         plan = self._plan_sim(graph, t0)
         if len(templates) < MAX_PLAN_TEMPLATES:
             templates.append(_PlanTemplate(plan))
         return plan
 
-    @staticmethod
-    def _plan_repeated(segment, t0: float, repeats: int) -> list:
-        """``repeats`` back-to-back runs, each ``segment(start)`` starting
-        at the previous one's end (the per-task loop re-enters
-        ``_run_once`` inside the previous completion), until one stalls.
-
-        A later repeat's roots are dispatched inside the previous repeat's
-        *done* callback, in the plain segment after the completion
-        segment, so its key context is segment 2 of its start time (its
-        dispatch-genealogy chain carries hop tag 1.0, see
-        :meth:`_PlanArbiter.submit`)."""
-        parts = []
-        t = t0
-        for _ in range(repeats):
-            part = segment(t)
-            part.root = (t, 2, None, 0)
-            parts.append(part)
-            if part.stalled:
-                break
-            t = part.t_end
-        return parts
-
-    def _root_keys(self, plan: _Plan) -> None:
-        """Key ``plan``'s first dispatches — made in the entry being run,
-        after any it inherited running — with the engine's next dispatch
-        keys (built lazily, see :func:`_root_key_list`)."""
-        engine = self.engine
-        k = engine._kseq
-        engine._kseq = k + plan.steps[0][0] - len(plan.carried)
-        plan.root = (engine.now, engine._seg, engine._fkey, k)
-
-    def _arm(self) -> None:
-        """Schedule the completion of the running plans, unless stalled.
-
-        A listener's plan completes at the key of its last task's
-        completion, where that task's per-task completion would run;
-        otherwise the plans are armed directly (a replan happens inside the
-        perturbing call itself, the same cascade position where the
-        per-task path reacts — no cohort sort)."""
-        last = self._parts[-1]
-        if last.stalled:
-            return
-        if self._keyed:
-            self._handle = self.engine.schedule_completion(
-                last.t_end, _key(last, last.c_order[-1]),
-                self._plan_complete)
-        else:
-            self._handle = self.engine.schedule_fn_at(last.t_end,
-                                                      self._plan_complete)
-
-    def _arm_plan(self, parts: list) -> None:
-        """Arm the submitted plans (called by the arbiter's flush).
-
-        Completions armed by one flush in chain order take consecutive
-        queue positions, so same-time completions fire in the per-task
-        tie-break order (see :class:`_PlanArbiter`).
-        """
-        if parts is self._parts and not parts[-1].stalled:
-            # else superseded by a replan (which armed its own)
-            self._handle = self.engine.schedule_fn_at(parts[-1].t_end,
-                                                      self._plan_complete)
-
-    def _plan_step(self, plan: _Plan) -> int:
-        """How many of ``plan``'s completions the per-task path would have
-        run before the entry being run: those before ``now``, and those at
-        ``now`` whose key precedes that entry's place (an earlier segment,
-        or an earlier key in the same completion segment)."""
+    def _plan_step(self) -> int:
+        """How many of the running plan's completions the per-task path
+        would have run before the entry being run: those before ``now``,
+        and those at ``now`` whose key precedes that entry's place (an
+        earlier segment, or an earlier key in the same completion
+        segment)."""
+        plan = self._plan
         engine = self.engine
         now = engine.now
         c_finish = plan.c_finish
@@ -844,26 +642,12 @@ class Team:
                 break
         return m
 
-    def _plan_now(self) -> tuple:
-        """The plan in flight at the entry being run and its number of
-        completions done: the first repeat not yet through its last
-        completion, or the last one."""
-        now = self.engine.now
-        for plan in self._parts:
-            c_finish = plan.c_finish
-            m = bisect_left(c_finish, now)
-            if m < len(c_finish) and c_finish[m] == now:
-                m = self._plan_step(plan)
-            if m < len(c_finish) or plan.stalled:
-                break
-        return plan, m
-
     def _rewind(self, plan: _Plan, m: int) -> tuple:
         """The in-flight state of ``plan`` after ``m`` completions, in
         O(remaining tasks): the running tasks' dispatch indices in order,
-        the ready heap, the push seq counter, a copy of the tasks' seqs, the
-        pending predecessor counts, the held mutex refs, the completions so
-        far and the partial stats sums (in completion order)."""
+        the ready heap, the push seq counter, the pending predecessor
+        counts, the held mutex refs and the partial stats sums (in
+        completion order)."""
         tasks = self._graph.tasks
         D, _ready, _wants, busy, instr, conc, seqc = plan.steps[m]
         d_tids = plan.d_tids
@@ -874,18 +658,13 @@ class Team:
                 running.append(i)
             for succ in tasks[d_tids[i]].successors:
                 preds_left[succ] += 1
-        unstarted = plan.unstarted
-        for tid in unstarted:
-            for succ in tasks[tid].successors:
-                preds_left[succ] += 1
         factor = self._instr_factor
         t_seq = plan.t_seq
         ready = []
-        for tids in (d_tids[D:], unstarted):
-            for tid in tids:
-                if preds_left[tid] == 0:
-                    task = tasks[tid]
-                    ready.append((factor * task._instr, t_seq[tid], task))
+        for tid in d_tids[D:]:
+            if preds_left[tid] == 0:
+                task = tasks[tid]
+                ready.append((factor * task._instr, t_seq[tid], task))
         heapq.heapify(ready)
         running.sort()
         held: set = set()
@@ -893,8 +672,7 @@ class Team:
             refs = tasks[d_tids[i]].mutex_refs
             if refs:
                 held |= refs
-        return (running, ready, seqc, list(t_seq), preds_left, held,
-                plan.done0 + m, busy, instr, conc)
+        return running, ready, seqc, preds_left, held, busy, instr, conc
 
     @staticmethod
     def _hungry_at(plan: _Plan, m: int) -> bool:
@@ -906,65 +684,36 @@ class Team:
         D, ready = plan.steps[m][:2]
         return D - m >= plan.W and ready > 0
 
-    def _replan(self) -> None:
-        """Resume the running graph from its in-flight state at the entry
-        being run, after a capacity or slowdown change.
-
-        Running tasks keep their finish times (they started at the speed
-        they started with); dispatches from now on see the new capacity and
-        slowdown.  The state is rewound from the plan and the rest of the
-        run simulated from it, in O(remaining tasks); later repeats are
-        planned afresh from the resumed repeat's end.
-        """
-        self._arbiter.plan_replans += 1
-        if self._handle is not None:
-            self.engine.cancel_scheduled(self._handle)
-            self._handle = None
-        plan, m = self._plan_now()
-        graph = self._graph
-        state = self._rewind(plan, m)
-        new = self._plan_sim(graph, self.engine.now, state, plan)
-        new.base = plan
-        new.carried = tuple(state[0])
-        self._root_keys(new)
-        parts = self._parts
-        parts = parts[:parts.index(plan)] + [new]
-        more = self._plan_repeats - len(parts)
-        if more > 0 and not new.stalled:
-            parts += self._plan_unperturbed(graph, new.t_end, more)
-        self._parts = parts
-        self._arm()
-
     def leave_plan(self) -> None:
         """Continue the running planned graph task by task.
 
-        DLB calls this when cores are pooled on the team's node, where LeWI
-        acts at the team's own task boundaries.  The plan's state at the
-        entry being run becomes the per-task state — ready heap, held
-        mutexes, pending predecessors, partial stats summed in completion
-        order, hunger flag — and each running task's completion is
-        inserted under the dispatch key the per-task path gave it.  A team
-        not running a listener's plan is left as it is.
+        A capacity or slowdown change calls this, and so does DLB when
+        cores are pooled on the team's node, where LeWI acts at the team's
+        own task boundaries.  The plan's state at the entry being run
+        becomes the per-task state — ready heap, held mutexes, pending
+        predecessors, partial stats summed in completion order, hunger
+        flag — and each running task's completion is inserted under the
+        dispatch key the per-task path gave it.  A team not running a plan
+        is left as it is.
         """
-        if self._parts is None or not self._keyed:
+        plan = self._plan
+        if plan is None:
             return
-        if self._handle is not None:
-            self.engine.cancel_scheduled(self._handle)
-            self._handle = None
-        plan, m = self._plan_now()
-        (running, ready, seqc, _seqs, preds_left, held, done, busy, instr,
+        self.engine.cancel_scheduled(self._handle)
+        m = self._plan_step()
+        (running, ready, seqc, preds_left, held, busy, instr,
          conc) = self._rewind(plan, m)
         self._hungry_notified = self._hungry_at(plan, m)
-        self._parts = None
-        self._keyed = False
+        self._plan = None
+        self._handle = None
         self._ready = ready
         self._seq = seqc
         self._held_refs = held
         self._active = len(running)
-        self._remaining = len(self._graph.tasks) - done
+        self._remaining = len(self._graph.tasks) - m
         self._preds_left = preds_left
         stats = self._stats
-        stats.tasks_run = done
+        stats.tasks_run = m
         stats.instructions = instr
         stats.busy_seconds = busy
         stats.max_concurrency = conc
@@ -972,58 +721,43 @@ class Team:
         schedule = self.engine.schedule_completion
         for i in running:
             schedule(plan.d_finish[i], _key(plan, i), self._finish_task,
-                     tasks[plan.d_tids[i]], plan.d_start[i], plan.d_dur[i])
+                     tasks[plan.d_tids[i]], plan.d_dur[i])
 
     def _plan_complete(self) -> None:
-        """Fires at the plans' end time: apply the precomputed stats sums
-        (accumulated in completion order — the per-task summation order —
-        and folded over the repeats like the per-task loop) and release
-        the graph, exactly as `_finish_task` does for the last task."""
+        """Fires at the plan's end: apply the precomputed stats sums
+        (accumulated in completion order, the per-task summation order)
+        and release the graph, exactly as `_finish_task` does for the last
+        task."""
         stats = self._stats
-        parts = self._parts
-        first = parts[0]
-        busy, instr, max_conc = first.sums
-        tasks_run = first.n_total
-        if len(parts) > 1:
-            for part in parts[1:]:
-                busy += part.sums[0]
-                instr += part.sums[1]
-                max_conc = max(max_conc, part.sums[2])
-                tasks_run += part.n_total
-        stats.tasks_run = tasks_run
-        stats.instructions = instr
-        stats.busy_seconds = busy
-        stats.max_concurrency = max_conc
+        plan = self._plan
+        stats.tasks_run = plan.n_total
+        stats.busy_seconds, stats.instructions, stats.max_concurrency = \
+            plan.sums
         stats.t_end = self.engine.now
         done = self._done
         self._graph = None
         self._stats = None
         self._done = None
-        self._parts = None
+        self._plan = None
         self._handle = None
-        self._plan_repeats = 1
-        if self._keyed:
-            self._keyed = False
+        if self.listener is not None:
             self.listener.on_team_idle(self)
         done.succeed(stats)
 
-    def _plan_sim(self, graph: TaskGraph, t0: float,
-                  start: Optional[tuple] = None,
-                  base: Optional[_Plan] = None) -> _Plan:
-        """Simulate one graph execution in plain Python, event-for-event
-        equivalent to the per-task path's trajectory, at the team's current
-        capacity and slowdown.
+    def _plan_sim(self, graph: TaskGraph, t0: float) -> _Plan:
+        """Simulate one execution of a non-empty graph from its roots in
+        plain Python, event-for-event equivalent to the per-task path's
+        trajectory, at the team's current capacity (at least 1) and
+        slowdown.
 
         Replicates `_dispatch`/`_finish_task` exactly: the same ready-heap
         entries and pick helper (:func:`_pop_ready`), dispatch while
         capacity remains after every completion, cached task durations, and
-        the float expression order of start/finish arithmetic.  ``start``
-        is None for a run from the graph's roots, or the :meth:`_rewind`
-        state of ``base`` to resume at ``t0``; the tasks running there come
-        first in the dispatch arrays.
+        the float expression order of start/finish arithmetic.  With a
+        worker or more every task completes: once nothing runs, no mutex
+        ref is held, so a ready task is always picked.
         """
         tasks = graph.tasks
-        n = len(tasks)
         core = self.core
         W = self._max_workers
         slow = self.slowdown
@@ -1034,41 +768,25 @@ class Team:
         d_finish: list = []
         d_dur: list = []
         # d_parent[i]: dispatch index of the task whose completion dispatched
-        # task i (-1: dispatched at t0, or inherited running) — the
-        # scheduling genealogy the per-task path creates implicitly;
-        # d_idx[i]: i's position among that completion's dispatches
+        # task i (-1: dispatched at t0) — the scheduling genealogy the
+        # per-task path creates implicitly; d_idx[i]: i's position among
+        # that completion's dispatches
         d_parent: list = []
         d_idx: list = []
         inflight: list = []         # (finish, dispatch index, tid)
-        if start is None:
-            preds_left = [t.n_preds for t in tasks]
-            t_seq = [0] * n
-            ready: list = []
-            seqc = 0
-            for task in graph.roots():
-                seqc += step
-                t_seq[task.tid] = seqc
-                heapq.heappush(ready, (factor * task._instr, seqc, task))
-            held: set = set()
-            completed = 0
-            busy = 0.0
-            instr = 0.0
-            max_conc = 0
-        else:
-            (running, ready, seqc, t_seq, preds_left, held, completed, busy,
-             instr, max_conc) = start
-            for i in running:
-                inflight.append((base.d_finish[i], len(d_tids),
-                                 base.d_tids[i]))
-                d_tids.append(base.d_tids[i])
-                d_start.append(base.d_start[i])
-                d_finish.append(base.d_finish[i])
-                d_dur.append(base.d_dur[i])
-                d_parent.append(-1)
-                d_idx.append(-1)
-            heapq.heapify(inflight)
-        done0 = completed
-        active = len(inflight)
+        preds_left = [t.n_preds for t in tasks]
+        t_seq = [0] * len(tasks)
+        ready: list = []
+        seqc = 0
+        for task in graph.roots():
+            seqc += step
+            t_seq[task.tid] = seqc
+            heapq.heappush(ready, (factor * task._instr, seqc, task))
+        held: set = set()
+        busy = 0.0
+        instr = 0.0
+        max_conc = 0
+        active = 0
         t = t0
         c_finish: list = []
         c_order: list = []
@@ -1122,7 +840,6 @@ class Team:
             if task.mutex_refs:
                 held -= task.mutex_refs
             active -= 1
-            completed += 1
             c_finish.append(finish)
             c_order.append(di)
             for succ in task.successors:
@@ -1132,18 +849,10 @@ class Team:
                     t_seq[succ] = seqc
                     nxt = tasks[succ]
                     heapq.heappush(ready, (factor * nxt._instr, seqc, nxt))
-        # zero capacity with work left: the plan stalls here; a later
-        # set_capacity resumes it from this state
-        stalled = completed < n
-        unstarted = ()
-        if stalled:
-            unstarted = [e[2].tid for e in ready] + \
-                [tid for tid in range(n) if preds_left[tid] > 0]
         return _Plan(d_tids, d_start, d_finish, d_dur, d_parent, d_idx,
-                     c_finish, c_order, steps, t_seq, unstarted,
-                     (busy, instr, max_conc), n, done0, W,
-                     0.0 if stalled else (c_finish[-1] if c_finish else t0),
-                     t0, None, stalled,
+                     c_finish, c_order, steps, t_seq,
+                     (busy, instr, max_conc), len(tasks), W, c_finish[-1],
+                     _genealogy(d_parent, c_order[-1]),
                      steps[0][0] >= W and steps[0][1] > 0)
 
     # -- internals --------------------------------------------------------
@@ -1196,7 +905,7 @@ class Team:
             engine._kseq = k + 1
             engine.schedule_completion(now + exec_seconds,
                                        (now, engine._seg, engine._fkey, k),
-                                       self._finish_task, task, now,
+                                       self._finish_task, task,
                                        exec_seconds)
         self._active = active
         # Appetite signalling for DLB: hungry if capacity-bound work remains.
@@ -1205,15 +914,12 @@ class Team:
             self._hungry_notified = True
             self.listener.on_team_hungry(self)
 
-    def _finish_task(self, task: Task, t0: float, exec_seconds: float) -> None:
+    def _finish_task(self, task: Task, exec_seconds: float) -> None:
         """Task completion bookkeeping (runs when the task's timer pops)."""
-        t1 = self.engine.now
         stats = self._stats
         stats.tasks_run += 1
         stats.instructions += task._instr
         stats.busy_seconds += exec_seconds
-        if self.recorder is not None and task._instr > 0:
-            self.recorder.record(self.rank, "task", task.label, t0, t1)
         if task.mutex_refs:
             self._held_refs -= task.mutex_refs
         self._active -= 1
@@ -1230,7 +936,7 @@ class Team:
         if self._remaining:
             self._dispatch()
             return
-        stats.t_end = t1
+        stats.t_end = self.engine.now
         done = self._done
         self._graph = None
         self._stats = None

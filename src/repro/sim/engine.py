@@ -273,9 +273,8 @@ class Engine:
     Entries dispatch by simulated time.  Within a timestamp there are two
     kinds of entry:
 
-    * *plain* entries — events, :meth:`defer`/:meth:`call_later`/
-      :meth:`schedule_fn_at` callbacks — run in the order they were
-      scheduled;
+    * *plain* entries — events, :meth:`defer`/:meth:`call_later`
+      callbacks — run in the order they were scheduled;
     * *task completions* (:meth:`schedule_completion`) run after the plain
       entries, in the order of their *dispatch key*, not of their
       insertion.
@@ -327,9 +326,9 @@ class Engine:
         self._kseq = 0
         # timestamps dispatched (see counters)
         self._n_cohorts = 0
-        # the task runtime's plan arbiter, attached by the first Team
-        # (repro.core.runtime); counters() reports its plan block
-        self._plan_arbiter = None
+        # the task runtime's plan counters, attached by the first Team
+        # (repro.core.runtime); counters() reports them as the plan block
+        self._plan_counters = None
 
     # -- factory helpers ----------------------------------------------------
     def event(self) -> Event:
@@ -354,9 +353,9 @@ class Engine:
         Equivalent to a :class:`Process` whose generator would execute
         ``fn`` before its first yield (the bootstrap event is posted at the
         same queue position), without the generator/Process allocation.
-        Nonblocking sends, collective completion and the task runtime's
-        plan arbiter are built on this.  Returns the callback's
-        ``[fn, args]`` record as its handle for :meth:`cancel_scheduled`.
+        Nonblocking sends and collective completion are built on this.
+        Returns the callback's ``[fn, args]`` record as its handle for
+        :meth:`cancel_scheduled`.
         """
         rec = [fn, args]
         self._cur.append(rec)
@@ -372,23 +371,6 @@ class Engine:
         """
         rec = [fn, args]
         self._bucket_insert(self.now + delay, rec)
-        return rec
-
-    def schedule_fn_at(self, when: float, fn: Callable[..., None],
-                       *args: Any) -> list:
-        """Run ``fn(*args)`` at the *absolute* simulated time ``when``.
-
-        Unlike ``call_later(when - now, ...)`` — which schedules at
-        ``now + (when - now)``, a float that can differ from ``when`` in the
-        last ulp — the deadline is the exact float given, so precomputed
-        execution plans (Team plan mode) land their completion events on
-        bit-exact timestamps.  Returns a handle (see :meth:`defer`).
-        """
-        if when < self.now:
-            raise SimulationError(f"cannot schedule into the past "
-                                  f"({when} < {self.now})")
-        rec = [fn, args]
-        self._bucket_insert(when, rec)
         return rec
 
     def completion_key(self) -> tuple:
@@ -443,7 +425,7 @@ class Engine:
 
     def cancel_scheduled(self, handle: list) -> None:
         """Cancel a pending :meth:`defer`/:meth:`call_later`/
-        :meth:`schedule_fn_at`/:meth:`schedule_completion` call.
+        :meth:`schedule_completion` call.
 
         The queue entry stays where it is and is skipped when it surfaces;
         the callback is guaranteed not to run.  The handle of a callback
@@ -614,10 +596,10 @@ class Engine:
 
         ``events_processed`` plus a ``"batch"`` block: the number of
         dispatched timestamps (``cohorts``) and — once a
-        :class:`~repro.core.runtime.Team` attached its plan arbiter — the
+        :class:`~repro.core.runtime.Team` attached its plan counters — the
         whole-graph plan counters (``plans``).
         """
         batch = {"cohorts": self._n_cohorts}
-        if self._plan_arbiter is not None:
-            batch["plans"] = self._plan_arbiter.counters()
+        if self._plan_counters is not None:
+            batch["plans"] = self._plan_counters.counters()
         return {"events_processed": self._n_events_processed, "batch": batch}

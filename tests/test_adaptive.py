@@ -26,7 +26,7 @@ from repro.machine import CoreModel, WorkSpec
 from repro.mesh.airway import Segment
 from repro.mesh.generator import MeshResolution, build_tube_mesh
 from repro.sim import Engine
-from tests.test_runtime import NullRecorder
+from tests.test_runtime import PerTask
 
 
 @pytest.fixture(scope="module")
@@ -385,19 +385,19 @@ CORE = CoreModel(name="unit", freq_ghz=1.0, base_ipc=1.0, out_of_order=True,
 SEC = 1e9
 
 
-def _tied_completion_order(recorder=None):
+def _tied_completion_order(listener=None):
     """Two teams finishing at the same simulated time, with different
     repeat structure: A runs a 4-task graph twice, B runs an 8-task graph
     once (same total work, both on 2 threads ⇒ both end at t=4).
 
     The completion order of this tie is the per-task runtime's dispatch
     genealogy; planned execution must reproduce it even though A's final
-    completion comes from a repeated plan.  A ``recorder`` forces the
-    per-task path.
+    completion comes from a repeated plan.  A ``listener`` that declines
+    every plan forces the per-task path.
     """
     eng = Engine()
-    team_a = Team(eng, CORE, 2, name="A", recorder=recorder)
-    team_b = Team(eng, CORE, 2, name="B", recorder=recorder)
+    team_a = Team(eng, CORE, 2, name="A", listener=listener)
+    team_b = Team(eng, CORE, 2, name="B", listener=listener)
     order = []
 
     def graph(n):
@@ -423,7 +423,7 @@ def _tied_completion_order(recorder=None):
 
 class TestBatchedRepeatsOrdering:
     def test_tie_order_matches_scalar_runtime(self):
-        per_task = _tied_completion_order(NullRecorder())
+        per_task = _tied_completion_order(PerTask())
         planned = _tied_completion_order()
         assert planned == per_task
 
@@ -436,9 +436,9 @@ class TestBatchedRepeatsOrdering:
         for instr in (SEC / 3, SEC / 7, SEC / 11):
             g.add_task(WorkSpec(instr))
 
-        def run_once(recorder=None):
+        def run_once(listener=None):
             eng = Engine()
-            team = Team(eng, CORE, 2, recorder=recorder)
+            team = Team(eng, CORE, 2, listener=listener)
             out = {}
 
             def prog():
@@ -449,4 +449,4 @@ class TestBatchedRepeatsOrdering:
             return (eng.now, s.tasks_run, s.busy_seconds,
                     s.instructions, s.t_end)
 
-        assert run_once() == run_once(NullRecorder())
+        assert run_once() == run_once(PerTask())

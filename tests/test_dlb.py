@@ -319,22 +319,46 @@ class TestDLBInterplay:
         assert t_nb == pytest.approx(3.0, abs=0.01)
 
 
-class _NullRecorder:
-    """Keeps nothing; attached, it makes a team run every graph task by
-    task."""
+class _Declining:
+    """A team listener that declines every plan and forwards hunger and
+    idleness to ``inner`` (the DLB, when enabled): its team runs every
+    graph task by task."""
 
-    def record(self, rank, category, label, t0, t1):
-        pass
+    def __init__(self, inner):
+        self.inner = inner
+
+    def admit_plan(self, team):
+        return False
+
+    def on_team_hungry(self, team):
+        if self.inner is not None:
+            self.inner.on_team_hungry(team)
+
+    def on_team_idle(self, team):
+        if self.inner is not None:
+            self.inner.on_team_idle(team)
 
 
 class TestPlanParity:
-    """DLB runs with every team on the per-task path and with teams
-    planning their graphs while their node pools no cores: the same
+    """Runs with every team on the per-task path and with teams planning
+    their graphs (DLB on: while their node pools no cores): the same
     simulated results, the same LeWI activity and the same capacity
     changes, team by team."""
 
     SPEC = dict(generations=3, points_per_ring=6, n_steps=4)
     THUNDER8 = dict(cluster="thunder", num_nodes=1, nranks=8, dlb=True)
+
+    @staticmethod
+    def _faults():
+        from repro.fault import FaultPlan, FaultSpec
+
+        return FaultPlan(specs=(
+            FaultSpec(kind="straggler", time=1e-5, rank=0, factor=6.0,
+                      duration=2e-4),
+            FaultSpec(kind="rank_death", time=3e-4, rank=5),
+            FaultSpec(kind="msg_delay", time=0.0, rank=2, delay=1e-5,
+                      duration=5e-4),
+        ))
 
     @staticmethod
     def _run(config_kw, spec_kw, per_task, fault_plan=None):
@@ -344,16 +368,27 @@ class TestPlanParity:
         from repro.campaign import simulated_digest
 
         calls = {}
+        left = []
 
         class CountingTeam(Team):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                if per_task:
-                    self.recorder = _NullRecorder()
+            @property
+            def listener(self):
+                return self._listener
+
+            @listener.setter
+            def listener(self, listener):
+                # the DLB attaches itself after construction
+                self._listener = (_Declining(listener) if per_task
+                                  else listener)
 
             def set_capacity(self, n):
                 calls[self.rank] = calls.get(self.rank, 0) + 1
                 super().set_capacity(n)
+
+            def leave_plan(self):
+                if self.planned:
+                    left.append(self.rank)
+                super().leave_plan()
 
         saved = driver.Team
         driver.Team = CountingTeam
@@ -366,15 +401,20 @@ class TestPlanParity:
         plans = result.engine_diag["batch"]["plans"]
         observed = (simulated_digest(result),
                     dataclasses.asdict(result.dlb_stats), calls)
-        return observed, plans["planned_graphs"]
+        return observed, plans["planned_graphs"], left
 
     def _assert_parity(self, config_kw, spec_kw=None, fault_plan=None):
+        """Parity of the two runs; returns the ranks whose running plan a
+        perturbation moved to the per-task path."""
         spec_kw = self.SPEC if spec_kw is None else spec_kw
-        per_task, none = self._run(config_kw, spec_kw, True, fault_plan)
-        planned, n_planned = self._run(config_kw, spec_kw, False, fault_plan)
+        per_task, none, _ = self._run(config_kw, spec_kw, True, fault_plan)
+        planned, n_planned, left = self._run(config_kw, spec_kw, False,
+                                             fault_plan)
         assert none == 0 and n_planned > 0
         assert planned == per_task
-        assert per_task[1]["borrow_events"] > 0
+        if config_kw["dlb"]:
+            assert per_task[1]["borrow_events"] > 0
+        return left
 
     def test_small_sync(self):
         self._assert_parity(self.THUNDER8)
@@ -397,13 +437,15 @@ class TestPlanParity:
                                  scheduler=scheduler, dlb=True))
 
     def test_fault_plan(self):
-        from repro.fault import FaultPlan, FaultSpec
+        self._assert_parity(self.THUNDER8, fault_plan=self._faults())
 
-        plan = FaultPlan(specs=(
-            FaultSpec(kind="straggler", time=1e-5, rank=0, factor=6.0,
-                      duration=2e-4),
-            FaultSpec(kind="rank_death", time=3e-4, rank=5),
-            FaultSpec(kind="msg_delay", time=0.0, rank=2, delay=1e-5,
-                      duration=5e-4),
-        ))
-        self._assert_parity(self.THUNDER8, fault_plan=plan)
+    @pytest.mark.parametrize("mode", ["sync", "coupled"])
+    def test_fault_plan_dlb_off(self, mode):
+        """Without DLB the faults are the only perturbations: the straggler
+        and the rank death land on running plans, which continue task by
+        task exactly where the per-task run stands."""
+        config_kw = dict(self.THUNDER8, dlb=False, mode=mode)
+        if mode == "coupled":
+            config_kw["fluid_ranks"] = 6
+        left = self._assert_parity(config_kw, fault_plan=self._faults())
+        assert left

@@ -17,6 +17,7 @@ from repro.particles import (
     particle_mass,
 )
 from repro.sim import Engine
+from tests.test_runtime import FinishHook
 
 CORE = CoreModel(name="unit", freq_ghz=1.0, base_ipc=1.0, out_of_order=True,
                  atomic_stall_cycles=0.0, mem_stall_cycles=0.0)
@@ -61,14 +62,10 @@ class TestSchedulers:
         g.add_task(WorkSpec(SEC), label="old")
         g.add_task(WorkSpec(SEC), label="new")
         eng = Engine()
-        team = Team(eng, CORE, 1, scheduler="lifo")
         order = []
-
-        class Rec:
-            def record(self, rank, cat, label, t0, t1):
-                order.append(label)
-
-        team.recorder = Rec()
+        team = FinishHook(eng, CORE, 1, scheduler="lifo",
+                          on_finish=lambda team, task:
+                          order.append(task.label))
 
         def prog():
             return (yield from team.run(g))

@@ -1,7 +1,7 @@
 """Unit tests for the malleable task-execution team."""
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DepType, Team, TaskGraph
@@ -16,6 +16,14 @@ CORE = CoreModel(name="unit", freq_ghz=1.0, base_ipc=1.0, out_of_order=True,
 
 #: 1e9 instructions == 1 simulated second on CORE.
 SEC = 1e9
+
+#: ``(instr_units, mutex refs, chain ref)`` triples for
+#: :meth:`TestPlanEquivalence._mutex_graph`
+MUTEX_SPECS = st.lists(
+    st.tuples(st.integers(1, 4),
+              st.frozensets(st.sampled_from("abcd"), max_size=2),
+              st.one_of(st.none(), st.sampled_from("xy"))),
+    min_size=1, max_size=10)
 
 
 def run_graph(graph, nthreads, capacity_script=None, **team_kwargs):
@@ -39,13 +47,32 @@ def run_graph(graph, nthreads, capacity_script=None, **team_kwargs):
     return eng, team, result["stats"]
 
 
-class NullRecorder:
-    """A recorder that keeps nothing: attaching it makes a team run its
-    graphs task by task (plan mode engages only when no one observes
-    per-task execution)."""
+class PerTask:
+    """A listener that declines every plan and ignores hunger: a team
+    with it runs every graph task by task."""
 
-    def record(self, rank, category, label, t0, t1):
+    def admit_plan(self, team):
+        return False
+
+    def on_team_hungry(self, team):
         pass
+
+    def on_team_idle(self, team):
+        pass
+
+
+class FinishHook(Team):
+    """A per-task team that calls ``on_finish(team, task)`` as each task
+    finishes, before the team's own bookkeeping of it."""
+
+    def __init__(self, *args, on_finish=None, **kwargs):
+        super().__init__(*args, listener=PerTask(), **kwargs)
+        self.on_finish = on_finish
+
+    def _finish_task(self, task, *args):
+        if self.on_finish is not None:
+            self.on_finish(self, task)
+        super()._finish_task(task, *args)
 
 
 def simple_graph(n_tasks, instr=SEC):
@@ -184,6 +211,32 @@ class TestMalleability:
                                   capacity_script=[(5.0, 2)])
         assert eng.now == pytest.approx(6.0)
 
+    def test_zero_capacity_start_plans_nothing(self):
+        """A run started without workers goes per task (a plan would
+        stall); the next run, with workers, is planned."""
+        eng = Engine()
+        team = Team(eng, CORE, 0)
+        reads = []
+        out = []
+
+        def prog():
+            out.append((yield from team.run(simple_graph(2))))
+            out.append((yield from team.run(simple_graph(2))))
+
+        def restore():
+            yield eng.timeout(5.0)
+            reads.append((team.planned, team.ready_count,
+                          team.active_workers))
+            team.set_capacity(2)
+
+        eng.process(prog())
+        eng.process(restore())
+        eng.run()
+        assert reads == [(False, 2, 0)]
+        assert [s.tasks_run for s in out] == [2, 2]
+        assert eng.now == pytest.approx(7.0)
+        assert eng.counters()["batch"]["plans"]["planned_graphs"] == 1
+
     def test_hungry_notification(self):
         calls = []
 
@@ -216,32 +269,20 @@ class TestMalleability:
         eng.run()
         assert probes == [True]
 
-    def test_recorder_sees_tasks(self):
-        records = []
-
-        class Rec:
-            def record(self, rank, category, label, t0, t1):
-                records.append((rank, category, label, t0, t1))
-
-        run_graph(simple_graph(2), nthreads=1, rank=7, recorder=Rec())
-        assert len(records) == 2
-        assert all(r[0] == 7 and r[1] == "task" for r in records)
-
 
 class TestPlanEquivalence:
-    """Whole-graph plans vs the task-by-task path (the one DLB and traced
-    runs take).
+    """Whole-graph plans vs the task-by-task path.
 
-    Mid-run ``set_slowdown``/``set_capacity`` force a replan; the replayed
-    prefix and the re-simulated suffix must land on exactly the per-task
-    stats — not approximately: the same float expressions in the same
-    order.
+    A mid-run ``set_slowdown``/``set_capacity`` continues a plan task by
+    task; the planned prefix and the per-task suffix must land on exactly
+    the per-task stats — not approximately: the same float expressions in
+    the same order.
     """
 
     @staticmethod
-    def _perturbed_run(graph_factory, script, recorder=None):
+    def _perturbed_run(graph_factory, script, listener=None):
         eng = Engine()
-        team = Team(eng, CORE, 2, recorder=recorder)
+        team = Team(eng, CORE, 2, listener=listener)
         out = {}
 
         def prog():
@@ -274,11 +315,24 @@ class TestPlanEquivalence:
         def graphs():
             return simple_graph(7, instr=0.35 * SEC)
 
-        per_task = self._perturbed_run(graphs, script, NullRecorder())
+        per_task = self._perturbed_run(graphs, script, PerTask())
         planned = self._perturbed_run(graphs, script)
         assert planned == per_task      # bit-exact, no approx
 
     # -- mutexes, policies and epochs on dispatch instants ---------------
+
+    @staticmethod
+    def _finish_instants(graph, workers, scheduler):
+        """The distinct task finish times of ``graph``'s unperturbed run,
+        in order."""
+        eng = Engine()
+        instants = set()
+        team = FinishHook(eng, CORE, workers, scheduler=scheduler,
+                          on_finish=lambda team, task:
+                          instants.add(eng.now))
+        eng.process(team.run(graph))
+        eng.run()
+        return sorted(instants)
 
     @staticmethod
     def _mutex_graph(spec, unit=0.25):
@@ -296,12 +350,12 @@ class TestPlanEquivalence:
         return g
 
     @staticmethod
-    def _epoch_run(graph, workers, scheduler, epochs, recorder):
+    def _epoch_run(graph, workers, scheduler, epochs, listener):
         """Run ``graph`` with ``(time, action)`` epochs armed before the run
         starts: each epoch's timer precedes every task finish at its
         instant, so it applies to every dispatch made at that instant."""
         eng = Engine()
-        team = Team(eng, CORE, workers, recorder=recorder,
+        team = Team(eng, CORE, workers, listener=listener,
                     scheduler=scheduler)
         for when, action in epochs:
             eng.call_later(when, action, team)
@@ -317,11 +371,7 @@ class TestPlanEquivalence:
                 s.t_start, s.t_end, s.max_concurrency)
 
     @settings(max_examples=80, deadline=None)
-    @given(spec=st.lists(
-               st.tuples(st.integers(1, 4),
-                         st.frozensets(st.sampled_from("abcd"), max_size=2),
-                         st.one_of(st.none(), st.sampled_from("xy"))),
-               min_size=1, max_size=10),
+    @given(spec=MUTEX_SPECS,
            workers=st.integers(2, 4),
            scheduler=st.sampled_from(Team.SCHEDULERS),
            kind=st.sampled_from(["slowdown", "capacity"]),
@@ -332,21 +382,15 @@ class TestPlanEquivalence:
            unit=st.sampled_from([0.25, 0.2637]))
     def test_mutex_graphs_exact(self, spec, workers, scheduler, kind, factor,
                                 cap, pick, later, unit):
-        """Per-task path (null recorder) vs plan path on drawn mutex graphs,
-        stat for stat and bit for bit, with a capacity or slowdown epoch
-        landing exactly on a dispatch instant of the unperturbed run (a
-        task finish, where the finished task's successors and any
+        """Per-task path (declining listener) vs plan path on drawn mutex
+        graphs, stat for stat and bit for bit, with a capacity or slowdown
+        epoch landing exactly on a dispatch instant of the unperturbed run
+        (a task finish, where the finished task's successors and any
         mutex-blocked tasks start) and an optional later epoch undoing
         it."""
-        instants = []
-
-        class Finishes:
-            def record(self, rank, category, label, t0, t1):
-                instants.append(t1)
-
-        self._epoch_run(self._mutex_graph(spec, unit), workers, scheduler,
-                        [], Finishes())
-        when = sorted(set(instants))[pick % len(set(instants))]
+        instants = self._finish_instants(self._mutex_graph(spec, unit),
+                                         workers, scheduler)
+        when = instants[pick % len(instants)]
         if kind == "slowdown":
             apply, undo = (lambda t: t.set_slowdown(factor),
                            lambda t: t.set_slowdown(1.0))
@@ -358,16 +402,36 @@ class TestPlanEquivalence:
             epochs.append((when + later, undo))
 
         per_task = self._epoch_run(self._mutex_graph(spec, unit), workers,
-                                   scheduler, epochs, NullRecorder())
+                                   scheduler, epochs, PerTask())
         planned = self._epoch_run(self._mutex_graph(spec, unit), workers,
                                   scheduler, epochs, None)
         assert planned == per_task      # bit-exact, no approx
         assert per_task[0] == len(spec)
 
+    @settings(max_examples=100, deadline=None)
+    @given(spec=MUTEX_SPECS,
+           workers=st.integers(1, 4),
+           scheduler=st.sampled_from(Team.SCHEDULERS),
+           slowdown=st.sampled_from([1.0, 0.5, 3.0]),
+           unit=st.sampled_from([0.25, 0.2637]))
+    def test_plans_complete_every_task(self, spec, workers, scheduler,
+                                       slowdown, unit):
+        """With a worker or more a plan never stalls: once nothing runs, no
+        mutex ref is held, so a ready task is always picked."""
+        graph = self._mutex_graph(spec, unit)
+        team = Team(Engine(), CORE, workers, scheduler=scheduler)
+        team.set_slowdown(slowdown)
+        plan = team._plan_sim(graph, 0.0)
+        everything = list(range(len(spec)))
+        assert sorted(plan.d_tids) == everything
+        assert sorted(plan.c_order) == everything
+        assert len(plan.steps) == len(spec) + 1
+        assert plan.t_end == plan.c_finish[-1] == max(plan.d_finish)
+
     # -- plan templates ----------------------------------------------------
 
     PLAN_FIELDS = ("d_tids", "d_start", "d_finish", "d_dur", "c_finish",
-                   "sums", "n_total", "t_end", "chain", "stalled")
+                   "sums", "n_total", "t_end", "gen")
 
     @classmethod
     def _assert_plans_equal(cls, got, want):
@@ -379,16 +443,30 @@ class TestPlanEquivalence:
                     name
 
     @staticmethod
-    def _fresh(team, graph, t0, repeats=1):
-        return team._plan_repeated(lambda t: team._plan_sim(graph, t), t0,
-                                   repeats)
+    def _back_to_back(plan_one, t0, repeats):
+        """``repeats`` plans ``plan_one(start)``, one at a time, each
+        starting at the previous one's end."""
+        plans = []
+        for _ in range(repeats):
+            plans.append(plan_one(t0))
+            t0 = plans[-1].t_end
+        return plans
+
+    @classmethod
+    def _fresh(cls, team, graph, t0, repeats=1):
+        """Simulated plans, none served from a template."""
+        return cls._back_to_back(lambda t: team._plan_sim(graph, t), t0,
+                                 repeats)
+
+    @classmethod
+    def _served(cls, team, graph, t0, repeats=1):
+        """Plans served as a run gets them: from a template when one
+        passes its order check."""
+        return cls._back_to_back(lambda t: team._plan_templated(graph, t),
+                                 t0, repeats)
 
     @settings(max_examples=200, deadline=None)
-    @given(spec=st.lists(
-               st.tuples(st.integers(1, 4),
-                         st.frozensets(st.sampled_from("abcd"), max_size=2),
-                         st.one_of(st.none(), st.sampled_from("xy"))),
-               min_size=1, max_size=10),
+    @given(spec=MUTEX_SPECS,
            workers=st.integers(1, 4),
            scheduler=st.sampled_from(Team.SCHEDULERS),
            slowdown=st.sampled_from([1.0, 0.5, 3.0]),
@@ -409,21 +487,20 @@ class TestPlanEquivalence:
         graph = self._mutex_graph(spec, unit)
         team = Team(Engine(), CORE, workers, scheduler=scheduler)
         team.set_slowdown(slowdown)
-        first = team._plan_unperturbed(graph, t_rec, repeats)
+        first = self._served(team, graph, t_rec, repeats)
         self._assert_plans_equal(first, self._fresh(team, graph, t_rec,
                                                     repeats))
         [templates] = graph._plan_templates.values()
         for t0 in t0s:
-            self._assert_plans_equal(team._plan_unperturbed(graph, t0,
-                                                            repeats),
+            self._assert_plans_equal(self._served(team, graph, t0, repeats),
                                      self._fresh(team, graph, t0, repeats))
-        arb = team._arbiter
-        served = arb.plan_cache_hits + arb.plan_template_misses
+        counters = team._plan_counters
+        served = counters.plan_cache_hits + counters.plan_template_misses
         assert served == repeats * (1 + len(t0s)) - 1
-        assert len(templates) == min(1 + arb.plan_template_misses,
+        assert len(templates) == min(1 + counters.plan_template_misses,
                                      MAX_PLAN_TEMPLATES)
         if workers == 1:
-            assert arb.plan_template_misses == 0
+            assert counters.plan_template_misses == 0
 
     @staticmethod
     def _race_graph():
@@ -440,26 +517,26 @@ class TestPlanEquivalence:
     def test_order_check_failure_falls_back(self):
         graph = self._race_graph()
         team = Team(Engine(), CORE, 2, scheduler="fifo")
-        team._plan_unperturbed(graph, 0.0)
+        team._plan_templated(graph, 0.0)
         [[tpl]] = graph._plan_templates.values()
         t0 = next(t for t in (k * 0.1 for k in range(1, 10_000))
                   if tpl.instantiate(t) is None)
-        arb = team._arbiter
-        misses = arb.plan_template_misses
-        plan = team._plan_unperturbed(graph, t0)
-        assert arb.plan_template_misses == misses + 1
-        self._assert_plans_equal(plan, self._fresh(team, graph, t0))
+        counters = team._plan_counters
+        misses = counters.plan_template_misses
+        plan = team._plan_templated(graph, t0)
+        assert counters.plan_template_misses == misses + 1
+        self._assert_plans_equal([plan], self._fresh(team, graph, t0))
         # the fallback took the other completion order and recorded it:
         # the same start time is now served, and so is the first one
-        assert plan[0].c_order != tpl.c_order
+        assert plan.c_order != tpl.plan.c_order
         [templates] = graph._plan_templates.values()
         assert len(templates) == 2
-        hits = arb.plan_cache_hits
+        hits = counters.plan_cache_hits
         for t in (t0, 0.0):
-            self._assert_plans_equal(team._plan_unperturbed(graph, t),
+            self._assert_plans_equal(self._served(team, graph, t),
                                      self._fresh(team, graph, t))
-        assert arb.plan_cache_hits == hits + 2
-        assert arb.plan_template_misses == misses + 1
+        assert counters.plan_cache_hits == hits + 2
+        assert counters.plan_template_misses == misses + 1
 
     def test_graph_growth_drops_templates(self):
         """A graph that gains a task after a run is planned afresh, not
@@ -479,7 +556,7 @@ class TestPlanEquivalence:
         eng.run()
         assert [s.tasks_run for s in out] == [1, 2]
         assert out[1].makespan == pytest.approx(1.6338)
-        per_task = run_graph(graph, 1, recorder=NullRecorder())[2]
+        per_task = run_graph(graph, 1, listener=PerTask())[2]
         assert (out[1].busy_seconds, out[1].instructions) == \
             (per_task.busy_seconds, per_task.instructions)
 
@@ -497,7 +574,7 @@ class TestPlanEquivalence:
                                         (2, "fifo"), (3, "lifo")]]
         for t0 in (0.0, 2.5, 7.125):
             for team in teams:
-                self._assert_plans_equal(team._plan_unperturbed(graph, t0),
+                self._assert_plans_equal(self._served(team, graph, t0),
                                          self._fresh(team, graph, t0))
         assert len(graph._plan_templates) == len(teams)
 
@@ -525,17 +602,16 @@ class _Observe:
         pass
 
 
-class _ActAt:
-    """A recorder that calls ``action`` at the first finish at ``when``."""
+def _act_at(when, action):
+    """A :class:`FinishHook` callback that calls ``action`` at the first
+    task finish at ``when``."""
+    pending = [action]
 
-    def __init__(self, when, action):
-        self.when = when
-        self.action = action
+    def on_finish(team, task):
+        if team.engine.now == when and pending:
+            pending.pop()()
 
-    def record(self, rank, category, label, t0, t1):
-        if t1 == self.when and self.action is not None:
-            action, self.action = self.action, None
-            action()
+    return on_finish
 
 
 class TestPlanReadsAtFinishInstants:
@@ -544,12 +620,9 @@ class TestPlanReadsAtFinishInstants:
     same instant, which orders against the team's own finishes by dispatch
     key.  A planned team and its per-task twin must read the same
     ``wants_cores``, ``ready_count`` and ``active_workers`` before and
-    after the change and end with the same stats, bit for bit.
-
-    A team planned for a listener completes at its last task's key; a
-    team without a listener completes through the arbiter, as a plain
-    entry, so another team's same-time completion can follow its own, and
-    only plain-entry changes compare for it."""
+    after the change and end with the same stats, bit for bit, whether it
+    plans for a listener or without one: either way its plan completes at
+    its last task's key."""
 
     @staticmethod
     def _scenario(spec, unit, workers, scheduler, cap, when, trigger,
@@ -563,7 +636,7 @@ class TestPlanReadsAtFinishInstants:
             team = Team(eng, CORE, workers, scheduler=scheduler)
         else:
             team = Team(eng, CORE, workers, scheduler=scheduler,
-                        listener=_Observe(), recorder=NullRecorder())
+                        listener=_Observe())
         reads = []
 
         def act():
@@ -584,8 +657,8 @@ class TestPlanReadsAtFinishInstants:
         else:
             # a per-task clone of the unperturbed run finishes at the same
             # instants; it acts at its finish at ``when``
-            twin = Team(eng, CORE, workers, scheduler=scheduler,
-                        recorder=_ActAt(when, act))
+            twin = FinishHook(eng, CORE, workers, scheduler=scheduler,
+                              on_finish=_act_at(when, act))
             twin_graph = TestPlanEquivalence._mutex_graph(spec, unit)
 
             def other():
@@ -603,11 +676,7 @@ class TestPlanReadsAtFinishInstants:
                        s.t_start, s.t_end, s.max_concurrency)
 
     @settings(max_examples=80, deadline=None)
-    @given(spec=st.lists(
-               st.tuples(st.integers(1, 4),
-                         st.frozensets(st.sampled_from("abcd"), max_size=2),
-                         st.one_of(st.none(), st.sampled_from("xy"))),
-               min_size=1, max_size=10),
+    @given(spec=MUTEX_SPECS,
            workers=st.integers(1, 3),
            scheduler=st.sampled_from(Team.SCHEDULERS),
            cap=st.integers(1, 4),
@@ -619,17 +688,9 @@ class TestPlanReadsAtFinishInstants:
     def test_same_reads_and_stats_as_per_task(self, spec, workers, scheduler,
                                               cap, pick, trigger,
                                               other_first, mode, unit):
-        assume(mode == "listener" or trigger == "entry")
-        instants = []
-
-        class Finishes:
-            def record(self, rank, category, label, t0, t1):
-                instants.append(t1)
-
-        TestPlanEquivalence._epoch_run(
-            TestPlanEquivalence._mutex_graph(spec, unit), workers,
-            scheduler, [], Finishes())
-        when = sorted(set(instants))[pick % len(set(instants))]
+        instants = TestPlanEquivalence._finish_instants(
+            TestPlanEquivalence._mutex_graph(spec, unit), workers, scheduler)
+        when = instants[pick % len(instants)]
         args = (spec, unit, workers, scheduler, cap, when, trigger,
                 other_first)
         per_task = self._scenario(*args, "per_task")
