@@ -76,26 +76,30 @@ class DLB:
         self._pool: Dict[int, int] = {}          # node -> spare cores
         self._lent: Dict[int, int] = {}          # rank -> cores donated
         self._borrowed: Dict[int, int] = {}      # rank -> extra cores held
-        self._in_mpi: Dict[int, bool] = {}
         self._dead: set[int] = set()
         # node -> attached ranks in attach order (the iteration order of
         # the reclaim and feed scans), rank -> node, so the per-event scans
-        # skip the world lookups, and rank -> its index in that order.
+        # skip the world lookups, and rank -> its bit: 1 << its index in
+        # that order.  The node books below are keyed by those bits, most
+        # as bitmasks, so a walk from the lowest set bit up is a walk in
+        # attach order with no sort.
         self._node_teams: Dict[int, list] = {}
         self._team_node: Dict[int, int] = {}
-        self._team_pos: Dict[int, int] = {}
-        # node -> attach indices of the feed candidates: ranks that may want
-        # cores.  A team only starts wanting cores through a dispatch, which
-        # notifies on_team_hungry, or through a DLB shrink when a reclaim
-        # pulls cores back from it; both add the rank here, and _feed drops
-        # the ranks it finds sated.  So _feed visits the hungry teams
-        # without asking every team of the node.  A team running a plan
-        # notifies nothing at its task boundaries, so it stays a candidate
-        # while its plan runs.
-        self._candidates: Dict[int, set] = {}
-        # node -> attach indices of the ranks holding borrowed cores (the
-        # reclaim scan), and node -> ranks admitted to plan their graph
-        self._borrowers: Dict[int, set] = {}
+        self._team_bit: Dict[int, int] = {}
+        # node -> the ranks inside a blocking MPI call
+        self._in_mpi: Dict[int, int] = {}
+        # node -> the feed candidates: ranks that may want cores.  A team
+        # only starts wanting cores through a dispatch, which notifies
+        # on_team_hungry, or through a DLB shrink when a reclaim pulls
+        # cores back from it; both add the rank here, and _feed drops the
+        # ranks it finds sated.  So _feed visits the hungry teams without
+        # asking every team of the node.  A team running a plan notifies
+        # nothing at its task boundaries, so it stays a candidate while its
+        # plan runs.
+        self._candidates: Dict[int, int] = {}
+        # node -> {bit: borrowed cores} of the ranks holding borrowed cores
+        # (the reclaim scan), and node -> ranks admitted to plan their graph
+        self._borrowers: Dict[int, Dict[int, int]] = {}
         self._planned: Dict[int, set] = {}
         self.stats = DLBStats()
         if enabled:
@@ -114,14 +118,14 @@ class DLB:
         self.teams[rank] = team
         self._lent[rank] = 0
         self._borrowed[rank] = 0
-        self._in_mpi[rank] = False
         node = self.world.node_of(rank)
         self._team_node[rank] = node
         ranks = self._node_teams.setdefault(node, [])
-        self._team_pos[rank] = len(ranks)
+        self._team_bit[rank] = 1 << len(ranks)
         ranks.append(rank)
-        self._candidates.setdefault(node, set())
-        self._borrowers.setdefault(node, set())
+        self._in_mpi.setdefault(node, 0)
+        self._candidates.setdefault(node, 0)
+        self._borrowers.setdefault(node, {})
         self._planned.setdefault(node, set())
         self._pool.setdefault(node, 0)
         if self.enabled:
@@ -132,11 +136,11 @@ class DLB:
         """PMPI hook: ``rank`` blocked in MPI — lend its idle cores."""
         if rank not in self.teams or rank in self._dead:
             return
-        self._in_mpi[rank] = True
+        node = self._team_node[rank]
+        self._in_mpi[node] |= self._team_bit[rank]
         team = self.teams[rank]
         if team.is_running and team.active_workers > 0:
             return  # mid-graph blocking: keep the cores (rare in fork-join)
-        node = self._team_node[rank]
         own_available = team.base_threads - self._lent[rank]
         if self.policy == "lewi_half" and own_available > 1:
             # conservative variant: keep half of the own cores so reclaim
@@ -160,32 +164,32 @@ class DLB:
         """PMPI hook: ``rank`` resumed — reclaim its lent cores."""
         if rank not in self.teams or rank in self._dead:
             return
-        self._in_mpi[rank] = False
+        node = self._team_node[rank]
+        self._in_mpi[node] &= ~self._team_bit[rank]
         team = self.teams[rank]
         need = self._lent[rank]
         if need <= 0:
             return
-        node = self._team_node[rank]
         taken = min(need, self._pool[node])
         self._pool[node] -= taken
         need -= taken
-        if need > 0:
-            # Pull back from borrowers: largest borrowers first, attach
-            # order on ties
-            ranks = self._node_teams[node]
-            borrowed = self._borrowed
-            for pos in sorted(self._borrowers[node],
-                              key=lambda p: (-borrowed[ranks[p]], p)):
-                if need <= 0:
-                    break
-                other = ranks[pos]
-                k = min(need, borrowed[other])
-                self._set_borrowed(other, borrowed[other] - k)
-                other_team = self.teams[other]
-                other_team.set_capacity(other_team.capacity - k)
-                # the shrink may leave runnable tasks without a worker
-                self._candidates[node].add(pos)
-                need -= k
+        ranks = self._node_teams[node]
+        books = self._borrowers[node]
+        while need > 0 and books:
+            # Pull back from the largest borrower, the first in attach
+            # order on ties.  Each pull either covers the rest of the need
+            # or empties the borrower, so repeating the max scan visits
+            # borrowers in the order of a sort by (-borrowed, attach index)
+            most = max(books.values())
+            top = min([bit for bit, k in books.items() if k == most])
+            other = ranks[top.bit_length() - 1]
+            k = min(need, most)
+            self._set_borrowed(other, most - k)
+            other_team = self.teams[other]
+            other_team.set_capacity(other_team.capacity - k)
+            # the shrink may leave runnable tasks without a worker
+            self._candidates[node] |= top
+            need -= k
         if need > 0:  # pragma: no cover - accounting invariant
             raise RuntimeError(
                 f"DLB lost track of {need} cores for rank {rank}")
@@ -204,8 +208,9 @@ class DLB:
         node = self._team_node.get(rank)
         if node is None or rank in self._dead:
             return
-        self._candidates[node].add(self._team_pos[rank])
-        if self._pool[node] <= 0 or self._in_mpi[rank]:
+        bit = self._team_bit[rank]
+        self._candidates[node] |= bit
+        if self._pool[node] <= 0 or self._in_mpi[node] & bit:
             return
         self._grant(node, rank)
         self._settle(node)
@@ -241,7 +246,7 @@ class DLB:
         if node is None or rank in self._dead or self._pool[node] > 0:
             return False
         self._planned[node].add(rank)
-        self._candidates[node].add(self._team_pos[rank])
+        self._candidates[node] |= self._team_bit[rank]
         return True
 
     # -- fault reaction (graceful degradation) ------------------------------
@@ -281,13 +286,14 @@ class DLB:
 
     # -- internals --------------------------------------------------------
     def _set_borrowed(self, rank: int, k: int) -> None:
-        """Set ``rank``'s borrowed cores, keeping its node's borrower set."""
+        """Set ``rank``'s borrowed cores, keeping its node's borrower
+        books."""
         self._borrowed[rank] = k
-        borrowers = self._borrowers[self._team_node[rank]]
+        books = self._borrowers[self._team_node[rank]]
         if k > 0:
-            borrowers.add(self._team_pos[rank])
+            books[self._team_bit[rank]] = k
         else:
-            borrowers.discard(self._team_pos[rank])
+            books.pop(self._team_bit[rank], None)
 
     def _settle(self, node: int) -> None:
         """With cores pooled on ``node``, LeWI grants at task boundaries:
@@ -319,25 +325,26 @@ class DLB:
     def _feed(self, node: int) -> None:
         """Distribute pooled cores among currently hungry teams on ``node``.
 
-        Walks the node's feed candidates in attach order until the pool is
-        empty, granting to each team that wants cores and dropping the ones
-        that do not.  Ranks inside MPI stay candidates: they may want cores
-        again when they return.  A grant changes only the granted team, so
-        asking each team as the walk reaches it gives the grants a scan of
-        every team made up front would.
+        Walks the node's feed candidates present when it starts, in attach
+        order, until the pool is empty, granting to each team that wants
+        cores and dropping the ones that do not.  Ranks inside MPI are
+        skipped and stay candidates: they may want cores again when they
+        return.  A grant changes only the granted team, so asking each team
+        as the walk reaches it gives the grants a scan of every team made
+        up front would; a team that becomes a candidate during the walk
+        waits for the next feed.
         """
-        cands = self._candidates[node]
         ranks = self._node_teams[node]
-        for pos in sorted(cands):
-            if self._pool[node] <= 0:
-                break
-            rank = ranks[pos]
-            if self._in_mpi[rank]:
-                continue
+        pool = self._pool
+        walk = self._candidates[node] & ~self._in_mpi[node]
+        while walk and pool[node] > 0:
+            bit = walk & -walk
+            walk ^= bit
+            rank = ranks[bit.bit_length() - 1]
             team = self.teams[rank]
             if rank in self._dead or not team.wants_cores:
                 if not team.planned:
-                    cands.discard(pos)
+                    self._candidates[node] &= ~bit
                 continue
             self._grant(node, rank)
 

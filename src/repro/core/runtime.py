@@ -14,8 +14,11 @@ Scheduling semantics:
   by a running task; the scheduler acquires all refs atomically (the DES
   scheduler is a single logical lock, so no deadlock is possible);
 * ready tasks wait in one heap of ``(key, seq, task)`` entries, and the
-  pick (:func:`_pop_ready`) is its smallest *runnable* entry.  The team's
-  policy is only the key: largest task first (``lpt``, the default, key
+  pick (:func:`_pop_ready`) is the smallest *runnable* entry.  A blocked
+  entry that a pick or a ``wants_cores`` read meets on top is parked under
+  a held ref it waits on, and the ref's release returns it to the heap, so
+  the pick is the first unblocked top, not a scan.  The team's policy is
+  only the key: largest task first (``lpt``, the default, key
   ``-instr`` with seqs counting up, so FIFO among ties — the classic
   makespan heuristic, approximating priority-aware task runtimes such as
   Nanos), oldest first (``fifo``, key 0 with seqs counting up, which keeps
@@ -313,36 +316,47 @@ class _PlanCounters:
                 "plan_replans": 0}
 
 
-def _pop_ready(heap: list, held: set) -> Optional[Task]:
-    """Remove and return the best runnable task of a ready heap.
+def _park_blocked(heap: list, held: set, lot: dict) -> bool:
+    """Park the heap's blocked tops in the lot, each under a ``held`` ref
+    its task waits on; whether a runnable entry is left on top."""
+    while heap:
+        refs = heap[0][2].mutex_refs
+        if refs.isdisjoint(held):
+            return True
+        entry = heapq.heappop(heap)
+        for ref in refs:
+            if ref in held:
+                break
+        lot.setdefault(ref, []).append(entry)
+    return False
 
-    Entries are ``(key, seq, task)`` (see :class:`Team`); the pick is the
+
+def _unpark(refs: frozenset, heap: list, lot: dict) -> None:
+    """``refs`` were just released: their parked entries return to the
+    heap (one still blocked by another ref parks again when a pick or a
+    wants check meets it on top)."""
+    for ref in refs.intersection(lot):
+        for entry in lot.pop(ref):
+            heapq.heappush(heap, entry)
+
+
+def _pop_ready(heap: list, held: set, lot: dict) -> Optional[Task]:
+    """Remove and return the best runnable task of a ready queue.
+
+    A ready queue is a heap of ``(key, seq, task)`` entries (see
+    :class:`Team`) and a *lot*: a dict from a held mutex ref to the
+    entries parked under it, each blocked by that ref.  The pick is the
     smallest entry whose task holds none of the ``held`` mutex refs, or
-    ``None`` when every ready task is blocked.  Seqs are unique, so the
-    smallest runnable entry is the one repeated pops would reach first: one
-    scan plus an O(log n) removal picks the same task without popping
-    blocked entries aside and pushing them back.  The caller guarantees a
-    non-empty heap.
+    ``None`` when every ready task is blocked.  Blocked tops met on the way
+    are parked, and a release returns them (:func:`_unpark`), so every
+    runnable entry is on the heap and the first unblocked top is the
+    smallest; seqs are unique, so that pick is the one a scan of every
+    ready entry would make.  The caller guarantees a non-empty heap.
     """
-    if not held or heap[0][2].mutex_refs.isdisjoint(held):
+    if not held or heap[0][2].mutex_refs.isdisjoint(held) \
+            or _park_blocked(heap, held, lot):
         return heapq.heappop(heap)[2]
-    pos = -1
-    best = None
-    for i, entry in enumerate(heap):
-        if (best is None or entry < best) \
-                and entry[2].mutex_refs.isdisjoint(held):
-            pos = i
-            best = entry
-    if best is None:
-        return None
-    last = heap.pop()
-    if pos < len(heap):
-        # standard heap delete: the moved leaf sinks below ``pos`` or
-        # rises above it, whichever restores the invariant
-        heap[pos] = last
-        heapq._siftup(heap, pos)
-        heapq._siftdown(heap, 0, pos)
-    return best[2]
+    return None
 
 
 class Team:
@@ -364,7 +378,9 @@ class Team:
         instr, seq, task)``: ``lpt`` is ``(-instr, +seq)``, ``fifo``
         ``(0, +seq)`` and ``lifo`` ``(0, -seq)``, where seqs count push
         order up or down.  Both execution paths pick through
-        :func:`_pop_ready`.
+        :func:`_pop_ready`, which parks mutex-blocked entries off the heap
+        until a ref they wait on is released; :attr:`ready_count` counts
+        them.
 
     A run takes one of two paths:
 
@@ -418,6 +434,10 @@ class Team:
         self._instr_factor = -1.0 if scheduler == "lpt" else 0.0
         self._seq_step = -1 if scheduler == "lifo" else 1
         self._ready: list = []
+        # mutex-blocked ready entries parked off the heap (see _pop_ready)
+        # and the count of ready entries, parked ones included
+        self._lot: dict = {}
+        self._n_ready = 0
         self._seq = 0
         # Plan mode: the plan of the running graph (None on the per-task
         # path) and its completion's engine handle
@@ -456,14 +476,18 @@ class Team:
 
     @property
     def ready_count(self) -> int:
-        """Tasks currently ready (waiting for a worker)."""
+        """Tasks currently ready (waiting for a worker), mutex-blocked ones
+        included: LeWI's grant appetite."""
         if self._plan is not None:
             return self._plan.steps[self._plan_step()][1]
-        return len(self._ready)
+        return self._n_ready
 
     @property
     def wants_cores(self) -> bool:
-        """Whether extra capacity would be used right now."""
+        """Whether extra capacity would be used right now: the team is
+        capacity-bound with a runnable ready task.  On the per-task path
+        the blocked heap tops are parked on the way (as the next pick would
+        park them), so the answer is whether the top is runnable."""
         if self._graph is None:
             return False
         plan = self._plan
@@ -490,8 +514,7 @@ class Team:
         if not held:
             # no mutexes held: any ready task is runnable
             return bool(ready)
-        # existence check only — no need for the *best* runnable task
-        return any(entry[2].mutex_refs.isdisjoint(held) for entry in ready)
+        return _park_blocked(ready, held, self._lot)
 
     def set_capacity(self, n: int) -> None:
         """Change the worker ceiling; growth dispatches immediately, shrink
@@ -707,6 +730,7 @@ class Team:
         self._plan = None
         self._handle = None
         self._ready = ready
+        self._n_ready = len(ready)
         self._seq = seqc
         self._held_refs = held
         self._active = len(running)
@@ -777,11 +801,14 @@ class Team:
         preds_left = [t.n_preds for t in tasks]
         t_seq = [0] * len(tasks)
         ready: list = []
+        lot: dict = {}
+        n_ready = 0
         seqc = 0
         for task in graph.roots():
             seqc += step
             t_seq[task.tid] = seqc
             heapq.heappush(ready, (factor * task._instr, seqc, task))
+            n_ready += 1
         held: set = set()
         busy = 0.0
         instr = 0.0
@@ -795,9 +822,10 @@ class Team:
         while True:
             idx = 0
             while active < W and ready:
-                task = _pop_ready(ready, held)
+                task = _pop_ready(ready, held, lot)
                 if task is None:
                     break
+                n_ready -= 1
                 tid = task.tid
                 if task.mutex_refs:
                     held |= task.mutex_refs
@@ -822,11 +850,9 @@ class Team:
                 idx += 1
             if active < W or not ready:
                 wants = False
-            elif not held or ready[0][2].mutex_refs.isdisjoint(held):
-                wants = True
             else:
-                wants = any(e[2].mutex_refs.isdisjoint(held) for e in ready)
-            steps.append((len(d_tids), len(ready), wants, busy, instr,
+                wants = not held or _park_blocked(ready, held, lot)
+            steps.append((len(d_tids), n_ready, wants, busy, instr,
                           max_conc, seqc))
             if not inflight:
                 break
@@ -839,6 +865,8 @@ class Team:
             busy += d_dur[di]
             if task.mutex_refs:
                 held -= task.mutex_refs
+                if lot:
+                    _unpark(task.mutex_refs, ready, lot)
             active -= 1
             c_finish.append(finish)
             c_order.append(di)
@@ -849,6 +877,7 @@ class Team:
                     t_seq[succ] = seqc
                     nxt = tasks[succ]
                     heapq.heappush(ready, (factor * nxt._instr, seqc, nxt))
+                    n_ready += 1
         return _Plan(d_tids, d_start, d_finish, d_dur, d_parent, d_idx,
                      c_finish, c_order, steps, t_seq,
                      (busy, instr, max_conc), len(tasks), W, c_finish[-1],
@@ -859,6 +888,7 @@ class Team:
     def _push_ready(self, task: Task) -> None:
         """Add ``task`` to the ready heap under the team's policy key."""
         self._seq += self._seq_step
+        self._n_ready += 1
         heapq.heappush(self._ready,
                        (self._instr_factor * task._instr, self._seq, task))
 
@@ -873,43 +903,52 @@ class Team:
         with the default one-thread teams of the paper's configurations no
         mutex is held here and a pick is a single heappop.
         """
-        ready = self._ready
-        held = self._held_refs
-        engine = self.engine
-        now = engine.now
-        core = self.core
-        stats = self._stats
         active = self._active
         cap = self._max_workers
-        while active < cap and ready:
-            task = _pop_ready(ready, held)
-            if task is None:
-                break
-            if task.mutex_refs:
-                held |= task.mutex_refs     # in-place: held is _held_refs
-            active += 1
-            if active > stats.max_concurrency:
-                stats.max_concurrency = active
-            if task._dur_core is core:
-                base = task._dur
-            else:
-                # Task graphs are re-executed every simulated time step with
-                # the same WorkSpec on the same core: compute the nominal
-                # duration once and reuse the identical float thereafter.
-                base = core.seconds(task.work)
-                task._dur = base
-                task._dur_core = core
-            exec_seconds = base * self.slowdown
-            # the dispatch key (Engine.completion_key, inlined)
-            k = engine._kseq
-            engine._kseq = k + 1
-            engine.schedule_completion(now + exec_seconds,
-                                       (now, engine._seg, engine._fkey, k),
-                                       self._finish_task, task,
-                                       exec_seconds)
-        self._active = active
-        # Appetite signalling for DLB: hungry if capacity-bound work remains.
-        if (active >= cap and ready and self.listener is not None
+        ready = self._ready
+        # most calls find no free worker or an empty heap (on Thunder
+        # coupled DLB more than half): they skip the loop's set-up
+        if active < cap and ready:
+            held = self._held_refs
+            lot = self._lot
+            engine = self.engine
+            now = engine.now
+            core = self.core
+            stats = self._stats
+            n_ready = self._n_ready
+            while active < cap and ready:
+                task = _pop_ready(ready, held, lot)
+                if task is None:
+                    break
+                n_ready -= 1
+                if task.mutex_refs:
+                    held |= task.mutex_refs     # in-place: held is _held_refs
+                active += 1
+                if active > stats.max_concurrency:
+                    stats.max_concurrency = active
+                if task._dur_core is core:
+                    base = task._dur
+                else:
+                    # Task graphs are re-executed every simulated time step
+                    # with the same WorkSpec on the same core: compute the
+                    # nominal duration once and reuse the identical float
+                    # thereafter.
+                    base = core.seconds(task.work)
+                    task._dur = base
+                    task._dur_core = core
+                exec_seconds = base * self.slowdown
+                # the dispatch key (Engine.completion_key, inlined)
+                k = engine._kseq
+                engine._kseq = k + 1
+                engine.schedule_completion(now + exec_seconds,
+                                           (now, engine._seg, engine._fkey, k),
+                                           self._finish_task, task,
+                                           exec_seconds)
+            self._active = active
+            self._n_ready = n_ready
+        # Appetite signalling for DLB: hungry if capacity-bound work
+        # remains, runnable or not.
+        if (active >= cap and self._n_ready and self.listener is not None
                 and not self._hungry_notified):
             self._hungry_notified = True
             self.listener.on_team_hungry(self)
@@ -920,8 +959,11 @@ class Team:
         stats.tasks_run += 1
         stats.instructions += task._instr
         stats.busy_seconds += exec_seconds
-        if task.mutex_refs:
-            self._held_refs -= task.mutex_refs
+        refs = task.mutex_refs
+        if refs:
+            self._held_refs -= refs
+            if self._lot:
+                _unpark(refs, self._ready, self._lot)
         self._active -= 1
         self._remaining -= 1
         successors = task.successors

@@ -449,3 +449,130 @@ class TestPlanParity:
             config_kw["fluid_ranks"] = 6
         left = self._assert_parity(config_kw, fault_plan=self._faults())
         assert left
+
+
+class _WatchedTeam(Team):
+    """A team that logs each capacity change as ``(rank, capacity)`` and
+    each ``wants_cores`` read — a feed visiting it — as ``(rank,
+    "asked")``; ``on_grow`` is called before its first growth."""
+
+    def __init__(self, log, *args, on_grow=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._log = log
+        self._on_grow = on_grow
+
+    def set_capacity(self, n):
+        self._log.append((self.rank, n))
+        if n > self.capacity and self._on_grow is not None:
+            on_grow, self._on_grow = self._on_grow, None
+            on_grow()
+        super().set_capacity(n)
+
+    @property
+    def wants_cores(self):
+        self._log.append((self.rank, "asked"))
+        return Team.wants_cores.fget(self)
+
+
+class TestLeWIVisitOrders:
+    """LeWI's visit orders on one node with teams attached out of rank
+    order: a feed walks the candidates present when it starts in attach
+    order, and a reclaim pulls from the largest borrower first, the
+    first attached on ties."""
+
+    @staticmethod
+    def _world(attach, cores, tasks, seconds=None, on_grow=None):
+        """Teams attached in the order of ``attach``; ``cores[rank]``
+        (default 1) cores each, and a graph of ``tasks[rank]`` tasks of
+        one second (or of ``seconds[rank]``) started at 0 on the ranks
+        that have one."""
+        eng = Engine()
+        world = World(eng, marenostrum4(num_nodes=1), len(attach))
+        dlb = DLB(world)
+        log = []
+        teams = {}
+        for rank in attach:
+            grow = None if on_grow is None else on_grow.get(rank)
+            teams[rank] = _WatchedTeam(log, eng, CORE, cores.get(rank, 1),
+                                       rank=rank, on_grow=grow)
+            dlb.attach_team(rank, teams[rank])
+        for rank, n in tasks.items():
+            each = (seconds or {}).get(rank, 1.0) * SEC
+            graph = build_parallel_for_graph(np.full(n, each), 1,
+                                             min_chunks=n)
+            eng.process(teams[rank].run(graph))
+        return eng, dlb, teams, log
+
+    @staticmethod
+    def _at(eng, log, when, fn):
+        """Call ``fn`` at ``when``; returns the log entries it made."""
+        seen = []
+
+        def act():
+            del log[:]
+            fn()
+            seen.extend(log)
+
+        eng.call_later(when, act)
+        return seen
+
+    def test_feed_walks_candidates_in_attach_order(self):
+        L, A, S, B, C = 3, 4, 1, 0, 2
+        eng, dlb, teams, log = self._world(
+            [L, A, S, B, C], {L: 4}, {A: 2, S: 1, B: 2, C: 2},
+            seconds={S: 0.1})
+        seen = self._at(eng, log, 0.25,
+                        lambda: dlb.on_mpi_enter(L, "recv"))
+        eng.run()
+        # A, B and C each have one ready task; S became a candidate when
+        # it started its graph and finished it at 0.1 s, so it is asked,
+        # wants nothing and is dropped
+        assert seen == [(L, 0),
+                        (A, "asked"), (A, 2),
+                        (S, "asked"),
+                        (B, "asked"), (B, 2),
+                        (C, "asked"), (C, 2)]
+
+    def test_candidate_made_during_a_feed_waits_for_the_next(self):
+        L, X, Y, M = 0, 2, 1, 3
+
+        def y_hungry():     # runs inside X's grant, after set-up
+            dlb.on_team_hungry(teams[Y])
+
+        eng, dlb, teams, log = self._world(
+            [L, X, Y, M], {L: 4, M: 2}, {X: 2}, on_grow={X: y_hungry})
+        first = self._at(eng, log, 0.25,
+                         lambda: dlb.on_mpi_enter(L, "recv"))
+        second = self._at(eng, log, 0.5,
+                          lambda: dlb.on_mpi_enter(M, "recv"))
+        eng.run()
+        # Y notifies hunger inside X's grant, so it is a candidate from
+        # then on, but the feed that granted to X does not ask it ...
+        assert first == [(L, 0), (X, "asked"), (X, 2)]
+        # ... the next feed does, after X, in attach order
+        assert second == [(M, 0), (X, "asked"), (Y, "asked")]
+
+    def test_reclaim_pulls_largest_borrower_first_ties_in_attach_order(self):
+        R1, R2, B, C, D, A = 0, 5, 4, 1, 3, 2
+        eng, dlb, teams, log = self._world(
+            [R1, R2, B, C, D, A], {R1: 2, R2: 4},
+            {B: 2, C: 2, D: 2, A: 4})
+        lend1 = self._at(eng, log, 0.2,
+                         lambda: dlb.on_mpi_enter(R1, "recv"))
+        lend2 = self._at(eng, log, 0.25,
+                         lambda: dlb.on_mpi_enter(R2, "recv"))
+        exit1 = self._at(eng, log, 0.5,
+                         lambda: dlb.on_mpi_exit(R1, "recv"))
+        exit2 = self._at(eng, log, 0.6,
+                         lambda: dlb.on_mpi_exit(R2, "recv"))
+        eng.run()
+        grants = [e for e in lend1 + lend2 if e[1] != "asked"]
+        # B, C and D borrow one core each, A (attached last) three
+        assert grants == [(R1, 0), (B, 2), (C, 2),
+                          (R2, 0), (D, 2), (A, 4)]
+        # R1 takes its 2 cores from the largest borrower, A ...
+        assert exit1 == [(A, 2), (R1, 2)]
+        # ... and R2 its 4 from four borrowers of one core each: attach
+        # order, not rank order (C, A, D, B)
+        assert exit2 == [(B, 1), (C, 1), (D, 1), (A, 1), (R2, 4)]
+        assert all(dlb.borrowed_by(r) == 0 for r in teams)

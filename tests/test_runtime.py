@@ -1,10 +1,12 @@
 """Unit tests for the malleable task-execution team."""
 
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import DepType, Team, TaskGraph
+from repro.core import DepType, Task, Team, TaskGraph
 from repro.core.runtime import MAX_PLAN_TEMPLATES, RuntimeError_
 from repro.machine import CoreModel, WorkSpec
 from repro.sim import Engine
@@ -697,3 +699,154 @@ class TestPlanReadsAtFinishInstants:
         planned = self._scenario(*args, mode)
         assert len(per_task[0]) == 2          # the change did land
         assert planned == per_task
+
+
+class _LogHunger:
+    """A declining listener (every run goes task by task) that logs each
+    hunger notification with the team's ``ready_count`` at it."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def admit_plan(self, team):
+        return False
+
+    def on_team_hungry(self, team):
+        self.log.append(("hungry", team.engine.now, team.ready_count))
+
+    def on_team_idle(self, team):
+        self.log.append(("idle", team.engine.now))
+
+
+class _LogDispatch(Engine):
+    """An engine that logs every task completion scheduled on it: a
+    per-task team's dispatch, with its time, task and dispatch key."""
+
+    def __init__(self, log):
+        super().__init__()
+        self.log = log
+
+    def schedule_completion(self, when, key, fn, *args):
+        if args and isinstance(args[0], Task):
+            self.log.append(("dispatch", self.now, args[0].tid, key))
+        return super().schedule_completion(when, key, fn, *args)
+
+
+class _ProbedTeam(Team):
+    """A per-task team that logs its reads after each task finish and the
+    dispatches it made: ``ready_count`` always, ``wants_cores`` at every
+    ``probe``-th finish (a read may move blocked entries off the heap,
+    so reading at some finishes only covers picks that meet them
+    first)."""
+
+    def __init__(self, engine, workers, scheduler, probe):
+        super().__init__(engine, CORE, workers, scheduler=scheduler,
+                         listener=_LogHunger(engine.log))
+        self.probe = probe
+        self.finishes = 0
+
+    def _finish_task(self, task, exec_seconds):
+        super()._finish_task(task, exec_seconds)
+        self.finishes += 1
+        wants = (self.wants_cores if self.finishes % self.probe == 0
+                 else None)
+        self.engine.log.append(("finish", self.engine.now, task.tid,
+                                self.ready_count, wants))
+
+
+def _scanning_pop(heap, held):
+    """The reference pick: a scan of every ready entry for the smallest
+    one whose task holds no ``held`` mutex ref."""
+    runnable = [e for e in heap if e[2].mutex_refs.isdisjoint(held)]
+    if not runnable:
+        return None
+    best = min(runnable)
+    heap.remove(best)
+    heapq.heapify(heap)
+    return best[2]
+
+
+class _ScanningTeam(_ProbedTeam):
+    """The reference per-task team: every ready entry stays on the heap,
+    a pick scans them all (:func:`_scanning_pop`), ``ready_count`` is
+    the heap's length and ``wants_cores`` scans for a runnable entry."""
+
+    @property
+    def ready_count(self):
+        return len(self._ready)
+
+    @property
+    def wants_cores(self):
+        if self._graph is None or self._active < self._max_workers:
+            return False
+        return any(e[2].mutex_refs.isdisjoint(self._held_refs)
+                   for e in self._ready)
+
+    def _dispatch(self):
+        engine = self.engine
+        while self._active < self._max_workers and self._ready:
+            task = _scanning_pop(self._ready, self._held_refs)
+            if task is None:
+                break
+            self._held_refs |= task.mutex_refs
+            self._active += 1
+            self._stats.max_concurrency = max(self._stats.max_concurrency,
+                                              self._active)
+            exec_seconds = CORE.seconds(task.work) * self.slowdown
+            engine.schedule_completion(engine.now + exec_seconds,
+                                       engine.completion_key(),
+                                       self._finish_task, task, exec_seconds)
+        if (self._active >= self._max_workers and self._ready
+                and not self._hungry_notified):
+            self._hungry_notified = True
+            self.listener.on_team_hungry(self)
+
+
+class TestPickAgainstScanningReference:
+    """The per-task pick, step by step, against a reference team whose
+    pick scans every ready entry: the same dispatched task under the same
+    key, the same ``ready_count`` and ``wants_cores`` after each finish,
+    and the same hunger notifications, on drawn mutex graphs under every
+    policy with capacity changes on finish instants.  The plan path
+    shares the pick, so the plan-vs-per-task tests cannot see a pick
+    change that moves both paths alike; this test can."""
+
+    @staticmethod
+    def _trace(team_class, spec, unit, workers, scheduler, epochs, probe):
+        log = []
+        eng = _LogDispatch(log)
+        team = team_class(eng, workers, scheduler, probe)
+
+        def change(cap):
+            log.append(("epoch", eng.now, team.ready_count,
+                        team.wants_cores))
+            team.set_capacity(cap)
+            log.append(("epoch", eng.now, team.ready_count,
+                        team.wants_cores))
+
+        for when, cap in epochs:
+            eng.call_later(when, change, cap)
+        eng.process(team.run(TestPlanEquivalence._mutex_graph(spec, unit)))
+        eng.run()
+        return log, team
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=MUTEX_SPECS,
+           workers=st.integers(1, 6),
+           scheduler=st.sampled_from(Team.SCHEDULERS),
+           caps=st.lists(st.tuples(st.integers(0, 64), st.integers(1, 6)),
+                         max_size=3),
+           probe=st.integers(1, 3),
+           unit=st.sampled_from([0.25, 0.2637]))
+    def test_same_steps_as_scanning_pick(self, spec, workers, scheduler,
+                                         caps, probe, unit):
+        instants = TestPlanEquivalence._finish_instants(
+            TestPlanEquivalence._mutex_graph(spec, unit), workers, scheduler)
+        epochs = [(instants[pick % len(instants)], cap)
+                  for pick, cap in caps]
+        args = (spec, unit, workers, scheduler, epochs, probe)
+        got, team = self._trace(_ProbedTeam, *args)
+        want, _ = self._trace(_ScanningTeam, *args)
+        assert got == want
+        assert sum(e[0] == "dispatch" for e in got) == len(spec)
+        assert team._lot == {} and team._ready == []
