@@ -60,9 +60,6 @@ class RunConfig:
     subdomain_min_shared: int = 4
     partition_method: str = "rcb"
     strategy_params: StrategyParams = StrategyParams()
-    #: attach a Tracer to the MPI world (raw blocking-call intervals in
-    #: RunResult.tracer; costs memory on long runs)
-    collect_mpi_trace: bool = False
     #: team task scheduler: "lpt" (default), "fifo" or "lifo"
     scheduler: str = "lpt"
     #: coordinated checkpoint barrier every N steps (0: never).  Part of the
@@ -130,7 +127,12 @@ class RunConfig:
 
 @dataclass
 class RunResult:
-    """Outcome of one simulated CFPD run."""
+    """Outcome of one simulated CFPD run.
+
+    ``phase_log`` is the run's one simulated-time record (the Extrae
+    capture): Table 1, the figures, the POP metrics and the Paraver export
+    all read it.  The other fields are summaries and host diagnostics.
+    """
 
     config: RunConfig
     total_time: float                  # simulated seconds for n_steps
@@ -139,7 +141,6 @@ class RunResult:
     solver_info: dict
     deposition: dict
     n_particles: int
-    tracer: object = None              # Tracer if collect_mpi_trace
     faults: object = None              # FaultInjector if a plan was injected
     #: (step, sim_time) of every checkpoint written during the run
     checkpoints: list = field(default_factory=list)
@@ -621,11 +622,6 @@ def run_cfpd(config: RunConfig,
         from ..trace import PhaseSample
         engine.now = ckpt.sim_time
         ctx.log.samples.extend(PhaseSample(*t) for t in ckpt.phase_samples)
-    tracer = None
-    if config.collect_mpi_trace:
-        from ..trace import Tracer
-        tracer = Tracer()
-        world.recorder = tracer
     dlb = DLB(world, enabled=config.dlb)
     for r in range(config.nranks):
         team = Team(engine, cluster.node.core, config.threads_per_rank,
@@ -710,7 +706,6 @@ def run_cfpd(config: RunConfig,
                      solver_info=ctx.solver_info,
                      deposition=wl.deposition_summary(),
                      n_particles=wl.n_particles,
-                     tracer=tracer,
                      faults=injector,
                      checkpoints=checkpoints,
                      engine_diag=engine.counters(),

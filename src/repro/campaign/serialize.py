@@ -29,6 +29,7 @@ from ..fault import FaultPlan, FaultSpec
 
 __all__ = [
     "FINGERPRINT_SCHEMA",
+    "RETIRED_CONFIG_FIELDS",
     "canonical_json",
     "config_from_dict",
     "config_to_dict",
@@ -43,6 +44,12 @@ __all__ = [
 
 #: Bump when the fingerprint payload layout changes (invalidates stores).
 FINGERPRINT_SCHEMA = 1
+
+#: RunConfig fields that were removed, with the one value every run had
+#: after the removal.  The fingerprint payload keeps them so stores written
+#: before the removal stay valid; spec files may still name them with that
+#: value.
+RETIRED_CONFIG_FIELDS = {"collect_mpi_trace": False}
 
 
 def plain(value: Any) -> Any:
@@ -83,8 +90,16 @@ def config_to_dict(config: RunConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Rebuild a :class:`RunConfig`; eager validation runs as usual."""
+    """Rebuild a :class:`RunConfig`; eager validation runs as usual.
+
+    A retired field (:data:`RETIRED_CONFIG_FIELDS`) is dropped when it holds
+    its retired value and rejected otherwise.
+    """
     kwargs = dict(data)
+    for key, value in RETIRED_CONFIG_FIELDS.items():
+        if kwargs.pop(key, value) != value:
+            raise ValueError(f"config field {key!r} was retired; only "
+                             f"{key}={value!r} is accepted")
     _check_fields(RunConfig, kwargs, "config")
     for key in ("assembly_strategy", "sgs_strategy"):
         if key in kwargs and not isinstance(kwargs[key], Strategy):
@@ -138,11 +153,12 @@ def fingerprint_payload(config: RunConfig, spec: WorkloadSpec,
     Campaign names, job indices and descriptive tags stay *out* so the same
     cell reached from different campaigns shares one store object (e.g.
     Fig. 6 and Fig. 7 sweep identical configurations and differ only in
-    which phase they read).
+    which phase they read).  Retired config fields keep their one value,
+    so removing a field moves no fingerprint.
     """
     return {
         "schema": FINGERPRINT_SCHEMA,
-        "config": config_to_dict(config),
+        "config": {**config_to_dict(config), **RETIRED_CONFIG_FIELDS},
         "spec": spec_to_dict(spec),
         "fault_plan": plan_to_dict(fault_plan),
     }

@@ -120,7 +120,7 @@ class FaultInjector:
     def _straggler(self, spec: FaultSpec):
         engine = self.world.engine
         self._record(spec, f"x{spec.factor:g} slowdown for "
-                           f"{spec.duration:g}s", duration=spec.duration)
+                           f"{spec.duration:g}s")
         if self.dlb is not None:
             self.dlb.on_rank_throttle(spec.rank, spec.factor)
         elif spec.rank in self.teams:
@@ -174,15 +174,10 @@ class FaultInjector:
         return False, extra
 
     # -- bookkeeping --------------------------------------------------------
-    def _record(self, spec: FaultSpec, detail: str,
-                duration: float = 0.0) -> None:
-        now = self.world.engine.now
-        self.events.append(FaultEvent(time=now, kind=spec.kind,
-                                      rank=spec.rank, detail=detail))
-        if self.world.recorder is not None:
-            self.world.recorder.record(max(0, spec.rank), "fault",
-                                       f"fault.{spec.kind}", now,
-                                       now + duration)
+    def _record(self, spec: FaultSpec, detail: str) -> None:
+        self.events.append(FaultEvent(time=self.world.engine.now,
+                                      kind=spec.kind, rank=spec.rank,
+                                      detail=detail))
 
     def summary(self) -> dict:
         """Fault tallies for the resilience report."""

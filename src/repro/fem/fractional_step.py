@@ -207,9 +207,9 @@ class FractionalStepSolver:
         through a keyed per-rung cache: the first visit of a Δt rebuilds
         the recycler maps (and, for the deflated pressure solver, the
         deflation setup) at that step size; revisiting a rung restores the
-        cached state in O(1).  The Krylov workspace caches are keyed by
-        system size only and the pressure operator ``L`` carries no Δt, so
-        neither can go stale under mutation — this setter is what makes
+        cached state in O(1).  The Krylov solves keep no state between
+        calls and the pressure operator ``L`` carries no Δt, so neither
+        can go stale under mutation — this setter is what makes
         ``dt`` safe to change mid-run at all (previously the attribute
         could be reassigned while the recycler kept operators self-checked
         at the construction Δt).

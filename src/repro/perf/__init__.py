@@ -3,7 +3,6 @@ trajectory (``python -m repro.perf.bench``, see :mod:`repro.perf.bench`).
 
 Host-side counters live on the objects whose work they count:
 :meth:`repro.sim.Engine.counters` (surfaced as ``RunResult.engine_diag``),
-``FractionalStepSolver.counters``, the per-mesh
-:class:`~repro.fem.geometry.GeometryCache` and
-:func:`repro.solver.krylov.krylov_workspace_stats`.
+``FractionalStepSolver.counters`` and the per-mesh
+:class:`~repro.fem.geometry.GeometryCache`.
 """

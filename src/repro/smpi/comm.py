@@ -304,18 +304,13 @@ class Comm:
         world = self._world
         if observed and world.hooks._hooks:
             world.hooks.enter(self.world_rank, call)
-        t0 = world.engine.now
-        world.pending_calls[self.world_rank] = (call, t0)
-        return t0
+        world.pending_calls[self.world_rank] = (call, world.engine.now)
 
-    def _unblock(self, call: str, t0: float, observed: bool = True) -> None:
+    def _unblock(self, call: str, observed: bool = True) -> None:
         world = self._world
         world.pending_calls.pop(self.world_rank, None)
         if observed and world.hooks._hooks:
             world.hooks.exit(self.world_rank, call)
-        if world.recorder is not None:
-            world.recorder.record(self.world_rank, "mpi", call, t0,
-                                  world.engine.now)
 
     # -- point to point -------------------------------------------------------
     def send(self, payload: Any, dest: int, tag: int = 0,
@@ -324,11 +319,11 @@ class Comm:
         until delivery (generator; use yield from)."""
         if not 0 <= dest < self.size:
             raise MPIError(f"dest {dest} out of range for comm size {self.size}")
-        t0 = self._blocking("send")
+        self._blocking("send")
         try:
             yield self.isend(payload, dest, tag, nbytes)
         finally:
-            self._unblock("send", t0)
+            self._unblock("send")
 
     def isend(self, payload: Any, dest: int, tag: int = 0,
               nbytes: Optional[float] = None) -> Event:
@@ -384,11 +379,11 @@ class Comm:
         Raises :class:`RankDeadError` if ``source`` is (or dies while the
         receive is pending) a dead rank.
         """
-        t0 = self._blocking("recv")
+        self._blocking("recv")
         try:
             msg = yield self._match(source, tag)
         finally:
-            self._unblock("recv", t0)
+            self._unblock("recv")
         return msg.payload
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Event:
@@ -410,20 +405,20 @@ class Comm:
 
     def wait(self, event: Event):
         """Blocking wait on a request event (isend/irecv), with PMPI hooks."""
-        t0 = self._blocking("wait")
+        self._blocking("wait")
         try:
             value = yield event
         finally:
-            self._unblock("wait", t0)
+            self._unblock("wait")
         return value
 
     def waitall(self, events: Iterable[Event]):
         """Blocking wait on several request events; returns their values."""
-        t0 = self._blocking("waitall")
+        self._blocking("waitall")
         try:
             values = yield self._world.engine.all_of(list(events))
         finally:
-            self._unblock("waitall", t0)
+            self._unblock("waitall")
         return values
 
     # -- collectives ----------------------------------------------------------
@@ -457,12 +452,12 @@ class Comm:
         coll.contribs[self.rank] = contribution
         coll.nbytes_total += (float(nbytes) if nbytes is not None
                               else _payload_nbytes(contribution, None))
-        t0 = self._blocking(kind, observed)
+        self._blocking(kind, observed)
         world.maybe_finish_collective(key)
         try:
             contribs = yield coll.done
         finally:
-            self._unblock(kind, t0, observed)
+            self._unblock(kind, observed)
         return contribs
 
     def barrier(self, observed: bool = True):
@@ -529,11 +524,8 @@ class Comm:
 
     # -- convenience --------------------------------------------------------
     def compute(self, seconds: float):
-        """Pure computation for ``seconds`` (accounted as useful work)."""
-        t0 = self._world.engine.now
+        """Pure computation for ``seconds`` of simulated time (yield from)."""
         yield self._world.engine.timeout(seconds)
-        self._world.account_compute(self.world_rank, t0,
-                                    self._world.engine.now)
 
 
 #: result types safe to hand to every rank as one shared object (immutable,
@@ -587,8 +579,6 @@ class World:
         self._next_comm_id = 1
         self._node_of = [rank_to_node(r, nranks, cluster.num_nodes, mapping)
                          for r in range(nranks)]
-        #: optional recorder with record(rank, category, name, t0, t1)
-        self.recorder: Optional[Any] = None
         #: world ranks that have been killed (failure injection)
         self.dead_ranks: set[int] = set()
         #: world_rank -> (call, entered_at) for every rank blocked in MPI
@@ -648,11 +638,6 @@ class World:
         if dest_world_rank in self.dead_ranks:
             return
         self._mailboxes[dest_world_rank].put(msg)
-
-    def account_compute(self, world_rank: int, t0: float, t1: float) -> None:
-        """Report useful-compute time to the recorder."""
-        if self.recorder is not None:
-            self.recorder.record(world_rank, "compute", "compute", t0, t1)
 
     def collective_cost(self, coll: _Collective) -> float:
         """Hierarchical tree collective: intra-node reduction trees plus an

@@ -8,7 +8,6 @@ from .krylov import (
     bicgstab,
     cg,
     jacobi_preconditioner,
-    krylov_workspace_stats,
 )
 
 __all__ = [
@@ -20,5 +19,4 @@ __all__ = [
     "coarse_space_from_groups",
     "deflated_cg",
     "jacobi_preconditioner",
-    "krylov_workspace_stats",
 ]

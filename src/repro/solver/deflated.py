@@ -120,6 +120,10 @@ def deflated_cg(A: sparse.spmatrix, b: np.ndarray,
         Passing it skips the per-call coarse-space construction and
         factorization entirely (the Alya amortization); the iteration is
         unchanged, so the solution is bit-identical to a per-call setup.
+
+    A non-positive or non-finite ``p^T A p`` stops the iteration at that
+    step and is reported in :attr:`SolveResult.breakdown` with the reason
+    :func:`repro.solver.cg` gives it; there is no retry.
     """
     n = len(b)
     if setup is None:
@@ -146,11 +150,15 @@ def deflated_cg(A: sparse.spmatrix, b: np.ndarray,
     p = z.copy()
     rz = float(r @ z)
     residuals = [float(np.linalg.norm(r) / norm_b)]
+    iterations, breakdown = maxiter, None
     for it in range(1, maxiter + 1):
         Ap = deflate(A @ p)
         matvecs += 1
         pAp = float(p @ Ap)
-        if pAp <= 0:
+        if not np.isfinite(pAp) or pAp <= 0:
+            iterations = it
+            breakdown = ("indefinite_operator" if np.isfinite(pAp)
+                         else "nonfinite_residual")
             break
         alpha = rz / pAp
         x += alpha * p
@@ -170,5 +178,6 @@ def deflated_cg(A: sparse.spmatrix, b: np.ndarray,
         rz = rz_new
         p = z + beta * p
     x = x + W @ coarse_solve(b - A @ x)
-    return SolveResult(x=x, converged=False, iterations=maxiter,
-                       residuals=residuals, matvecs=matvecs)
+    return SolveResult(x=x, converged=False, iterations=iterations,
+                       residuals=residuals, matvecs=matvecs,
+                       breakdown=breakdown)

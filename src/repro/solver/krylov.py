@@ -40,7 +40,7 @@ except ImportError:  # pragma: no cover
     _HAVE_CSR_MATVEC = False
 
 __all__ = ["SolveResult", "SolverBreakdown", "cg", "bicgstab",
-           "jacobi_preconditioner", "krylov_workspace_stats"]
+           "jacobi_preconditioner"]
 
 #: residual-stagnation default: breakdown if no new best relative residual
 #: appears for this many consecutive iterations
@@ -110,51 +110,6 @@ def jacobi_preconditioner(A: sparse.spmatrix) -> Callable[[np.ndarray],
     return apply
 
 
-#: reusable per-(core, size) iteration workspaces of the allocation-free
-#: cores; bounded so a sweep over many system sizes cannot grow it
-#: without limit (insertion order doubles as LRU order)
-_WORKSPACES: dict = {}
-_WORKSPACE_LIMIT = 8
-_WS_STATS = {"hits": 0, "misses": 0, "evictions": 0}
-
-
-def krylov_workspace_stats() -> dict:
-    """Tallies of the buffered-core workspace cache (hits/misses/evictions).
-
-    The cache is process-wide and bounded by design, so its tallies are
-    too; ``resident`` is the current number of cached (core, size) vector
-    sets.
-    """
-    stats = dict(_WS_STATS)
-    stats["resident"] = len(_WORKSPACES)
-    return stats
-
-
-def _acquire_workspace(kind: str, n: int, names: tuple) -> dict:
-    """Check a per-(kind, n) vector set out of the cache (or allocate it).
-
-    The entry is *removed* from the cache while in use, so a re-entrant
-    solve of the same size (e.g. from a preconditioner or fault hook that
-    itself solves) allocates fresh buffers instead of corrupting the outer
-    iteration.
-    """
-    ws = _WORKSPACES.pop((kind, n), None)
-    if ws is None:
-        _WS_STATS["misses"] += 1
-        ws = {name: np.empty(n) for name in names}
-    else:
-        _WS_STATS["hits"] += 1
-    return ws
-
-
-def _release_workspace(kind: str, n: int, ws: dict) -> None:
-    """Return a vector set to the cache, evicting the oldest past the cap."""
-    _WORKSPACES[(kind, n)] = ws
-    while len(_WORKSPACES) > _WORKSPACE_LIMIT:
-        _WORKSPACES.pop(next(iter(_WORKSPACES)))
-        _WS_STATS["evictions"] += 1
-
-
 def _matvec(A, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out[:] = A @ x`` without allocating, bit-identical to ``A @ x``.
 
@@ -200,7 +155,7 @@ def _cg_core(A: sparse.spmatrix, b: np.ndarray,
     """Allocation-free CG iteration core; raises :class:`SolverBreakdown`
     on failure.
 
-    The iteration vectors live in a cached per-size workspace; every axpy
+    The iteration vectors are allocated once per solve; every axpy
     is an ``out=`` pair (``np.multiply`` then ``np.add``/``np.subtract``)
     performing the same scalar-times-element and element-plus-element
     operations, in the same order, as the one-line NumPy expressions.
@@ -210,60 +165,55 @@ def _cg_core(A: sparse.spmatrix, b: np.ndarray,
     if norm_b == 0.0:
         return SolveResult(x=np.zeros(n), converged=True, iterations=0,
                            residuals=[0.0], matvecs=1)
-    ws = _acquire_workspace("cg", n, ("x", "r", "p", "Ap", "tmp"))
+    x, r, p, Ap, tmp = (np.empty(n) for _ in range(5))
+    if x0 is None:
+        x[...] = 0.0
+    else:
+        np.copyto(x, x0)
+    _matvec(A, x, tmp)
+    np.subtract(b, tmp, out=r)
+    matvecs = 1
+    z = M(r) if M is not None else r
+    np.copyto(p, z)
+    rz = float(r @ z)
+    residuals = [float(np.linalg.norm(r) / norm_b)]
+    guard = _StagnationGuard(stagnation_window)
     try:
-        x, r, p, Ap, tmp = ws["x"], ws["r"], ws["p"], ws["Ap"], ws["tmp"]
-        if x0 is None:
-            x[...] = 0.0
-        else:
-            np.copyto(x, x0)
-        _matvec(A, x, tmp)
-        np.subtract(b, tmp, out=r)
-        matvecs = 1
-        z = M(r) if M is not None else r
-        np.copyto(p, z)
-        rz = float(r @ z)
-        residuals = [float(np.linalg.norm(r) / norm_b)]
-        guard = _StagnationGuard(stagnation_window)
-        try:
-            for it in range(1, maxiter + 1):
-                _matvec(A, p, Ap)
-                matvecs += 1
-                pAp = float(p @ Ap)
-                if not np.isfinite(pAp):
-                    raise SolverBreakdown("nonfinite_residual", it)
-                if pAp <= 0:
-                    raise SolverBreakdown("indefinite_operator", it)
-                alpha = rz / pAp
-                np.multiply(p, alpha, out=tmp)
-                np.add(x, tmp, out=x)
-                np.multiply(Ap, alpha, out=tmp)
-                np.subtract(r, tmp, out=r)
-                if fault is not None:
-                    faulted = fault(it, r)
-                    if faulted is not r:
-                        np.copyto(r, faulted)
-                res = float(np.linalg.norm(r) / norm_b)
-                residuals.append(res)
-                guard.check(res, it)
-                if res < tol:
-                    return SolveResult(x=x.copy(), converged=True,
-                                       iterations=it, residuals=residuals,
-                                       matvecs=matvecs)
-                z = M(r) if M is not None else r
-                rz_new = float(r @ z)
-                beta = rz_new / rz
-                rz = rz_new
-                np.multiply(p, beta, out=tmp)
-                np.add(z, tmp, out=p)
-        except SolverBreakdown as exc:
-            exc.residuals = residuals
-            exc.matvecs = matvecs
-            raise
-        return SolveResult(x=x.copy(), converged=False, iterations=maxiter,
-                           residuals=residuals, matvecs=matvecs)
-    finally:
-        _release_workspace("cg", n, ws)
+        for it in range(1, maxiter + 1):
+            _matvec(A, p, Ap)
+            matvecs += 1
+            pAp = float(p @ Ap)
+            if not np.isfinite(pAp):
+                raise SolverBreakdown("nonfinite_residual", it)
+            if pAp <= 0:
+                raise SolverBreakdown("indefinite_operator", it)
+            alpha = rz / pAp
+            np.multiply(p, alpha, out=tmp)
+            np.add(x, tmp, out=x)
+            np.multiply(Ap, alpha, out=tmp)
+            np.subtract(r, tmp, out=r)
+            if fault is not None:
+                faulted = fault(it, r)
+                if faulted is not r:
+                    np.copyto(r, faulted)
+            res = float(np.linalg.norm(r) / norm_b)
+            residuals.append(res)
+            guard.check(res, it)
+            if res < tol:
+                return SolveResult(x=x, converged=True, iterations=it,
+                                   residuals=residuals, matvecs=matvecs)
+            z = M(r) if M is not None else r
+            rz_new = float(r @ z)
+            beta = rz_new / rz
+            rz = rz_new
+            np.multiply(p, beta, out=tmp)
+            np.add(z, tmp, out=p)
+    except SolverBreakdown as exc:
+        exc.residuals = residuals
+        exc.matvecs = matvecs
+        raise
+    return SolveResult(x=x, converged=False, iterations=maxiter,
+                       residuals=residuals, matvecs=matvecs)
 
 
 def _bicgstab_core(A: sparse.spmatrix, b: np.ndarray,
@@ -285,91 +235,81 @@ def _bicgstab_core(A: sparse.spmatrix, b: np.ndarray,
     if norm_b == 0.0:
         return SolveResult(x=np.zeros(n), converged=True, iterations=0,
                            residuals=[0.0], matvecs=1)
-    ws = _acquire_workspace(
-        "bicgstab", n,
-        ("x", "r", "rhat", "v", "p", "s", "t", "tmp", "tmp2"))
+    x, r, r_hat, v, p, s, t, tmp, tmp2 = (np.empty(n) for _ in range(9))
+    if x0 is None:
+        x[...] = 0.0
+    else:
+        np.copyto(x, x0)
+    _matvec(A, x, tmp)
+    np.subtract(b, tmp, out=r)
+    matvecs = 1
+    np.copyto(r_hat, r)
+    rho = alpha = omega = 1.0
+    v[...] = 0.0
+    p[...] = 0.0
+    residuals = [float(np.linalg.norm(r) / norm_b)]
+    guard = _StagnationGuard(stagnation_window)
     try:
-        x, r, r_hat = ws["x"], ws["r"], ws["rhat"]
-        v, p, s, t = ws["v"], ws["p"], ws["s"], ws["t"]
-        tmp, tmp2 = ws["tmp"], ws["tmp2"]
-        if x0 is None:
-            x[...] = 0.0
-        else:
-            np.copyto(x, x0)
-        _matvec(A, x, tmp)
-        np.subtract(b, tmp, out=r)
-        matvecs = 1
-        np.copyto(r_hat, r)
-        rho = alpha = omega = 1.0
-        v[...] = 0.0
-        p[...] = 0.0
-        residuals = [float(np.linalg.norm(r) / norm_b)]
-        guard = _StagnationGuard(stagnation_window)
-        try:
-            for it in range(1, maxiter + 1):
-                rho_new = float(r_hat @ r)
-                if not np.isfinite(rho_new):
-                    raise SolverBreakdown("nonfinite_residual", it)
-                if abs(rho_new) < 1e-300:
-                    raise SolverBreakdown("rho_breakdown", it)
-                beta = (rho_new / rho) * (alpha / omega) if it > 1 else 0.0
-                rho = rho_new
-                np.multiply(v, omega, out=tmp)
-                np.subtract(p, tmp, out=tmp)
-                np.multiply(tmp, beta, out=tmp)
-                np.add(r, tmp, out=p)
-                phat = M(p) if M is not None else p
-                _matvec(A, phat, v)
-                matvecs += 1
-                denom = float(r_hat @ v)
-                if abs(denom) < 1e-300:
-                    raise SolverBreakdown("orthogonality_breakdown", it)
-                alpha = rho / denom
-                np.multiply(v, alpha, out=tmp)
-                np.subtract(r, tmp, out=s)
-                if np.linalg.norm(s) / norm_b < tol:
-                    np.multiply(phat, alpha, out=tmp)
-                    np.add(x, tmp, out=x)
-                    residuals.append(float(np.linalg.norm(s) / norm_b))
-                    return SolveResult(x=x.copy(), converged=True,
-                                       iterations=it, residuals=residuals,
-                                       matvecs=matvecs)
-                shat = M(s) if M is not None else s
-                _matvec(A, shat, t)
-                matvecs += 1
-                tt = float(t @ t)
-                if not np.isfinite(tt):
-                    raise SolverBreakdown("nonfinite_residual", it)
-                if tt < 1e-300:
-                    raise SolverBreakdown("t_breakdown", it)
-                omega = float(t @ s) / tt
+        for it in range(1, maxiter + 1):
+            rho_new = float(r_hat @ r)
+            if not np.isfinite(rho_new):
+                raise SolverBreakdown("nonfinite_residual", it)
+            if abs(rho_new) < 1e-300:
+                raise SolverBreakdown("rho_breakdown", it)
+            beta = (rho_new / rho) * (alpha / omega) if it > 1 else 0.0
+            rho = rho_new
+            np.multiply(v, omega, out=tmp)
+            np.subtract(p, tmp, out=tmp)
+            np.multiply(tmp, beta, out=tmp)
+            np.add(r, tmp, out=p)
+            phat = M(p) if M is not None else p
+            _matvec(A, phat, v)
+            matvecs += 1
+            denom = float(r_hat @ v)
+            if abs(denom) < 1e-300:
+                raise SolverBreakdown("orthogonality_breakdown", it)
+            alpha = rho / denom
+            np.multiply(v, alpha, out=tmp)
+            np.subtract(r, tmp, out=s)
+            if np.linalg.norm(s) / norm_b < tol:
                 np.multiply(phat, alpha, out=tmp)
-                np.multiply(shat, omega, out=tmp2)
-                np.add(tmp, tmp2, out=tmp)
                 np.add(x, tmp, out=x)
-                np.multiply(t, omega, out=tmp)
-                np.subtract(s, tmp, out=r)
-                if fault is not None:
-                    faulted = fault(it, r)
-                    if faulted is not r:
-                        np.copyto(r, faulted)
-                res = float(np.linalg.norm(r) / norm_b)
-                residuals.append(res)
-                guard.check(res, it)
-                if res < tol:
-                    return SolveResult(x=x.copy(), converged=True,
-                                       iterations=it, residuals=residuals,
-                                       matvecs=matvecs)
-                if abs(omega) < 1e-300:
-                    raise SolverBreakdown("omega_breakdown", it)
-        except SolverBreakdown as exc:
-            exc.residuals = residuals
-            exc.matvecs = matvecs
-            raise
-        return SolveResult(x=x.copy(), converged=False, iterations=maxiter,
-                           residuals=residuals, matvecs=matvecs)
-    finally:
-        _release_workspace("bicgstab", n, ws)
+                residuals.append(float(np.linalg.norm(s) / norm_b))
+                return SolveResult(x=x, converged=True, iterations=it,
+                                   residuals=residuals, matvecs=matvecs)
+            shat = M(s) if M is not None else s
+            _matvec(A, shat, t)
+            matvecs += 1
+            tt = float(t @ t)
+            if not np.isfinite(tt):
+                raise SolverBreakdown("nonfinite_residual", it)
+            if tt < 1e-300:
+                raise SolverBreakdown("t_breakdown", it)
+            omega = float(t @ s) / tt
+            np.multiply(phat, alpha, out=tmp)
+            np.multiply(shat, omega, out=tmp2)
+            np.add(tmp, tmp2, out=tmp)
+            np.add(x, tmp, out=x)
+            np.multiply(t, omega, out=tmp)
+            np.subtract(s, tmp, out=r)
+            if fault is not None:
+                faulted = fault(it, r)
+                if faulted is not r:
+                    np.copyto(r, faulted)
+            res = float(np.linalg.norm(r) / norm_b)
+            residuals.append(res)
+            guard.check(res, it)
+            if res < tol:
+                return SolveResult(x=x, converged=True, iterations=it,
+                                   residuals=residuals, matvecs=matvecs)
+            if abs(omega) < 1e-300:
+                raise SolverBreakdown("omega_breakdown", it)
+    except SolverBreakdown as exc:
+        exc.residuals = residuals
+        exc.matvecs = matvecs
+        raise
+    return SolveResult(x=x, converged=False, iterations=maxiter,
+                       residuals=residuals, matvecs=matvecs)
 
 
 def _recovering(core, A, b, x0, tol, maxiter, M, fault,

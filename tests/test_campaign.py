@@ -91,6 +91,16 @@ class TestFingerprints:
         assert a.fingerprint == b.fingerprint
         assert a.job_id != b.job_id
 
+    def test_fingerprints_pinned(self):
+        """Job fingerprints are store keys: a changed payload orphans every
+        stored record.  Retired config fields keep their place in it."""
+        assert job_fingerprint(RunConfig(), WorkloadSpec()) == (
+            "cab90e0adc649501886ff78b96091faaaf0093880d40fbb6bd2b5f24c943f774")
+        assert job_fingerprint(
+            RunConfig(mode="coupled", nranks=96, fluid_ranks=64, dlb=True),
+            WorkloadSpec(generations=3, n_steps=4)) == (
+            "4e1d41f1b70502ffe439632b435eb7ba0fac4df9e8dd87815fdd851f1cbe1090")
+
     def test_canonical_json_is_byte_stable(self):
         assert canonical_json({"b": 1, "a": [True, None]}) == \
             '{"a":[true,null],"b":1}'
@@ -131,6 +141,23 @@ class TestCampaignSpec:
         assert loaded.fingerprint == campaign.fingerprint
         assert [j.fingerprint for j in loaded.expand()] == \
             [j.fingerprint for j in campaign.expand()]
+
+    def test_retired_config_field_at_its_value_loads(self, tmp_path):
+        path = tmp_path / "campaign.json"
+        path.write_text(json.dumps({"name": "x", "base": {"config": {
+            "nranks": 4, "collect_mpi_trace": False}}}))
+        loaded = CampaignSpec.from_file(str(path))
+        assert loaded.base_config == RunConfig(nranks=4)
+        assert loaded.expand()[0].fingerprint == \
+            job_fingerprint(RunConfig(nranks=4), WorkloadSpec())
+
+    def test_retired_config_field_set_is_rejected(self, tmp_path):
+        path = tmp_path / "campaign.json"
+        path.write_text(json.dumps({"name": "x", "base": {"config": {
+            "collect_mpi_trace": True}}}))
+        with pytest.raises(ValueError,
+                           match="'collect_mpi_trace' was retired"):
+            CampaignSpec.from_file(str(path))
 
     def test_with_spec_overrides(self):
         campaign = tiny_campaign()

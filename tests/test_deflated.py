@@ -97,6 +97,27 @@ class TestDeflatedCG:
         with pytest.raises(TypeError, match="groups or setup"):
             deflated_cg(A, b)
 
+    @pytest.mark.parametrize("case", ["indefinite", "nonfinite"])
+    def test_breakdown_reported_like_cg(self, case):
+        """A breakdown stops at its iteration with cg's reason, not as an
+        unconverged run to ``maxiter``."""
+        n = 40
+        laplacian = sparse.diags(
+            [-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+            [-1, 0, 1]).tocsr()
+        # 1e200 keeps every vector finite while p^T A p overflows
+        A, b = {"indefinite": (-laplacian, np.ones(n)),
+                "nonfinite": (laplacian, np.full(n, 1e200))}[case]
+        groups = np.arange(n) // 10
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = deflated_cg(A, b, groups, maxiter=500)
+            ref = cg(A, b, maxiter=500, retry_on_breakdown=False)
+        assert not res.converged
+        assert res.breakdown == ref.breakdown == {
+            "indefinite": "indefinite_operator",
+            "nonfinite": "nonfinite_residual"}[case]
+        assert res.iterations == ref.iterations == 1
+
 
 class TestDeflationSetup:
     def test_cached_setup_solution_bit_identical(self, poisson_system):

@@ -377,13 +377,15 @@ class TestInjectedRuns:
         assert a.total_time == b.total_time
 
     def test_fault_events_land_in_tracer(self):
-        cfg = small_config(collect_mpi_trace=True)
+        """Fired faults are recorded on the run's injector."""
+        cfg = small_config()
         plan = FaultPlan(specs=(
             FaultSpec(kind="straggler", time=0.0, rank=1, duration=0.002),))
         result = run_cfpd(cfg, spec=SPEC, fault_plan=plan)
-        faults = result.tracer.by_category("fault")
-        assert len(faults) >= 1
-        assert faults[0].name == "fault.straggler"
+        events = result.faults.events
+        assert len(events) >= 1
+        assert (events[0].kind, events[0].rank, events[0].time) == \
+            ("straggler", 1, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ import pytest
 from repro.machine import marenostrum4
 from repro.sim import Engine
 from repro.smpi import World
-from repro.trace import Tracer
 
 
 def make_world(nranks=2):
@@ -100,15 +99,14 @@ class TestTransferCosts:
 class TestAccountingExtra:
     def test_compute_accumulates(self):
         world = make_world(2)
-        world.recorder = tracer = Tracer()
 
         def program(comm):
             yield from comm.compute(1.0)
             yield from comm.compute(2.5)
+            return comm.engine.now
 
-        world.run(world.launch(program))
-        assert tracer.total_time(0, "compute") == pytest.approx(3.5)
-        assert tracer.total_time(0, "mpi") == pytest.approx(0.0)
+        assert world.run(world.launch(program)) == [pytest.approx(3.5)] * 2
+        assert world.engine.now == pytest.approx(3.5)
 
     def test_block_mapping_groups_ranks(self):
         world = World(Engine(), marenostrum4(num_nodes=2), 8,

@@ -1,13 +1,11 @@
-"""Unit tests for the tracing/metrics layer (PhaseLog, Tracer, timeline)."""
+"""Unit tests for the tracing/metrics layer (PhaseLog, timeline)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.trace import (
-    Interval,
     PhaseLog,
-    Tracer,
     load_balance,
     render_timeline,
     timeline_rows,
@@ -115,45 +113,6 @@ class TestPhaseLog:
         assert log.total_elapsed() == 0.0
         assert log.percent_time("nope") == 0.0
         assert log.ipc("nope", 2.0) == 0.0
-
-
-class TestTracer:
-    def test_record_and_filter(self):
-        tr = Tracer()
-        tr.record(0, "mpi", "recv", 0.0, 1.0)
-        tr.record(1, "task", "assembly", 0.5, 2.0)
-        tr.record(0, "mpi", "send", 2.0, 2.5)
-        assert len(tr) == 3
-        assert len(tr.by_rank(0)) == 2
-        assert len(tr.by_category("task")) == 1
-        assert tr.total_time(0) == pytest.approx(1.5)
-        assert tr.total_time(0, "mpi") == pytest.approx(1.5)
-        assert tr.total_time(1, "mpi") == 0.0
-
-    def test_interval_duration(self):
-        iv = Interval(0, "mpi", "recv", 1.0, 3.5)
-        assert iv.duration == pytest.approx(2.5)
-
-    def test_plugs_into_world(self):
-        from repro.machine import marenostrum4
-        from repro.sim import Engine
-        from repro.smpi import World
-
-        eng = Engine()
-        world = World(eng, marenostrum4(), 2)
-        tracer = Tracer()
-        world.recorder = tracer
-
-        def program(comm):
-            if comm.rank == 0:
-                yield from comm.compute(1.0)
-                yield from comm.send("x", dest=1)
-            else:
-                yield from comm.recv(source=0)
-
-        world.run(world.launch(program))
-        cats = {iv.category for iv in tracer.intervals}
-        assert "mpi" in cats and "compute" in cats
 
 
 class TestTimeline:

@@ -116,18 +116,27 @@ def run(cmd: list, out: str, root: str, cwd: str) -> int:
 def default_commands(root: str, scratch: str) -> list:
     """The entry-point set: (command, working directory) pairs.
 
-    The examples, ``python -m repro all``, the CI campaign and chaos
-    flows, every ``bench/run.py`` workload plain and traced, the perf
-    runner's quick mode and the paper-figure suite.
+    The examples, ``python -m repro all``, the single-run, mesh and
+    experiment CLI commands, the CI campaign and chaos flows, every
+    ``bench/run.py`` workload plain and traced, the perf runner's quick
+    mode and the paper-figure suite.
     """
     py = sys.executable
     cmds = [([py, os.path.join(root, "examples", name)], scratch)
             for name in sorted(os.listdir(os.path.join(root, "examples")))
             if name.endswith(".py")]
-    cmds.append(([py, "-m", "repro", "all", "--out",
-                  os.path.join(scratch, "results")], root))
+    cli = [py, "-m", "repro"]
+    for args in (["all", "--out", os.path.join(scratch, "results")],
+                 ["run", "--steps", "2"],
+                 ["run", "--steps", "2", "--mode", "coupled",
+                  "--fluid-ranks", "64", "--dlb", "--json"],
+                 ["mesh", "--generations", "3", "--vtk",
+                  os.path.join(scratch, "airway.vtk")],
+                 ["fig2", "--steps", "2"],
+                 ["table1", "--steps", "2", "--json"]):
+        cmds.append((cli + args, root))
     store = os.path.join(scratch, "store")
-    campaign = [py, "-m", "repro", "campaign"]
+    campaign = cli + ["campaign"]
     for args in (["run", "--name", "ci-smoke", "--store", store + "-a",
                   "--workers", "2"],
                  ["run", "--name", "ci-smoke", "--store", store + "-a",
