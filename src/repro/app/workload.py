@@ -20,6 +20,7 @@ sweeps a dozen configurations over the same workload.
 from __future__ import annotations
 
 import functools
+import numbers
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -185,9 +186,10 @@ class WorkloadSpec:
                              f"got {self.inspiratory_pause}")
         if self.cpap < 0:
             raise ValueError(f"cpap must be >= 0, got {self.cpap}")
-        if self.breathing_cycles < 1:
-            raise ValueError("breathing_cycles must be >= 1, "
-                             f"got {self.breathing_cycles}")
+        if not isinstance(self.breathing_cycles, numbers.Integral) \
+                or self.breathing_cycles < 1:
+            raise ValueError("breathing_cycles must be an integer >= 1, "
+                             f"got {self.breathing_cycles!r}")
         if self.injection_phase not in ("any", "inhale"):
             raise ValueError("injection_phase must be 'any' or 'inhale', "
                              f"got {self.injection_phase!r}")
@@ -626,8 +628,9 @@ class FlowStage:
         its elements and subcycles ``dt_global / dt_rank`` times inside the
         global step — compute repeats, while the halo/allreduce pattern
         stays once per global step, so collectives keep matching across
-        ranks.  The time-varying, rank-varying counts are the shifting
-        imbalance profile of the DLB interaction study.
+        ranks.  The time-varying, rank-varying counts are an imbalance
+        that shifts every global step, the regime DLB lending targets
+        (pinned with DLB by ``e2e/mn4/adaptive_local_sine_dlb``).
         """
         key = (nranks, method)
         if key in self._subcycles:

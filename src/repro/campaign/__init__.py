@@ -46,8 +46,6 @@ from .executor import (
 )
 from .figures import (
     BUILTIN_CAMPAIGNS,
-    adaptive_dlb_campaign,
-    breathing_campaign,
     ci_smoke_campaign,
     demo_campaign,
     dlb_figure_campaign,
@@ -79,8 +77,6 @@ __all__ = [
     "SupervisorConfig",
     "VirtualClock",
     "WallClock",
-    "adaptive_dlb_campaign",
-    "breathing_campaign",
     "build_report",
     "ci_smoke_campaign",
     "classify_failure",

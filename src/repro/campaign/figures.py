@@ -6,7 +6,8 @@ configurations with ad-hoc loops; the grids now live here as
 ``campaign`` CLI and the benchmarks share one execution path *and* one
 memoization domain — Fig. 6 and Fig. 7 expand to identical cells (they
 differ only in which phase they read), so running one makes the other a
-100% cache hit.
+100% cache hit.  Besides the figure sweeps only two smoke grids are built
+in; any other sweep is a spec file (:meth:`CampaignSpec.from_file`).
 """
 
 from __future__ import annotations
@@ -16,11 +17,9 @@ from typing import Optional
 from ..app import LARGE_PARTICLE_RATIO, SMALL_PARTICLE_RATIO, RunConfig, \
     WorkloadSpec
 from ..core import Strategy
-from ..cosim import VENTILATION_PATTERNS
 from .spec import CampaignSpec
 
 __all__ = ["BUILTIN_CAMPAIGNS", "CLUSTER_TOTALS", "COUPLED_SPLITS",
-           "adaptive_dlb_campaign", "breathing_campaign",
            "ci_smoke_campaign", "demo_campaign", "dlb_figure_campaign",
            "get_campaign", "hybrid_sweep_campaign"]
 
@@ -95,83 +94,6 @@ def dlb_figure_campaign(cluster: str, spec: Optional[WorkloadSpec] = None,
         grid=[("config.dlb", [False, True])])
 
 
-def adaptive_dlb_campaign(cluster: str = "thunder",
-                          spec: Optional[WorkloadSpec] = None,
-                          total: Optional[int] = None,
-                          name: Optional[str] = None) -> CampaignSpec:
-    """The adaptive-Δt x DLB interaction study (ROADMAP item).
-
-    {fixed Δt, local adaptive} x {DLB off, on} on a transient sine-inflow
-    workload: local mode drives time-varying per-rank subcycle counts —
-    an imbalance profile that shifts every global step, which is exactly
-    the regime LeWI-style lending targets.  The ``spec.adaptive`` axis
-    rides the generic ``"spec.<field>"`` override path, so the campaign
-    stays a thin declarative grid.
-    """
-    total = total if total is not None else CLUSTER_TOTALS[cluster]
-    base = spec if spec is not None \
-        else WorkloadSpec(inlet_waveform="sine", n_steps=32)
-    return CampaignSpec(
-        name=name or f"adaptive-dlb-{cluster}",
-        base_config=RunConfig(cluster=cluster, nranks=total,
-                              threads_per_rank=1,
-                              assembly_strategy=Strategy.MULTIDEP,
-                              sgs_strategy=Strategy.ATOMICS),
-        base_spec=base,
-        grid=[("spec.adaptive", ["off", "local"]),
-              ("config.dlb", [False, True])])
-
-
-def breathing_campaign(cluster: str = "thunder",
-                       spec: Optional[WorkloadSpec] = None,
-                       total: Optional[int] = None,
-                       patterns=None,
-                       cpaps=(0.0, 1.0),
-                       diameters=(2e-6, 8e-6),
-                       tidal_volumes=None,
-                       name: Optional[str] = None) -> CampaignSpec:
-    """Deposition fraction per breathing pattern (the cosim family).
-
-    One run cell per named ventilation pattern of
-    :data:`repro.cosim.VENTILATION_PATTERNS` (the per-pattern parameter
-    overrides ride the ``"spec.<field>"`` path, tagged with the pattern
-    name), crossed with a CPAP-pressure x particle-diameter grid (plus an
-    optional tidal-volume axis).  The base workload couples the
-    ventilator through the buffered hub (``inlet_waveform="ventilator"``)
-    with injection gated to inhalation and the CFL ladder consuming the
-    transient (``adaptive="global"``); the fixed-grid horizon (4096 steps
-    of 1e-4 s) is long enough for deposition to actually happen under
-    breathing-scaled carrier flow, so the fractions differentiate the
-    patterns.  Deposition is a workload (rank-independent) quantity, so
-    the default rank count is a quarter of the cluster — pass ``total``
-    for the full-machine runtime study.
-    """
-    total = total if total is not None else CLUSTER_TOTALS[cluster] // 4
-    base = spec if spec is not None else WorkloadSpec(
-        inlet_waveform="ventilator", injection_phase="inhale",
-        adaptive="global", n_steps=4096, injection_interval=1024)
-    runs = []
-    for pname in (patterns if patterns is not None
-                  else tuple(VENTILATION_PATTERNS)):
-        cell = {f"spec.{field}": value
-                for field, value in VENTILATION_PATTERNS[pname].items()}
-        cell["tags.pattern"] = pname
-        runs.append(cell)
-    grid = [("spec.cpap", list(cpaps)),
-            ("spec.particle_diameter", list(diameters))]
-    if tidal_volumes:
-        grid.insert(0, ("spec.tidal_volume", list(tidal_volumes)))
-    return CampaignSpec(
-        name=name or f"breathing-{cluster}",
-        base_config=RunConfig(cluster=cluster, nranks=total,
-                              threads_per_rank=1,
-                              assembly_strategy=Strategy.MULTIDEP,
-                              sgs_strategy=Strategy.ATOMICS),
-        base_spec=base,
-        runs=runs,
-        grid=grid)
-
-
 def demo_campaign(spec: Optional[WorkloadSpec] = None) -> CampaignSpec:
     """A small but non-trivial sweep for the quickstart example: rank
     counts x DLB on a single Thunder node."""
@@ -210,10 +132,6 @@ BUILTIN_CAMPAIGNS = {
         "marenostrum4", _load(spec, LARGE_PARTICLE_RATIO), name="fig10"),
     "fig11": lambda spec=None: dlb_figure_campaign(
         "thunder", _load(spec, LARGE_PARTICLE_RATIO), name="fig11"),
-    "adaptive-dlb": lambda spec=None: adaptive_dlb_campaign(
-        "thunder", spec, name="adaptive-dlb"),
-    "breathing": lambda spec=None: breathing_campaign(
-        "thunder", spec, name="breathing"),
 }
 
 

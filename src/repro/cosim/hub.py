@@ -172,20 +172,24 @@ _HUB_CACHE: dict = {}
 
 def hub_for(pattern: BreathingPattern, n_cycles: int, horizon: float,
             policy: HubPolicy = HubPolicy()) -> CosimHub:
-    """The hub mapping ``n_cycles`` breaths of ``pattern`` onto the solver
-    horizon ``[0, horizon]`` — cached per (pattern, cycles, horizon,
-    policy), since the underlying trace is a pure function of those.
+    """The hub mapping ``n_cycles`` (whole) breaths of ``pattern`` onto the
+    solver horizon ``[0, horizon]`` — cached per (pattern, cycles,
+    horizon, policy), since the underlying trace is a pure function of
+    those.
 
     The cache is a wall-clock-only optimization: a cache hit returns an
     identical (not merely equal) hub, so forwarded scales are unaffected.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
-    key = (pattern, int(n_cycles), float(horizon), policy)
+    cycles = int(n_cycles)
+    if cycles != n_cycles:
+        raise ValueError(f"n_cycles must be an integer, got {n_cycles!r}")
+    key = (pattern, cycles, float(horizon), policy)
     hub = _HUB_CACHE.get(key)
     if hub is None:
-        trace = simulate_breathing(pattern, n_cycles=int(n_cycles))
-        scale = n_cycles * pattern.ventilator.cycle_time / horizon
+        trace = simulate_breathing(pattern, n_cycles=cycles)
+        scale = cycles * pattern.ventilator.cycle_time / horizon
         hub = CosimHub(trace, policy=policy, time_scale=scale)
         _HUB_CACHE[key] = hub
     return hub

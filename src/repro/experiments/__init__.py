@@ -12,13 +12,9 @@ Figure 9       4e5 particles, Thunder, orig vs DLB         :func:`run_fig9`
 Figure 10      7e6 particles, MN4, orig vs DLB             :func:`run_fig10`
 Figure 11      7e6 particles, Thunder, orig vs DLB         :func:`run_fig11`
 Sec. 4.3 IPC   assembly IPC counters per strategy          :func:`run_ipc_counters`
-(ROADMAP)      adaptive Δt x DLB interaction               :func:`run_adaptive_dlb`
-(ROADMAP)      deposition per breathing pattern (cosim)    :func:`run_breathing`
 =============  ==========================================  ==============
 """
 
-from .adaptive import AdaptiveDLBResult, run_adaptive_dlb
-from .breathing import BreathingResult, run_breathing
 from .common import (
     format_table,
     large_load_spec,
@@ -44,8 +40,6 @@ from .table1 import PAPER_TABLE1, Table1Result, run_table1
 
 __all__ = [
     "ARTIFACTS",
-    "AdaptiveDLBResult",
-    "BreathingResult",
     "CLUSTER_TOTALS",
     "COUPLED_SPLITS",
     "DLBFigureResult",
@@ -61,8 +55,6 @@ __all__ = [
     "paper_scale_spec",
     "reference_spec",
     "reference_workload",
-    "run_adaptive_dlb",
-    "run_breathing",
     "run_dlb_figure",
     "run_fig2",
     "run_fig6",

@@ -150,7 +150,7 @@ def deflated_cg(A: sparse.spmatrix, b: np.ndarray,
     p = z.copy()
     rz = float(r @ z)
     residuals = [float(np.linalg.norm(r) / norm_b)]
-    iterations, breakdown = maxiter, None
+    iterations, breakdown, converged = maxiter, None, False
     for it in range(1, maxiter + 1):
         Ap = deflate(A @ p)
         matvecs += 1
@@ -166,18 +166,17 @@ def deflated_cg(A: sparse.spmatrix, b: np.ndarray,
         res = float(np.linalg.norm(r) / norm_b)
         residuals.append(res)
         if res < tol:
-            # recover the coarse part of the final solution:
-            # x_final = x + W E^-1 W^T (b - A x)
-            x = x + W @ coarse_solve(b - A @ x)
-            matvecs += 1
-            return SolveResult(x=x, converged=True, iterations=it,
-                               residuals=residuals, matvecs=matvecs)
+            iterations, converged = it, True
+            break
         z = M(r) if M is not None else r
         rz_new = float(r @ z)
         beta = rz_new / rz
         rz = rz_new
         p = z + beta * p
+    # recover the coarse part of the final solution:
+    # x_final = x + W E^-1 W^T (b - A x)
     x = x + W @ coarse_solve(b - A @ x)
-    return SolveResult(x=x, converged=False, iterations=iterations,
+    matvecs += 1
+    return SolveResult(x=x, converged=converged, iterations=iterations,
                        residuals=residuals, matvecs=matvecs,
                        breakdown=breakdown)

@@ -4,9 +4,9 @@ Covers the deterministic CFL controller and Δt ladder, the per-rung
 operator cache behind ``FractionalStepSolver.dt`` (including the stale-Δt
 regression the setter fixes), ``advance_to`` determinism across reruns, endpoint accuracy against a fine
 fixed-Δt reference, the app-layer Δt schedules / local subcycling, the
-driver's bit-identical replay of adaptive workloads, the campaign axis,
-and the planned runtime's repeats-ordering contract.  The absolute Δt
-walks and fields are pinned in ``tests/golden_digests.json``.
+driver's bit-identical replay of adaptive workloads and the planned
+runtime's repeats-ordering contract.  The absolute Δt walks and fields
+are pinned in ``tests/golden_digests.json``.
 """
 
 import hashlib
@@ -16,7 +16,6 @@ import pytest
 
 from repro.app.driver import RunConfig, run_cfpd
 from repro.app.workload import WorkloadSpec, get_workload
-from repro.campaign import get_campaign
 from repro.core import Team, TaskGraph
 from repro.fem import FlowBC, FractionalStepSolver, element_sizes
 from repro.fem.geometry import geometry_blocks
@@ -364,18 +363,6 @@ class TestDriverAdaptive:
         _, result = _run_digest(WorkloadSpec(generations=2,
                                              points_per_ring=6, n_steps=4))
         assert result.adaptive_diag.get("mode", "off") == "off"
-
-
-# -- campaign axis ----------------------------------------------------------
-
-class TestCampaignAxis:
-    def test_adaptive_dlb_grid_expansion(self):
-        camp = get_campaign("adaptive-dlb")
-        jobs = camp.expand()
-        cells = {(job.spec.adaptive, job.config.dlb) for job in jobs}
-        assert cells == {("off", False), ("off", True),
-                         ("local", False), ("local", True)}
-        assert all(job.spec.inlet_waveform == "sine" for job in jobs)
 
 
 # -- planned runtime: repeats ordering --------------------------------------

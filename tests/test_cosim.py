@@ -8,11 +8,12 @@ breathing waveform family (validation satellites, `waveform_scale` edge
 cases at exact phase boundaries / beyond `t_end` / on the clipped
 off-ladder final step, inhale-gated injection), the tracker's carrier
 `flow_scale`, the fluid solver's hub-driven inlet rescale, the driver's
-`cosim_diag`, and the breathing deposition campaign end to end.  The
-absolute ventilator-run digests and hub-driven tube-flow walks are pinned
-in ``tests/golden_digests.json``.
+`cosim_diag`, and the `adaptive`/`cosim` metrics of a campaign job
+record.  The absolute ventilator-run digests and hub-driven tube-flow
+walks are pinned in ``tests/golden_digests.json``.
 """
 
+import dataclasses
 import hashlib
 import math
 
@@ -22,11 +23,9 @@ import pytest
 from repro.app import BREATHING_WAVEFORMS, INLET_WAVEFORMS
 from repro.app.driver import RunConfig, run_cfpd
 from repro.app.workload import WorkloadSpec, get_workload
-from repro.campaign import get_campaign
 from repro.cosim import (
     BREATHING_PHASES,
     SCALE_FLOOR,
-    VENTILATION_PATTERNS,
     BreathingPattern,
     CosimHub,
     HubPolicy,
@@ -176,6 +175,8 @@ class TestSimulateBreathing:
         exact = np.array([p.volume_at(t) for t in trace.t])
         err = np.abs(trace.volume - exact).max()
         assert err < 0.01 * p.end_volume
+        exact_p = np.array([p.pressure_at(t) for t in trace.t])
+        assert np.abs(trace.pressure - exact_p).max() < 0.01 * exact_p.max()
         assert trace.peak_flow == pytest.approx(p.peak_flow, rel=0.05)
         # phase indices follow the cycle order
         assert trace.phase[0] == BREATHING_PHASES.index("inhale")
@@ -287,6 +288,16 @@ class TestCosimHub:
         with pytest.raises(ValueError):
             hub_for(p, n_cycles=1, horizon=0.0)
 
+    def test_hub_for_keys_trace_and_scale_on_one_integer(self):
+        p = BreathingPattern()
+        two = hub_for(p, n_cycles=2, horizon=2e-3)
+        assert hub_for(p, n_cycles=2.0, horizon=2e-3) is two
+        assert two.time_scale == pytest.approx(
+            2 * p.ventilator.cycle_time / 2e-3)
+        assert two.duration == pytest.approx(2 * p.ventilator.cycle_time)
+        with pytest.raises(ValueError, match="n_cycles"):
+            hub_for(p, n_cycles=2.5, horizon=2e-3)
+
 
 # -- WorkloadSpec: breathing family -----------------------------------------
 
@@ -311,9 +322,14 @@ class TestSpecValidation:
         {"breathing_cycles": 0},
         {"injection_phase": "exhale"},
         {"particle_diameter": 0.0},
+        # the hub cache keys on whole cycles: a fractional count shared
+        # (and poisoned) the hub of its integer neighbour
+        {"breathing_cycles": 1.5},
+        {"breathing_cycles": 2.0},
     ])
     def test_eager_field_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match=field):
             WorkloadSpec(**kwargs)
 
     def test_gating_requires_breathing_waveform(self):
@@ -535,64 +551,33 @@ class TestDriverCosim:
                                              points_per_ring=6, n_steps=2))
         assert result.cosim_diag == {}
 
-    def test_cosim_summary_in_campaign_metrics(self):
+    @pytest.mark.parametrize("spec", [
+        VENT_SPEC, dataclasses.replace(VENT_SPEC, adaptive="local")],
+        ids=["global", "local"])
+    def test_cosim_summary_in_campaign_metrics(self, spec):
         from repro.campaign import Job
         from repro.campaign.runner import run_job
 
         job = Job(index=0, campaign="t", config=RunConfig(
-            cluster="thunder", num_nodes=1, nranks=4), spec=VENT_SPEC)
+            cluster="thunder", num_nodes=1, nranks=4), spec=spec)
         record = run_job(job)
         cosim = record["metrics"]["cosim"]
         assert cosim["waveform"] == "ventilator"
-        assert cosim["deposition_fraction"] >= 0.0
+        assert cosim["total_injected"] > 0
+        assert 0.0 <= cosim["deposition_fraction"] <= 1.0
+        assert cosim["hub"]["staleness_max"] >= 0.0
+        adaptive = record["metrics"]["adaptive"]
+        assert adaptive["mode"] == spec.adaptive
+        assert adaptive["n_sim_steps"] == cosim["n_sim_steps"]
+        if spec.adaptive == "local":
+            # every rank runs at least once per global step
+            assert adaptive["subcycles_max"] >= 1
+            assert adaptive["subcycles_total"] >= \
+                adaptive["n_sim_steps"] * job.config.nranks
+            assert adaptive["subcycle_imbalance"] >= 1.0
+        else:
+            assert "subcycles_total" not in adaptive
         # serialized cleanly (the record is store-ready plain data)
         import json
 
         json.dumps(record)
-
-
-# -- campaign + experiment ---------------------------------------------------
-
-class TestBreathingCampaign:
-    def test_expansion(self):
-        camp = get_campaign("breathing")
-        jobs = camp.expand()
-        patterns = {dict(j.tags)["pattern"] for j in jobs}
-        assert patterns == set(VENTILATION_PATTERNS)
-        assert len(jobs) == len(VENTILATION_PATTERNS) * 2 * 2
-        cells = {(dict(j.tags)["pattern"], j.spec.cpap,
-                  j.spec.particle_diameter) for j in jobs}
-        assert len(cells) == len(jobs)
-        for job in jobs:
-            assert job.spec.inlet_waveform == "ventilator"
-            assert job.spec.injection_phase == "inhale"
-            assert job.spec.adaptive == "global"
-            preset = VENTILATION_PATTERNS[dict(job.tags)["pattern"]]
-            assert job.spec.respiratory_rate == \
-                preset["respiratory_rate"]
-
-    def test_run_breathing_end_to_end(self):
-        from repro.experiments import run_breathing
-
-        spec = WorkloadSpec(generations=2, points_per_ring=6, n_steps=16,
-                            inlet_waveform="ventilator",
-                            injection_phase="inhale",
-                            injection_interval=4, adaptive="global",
-                            dt_ladder_rungs=2)
-        result = run_breathing(spec=spec, total=4,
-                               patterns=("rest", "rapid"),
-                               cpaps=(0.0,), diameters=(4e-6,))
-        assert result.patterns() == ["rest", "rapid"]
-        assert set(result.cells) == {("rest", 0.0, 4e-6),
-                                     ("rapid", 0.0, 4e-6)}
-        for cell in result.cells.values():
-            assert cell["injected"] > 0
-            assert 0.0 <= cell["deposition_fraction"] <= 1.0
-            assert cell["staleness_max"] >= 0.0
-        assert set(result.by_pattern()) == {"rest", "rapid"}
-        assert "dep. frac" in result.format()
-        assert "breathing pattern" in result.figure()
-        rows = result.to_rows()
-        assert len(rows) == 2
-        assert {"pattern", "cpap", "diameter",
-                "deposition_fraction"} <= set(rows[0])

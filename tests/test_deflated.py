@@ -118,6 +118,31 @@ class TestDeflatedCG:
             "nonfinite": "nonfinite_residual"}[case]
         assert res.iterations == ref.iterations == 1
 
+    @pytest.mark.parametrize("case", ["converged", "maxiter", "breakdown"])
+    def test_matvecs_counts_every_product(self, poisson_system, case):
+        """``matvecs`` is the number of products with ``A``, whichever way
+        the solve ends: the initial residual, one per iteration and the
+        final coarse correction."""
+        A, b, groups = poisson_system
+        if case == "breakdown":
+            A = -A
+        setup = DeflationSetup(A, groups)
+
+        class Counting:
+            products = 0
+
+            def __matmul__(self, v):
+                Counting.products += 1
+                return A @ v
+
+        maxiter = 3 if case == "maxiter" else 2000
+        res = deflated_cg(Counting(), b, tol=1e-8, maxiter=maxiter,
+                          setup=setup)
+        assert res.converged == (case == "converged")
+        assert (res.breakdown is not None) == (case == "breakdown")
+        assert res.matvecs == Counting.products
+        assert res.matvecs == res.iterations + 2
+
 
 class TestDeflationSetup:
     def test_cached_setup_solution_bit_identical(self, poisson_system):

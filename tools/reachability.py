@@ -116,8 +116,8 @@ def run(cmd: list, out: str, root: str, cwd: str) -> int:
 def default_commands(root: str, scratch: str) -> list:
     """The entry-point set: (command, working directory) pairs.
 
-    The examples, ``python -m repro all``, the single-run, mesh and
-    experiment CLI commands, the CI campaign and chaos flows, every
+    The examples, ``python -m repro all``, the single-run (steady and
+    analytic-breathing inlet), mesh and experiment CLI commands, the CI campaign and chaos flows, every
     ``bench/run.py`` workload plain and traced, the perf runner's quick
     mode and the paper-figure suite.
     """
@@ -128,6 +128,9 @@ def default_commands(root: str, scratch: str) -> list:
     cli = [py, "-m", "repro"]
     for args in (["all", "--out", os.path.join(scratch, "results")],
                  ["run", "--steps", "2"],
+                 # a fixed-Δt run never evaluates the waveform
+                 ["run", "--steps", "2", "--waveform", "breathing",
+                  "--adaptive", "global"],
                  ["run", "--steps", "2", "--mode", "coupled",
                   "--fluid-ranks", "64", "--dlb", "--json"],
                  ["mesh", "--generations", "3", "--vtk",
