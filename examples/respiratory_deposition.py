@@ -60,7 +60,7 @@ def main() -> None:
           f"{'airborne':>9s}   hottest deposition sites")
     for diameter_um in (1.0, 4.0, 10.0, 20.0):
         particles = ParticleProperties(diameter=diameter_um * 1e-6)
-        state = inject_at_inlet(airway, n_particles, seed=42)
+        state = inject_at_inlet(airway, flow, n_particles, seed=42)
         tracker = NewmarkTracker(flow, particles=particles)
         for _ in range(n_steps):
             if state.n_active == 0:

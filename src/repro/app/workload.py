@@ -580,7 +580,10 @@ class FlowStage:
         """The (cached) deterministic Δt schedule of the run.
 
         ``off``: ``n_steps`` fixed steps of ``spec.dt`` — bit-identical to
-        the pre-adaptive behaviour.  ``global``: the CFL controller walks
+        the pre-adaptive behaviour; the breathing family still reads its
+        waveform once per step, so the carrier flow and the injection
+        speed follow the cycle (``ramp``/``sine``/steady keep scale 1).
+        ``global``: the CFL controller walks
         the ladder against ``waveform_scale(t) * max_rate``, reaching the
         same endpoint ``t_end`` in fewer steps.  ``local``: global steps at
         the ladder's top rung (per-rank refinement happens *inside* each
@@ -593,10 +596,13 @@ class FlowStage:
         spec = self.spec
         rate_max = float(self.element_rates().max(initial=0.0))
         if spec.adaptive == "off":
+            breathing = spec.inlet_waveform in BREATHING_WAVEFORMS
+            scales = [spec.waveform_scale(s * spec.dt) if breathing else 1.0
+                      for s in range(spec.n_steps)]
             self._schedule = [
                 StepPlan(t=s * spec.dt, dt=spec.dt, rung=-1,
-                         cfl=rate_max * spec.dt, scale=1.0)
-                for s in range(spec.n_steps)]
+                         cfl=scale * rate_max * spec.dt, scale=scale)
+                for s, scale in enumerate(scales)]
             return self._schedule
         ladder = spec.ladder()
         control = spec.controller()
@@ -826,7 +832,7 @@ class ParticleStage:
         scale = plan.scale \
             if self.spec.inlet_waveform in BREATHING_WAVEFORMS else 1.0
         state.extend(inject_at_inlet(
-            self.mesh_stage.airway, self.n_particles,
+            self.mesh_stage.airway, self.flow_stage.flow, self.n_particles,
             seed=self.spec.injection_seed + s,
             speed_fraction=0.5 * scale))
 

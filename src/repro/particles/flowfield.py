@@ -29,17 +29,27 @@ from ..mesh.airway import Segment
 __all__ = ["AirwayFlow"]
 
 
+#: Byte budget of one :meth:`AirwayFlow.locate` row block.  ``locate``
+#: walks its points in blocks of ``_LOCATE_BLOCK_BYTES // row_bytes(ns)``
+#: rows (at least one), so a flow's workspace never holds more than this,
+#: however many points one call passes.  At the default 65 segments a
+#: block is 392 rows: the tracker's per-step calls run in one pass, and
+#: the flow stage's mesh-wide ``nodal_velocity`` (3,823 nodes) runs in
+#: ten, leaving a block-sized workspace for the life of the stage.
+_LOCATE_BLOCK_BYTES = 2 << 20
+
+
 class _LocateWorkspace:
     """Reusable buffers for :meth:`AirwayFlow.locate`.
 
     One (capacity, ns, 3) block plus per-coordinate (capacity, ns) planes;
-    grown geometrically, sliced per call.  ``locate`` writes every
-    intermediate into these with ``out=``.
+    grown geometrically up to one row block, so it never holds more than
+    ``_LOCATE_BLOCK_BYTES`` (or one row, if a row is larger); sliced per
+    call.  ``locate`` writes every intermediate into these with ``out=``.
     """
 
     def __init__(self, n: int, ns: int):
         self.capacity = n
-        self.ns = ns
         self.rel = np.empty((n, ns, 3))
         self.p0 = np.empty((n, ns))
         self.p1 = np.empty((n, ns))
@@ -51,6 +61,11 @@ class _LocateWorkspace:
         self.b1 = np.empty((n, ns), dtype=bool)
         self.b2 = np.empty((n, ns), dtype=bool)
         self.rows = np.arange(n)
+
+    @staticmethod
+    def row_bytes(ns: int) -> int:
+        """Bytes one row of every buffer takes over ``ns`` segments."""
+        return (3 + 7) * 8 * ns + 2 * ns + 8
 
 
 @dataclass(frozen=True)
@@ -109,6 +124,8 @@ class AirwayFlow:
         self._starts_T = np.ascontiguousarray(self._arr.starts.T)
         self._dirs_T = np.ascontiguousarray(self._arr.directions.T)
         self._ws: _LocateWorkspace | None = None
+        row_bytes = _LocateWorkspace.row_bytes(len(self.segments))
+        self._block_rows = max(1, _LOCATE_BLOCK_BYTES // row_bytes)
 
     # -- geometry queries ------------------------------------------------------
     def locate(self, points: np.ndarray
@@ -119,19 +136,42 @@ class AirwayFlow:
         <= 1 with axial projection inside [0, L]); ties and outside points
         resolve to the segment with the smallest radial fraction.
 
-        The kernel works on three contiguous (n, ns) coordinate planes
-        held in a reusable workspace (no large allocations after warm-up):
-        the axial projection is an ``einsum`` over the 3-D offset block,
-        and the squared distance sums ``(d0² + d1²) + d2²``, the pairing
-        ``np.linalg.norm`` uses over a length-3 axis.
+        Points are processed in row blocks of at most
+        ``_LOCATE_BLOCK_BYTES`` of workspace; every row is computed on its
+        own, so the result is bit-identical to locating the points one by
+        one, and the workspace stays bounded however many points a call
+        passes.
         """
         points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        n, block = len(points), self._block_rows
+        if n <= block:
+            return self._locate_block(points)
+        seg_idx = np.empty(n, dtype=np.intp)
+        axial = np.empty(n)
+        radial = np.empty(n)
+        for lo in range(0, n, block):
+            hi = lo + block
+            seg_idx[lo:hi], axial[lo:hi], radial[lo:hi] = \
+                self._locate_block(points[lo:hi])
+        return seg_idx, axial, radial
+
+    def _locate_block(self, points: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`locate` over at most one row block of ``points``.
+
+        The kernel works on three contiguous (n, ns) coordinate planes
+        held in the reusable workspace (no large allocations after
+        warm-up): the axial projection is an ``einsum`` over the 3-D
+        offset block, and the squared distance sums ``(d0² + d1²) + d2²``,
+        the pairing ``np.linalg.norm`` uses over a length-3 axis.
+        """
         a = self._arr
         n, ns = len(points), len(a.lengths)
         ws = self._ws
-        if ws is None or ws.capacity < n or ws.ns != ns:
-            ws = self._ws = _LocateWorkspace(max(n, 2 * (ws.capacity if ws
-                                                         else 0)), ns)
+        if ws is None or ws.capacity < n:
+            grown = 2 * ws.capacity if ws else 0
+            ws = self._ws = _LocateWorkspace(
+                min(max(n, grown), self._block_rows), ns)
         sx, dx = self._starts_T, self._dirs_T
         rel = ws.rel[:n]
         p0, p1, p2 = ws.p0[:n], ws.p1[:n], ws.p2[:n]

@@ -114,16 +114,17 @@ class ParticleState:
                 f"{len(self.diameter)}, expected {n}")
 
 
-def inject_at_inlet(airway: AirwayMesh, n_particles: int,
+def inject_at_inlet(airway: AirwayMesh, flow: AirwayFlow, n_particles: int,
                     seed: int = 0,
                     speed_fraction: float = 0.5,
                     diameters: Optional[np.ndarray] = None) -> ParticleState:
     """Inject ``n_particles`` uniformly over the inlet disk (nasal orifice).
 
-    Initial velocity is ``speed_fraction`` of the local fluid velocity along
-    the inlet axis (aerosol entrained by the inhalation).  Pass
-    ``diameters`` (n,) for a polydisperse population (e.g. from
-    :func:`repro.particles.lognormal_diameters`).
+    Initial velocity is ``speed_fraction`` of the local fluid velocity of
+    ``flow`` — the carrier flow the particles are then tracked in, at its
+    own inlet flow rate — along the inlet axis (aerosol entrained by the
+    inhalation).  Pass ``diameters`` (n,) for a polydisperse population
+    (e.g. from :func:`repro.particles.lognormal_diameters`).
     """
     if n_particles < 0:
         raise ValueError("n_particles must be >= 0")
@@ -149,7 +150,6 @@ def inject_at_inlet(airway: AirwayMesh, n_particles: int,
     x = (center[None, :] + axis[None, :] * offset
          + r[:, None] * (np.cos(theta)[:, None] * u[None, :]
                          + np.sin(theta)[:, None] * w[None, :]))
-    flow = AirwayFlow(airway.segments)
     v = speed_fraction * flow.velocity(x)
     return ParticleState(x=x, v=v, a=np.zeros_like(x),
                          status=np.zeros(n_particles, dtype=np.int8),

@@ -64,7 +64,7 @@ def deposition_curve(airway: AirwayMesh,
     for d_um in diameters_um:
         d = d_um * 1e-6
         particles = ParticleProperties(diameter=d, density=density)
-        state = inject_at_inlet(airway, n_particles, seed=seed)
+        state = inject_at_inlet(airway, flow, n_particles, seed=seed)
         tracker = NewmarkTracker(flow, particles=particles)
         for _ in range(n_steps):
             if state.n_active == 0:

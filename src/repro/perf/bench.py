@@ -644,7 +644,8 @@ def _particle_preroll() -> tuple:
         tracker = NewmarkTracker(wl.flow, particles=ParticleProperties(),
                                  fluid=FluidProperties())
         state = ParticleState.empty()
-        state.extend(inject_at_inlet(wl.airway, 20 * wl.n_particles, seed=7))
+        state.extend(inject_at_inlet(wl.airway, wl.flow, 20 * wl.n_particles,
+                                     seed=7))
         for _ in range(60):
             tracker.step(state, 1e-3)
         _PARTICLE_PREROLL = (state.x.copy(), state.v.copy(),

@@ -394,6 +394,44 @@ class TestWaveformScale:
         assert rungs - {-1}, "transient should keep some steps on-ladder"
 
 
+class TestFixedStepWaveform:
+    """A fixed-Δt (``adaptive="off"``) breathing-family run reads its
+    waveform once per step; the other waveforms keep unit steps."""
+
+    SMALL = dict(generations=2, points_per_ring=6, n_steps=8,
+                 adaptive="off")
+
+    @pytest.mark.parametrize("waveform,owner", [
+        ("ventilator", CosimHub), ("breathing", BreathingPattern)])
+    def test_breathing_family_reads_its_waveform_once_per_step(
+            self, monkeypatch, waveform, owner):
+        from repro.app.workload import Workload
+
+        spec = WorkloadSpec(inlet_waveform=waveform, **self.SMALL)
+        wl = Workload(spec)
+        wl.element_rates()
+        calls = []
+        inner = owner.scale_at
+
+        def counted(self, t):
+            calls.append(t)
+            return inner(self, t)
+
+        monkeypatch.setattr(owner, "scale_at", counted)
+        plans = wl.dt_schedule()
+        assert len(calls) == spec.n_steps == len(plans)
+        for s, plan in enumerate(plans):
+            assert plan.t == s * spec.dt and plan.dt == spec.dt
+            assert plan.scale == spec.waveform_scale(plan.t)
+        assert len({plan.scale for plan in plans}) > 1
+
+    @pytest.mark.parametrize("waveform", ["steady", "ramp", "sine"])
+    def test_other_waveforms_keep_unit_scale(self, waveform):
+        wl = get_workload(WorkloadSpec(inlet_waveform=waveform,
+                                       **self.SMALL))
+        assert {plan.scale for plan in wl.dt_schedule()} == {1.0}
+
+
 class TestInjectionGating:
     def test_ungated_off_mode_unchanged(self):
         spec = WorkloadSpec(generations=2, points_per_ring=6, n_steps=8,
@@ -443,7 +481,7 @@ class TestTrackerFlowScale:
     def _stepped(self, setup, n=5, **kwargs):
         wl, tracker = setup
         state = ParticleState.empty()
-        state.extend(inject_at_inlet(wl.airway, 32, seed=7))
+        state.extend(inject_at_inlet(wl.airway, wl.flow, 32, seed=7))
         for _ in range(n):
             tracker.step(state, 1e-4, **kwargs)
         return state

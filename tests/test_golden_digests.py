@@ -258,6 +258,16 @@ def _ventilator_small():
             "deposited_by_cycle": result.cosim_diag["deposited_by_cycle"]}
 
 
+@entry("e2e/thunder/ventilator_fixed_dt")
+def _ventilator_fixed_dt():
+    """The small ventilator spec on fixed Δt steps: the waveform scales
+    the carrier flow and the injection speed of every step."""
+    result = _run(dict(cluster="thunder", num_nodes=1, nranks=4),
+                  dict(VENT_SMALL_SPEC_KW, adaptive="off"))
+    return {"digest": _digest(result),
+            "deposited_by_cycle": result.cosim_diag["deposited_by_cycle"]}
+
+
 @entry("campaign/bench_grid")
 def _campaign_bench_grid():
     """The perf harness's 8-cell campaign sweep run inline, hashed over its
@@ -557,8 +567,9 @@ def _tracker_setup(n=400, seed=11):
                                  ParticleProperties, inject_at_inlet)
 
     airway = small_airway()
-    state = inject_at_inlet(airway, n, seed=seed)
-    tracker = NewmarkTracker(AirwayFlow(airway.segments),
+    flow = AirwayFlow(airway.segments)
+    state = inject_at_inlet(airway, flow, n, seed=seed)
+    tracker = NewmarkTracker(flow,
                              particles=ParticleProperties(),
                              fluid=FluidProperties())
     return airway, state, tracker
@@ -600,7 +611,7 @@ def _particles_injection():
     for i in range(20):
         tracker.step(state, 1e-3 if i < 10 else 1e-4)
         if i == 10:
-            state.extend(inject_at_inlet(airway, 80, seed=13))
+            state.extend(inject_at_inlet(airway, tracker.flow, 80, seed=13))
         elements.append(locator.elements_of(state.x))
     return _particle_summary(state, elements)
 
@@ -611,7 +622,7 @@ def _flow_locate():
 
     airway = small_airway()
     flow = AirwayFlow(airway.segments)
-    state = inject_at_inlet(airway, 300, seed=4)
+    state = inject_at_inlet(airway, flow, 300, seed=4)
     rng = np.random.default_rng(9)
     seg, axial, radial = flow.locate(
         state.x + 1e-4 * rng.standard_normal(state.x.shape))

@@ -138,6 +138,10 @@ class TestPolydisperse:
         return build_airway_mesh(AirwayConfig(generations=3),
                                  MeshResolution(points_per_ring=6))
 
+    @pytest.fixture(scope="class")
+    def flow(self, airway):
+        return AirwayFlow(airway.segments)
+
     def test_lognormal_distribution_stats(self):
         d = lognormal_diameters(20000, median=4e-6, gsd=1.8, seed=1)
         assert np.median(d) == pytest.approx(4e-6, rel=0.05)
@@ -158,33 +162,31 @@ class TestPolydisperse:
         m = particle_mass(d, 1000.0)
         assert m[1] / m[0] == pytest.approx(8.0)
 
-    def test_inject_polydisperse(self, airway):
+    def test_inject_polydisperse(self, airway, flow):
         d = lognormal_diameters(100, seed=2)
-        state = inject_at_inlet(airway, 100, diameters=d)
+        state = inject_at_inlet(airway, flow, 100, diameters=d)
         np.testing.assert_array_equal(state.diameter, d)
 
-    def test_inject_diameter_validation(self, airway):
+    def test_inject_diameter_validation(self, airway, flow):
         with pytest.raises(ValueError):
-            inject_at_inlet(airway, 10, diameters=np.ones(5))
+            inject_at_inlet(airway, flow, 10, diameters=np.ones(5))
         with pytest.raises(ValueError):
-            inject_at_inlet(airway, 2, diameters=np.array([1e-6, -1e-6]))
+            inject_at_inlet(airway, flow, 2, diameters=np.array([1e-6, -1e-6]))
 
-    def test_polydisperse_tracking_stable(self, airway):
-        flow = AirwayFlow(airway.segments)
+    def test_polydisperse_tracking_stable(self, airway, flow):
         d = lognormal_diameters(300, median=6e-6, gsd=2.0, seed=3)
-        state = inject_at_inlet(airway, 300, seed=4, diameters=d)
+        state = inject_at_inlet(airway, flow, 300, seed=4, diameters=d)
         tracker = NewmarkTracker(flow)
         for _ in range(150):
             tracker.step(state, dt=1e-4)
         assert np.isfinite(state.x).all()
         assert np.isfinite(state.v).all()
 
-    def test_bigger_particles_deposit_more(self, airway):
+    def test_bigger_particles_deposit_more(self, airway, flow):
         """Within one polydisperse population, the deposited particles are
         on average larger (inertial impaction + sedimentation)."""
-        flow = AirwayFlow(airway.segments)
         d = lognormal_diameters(800, median=8e-6, gsd=2.2, seed=5)
-        state = inject_at_inlet(airway, 800, seed=6, diameters=d)
+        state = inject_at_inlet(airway, flow, 800, seed=6, diameters=d)
         tracker = NewmarkTracker(flow)
         for _ in range(400):
             if state.n_active == 0:
@@ -196,16 +198,16 @@ class TestPolydisperse:
         assert (np.median(state.diameter[deposited])
                 >= np.median(state.diameter[~deposited]) * 0.9)
 
-    def test_extend_mixes_rejected(self, airway):
-        mono = inject_at_inlet(airway, 10)
-        poly = inject_at_inlet(airway, 10,
+    def test_extend_mixes_rejected(self, airway, flow):
+        mono = inject_at_inlet(airway, flow, 10)
+        poly = inject_at_inlet(airway, flow, 10,
                                diameters=np.full(10, 4e-6))
         with pytest.raises(ValueError):
             mono.extend(poly)
 
-    def test_extend_concatenates_diameters(self, airway):
-        a = inject_at_inlet(airway, 5, diameters=np.full(5, 1e-6))
-        b = inject_at_inlet(airway, 3, diameters=np.full(3, 2e-6))
+    def test_extend_concatenates_diameters(self, airway, flow):
+        a = inject_at_inlet(airway, flow, 5, diameters=np.full(5, 1e-6))
+        b = inject_at_inlet(airway, flow, 3, diameters=np.full(3, 2e-6))
         a.extend(b)
         assert a.n == 8
         assert a.diameter.shape == (8,)

@@ -149,30 +149,99 @@ class TestFlowField:
 
 
 class TestInjection:
-    def test_particles_inside_inlet_disk(self, airway):
-        state = inject_at_inlet(airway, 500, seed=1)
+    def test_particles_inside_inlet_disk(self, airway, flow):
+        state = inject_at_inlet(airway, flow, 500, seed=1)
         center, axis, radius = airway.inlet_disk()
         rel = state.x - center
         radial = np.linalg.norm(rel - np.outer(rel @ axis, axis), axis=1)
         assert (radial <= radius).all()
 
-    def test_all_active_initially(self, airway):
-        state = inject_at_inlet(airway, 100)
+    def test_all_active_initially(self, airway, flow):
+        state = inject_at_inlet(airway, flow, 100)
         assert state.n_active == 100
 
-    def test_deterministic_for_seed(self, airway):
-        a = inject_at_inlet(airway, 50, seed=9)
-        b = inject_at_inlet(airway, 50, seed=9)
+    def test_deterministic_for_seed(self, airway, flow):
+        a = inject_at_inlet(airway, flow, 50, seed=9)
+        b = inject_at_inlet(airway, flow, 50, seed=9)
         np.testing.assert_array_equal(a.x, b.x)
 
-    def test_empty_injection(self, airway):
-        state = inject_at_inlet(airway, 0)
+    def test_empty_injection(self, airway, flow):
+        state = inject_at_inlet(airway, flow, 0)
         assert state.n == 0
+
+    def test_injection_speed_follows_the_callers_flow(self, airway):
+        """The initial velocity is ``speed_fraction`` of the given flow's
+        local velocity, at that flow's own inlet rate."""
+        fast = AirwayFlow(airway.segments, inlet_flow_rate=2e-3)
+        state = inject_at_inlet(airway, fast, 200, seed=1)
+        np.testing.assert_array_equal(state.v, 0.5 * fast.velocity(state.x))
+
+    def test_workload_injects_at_its_inlet_flow_rate(self):
+        from repro.app.workload import WorkloadSpec, get_workload
+
+        wl = get_workload(WorkloadSpec(generations=2, points_per_ring=6,
+                                       n_steps=2, inlet_flow_rate=2e-3))
+        state = ParticleState.empty()
+        wl.particle_stage._inject(state, 0, wl.dt_schedule()[0])
+        np.testing.assert_array_equal(state.v,
+                                      0.5 * wl.flow.velocity(state.x))
+
+
+class TestLocateBlocks:
+    """``locate`` walks its points in row blocks of a fixed byte budget:
+    every row is computed on its own, so results are bit-identical however
+    the points are split, and the workspace stays bounded."""
+
+    @staticmethod
+    def _held_bytes(flow) -> int:
+        return sum(a.nbytes for a in vars(flow._ws).values()
+                   if isinstance(a, np.ndarray))
+
+    def test_blocked_locate_bit_identical_to_rows_and_slices(self, airway,
+                                                             flow):
+        block = flow._block_rows
+        rng = np.random.default_rng(3)
+        lo, hi = airway.mesh.coords.min(axis=0), airway.mesh.coords.max(axis=0)
+        points = np.concatenate([airway.mesh.coords,
+                                 rng.uniform(lo, hi, size=(2 * block, 3))])
+        assert len(points) > 2 * block
+        whole = flow.locate(points)
+        single = [flow.locate(p) for p in points[::97]]
+        for k, got in enumerate(single):
+            for a, b in zip(whole, got):
+                assert a[97 * k] == b[0]
+        for start, stop in ((0, block), (block - 5, block + 5),
+                            (block - 1, 2 * block + 3), (7, len(points))):
+            part = flow.locate(points[start:stop])
+            for a, b in zip(whole, part):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a[start:stop], b)
+
+    def test_workspace_bound_does_not_grow_with_points(self, airway):
+        from repro.particles.flowfield import _LOCATE_BLOCK_BYTES
+
+        flow = AirwayFlow(airway.segments)
+        coords = airway.mesh.coords
+        n = 3 * flow._block_rows
+        flow.locate(np.resize(coords, (n, 3)))
+        held = self._held_bytes(flow)
+        flow.locate(np.resize(coords, (4 * n, 3)))
+        assert self._held_bytes(flow) == held <= _LOCATE_BLOCK_BYTES
+
+    def test_default_flow_stage_holds_a_bounded_workspace(self):
+        """The flow stage samples the whole mesh once at build; the
+        workspace it keeps for the tracker's later calls must not be
+        mesh-sized (20.4 MB at the default spec before blocking)."""
+        from repro.app.workload import WorkloadSpec, get_workload
+
+        wl = get_workload(WorkloadSpec())
+        assert wl.mesh.nnodes > wl.flow._block_rows
+        assert self._held_bytes(wl.flow) <= 2 << 20
 
 
 class TestTracking:
     def test_particles_move_downstream(self, airway, flow):
-        state = inject_at_inlet(airway, 200, seed=0)
+        state = inject_at_inlet(airway, flow, 200, seed=0)
         tracker = NewmarkTracker(flow)
         z0 = state.x[:, 2].mean()
         for _ in range(50):
@@ -186,7 +255,7 @@ class TestTracking:
     def test_velocity_relaxes_to_fluid(self, airway, flow):
         """A particle with small relaxation time approaches the local fluid
         velocity within a few time steps."""
-        state = inject_at_inlet(airway, 50, seed=2, speed_fraction=0.0)
+        state = inject_at_inlet(airway, flow, 50, seed=2, speed_fraction=0.0)
         tracker = NewmarkTracker(flow)
         for _ in range(30):
             tracker.step(state, dt=1e-4)
@@ -199,7 +268,7 @@ class TestTracking:
         assert np.median(rel / mag) < 0.3
 
     def test_some_particles_deposit_over_time(self, airway, flow):
-        state = inject_at_inlet(airway, 300, seed=3)
+        state = inject_at_inlet(airway, flow, 300, seed=3)
         tracker = NewmarkTracker(flow)
         for _ in range(300):
             tracker.step(state, dt=1e-4)
@@ -209,7 +278,7 @@ class TestTracking:
         assert counts[STATUS_DEPOSITED] + counts[STATUS_ACTIVE] > 0
 
     def test_deposited_particles_stop(self, airway, flow):
-        state = inject_at_inlet(airway, 300, seed=3)
+        state = inject_at_inlet(airway, flow, 300, seed=3)
         tracker = NewmarkTracker(flow)
         for _ in range(200):
             tracker.step(state, dt=1e-4)
@@ -224,7 +293,7 @@ class TestTracking:
         assert state.n == 0
 
     def test_finite_state_always(self, airway, flow):
-        state = inject_at_inlet(airway, 100, seed=5)
+        state = inject_at_inlet(airway, flow, 100, seed=5)
         tracker = NewmarkTracker(flow)
         for _ in range(100):
             tracker.step(state, dt=1e-4)
@@ -233,19 +302,19 @@ class TestTracking:
 
 
 class TestLocatorAndImbalance:
-    def test_owner_histogram_sums_to_population(self, airway):
+    def test_owner_histogram_sums_to_population(self, airway, flow):
         dec = decompose_mesh(airway, 8, method="rcb")
         locator = ElementLocator(airway, dec.labels)
-        state = inject_at_inlet(airway, 400, seed=0)
+        state = inject_at_inlet(airway, flow, 400, seed=0)
         hist = locator.rank_histogram(state.x, 8)
         assert hist.sum() == 400
 
-    def test_injection_concentrated_in_few_ranks(self, airway):
+    def test_injection_concentrated_in_few_ranks(self, airway, flow):
         """The paper's key imbalance: at injection, particles live in one or
         few MPI subdomains (L96 = 0.02)."""
         dec = decompose_mesh(airway, 16, method="rcb")
         locator = ElementLocator(airway, dec.labels)
-        state = inject_at_inlet(airway, 1000, seed=0)
+        state = inject_at_inlet(airway, flow, 1000, seed=0)
         hist = locator.rank_histogram(state.x, 16)
         # load balance L_n = mean / max must be tiny
         ln = hist.mean() / hist.max()
@@ -255,7 +324,7 @@ class TestLocatorAndImbalance:
     def test_particles_spread_over_time(self, airway, flow):
         dec = decompose_mesh(airway, 16, method="rcb")
         locator = ElementLocator(airway, dec.labels)
-        state = inject_at_inlet(airway, 1000, seed=0)
+        state = inject_at_inlet(airway, flow, 1000, seed=0)
         h0 = locator.rank_histogram(state.x, 16)
         tracker = NewmarkTracker(flow)
         for _ in range(400):

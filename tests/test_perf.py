@@ -303,11 +303,11 @@ class TestParticleFastPath:
     """Element location, active-set compaction, fused kernels."""
 
     def _track(self, n=400, seed=11):
-        airway = small_airway()
-        state = inject_at_inlet(airway, n, seed=seed)
         from repro.particles import AirwayFlow
 
+        airway = small_airway()
         flow = AirwayFlow(airway.segments)
+        state = inject_at_inlet(airway, flow, n, seed=seed)
         tracker = NewmarkTracker(flow, particles=ParticleProperties(),
                                  fluid=FluidProperties())
         return airway, state, tracker
@@ -345,7 +345,7 @@ class TestParticleFastPath:
                 setattr(tracker, attr, None)
             tracker.step(state, 1e-3 if i < 10 else 1e-4)
             if i == 10:
-                state.extend(inject_at_inlet(airway, 80, seed=13))
+                state.extend(inject_at_inlet(airway, tracker.flow, 80, seed=13))
             elems.append(locator.elements_of(state.x))
         return state, elems
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import ast
 import atexit
+import json
 import os
 import shutil
 import subprocess
@@ -113,11 +114,24 @@ def run(cmd: list, out: str, root: str, cwd: str) -> int:
                            stdout=subprocess.DEVNULL)
 
 
+#: a tiny two-cell breathing sweep in the campaign spec-file format
+SPEC_FILE_CAMPAIGN = {
+    "name": "audit-sweep",
+    "base": {"config": {"cluster": "thunder", "num_nodes": 1, "nranks": 4},
+             "spec": {"generations": 2, "points_per_ring": 6,
+                      "inlet_waveform": "ventilator",
+                      "injection_phase": "inhale", "adaptive": "global"}},
+    "runs": [{"spec.respiratory_rate": 12.0, "tags.pattern": "rest"},
+             {"spec.respiratory_rate": 24.0, "tags.pattern": "rapid"}],
+}
+
+
 def default_commands(root: str, scratch: str) -> list:
     """The entry-point set: (command, working directory) pairs.
 
     The examples, ``python -m repro all``, the single-run (steady and
-    analytic-breathing inlet), mesh and experiment CLI commands, the CI campaign and chaos flows, every
+    analytic-breathing inlet), mesh and experiment CLI commands, the CI
+    campaign and chaos flows, a two-cell spec-file campaign, every
     ``bench/run.py`` workload plain and traced, the perf runner's quick
     mode and the paper-figure suite.
     """
@@ -128,7 +142,6 @@ def default_commands(root: str, scratch: str) -> list:
     cli = [py, "-m", "repro"]
     for args in (["all", "--out", os.path.join(scratch, "results")],
                  ["run", "--steps", "2"],
-                 # a fixed-Δt run never evaluates the waveform
                  ["run", "--steps", "2", "--waveform", "breathing",
                   "--adaptive", "global"],
                  ["run", "--steps", "2", "--mode", "coupled",
@@ -155,6 +168,13 @@ def default_commands(root: str, scratch: str) -> list:
                   "--kill-worker-at", "3", "--json"],
                  ["doctor", "--store", store + "-c"]):
         cmds.append((campaign + args, root))
+    # the documented way to run a sweep (docs/cosim.md), with the CLI's
+    # workload-size flags applied on top of the file's base spec
+    spec_file = os.path.join(scratch, "sweep.json")
+    with open(spec_file, "w") as fh:
+        json.dump(SPEC_FILE_CAMPAIGN, fh)
+    cmds.append((campaign + ["run", "--spec-file", spec_file, "--store",
+                             store + "-d", "--steps", "2", "--json"], root))
     for trace in ("0", "1"):
         cmds.append(([py, os.path.join(root, "bench", "run.py"),
                       "--seconds", "2", "--trace", trace], root))
